@@ -1,13 +1,16 @@
 """Framed binary cache files: magic + version + payload + SHA-256 trailer.
 
 Writers always produce the payload as one bytes object so identical logical
-content yields identical files. Integers of arbitrary size are stored as a
-2-byte length followed by signed big-endian bytes.
+content yields identical files, and replace a file atomically, never in
+place. Integers of arbitrary size are stored as a 2-byte length followed by
+signed big-endian bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import struct
 
 from .errors import CacheFormatError
@@ -28,12 +31,27 @@ def unpack_bigint(buf: bytes, off: int) -> tuple[int, int]:
 
 
 def write_frame(path, magic: bytes, version: int, payload: bytes) -> None:
+    """Write the framed file atomically: a reader sees the old file or the new.
+
+    The frame goes to a unique temporary file in the same directory, which
+    is flushed, fsync'ed and then renamed onto ``path``; on any failure the
+    temporary file is removed and ``path`` is left untouched.
+    """
     head = magic + struct.pack(">I", version)
     digest = hashlib.sha256(head + payload).digest()
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(payload)
-        fh.write(digest)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(head)
+            fh.write(payload)
+            fh.write(digest)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_frame(path, magic: bytes, version: int) -> bytes:

@@ -37,6 +37,8 @@ from .weylaffine import (
     dot_action,
     factorize_weight,
     generators,
+    identity,
+    _matmul,
     _matvec,
 )
 
@@ -136,11 +138,12 @@ def dominant_weights_below(rs: RootSystemData, bound: Weight) -> list[Weight]:
     """All dominant mu <= bound (integral dominance order)."""
     if not is_dominant(bound):
         raise InvalidSystemError("bound weight must be dominant")
+    det = rs.cartan_det
     caps = []
-    for c in rs.wt_to_rt(bound):
+    for c in rs.wt_to_rt_scaled(bound):
         if c < 0:
             return []
-        caps.append(int(c))  # Fraction floor toward zero is fine: c >= 0
+        caps.append(c // det)
     out = []
     for beta in _iproduct(*(range(cap + 1) for cap in caps)):
         wt = tuple(b - r for b, r in zip(bound, rs.rt_to_wt(beta)))
@@ -172,11 +175,11 @@ def weyl_character(rs: RootSystemData, lam: Weight) -> Character:
         return got
 
     candidates = dominant_weights_below(rs, lam)
-    # order by distance below lam (height of lam - mu, rational but orderable)
-    def depth(mu):
-        return sum(rs.wt_to_rt(tuple(a - b for a, b in zip(lam, mu))))
-
-    candidates.sort(key=lambda mu: (depth(mu), mu))
+    # order by distance below lam: the height of lam - mu, scaled by det(C)
+    diffs = {mu: rs.wt_to_rt_scaled(tuple(a - b for a, b in zip(lam, mu)))
+             for mu in candidates}
+    candidates.sort(key=lambda mu: (sum(diffs[mu]), mu))
+    det = rs.cartan_det
     mults: dict[Weight, int] = {lam: 1}
     # (mu + k*alpha, alpha) walks an arithmetic progression with step (alpha, alpha)
     root_steps = [
@@ -187,8 +190,7 @@ def weyl_character(rs: RootSystemData, lam: Weight) -> Character:
     for mu in candidates:
         if mu == lam:
             continue
-        diff_rt = rs.wt_to_rt(tuple(a - b for a, b in zip(lam, mu)))
-        diff_rt = tuple(int(c) for c in diff_rt)
+        diff_rt = tuple(c // det for c in diffs[mu])
         denom = _pair_wt_rt(rs, tuple(a + b + 2 for a, b in zip(lam, mu)), diff_rt)
         acc = 0
         for root_wt, root_rt, step in root_steps:
@@ -203,10 +205,12 @@ def weyl_character(rs: RootSystemData, lam: Weight) -> Character:
                 if m == 0:
                     break
                 acc += m * val
-        num = 2 * acc
-        assert num % denom == 0, "Freudenthal division is not exact"
-        m_mu = num // denom
-        assert m_mu > 0, "dominant weight below lam with zero multiplicity"
+        m_mu, rem = divmod(2 * acc, denom)
+        if rem or m_mu <= 0:
+            raise InvariantViolation(
+                f"Freudenthal step for {mu} below {lam}: 2*{acc}/{denom} "
+                "is not a positive integer"
+            )
         mults[mu] = m_mu
     char = Character(rs, mults)
     _char_cache[key] = char
@@ -220,7 +224,8 @@ def weyl_dimension(rs: RootSystemData, lam: Weight) -> int:
     for a in range(rs.num_positive):
         rt = rs.positive_roots[a]
         num *= Fraction(_pair_wt_rt(rs, lam_rho, rt), _pair_wt_rt(rs, rs.rho, rt))
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise InvariantViolation(f"Weyl dimension of {lam} is not an integer: {num}")
     return int(num)
 
 
@@ -233,7 +238,7 @@ def weyl_group_elements(rs: RootSystemData):
     if cache is not None:
         return cache
     gens = [g.wmat for g in generators(rs, affine=False)]
-    eye = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
+    eye = identity(rs).wmat
     seen = {eye: 0}
     shell = [eye]
     ln = 0
@@ -242,10 +247,7 @@ def weyl_group_elements(rs: RootSystemData):
         nxt = []
         for m in shell:
             for g in gens:
-                prod = tuple(
-                    tuple(sum(m[i][k] * g[k][j] for k in range(rs.rank)) for j in range(rs.rank))
-                    for i in range(rs.rank)
-                )
+                prod = _matmul(m, g)
                 if prod not in seen:
                     seen[prod] = ln
                     nxt.append(prod)
@@ -265,10 +267,10 @@ def kostant_multiplicity(rs: RootSystemData, lam: Weight, mu: Weight) -> int:
     mu_rho = tuple(x + 1 for x in mu)
     for wmat, ln in weyl_group_elements(rs):
         arg = tuple(a - b for a, b in zip(_matvec(wmat, lam_rho), mu_rho))
-        coords = rs.wt_to_rt(arg)
-        if any(c.denominator != 1 or c < 0 for c in coords):
+        coords = rs.wt_to_rt_int(arg)
+        if coords is None or any(c < 0 for c in coords):
             continue
-        val = kostant_partition(rs, tuple(int(c) for c in coords))
+        val = kostant_partition(rs, coords)
         total += val if ln % 2 == 0 else -val
     return total
 
@@ -354,7 +356,8 @@ def chi_kl(rs: RootSystemData, lam: Weight, l: int, table: KLTable) -> KLCharact
             continue
         sign = 1 if (lw - sl.length[y]) % 2 == 0 else -1
         wt = dot_action(rs, sl.elements[y], lam_minus, l)
-        assert is_dominant(wt)
+        if not is_dominant(wt):
+            raise InvariantViolation(f"dominant element {y} gave non-dominant weight {wt}")
         terms.append((wt, sign * pol.eval_one()))
     terms.sort()
     return KLCharacter(rs, l, lam, lam_minus, w, terms)
@@ -510,20 +513,22 @@ def tensor_decompose(rs: RootSystemData, lam: Weight, nu: Weight) -> dict[Weight
         full_simple_expansion(rs, tuple(lam)),
         full_simple_expansion(rs, tuple(nu)),
     )
-    # height in the root basis orders the support compatibly with dominance
-    heights: dict[Weight, object] = {}
+    # height in the root basis (scaled by det(C)) orders the support
+    # compatibly with dominance
+    heights: dict[Weight, int] = {}
 
     def height(wt):
         got = heights.get(wt)
         if got is None:
-            got = heights[wt] = sum(rs.wt_to_rt(wt))
+            got = heights[wt] = sum(rs.wt_to_rt_scaled(wt))
         return got
 
     out: dict[Weight, int] = {}
     while work:
         tau = max(work, key=lambda wt: (height(wt), wt))
         m = work[tau]
-        assert is_dominant(tau) and m > 0, "tensor extraction lost dominance"
+        if not is_dominant(tau) or m <= 0:
+            raise InvariantViolation(f"tensor extraction lost dominance at {tau}")
         out[tau] = m
         for v, mult in full_simple_expansion(rs, tau).items():
             s = work.get(v, 0) - m * mult

@@ -14,7 +14,12 @@ class SliceCoverageError(RuntimeError):
 
 
 class ResourceCapError(RuntimeError):
-    """An enumeration hit its configured element-count cap."""
+    """A computation would exceed a resource cap, so it is refused up front.
+
+    Raised when a slice enumeration passes its configured element-count cap
+    (``--max-elements``) and when a Kostant partition function would need a
+    coordinate box larger than ``rootsys.KOSTANT_BOX_CAP``.
+    """
 
 
 class CacheFormatError(RuntimeError):

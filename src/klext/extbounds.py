@@ -74,6 +74,7 @@ class BlockContext:
             )
 
     def require_dominant(self, *indices):
+        self.slice.check_index(*indices)
         for i in indices:
             if not self.slice.dominant[i]:
                 raise InvalidSystemError(f"element {i} is not dominant")
@@ -301,7 +302,8 @@ def pim_length(ctx: BlockContext, lam0: Weight, bound: Weight | None = None) -> 
     w0 = longest_finite_element(rs)
     w0lam = _matvec(w0.wmat, lam0)
     hw = tuple(2 * (l - 1) + v for v in w0lam)
-    assert is_dominant(hw)
+    if not is_dominant(hw):
+        raise InvariantViolation(f"2(l-1)rho + w0({lam0}) = {hw} is not dominant")
     if bound is None:
         bound = hw
     if not dominance_leq(rs, hw, bound):
@@ -328,7 +330,7 @@ def pim_length(ctx: BlockContext, lam0: Weight, bound: Weight | None = None) -> 
         if m:
             delta_mults[nu] = m
             total += m * dm.standard_length(nu)
-    top = max(delta_mults, key=lambda wt: (sum(rs.wt_to_rt(wt)), wt))
+    top = max(delta_mults, key=lambda wt: (sum(rs.wt_to_rt_scaled(wt)), wt))
     return PimReport(lam0, l, hw, delta_mults, total, top == hw and hw in delta_mults)
 
 
@@ -374,9 +376,8 @@ def mu_bound(rs: RootSystemData) -> int:
     report that uses this constant.
     """
     h = rs.coxeter_number
-    rho2 = rs.wt_to_rt(tuple((2 * h - 2) for _ in range(rs.rank)))
-    arg = tuple(int(c) for c in rho2)
-    return h**rs.num_roots * kostant_partition(rs, arg)
+    arg = tuple(2 * h - 2 for _ in range(rs.rank))
+    return h**rs.num_roots * kostant_partition(rs, arg, basis="weight")
 
 
 MU_BOUND_READING = "P argument read as the lattice element (2h-2)*rho"
@@ -385,7 +386,8 @@ MU_BOUND_READING = "P argument read as the lattice element (2h-2)*rho"
 def ext1_bound(rs: RootSystemData) -> int:
     """Uniform Ext^1 ceiling across all characteristic: |W| * mu_bound / 2."""
     val = rs.weyl_order * mu_bound(rs)
-    assert val % 2 == 0
+    if val % 2:
+        raise InvariantViolation(f"|W| * mu_bound = {val} is odd")
     return val // 2
 
 
@@ -393,8 +395,8 @@ def fixed_prime_ext1_bound(rs: RootSystemData, p: int) -> int:
     """Ext^1 ceiling at a fixed prime: p^|Phi| * P(2(p-1) rho)."""
     if p < 2:
         raise InvalidSystemError("p must be at least 2")
-    arg = rs.wt_to_rt(tuple(2 * (p - 1) for _ in range(rs.rank)))
-    return p**rs.num_roots * kostant_partition(rs, tuple(int(c) for c in arg))
+    arg = tuple(2 * (p - 1) for _ in range(rs.rank))
+    return p**rs.num_roots * kostant_partition(rs, arg, basis="weight")
 
 
 @dataclass

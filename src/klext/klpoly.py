@@ -23,7 +23,7 @@ import struct
 from multiprocessing import get_context
 
 from . import binio
-from .errors import CacheFormatError, SliceCoverageError
+from .errors import CacheFormatError, InvalidSystemError, InvariantViolation, SliceCoverageError
 from .rootsys import build_root_system
 from .weylaffine import GroupSlice, enumerate_slice
 
@@ -161,7 +161,8 @@ class KLTable:
             if lx >= ly:
                 continue  # P is delta_{x,y} on and above the diagonal shell
             xs = sl.right[x][s]
-            assert xs != -1, "descent neighbor left the slice"
+            if xs == -1:
+                raise InvariantViolation(f"descent neighbor of {x} left the slice")
             p_xs = row_yp.get(xs, _ZERO)
             p_x = row_yp.get(x, _ZERO)
             if sl.length[xs] < lx:
@@ -174,10 +175,11 @@ class KLTable:
                     acc = acc.sub_scaled_shifted(p_xz, m, shift)
             if acc.is_zero():
                 continue
-            # KL axioms double as integrity checks of the recursion
-            assert acc.coeff(0) == 1, f"constant term {acc.coeff(0)} at ({x},{y})"
-            assert min(acc.c.values()) > 0, f"negative coefficient in P({x},{y}) = {acc}"
-            assert 2 * acc.degree() <= ly - lx - 1, f"degree bound broken at ({x},{y})"
+            # KL axioms double as integrity checks of the recursion: constant
+            # term 1, positive coefficients, degree bound
+            if (acc.coeff(0) != 1 or min(acc.c.values()) <= 0
+                    or 2 * acc.degree() > ly - lx - 1):
+                raise InvariantViolation(f"KL axioms broken at ({x},{y}): P = {acc}")
             row[x] = acc
         return row
 
@@ -228,18 +230,20 @@ def _fill_chunk(ys):
 
 def kl_polynomial(table: KLTable, x: int, y: int) -> IntPolynomial:
     """P_{x,y} in q; the zero polynomial unless x <= y in Bruhat order."""
+    table.slice.check_index(x, y)
     return table.rows_for(y).get(x, _ZERO)
 
 
 def mu(table: KLTable, x: int, y: int) -> int:
     """Top KL coefficient, symmetrized: mu(x,y) = mu(y,x), 0 on the diagonal."""
     sl = table.slice
+    sl.check_index(x, y)
     if sl.length[x] > sl.length[y]:
         x, y = y, x
     gap = sl.length[y] - sl.length[x]
     if x == y or gap % 2 == 0:
         return 0
-    return kl_polynomial(table, x, y).coeff((gap - 1) // 2)
+    return table.rows_for(y).get(x, _ZERO).coeff((gap - 1) // 2)
 
 
 def kl_coefficient(table: KLTable, x: int, y: int, m: int) -> int:
@@ -260,11 +264,11 @@ def mu_support_window(rs) -> int:
     hyperplanes per positive root. Verified empirically on every slice by
     the verification suite.
     """
-    rho_rt = rs.wt_to_rt(rs.rho)
+    rho_rt = rs.wt_to_rt_scaled(rs.rho)  # det(C) * rho in root coordinates
     total = 0
     for a in range(rs.num_positive):
         s = sum(rho_rt[j] * abs(rs.avee_rt[a][j]) for j in range(rs.rank))
-        total += int(2 * s) + 1
+        total += 2 * s // rs.cartan_det + 1
     return total
 
 
@@ -276,9 +280,8 @@ def mu_row_sum(table: KLTable, x: int) -> tuple[int, bool]:
     than a truncated lower bound.
     """
     sl = table.slice
+    sl.check_index(x)
     if not sl.dominant[x]:
-        from .errors import InvalidSystemError
-
         raise InvalidSystemError(f"element {x} is not dominant")
     total = 0
     for y in sl.dominant_indices():
@@ -295,6 +298,7 @@ def kl_coefficient_sum(table: KLTable, y: int, m: int) -> int:
     the value is always exact.
     """
     sl = table.slice
+    sl.check_index(y)
     ly = sl.length[y]
     total = 0
     for x, pol in table.rows_for(y).items():

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations as _combinations, product as _iproduct
 from math import factorial, gcd as _gcd
 
-from .errors import InvalidSystemError
+from .errors import InvalidSystemError, InvariantViolation, ResourceCapError
 
 Weight = tuple[int, ...]
 RootVec = tuple[int, ...]
@@ -185,19 +185,36 @@ def _smith_diagonal(matrix) -> list[int]:
     return divisors
 
 
-def _fraction_inverse(matrix) -> list[list[Fraction]]:
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
+def solve(a, b):
+    """Exact solution X of A X = B, or None when B is outside the span of A.
+
+    A is an n x k integer matrix of full column rank and B an n x m matrix
+    whose columns are the right-hand sides; X is k x m, with Fraction
+    entries. Fraction-based Gauss-Jordan elimination on [A | B].
+    """
+    n, k = len(a), len(a[0])
+    aug = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(n)]
+    for col in range(k):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise InvalidSystemError("solve needs a matrix of full column rank")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv = 1 / aug[col][col]
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if any(x != 0 for row in aug[k:] for x in row[k:]):
+        return None  # inconsistent: some right-hand side is outside the span
+    return [row[k:] for row in aug[:k]]
+
+
+def integral(matrix, what: str):
+    """The matrix with int entries; InvariantViolation if any has a denominator."""
+    if any(x.denominator != 1 for row in matrix for x in row):
+        raise InvariantViolation(f"{what} is not integral")
+    return tuple(tuple(int(x) for x in row) for row in matrix)
 
 
 class RootSystemData:
@@ -229,7 +246,14 @@ class RootSystemData:
         self.num_roots = 2 * self.num_positive
         self.rho: Weight = (1,) * rank
 
-        self.inv_cartan = tuple(tuple(r) for r in _fraction_inverse(self.cartan))
+        # weight -> root basis change: wt_to_rt is wt . C^-1 (row vector), kept
+        # as the integer matrix det(C) C^-1 so that hot paths stay in Z
+        self.cartan_det = _int_det(self.cartan)
+        eye = [[int(i == j) for j in range(rank)] for i in range(rank)]
+        self.inv_cartan = tuple(tuple(r) for r in solve(self.cartan, eye))
+        self._scaled_cols = tuple(zip(*integral(
+            [[x * self.cartan_det for x in row] for row in self.inv_cartan], "det(C) C^-1"
+        )))
 
         # (alpha, alpha)/2 per positive root, in the short-root-is-1 scale
         self._half_norms = tuple(self._half_norm(rt) for rt in self.positive_roots)
@@ -293,7 +317,7 @@ class RootSystemData:
         if self.num_roots != rank * self.coxeter_number:
             raise InvalidSystemError("root count cross-check |Phi| = rank*h failed")
 
-        det = _int_det(self.cartan)
+        det = self.cartan_det
         coeff_prod = 1
         for c in self.max_root:
             coeff_prod *= c
@@ -317,12 +341,25 @@ class RootSystemData:
             sum(rt[i] * self.cartan[i][j] for i in range(self.rank)) for j in range(self.rank)
         )
 
+    def wt_to_rt_scaled(self, wt) -> tuple[int, ...]:
+        """det(C) times the simple-root coordinates of a weight, as integers.
+
+        det(C) > 0, so sums and sign tests read the same as on wt_to_rt.
+        """
+        return tuple(sum(a * b for a, b in zip(wt, col)) for col in self._scaled_cols)
+
     def wt_to_rt(self, wt) -> tuple[Fraction, ...]:
         """Simple-root coordinates (exact rationals) of a weight."""
-        return tuple(
-            sum(Fraction(wt[k]) * self.inv_cartan[k][j] for k in range(self.rank))
-            for j in range(self.rank)
-        )
+        d = self.cartan_det
+        return tuple(Fraction(c, d) for c in self.wt_to_rt_scaled(wt))
+
+    def wt_to_rt_int(self, wt) -> tuple[int, ...] | None:
+        """Integer simple-root coordinates of a root-lattice weight, else None."""
+        d = self.cartan_det
+        scaled = self.wt_to_rt_scaled(wt)
+        if any(c % d for c in scaled):
+            return None
+        return tuple(c // d for c in scaled)
 
     def _half_norm(self, rt) -> int:
         two_norm = sum(
@@ -394,13 +431,18 @@ def dominance_leq(rs: RootSystemData, lam, nu, variant: str = "integral") -> boo
     if variant not in ("integral", "rational"):
         raise InvalidSystemError(f"unknown dominance variant {variant!r}")
     diff = tuple(b - a for a, b in zip(lam, nu))
-    coords = rs.wt_to_rt(diff)
     if variant == "integral":
-        return all(c.denominator == 1 and c >= 0 for c in coords)
-    return all(c >= 0 for c in coords)
+        coords = rs.wt_to_rt_int(diff)
+        return coords is not None and all(c >= 0 for c in coords)
+    return all(c >= 0 for c in rs.wt_to_rt_scaled(diff))
 
 
 # -- Kostant partition function -------------------------------------------
+
+
+# largest coordinate box the Kostant dynamic program may hold in memory: lets
+# through P((2h-2) rho) for D4 (1.5e6 points), rejects F4 (6.6e9) and type E
+KOSTANT_BOX_CAP = 2_000_000
 
 
 def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
@@ -411,10 +453,9 @@ def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
     vector is not a nonnegative combination.
     """
     if basis == "weight":
-        coords = rs.wt_to_rt(vec)
-        if any(c.denominator != 1 for c in coords):
+        target = rs.wt_to_rt_int(vec)
+        if target is None:
             raise InvalidSystemError("weight does not lie in the root lattice")
-        target = tuple(int(c) for c in coords)
     elif basis == "root":
         target = tuple(int(c) for c in vec)
     else:
@@ -427,15 +468,18 @@ def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
     if target in rs._kostant_cache:
         return rs._kostant_cache[target]
 
-    # bounded coin-change over the coordinate box below the target
-    ways: dict[RootVec, int] = {}
-    box = list(_iproduct(*(range(t + 1) for t in target)))
-    box.sort(key=sum)
-    for v in box:
-        ways[v] = 0
+    # bounded coin-change over the coordinate box below the target; product
+    # order lists v - beta before v for every beta >= 0, beta != 0
+    size = _prod(t + 1 for t in target)
+    if size > KOSTANT_BOX_CAP:
+        raise ResourceCapError(
+            f"Kostant partition of {target} needs a box of {size} points, "
+            f"above the cap of {KOSTANT_BOX_CAP}"
+        )
+    ways = dict.fromkeys(_iproduct(*(range(t + 1) for t in target)), 0)
     ways[(0,) * rs.rank] = 1
     for beta in rs.positive_roots:
-        for v in box:
+        for v in ways:
             prev = tuple(a - b for a, b in zip(v, beta))
             if all(x >= 0 for x in prev):
                 ways[v] += ways[prev]
@@ -526,9 +570,7 @@ def special_isogeny_image(rs_c: RootSystemData, lam) -> Weight:
     if not is_dominant(lam):
         raise InvalidSystemError("special isogeny image requires a dominant weight")
     r = rs_c.rank
-    image = tuple(a // 2 for a in lam[: r - 1]) + (lam[r - 1],)
-    assert is_dominant(image), "no valid dominant preimage"
-    return image
+    return tuple(a // 2 for a in lam[: r - 1]) + (lam[r - 1],)
 
 
 # -- Frobenius-twist stabilization shift ------------------------------------

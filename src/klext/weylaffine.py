@@ -2,9 +2,10 @@
 
 Group elements are pairs (w, mu) in W x Q acting on the Euclidean space by
 u |-> w(u) + mu in the rho-shifted coordinates (so the "dot" action
-w.x = w(x+rho) - rho becomes linear). The finite part w is stored as two
-integer matrices: its action on fundamental-weight coordinates and on
-simple-root coordinates. Composition is (g*h)(u) = g(h(u)), giving the
+w.x = w(x+rho) - rho becomes linear). The finite part w is stored as its
+integer matrix on fundamental-weight coordinates; its action on simple-root
+coordinates is derived from it once per finite part (``root_action``).
+Composition is (g*h)(u) = g(h(u)), giving the
 semidirect-product law (w1, m1)(w2, m2) = (w1 w2, m1 + w1(m2)).
 
 Lengths are computed by the hyperplane-separation count between the
@@ -22,15 +23,17 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from math import factorial
 
 from . import binio
 from .errors import (
     CacheFormatError,
     InvalidSystemError,
+    InvariantViolation,
     ResourceCapError,
     SliceCoverageError,
 )
-from .rootsys import RootSystemData, build_root_system
+from .rootsys import RootSystemData, _int_det, build_root_system, integral, solve
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -51,37 +54,31 @@ def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def _mat_inverse_int(m: IntMatrix) -> IntMatrix:
-    n = len(m)
-    aug = [
-        [Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        assert all(x.denominator == 1 for x in vals), "matrix is not invertible over Z"
-        out.append(tuple(int(x) for x in vals))
-    return tuple(out)
+_root_action_cache: dict[RootSystemData, dict[IntMatrix, IntMatrix]] = {}
+
+
+def root_action(rs: RootSystemData, wmat: IntMatrix) -> IntMatrix:
+    """The finite part on simple-root coordinates: R = B^-1 W B, B = cartan^T.
+
+    B maps root to weight coordinates, so W B = B R; memoised per finite part.
+    """
+    cache = _root_action_cache.get(rs)
+    if cache is None:
+        cache = _root_action_cache[rs] = {}
+    got = cache.get(wmat)
+    if got is None:
+        b = tuple(zip(*rs.cartan))
+        got = cache[wmat] = integral(solve(b, _matmul(wmat, b)), "root action")
+    return got
 
 
 class AffineElement:
     """Normal form (finite part, root-lattice translation) with cached length."""
 
-    __slots__ = ("wmat", "rmat", "mu", "length")
+    __slots__ = ("wmat", "mu", "length")
 
-    def __init__(self, wmat: IntMatrix, rmat: IntMatrix, mu: tuple[int, ...], length: int):
+    def __init__(self, wmat: IntMatrix, mu: tuple[int, ...], length: int):
         self.wmat = wmat
-        self.rmat = rmat
         self.mu = mu
         self.length = length
 
@@ -111,19 +108,19 @@ def element_length(rs: RootSystemData, wmat: IntMatrix, mu) -> int:
             avee_w[k] * wrho[k] for k in range(rs.rank)
         )
         # the image of the interior point -rho/h never sits on a wall
-        assert num % h != 0, "interior point landed on a hyperplane"
+        if num % h == 0:
+            raise InvariantViolation("alcove interior point landed on a hyperplane")
         total += abs(num // h + 1)
     return total
 
 
-def make_element(rs: RootSystemData, wmat: IntMatrix, rmat: IntMatrix, mu) -> AffineElement:
+def make_element(rs: RootSystemData, wmat: IntMatrix, mu) -> AffineElement:
     mu = tuple(mu)
-    return AffineElement(wmat, rmat, mu, element_length(rs, wmat, mu))
+    return AffineElement(wmat, mu, element_length(rs, wmat, mu))
 
 
 def identity(rs: RootSystemData) -> AffineElement:
-    eye = _identity_matrix(rs.rank)
-    return AffineElement(eye, eye, (0,) * rs.rank, 0)
+    return AffineElement(_identity_matrix(rs.rank), (0,) * rs.rank, 0)
 
 
 def reflection(rs: RootSystemData, rt, n: int = 0) -> AffineElement:
@@ -132,16 +129,12 @@ def reflection(rs: RootSystemData, rt, n: int = 0) -> AffineElement:
     root_rt = rs.positive_roots[idx]
     root_wt = rs.pos_roots_wt[idx]
     avee_w = rs.avee_wt[idx]
-    avee_r = rs.avee_rt[idx]
     r = rs.rank
     wmat = tuple(
         tuple(int(j == k) - root_wt[j] * avee_w[k] for k in range(r)) for j in range(r)
     )
-    rmat = tuple(
-        tuple(int(j == k) - root_rt[j] * avee_r[k] for k in range(r)) for j in range(r)
-    )
     mu = tuple(n * sign * c for c in root_rt)
-    return make_element(rs, wmat, rmat, mu)
+    return make_element(rs, wmat, mu)
 
 
 def generators(rs: RootSystemData, affine: bool = True) -> list[AffineElement]:
@@ -156,15 +149,14 @@ def generators(rs: RootSystemData, affine: bool = True) -> list[AffineElement]:
 
 
 def multiply(rs: RootSystemData, g: AffineElement, h: AffineElement) -> AffineElement:
-    mu = tuple(a + b for a, b in zip(g.mu, _matvec(g.rmat, h.mu)))
-    return make_element(rs, _matmul(g.wmat, h.wmat), _matmul(g.rmat, h.rmat), mu)
+    mu = tuple(a + b for a, b in zip(g.mu, _matvec(root_action(rs, g.wmat), h.mu)))
+    return make_element(rs, _matmul(g.wmat, h.wmat), mu)
 
 
 def inverse(rs: RootSystemData, g: AffineElement) -> AffineElement:
-    winv = _mat_inverse_int(g.wmat)
-    rinv = _mat_inverse_int(g.rmat)
-    mu = tuple(-x for x in _matvec(rinv, g.mu))
-    return make_element(rs, winv, rinv, mu)
+    winv = integral(solve(g.wmat, _identity_matrix(rs.rank)), "inverse finite part")
+    mu = tuple(-x for x in _matvec(root_action(rs, winv), g.mu))
+    return make_element(rs, winv, mu)
 
 
 def dot_action(rs: RootSystemData, g: AffineElement, x, l: int = 1) -> tuple[int, ...]:
@@ -184,7 +176,8 @@ def is_dominant_element(rs: RootSystemData, g: AffineElement) -> bool:
     mu_wt = rs.rt_to_wt(g.mu)
     for i in range(rs.rank):
         val = h * mu_wt[i] - wrho[i]
-        assert val != 0, "alcove interior point on a chamber wall"
+        if val == 0:
+            raise InvariantViolation("alcove interior point on a chamber wall")
         if val < 0:
             return False
     return True
@@ -236,6 +229,15 @@ class GroupSlice:
     def __len__(self):
         return len(self.elements)
 
+    def check_index(self, *indices) -> None:
+        """Reject caller-given element indices outside 0..N-1 (no wrapping)."""
+        n = len(self.elements)
+        for i in indices:
+            if not (isinstance(i, int) and 0 <= i < n):
+                raise InvalidSystemError(
+                    f"element index {i} out of range: the slice has indices 0..{n - 1}"
+                )
+
     def element_index(self, g: AffineElement) -> int:
         try:
             return self.index[g.key()]
@@ -268,7 +270,8 @@ class GroupSlice:
         s = self.right_descents(j)[0]
         js = self.right[j][s]
         is_ = self.right[i][s]
-        assert is_ != -1, "descent step left the slice"
+        if is_ == -1:
+            raise InvariantViolation(f"descent step from element {i} left the slice")
         if self.length[is_] < self.length[i]:
             res = self.bruhat_leq(is_, js)
         else:
@@ -351,7 +354,8 @@ def _reflection_subgroup_order(rs: RootSystemData, psi_indices: list[int]) -> in
             if any(c < 0 for c in img):
                 ok = False
                 break
-            assert img in psi_set, "root set not closed under its reflections"
+            if img not in psi_set:
+                raise InvariantViolation("root set not closed under its reflections")
         if ok:
             simples.append(a)
 
@@ -381,59 +385,30 @@ def _reflection_subgroup_order(rs: RootSystemData, psi_indices: list[int]) -> in
         ncomp += 1
 
     order = 1
-    from math import factorial as _fact
-
     for comp in range(ncomp):
         members = [i for i in range(k) if comp_of[i] == comp]
-        basis = [rs.positive_roots[simples[i]] for i in members]
+        # the component's simple roots are the columns of the basis matrix
+        basis = tuple(zip(*(rs.positive_roots[simples[i]] for i in members)))
         cartan_sub = [[coupling[i][j] for j in members] for i in members]
         # expand each subsystem root in the component basis; the highest one
         # (max coefficient sum) plays the role of the highest root
         best = None
         for gamma in psi_rts:
-            coeffs = _expand_exact(basis, gamma)
+            coeffs = solve(basis, [[c] for c in gamma])
             if coeffs is None:
                 continue
+            coeffs = [c for (c,) in coeffs]
             if any(c < 0 for c in coeffs):
                 continue
             if best is None or sum(coeffs) > sum(best):
                 best = coeffs
-        assert best is not None
-        from .rootsys import _int_det  # fraction-free determinant
-
-        det = _int_det(cartan_sub)
+        if best is None:
+            raise InvariantViolation("root subsystem component has no highest root")
         prod = 1
-        for c in best:
-            assert c.denominator == 1
-            prod *= int(c)
-        order *= det * _fact(len(members)) * prod
+        for c in integral([best], "highest root expansion")[0]:
+            prod *= c
+        order *= _int_det(cartan_sub) * factorial(len(members)) * prod
     return order
-
-
-def _expand_exact(basis, target):
-    """Exact rational coefficients of target in the given root-vector basis."""
-    n = len(target)
-    k = len(basis)
-    aug = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    piv_rows = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        piv_rows.append(row)
-        row += 1
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            return None  # inconsistent: target outside the span
-    return [aug[piv_rows[c]][k] for c in range(k)]
 
 
 def stabilizer_order(rs: RootSystemData, x, l: int = 1) -> int:
@@ -498,7 +473,8 @@ def factorize_weight(rs: RootSystemData, lam, l: int):
     guard = 0
     while True:
         guard += 1
-        assert guard < 100000, "alcove reduction failed to terminate"
+        if guard >= 100000:
+            raise InvariantViolation("alcove reduction failed to terminate")
         for i in range(rs.rank):
             if v[i] > 0:
                 v = list(_matvec(gens[i].wmat, v))
@@ -589,16 +565,6 @@ def load_slice(path) -> GroupSlice:
             rows.append(struct.unpack_from(f">{rank}i", buf, off))
             off += 4 * rank
         wmats.append(tuple(rows))
-    # root-coordinate matrices are recomputed exactly: R = B^-1 W B with
-    # B = cartan^T the basis change from root to weight coordinates
-    b_mat = tuple(tuple(rs.cartan[i][j] for i in range(rank)) for j in range(rank))
-    rmats = []
-    binv = [[Fraction(x) for x in row] for row in _fraction_inv_rows(b_mat)]
-    for m in wmats:
-        prod = _fraction_matmul(binv, _fraction_matmul(m, b_mat))
-        rmats.append(
-            tuple(tuple(_as_int(x) for x in row) for row in prod)
-        )
     elements = []
     for _ in range(n_el):
         (wi,) = struct.unpack_from(">I", buf, off)
@@ -607,47 +573,11 @@ def load_slice(path) -> GroupSlice:
         off += 4 * rank
         (ln,) = struct.unpack_from(">I", buf, off)
         off += 4
-        g = AffineElement(wmats[wi], rmats[wi], tuple(mu), ln)
+        g = AffineElement(wmats[wi], tuple(mu), ln)
         if element_length(rs, g.wmat, g.mu) != ln:
             raise CacheFormatError(f"{path}: stored length disagrees with geometry")
         elements.append(g)
     return GroupSlice(rs, cutoff, bool(aff), elements)
-
-
-def _fraction_inv_rows(m):
-    n = len(m)
-    return _fraction_inverse_list([[Fraction(m[i][j]) for j in range(n)] for i in range(n)])
-
-
-def _fraction_inverse_list(m):
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _fraction_matmul(a, b):
-    n = len(a)
-    cols = len(b[0])
-    inner = len(b)
-    return [
-        [sum(Fraction(a[i][k]) * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(n)
-    ]
-
-
-def _as_int(x):
-    f = Fraction(x)
-    assert f.denominator == 1
-    return int(f)
 
 
 def slice_to_json(sl: GroupSlice) -> dict:

@@ -5,12 +5,12 @@ import subprocess
 import sys
 
 
-def run_cli(*args, cache=None):
+def run_cli(*args, cache=None, timeout=None):
     cmd = [sys.executable, "-m", "klext.cli"]
     if cache is not None:
         cmd += ["--cache-dir", str(cache)]
     cmd += list(args)
-    return subprocess.run(cmd, capture_output=True, text=True)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
 
 
 def test_info_json():
@@ -149,8 +149,34 @@ def test_corrupted_cache_detected(tmp_path):
 
 
 def test_resource_cap_exit_3():
-    res = run_cli("--max-elements", "30", "enumerate", "A", "2", "--cutoff", "10")
-    assert res.returncode == 3
+    # the element cap, and the Kostant box cap: P((2h-2) rho) would need
+    # 6.6e9 (F4) and 7.5e28 (E8) points, refused before any allocation
+    for args in (("--max-elements", "30", "enumerate", "A", "2", "--cutoff", "10"),
+                 ("bounds", "F", "4", "--p", "2"),
+                 ("bounds", "E", "8", "--p", "2")):
+        res = run_cli(*args, timeout=60)
+        assert res.returncode == 3, (args, res.stderr)
+        assert "cap" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_out_of_range_index_exits_2(tmp_path):
+    # affine A2 at cutoff 4 has 31 elements: -1 and 31 are both rejected,
+    # never wrapped to the last element or left to an IndexError
+    base = ("A", "2", "--cutoff", "4")
+    for bad in ("-1", "31"):
+        for args in (
+            ("kl", *base, "--x", bad, "--y", "2"),
+            ("kl", *base, "--x", "0", "--y", bad),
+            ("mu", *base, "--x", "0", "--y", bad),
+            ("mu-sum", *base, "--x", bad),
+            ("klsum", *base, "--y", bad, "--m", "1"),
+            ("extn", *base, "--x", "0", "--y", bad, "--n", "1"),
+            ("extsum", *base, "--x", bad, "--n", "1"),
+        ):
+            res = run_cli(*args, cache=tmp_path)
+            assert res.returncode == 2, (args, res.stderr)
+            assert "0..30" in res.stderr and "Traceback" not in res.stderr
+            assert res.stdout == ""
 
 
 def test_config_file(tmp_path):

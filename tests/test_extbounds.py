@@ -48,6 +48,21 @@ def test_ext1_examples(a1_table20):
             assert ext1_simple_simple(ctx, x, y) == ext1_simple_simple(ctx, y, x)
 
 
+def test_element_indices_validated(a1_table20):
+    ctx = ctx_for(a1_table20, 3)
+    n = len(ctx.slice)
+    x = ctx.slice.dominant_indices()[0]
+    for bad in (-1, n):
+        for call in (
+            lambda: ext1_simple_simple(ctx, x, bad),
+            lambda: extn_simple_costandard(ctx, bad, x, 1),
+            lambda: extn_simple_simple(ctx, x, bad, 1),
+            lambda: sum_ext_n(ctx, bad, 1),
+        ):
+            with pytest.raises(InvalidSystemError, match=f"0..{n - 1}"):
+                call()
+
+
 def test_extn_costandard_base_cases(a2_table12):
     ctx = ctx_for(a2_table12, 5)
     sl = ctx.slice

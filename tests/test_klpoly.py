@@ -1,11 +1,13 @@
 """KL tables: axioms, closed forms, sums, persistence, parallel fill."""
 
 import hashlib
+import os
 import random
 
 import pytest
 
-from klext.errors import CacheFormatError, SliceCoverageError
+from klext import binio
+from klext.errors import CacheFormatError, InvalidSystemError, SliceCoverageError
 from klext.klpoly import (
     IntPolynomial,
     KLTable,
@@ -156,6 +158,24 @@ def test_fill_guard_and_coverage():
     assert kl_polynomial(table, 0, sl.shell(3)[0]) == ONE
 
 
+def test_element_indices_validated(a2_table12):
+    n = len(a2_table12.slice)
+    dom = a2_table12.slice.dominant_indices()[0]
+    for bad in (-1, n):
+        for call in (
+            lambda: kl_polynomial(a2_table12, bad, 2),
+            lambda: kl_polynomial(a2_table12, 0, bad),
+            lambda: kl_coefficient(a2_table12, bad, 2, 0),
+            lambda: mu(a2_table12, 0, bad),
+            lambda: mu(a2_table12, bad, 0),
+            lambda: mu_row_sum(a2_table12, bad),
+            lambda: kl_coefficient_sum(a2_table12, bad, 0),
+        ):
+            with pytest.raises(InvalidSystemError, match=f"0..{n - 1}"):
+                call()
+    assert mu_row_sum(a2_table12, dom)[0] >= 0
+
+
 def test_parallel_fill_identical(a2_table12):
     rs = build_root_system("A", 2)
     sl = enumerate_slice(rs, 12)
@@ -175,6 +195,24 @@ def test_save_load_roundtrip(tmp_path, a2_table12):
     )
     save_table(loaded, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest1
+
+
+def test_interrupted_write_keeps_old_file(tmp_path, a1_table20, a2_table12, monkeypatch):
+    path = tmp_path / "table.klt"
+    save_table(a1_table20, path)
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    # the new frame is written, then the write fails before the rename
+    monkeypatch.setattr(binio.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        save_table(a2_table12, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_table(path).filled == a1_table20.filled
+    assert os.listdir(tmp_path) == ["table.klt"]
 
 
 def test_corrupted_table_detected(tmp_path, a1_table20):

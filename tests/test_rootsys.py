@@ -1,20 +1,24 @@
 """Root-system data: generation, pairings, orders, digit expansions."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from klext.errors import InvalidSystemError
+from klext.errors import InvalidSystemError, InvariantViolation, ResourceCapError
 from klext.rootsys import (
+    KOSTANT_BOX_CAP,
     build_root_system,
     classify_weight,
     dominance_leq,
     generic_shift,
+    integral,
     kostant_partition,
     p_adic_expansion,
     p_adic_exponent,
     pairing,
+    solve,
     special_isogeny_image,
     system_summary,
     weight_dagger,
@@ -182,8 +186,13 @@ def test_torsion_exponents():
 
 def test_weight_coordinate_roundtrip():
     rng = random.Random(0)
-    for lab, rank in ALL_SMALL:
+    for lab, rank in ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)]:
         rs = build_root_system(lab, rank)
+        # C C^-1 = I for the inverse the solver produced
+        for i in range(rank):
+            for j in range(rank):
+                entry = sum(rs.cartan[i][k] * rs.inv_cartan[k][j] for k in range(rank))
+                assert entry == int(i == j), (lab, rank, i, j)
         for _ in range(50):
             wt = tuple(rng.randrange(-6, 7) for _ in range(rank))
             rt = rs.wt_to_rt(wt)
@@ -191,6 +200,27 @@ def test_weight_coordinate_roundtrip():
                 sum(rt[i] * rs.cartan[i][j] for i in range(rank)) for j in range(rank)
             )
             assert tuple(int(x) for x in back) == wt
+            assert rs.rt_to_wt(rt) == wt
+            # the integer basis change is det(C) times the rational one
+            assert rs.wt_to_rt_scaled(wt) == tuple(rs.cartan_det * c for c in rt)
+            on_lattice = all(c.denominator == 1 for c in rt)
+            assert rs.wt_to_rt_int(wt) == (tuple(map(int, rt)) if on_lattice else None)
+
+
+def test_solve_exact_and_inconsistent():
+    # two right-hand sides at once: X = A^-1 B
+    a = [[2, -1], [-1, 2]]
+    x = solve(a, [[1, 0], [0, 1]])
+    assert x == [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]]
+    assert integral(solve(a, [[3], [0]]), "x") == ((2,), (1,))
+    with pytest.raises(InvariantViolation):
+        integral(x, "inverse")
+    # a tall basis: targets inside the span are expanded, those outside give None
+    basis = [[1, 0], [1, 1], [0, 1]]  # columns (1,1,0) and (0,1,1)
+    assert solve(basis, [[2], [5], [3]]) == [[2], [3]]
+    assert solve(basis, [[0], [1], [0]]) is None
+    with pytest.raises(InvalidSystemError):
+        solve([[1, 2], [2, 4]], [[1], [2]])  # rank deficient
 
 
 # -- pairing -------------------------------------------------------------------
@@ -254,6 +284,26 @@ def test_kostant_weight_basis():
     assert kostant_partition(a2, (1, 1), basis="weight") == 2
     with pytest.raises(InvalidSystemError):
         kostant_partition(a2, (1, 0), basis="weight")  # w1 not in root lattice
+
+
+def test_kostant_box_cap():
+    # P((2h-2) rho) is the largest Kostant call of `bounds`: D4 fits the cap,
+    # F4 and type E are refused before anything is allocated
+    def box(lab, rank):
+        rs = build_root_system(lab, rank)
+        h = rs.coxeter_number
+        size = 1
+        for c in rs.wt_to_rt_int(tuple(2 * h - 2 for _ in range(rank))):
+            size *= c + 1
+        return rs, size
+
+    assert box("D", 4)[1] <= KOSTANT_BOX_CAP
+    for lab, rank in [("F", 4), ("E", 6), ("E", 7), ("E", 8)]:
+        rs, size = box(lab, rank)
+        assert size > KOSTANT_BOX_CAP
+        with pytest.raises(ResourceCapError):
+            kostant_partition(rs, tuple(2 * rs.coxeter_number - 2 for _ in range(rank)),
+                              basis="weight")
 
 
 def test_kostant_dp_equals_naive_enumeration():

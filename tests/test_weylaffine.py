@@ -18,9 +18,12 @@ from klext.weylaffine import (
     is_dominant_element,
     is_interior_fundamental,
     inverse,
+    load_slice,
     longest_finite_element,
     multiply,
     reflection,
+    root_action,
+    save_slice,
     stabilizer_order,
 )
 
@@ -100,6 +103,36 @@ def test_inverse_and_associativity_random():
     for _ in range(200):
         x = rng.choice(sl.elements)
         assert multiply(a2, x, inverse(a2, x)) == e
+
+
+def test_root_action_intertwines_weight_action():
+    """W C^T = C^T R for every finite part met in the slices: R is the same
+    linear map as W, read in simple-root coordinates."""
+    for lab, rank, cutoff in [("A", 2, 8), ("B", 2, 8), ("G", 2, 8), ("A", 3, 6)]:
+        rs = build_root_system(lab, rank)
+        b = [[rs.cartan[j][i] for j in range(rank)] for i in range(rank)]  # C^T
+
+        def mul(x, y):
+            return [[sum(x[i][k] * y[k][j] for k in range(rank)) for j in range(rank)]
+                    for i in range(rank)]
+
+        finite_parts = {g.wmat for g in enumerate_slice(rs, cutoff).elements}
+        for wmat in finite_parts:
+            assert mul(wmat, b) == mul(b, root_action(rs, wmat)), (lab, wmat)
+
+
+def test_slice_save_load_roundtrip(tmp_path):
+    for lab, rank, cutoff in [("A", 2, 8), ("G", 2, 8), ("A", 3, 6)]:
+        rs = build_root_system(lab, rank)
+        sl = enumerate_slice(rs, cutoff)
+        path = tmp_path / f"{lab}{rank}.slc"
+        save_slice(sl, path)
+        loaded = load_slice(path)
+        fresh = enumerate_slice(rs, cutoff)
+        assert len(loaded) == len(fresh)
+        for g, h in zip(loaded.elements, fresh.elements):
+            assert (g.wmat, g.mu, g.length) == (h.wmat, h.mu, h.length)
+        assert loaded.right == fresh.right and loaded.dominant == fresh.dominant
 
 
 # -- dot action ------------------------------------------------------------------
