@@ -63,7 +63,10 @@ def read_frame(path, magic: bytes, version: int) -> bytes:
         raise CacheFormatError(f"{path}: bad magic, not a {magic!r} cache")
     (ver,) = struct.unpack_from(">I", blob, len(magic))
     if ver != version:
-        raise CacheFormatError(f"{path}: format version {ver}, expected {version}")
+        raise CacheFormatError(
+            f"{path}: format version {ver}, expected {version}; "
+            "delete this cache file so that it is rebuilt"
+        )
     body, digest = blob[:-_TRAILER], blob[-_TRAILER:]
     if hashlib.sha256(body).digest() != digest:
         raise CacheFormatError(f"{path}: checksum mismatch, file is corrupted")

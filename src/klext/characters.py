@@ -351,14 +351,14 @@ def chi_kl(rs: RootSystemData, lam: Weight, l: int, table: KLTable) -> KLCharact
         )
     lw = sl.length[w]
     terms = []
-    for y, pol in sorted(table.rows_for(w).items()):
+    for y, pid in sorted(table.rows_for(w).items()):
         if not sl.dominant[y]:
             continue
         sign = 1 if (lw - sl.length[y]) % 2 == 0 else -1
         wt = dot_action(rs, sl.elements[y], lam_minus, l)
         if not is_dominant(wt):
             raise InvariantViolation(f"dominant element {y} gave non-dominant weight {wt}")
-        terms.append((wt, sign * pol.eval_one()))
+        terms.append((wt, sign * sum(table.pool[pid])))
     terms.sort()
     return KLCharacter(rs, l, lam, lam_minus, w, terms)
 
@@ -457,11 +457,11 @@ def decomposition_matrix(rs: RootSystemData, seed: Weight, l: int,
         row_j = table.rows_for(indices[j])
         lj = sl.length[indices[j]]
         for i in range(n):
-            pol = row_j.get(indices[i])
-            if pol is None:
+            pid = row_j.get(indices[i])
+            if pid is None:
                 continue
             sign = 1 if (lj - sl.length[indices[i]]) % 2 == 0 else -1
-            a[i][j] = sign * pol.eval_one()
+            a[i][j] = sign * sum(table.pool[pid])
     # back-substitution inverse of a unitriangular integer matrix
     d = [[int(i == j) for j in range(n)] for i in range(n)]
     for j in range(n):

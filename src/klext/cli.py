@@ -16,12 +16,14 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import __version__, characters, extbounds, klpoly, rootsys, weylaffine
 from .errors import (
     CacheFormatError,
     InvalidSystemError,
     InvariantViolation,
+    LevelWarning,
     ResourceCapError,
     SliceCoverageError,
 )
@@ -493,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"cache directory (or ${ENV_CACHE})")
     parser.add_argument("--format", choices=("json", "text", "csv"), default="text")
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for table fill")
+                        help="accepted for compatibility; the table fill is sequential")
     parser.add_argument("--max-elements", type=int, default=None,
                         help="hard cap on enumerated elements")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -634,6 +636,7 @@ def _apply_config(args, parser):
     if getattr(args, "l", None) == 0 and hasattr(args, "type"):
         rs = rootsys.build_root_system(args.type, args.rank)
         args.l = rs.coxeter_number
+        args.default_l = True
     if getattr(args, "n", None) is None and args.command == "bounds":
         args.n = [1]
 
@@ -641,6 +644,18 @@ def _apply_config(args, parser):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+
+    def show(message, category, *_):
+        # one line per warning; none about the l = h the CLI chose itself
+        if not (getattr(args, "default_l", False) and issubclass(category, LevelWarning)):
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        return _run(args, parser)
+
+
+def _run(args, parser) -> int:
     try:
         _apply_config(args, parser)
         payload = args.func(args)

@@ -28,3 +28,8 @@ class CacheFormatError(RuntimeError):
 
 class InvariantViolation(RuntimeError):
     """An internal mathematical invariant failed; always a bug or a finding."""
+
+
+class LevelWarning(UserWarning):
+    """A level l outside the usual root-of-unity hypotheses (even, a multiple
+    of 3 for G2, or not above the Coxeter number); results stay combinatorial."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .characters import decomposition_matrix, linkage_block
-from .errors import InvalidSystemError, InvariantViolation, SliceCoverageError
+from .errors import InvalidSystemError, InvariantViolation, LevelWarning, SliceCoverageError
 from .klpoly import (
     KLTable,
     kl_coefficient_sum,
@@ -95,12 +95,14 @@ def make_block_context(rs: RootSystemData, l: int, table: KLTable,
         warnings.warn(
             f"l={l} violates the usual root-of-unity restrictions "
             "(odd, prime to 3 for G2); combinatorial results only",
+            LevelWarning,
             stacklevel=2,
         )
     if l <= rs.coxeter_number:
         warnings.warn(
             f"l={l} is not above the Coxeter number {rs.coxeter_number}; "
             "character-level readings assume l > h",
+            LevelWarning,
             stacklevel=2,
         )
     return BlockContext(rs, l, tuple(lam_minus), table.slice, table, regular)
@@ -130,10 +132,10 @@ def extn_simple_costandard(ctx: BlockContext, x: int, z: int, n: int,
     e = n if alt_index else gap - n
     if e < 0 or e % 2:
         return 0
-    pol = ctx.table.rows_for(x).get(z)
-    if pol is None:
+    pid = ctx.table.rows_for(x).get(z)
+    if pid is None:
         return 0  # z not Bruhat-below x: the Ext groups vanish
-    return pol.coeff(e // 2)
+    return ctx.table.coeff(pid, e // 2)
 
 
 def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
@@ -141,8 +143,9 @@ def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
     ctx.require_regular()
     ctx.require_dominant(x, y)
     sl = ctx.slice
-    row_x = ctx.table.rows_for(x)
-    row_y = ctx.table.rows_for(y)
+    table = ctx.table
+    row_x = table.rows_for(x)
+    row_y = table.rows_for(y)
     total = 0
     for z in row_x.keys() & row_y.keys():
         if not sl.dominant[z]:
@@ -154,7 +157,7 @@ def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
             ea, eb = gx - a, gy - b
             if ea < 0 or ea % 2 or eb < 0 or eb % 2:
                 continue
-            total += row_x[z].coeff(ea // 2) * row_y[z].coeff(eb // 2)
+            total += table.coeff(row_x[z], ea // 2) * table.coeff(row_y[z], eb // 2)
     return total
 
 
@@ -530,22 +533,23 @@ def run_verification(rs: RootSystemData, cutoff: int, l: int,
         if sl.length[y] > table.filled:
             continue
         row = table.rows_for(y)
-        if row.get(y) is None or row[y].c != {0: 1}:
+        if row.get(y) is None or table.pool[row[y]] != (1,):
             ok, detail = False, f"P(y,y) != 1 at {y}"
             break
         for x in range(len(sl)):
             if sl.length[x] > sl.length[y]:
                 continue
-            pol = row.get(x)
-            if (pol is not None) != sl.bruhat_leq(x, y):
+            pid = row.get(x)
+            if (pid is not None) != sl.bruhat_leq(x, y):
                 ok, detail = False, f"support/Bruhat mismatch at ({x},{y})"
                 break
-            if pol is None:
+            if pid is None:
                 continue
-            if pol.coeff(0) != 1 or min(pol.c.values()) <= 0:
+            coeffs = table.pool[pid]
+            if coeffs[0] != 1 or min(coeffs) < 0:
                 ok, detail = False, f"coefficient axiom broken at ({x},{y})"
                 break
-            if x != y and 2 * pol.degree() > sl.length[y] - sl.length[x] - 1:
+            if x != y and 2 * (len(coeffs) - 1) > sl.length[y] - sl.length[x] - 1:
                 ok, detail = False, f"degree bound broken at ({x},{y})"
                 break
         if not ok:

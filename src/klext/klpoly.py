@@ -1,26 +1,29 @@
 """Kazhdan-Lusztig polynomial tables over a GroupSlice, with persistence.
 
-Polynomials are stored in the variable q = t^2 (only even t-powers occur),
-as sparse maps exponent -> arbitrary-precision integer. The table for a
-slice is filled shell by shell in the length of the upper index y; within a
-shell every entry depends only on completed shells, so the fill order
-inside a shell is irrelevant and a parallel fill is bit-identical to the
-sequential one.
+Polynomials are in the variable q = t^2 (only even t-powers occur). A
+table holds each distinct polynomial once, as a tuple of arbitrary-precision
+integer coefficients in a per-table pool (a few dozen polynomials serve
+hundreds of thousands of entries), and each row maps x to a pool id; query
+results are ``IntPolynomial`` objects. The table for a slice is filled
+shell by shell in the length of the upper index y; within a shell every
+entry depends only on completed shells.
 
 The recursion used is the standard descent recursion: for a right descent
 s of y and y' = ys,
 
     P(x,y) = q^(1-c) P(xs,y') + q^c P(x,y') - sum_z mu(z,y') q^((L(y)-L(z))/2) P(x,z)
 
-with c = 1 when xs < x, the sum over z with zs < z. The identity holds for
-every x of length <= L(y), producing exact zeros outside the Bruhat
-interval, which the tests cross-check against the order itself.
+with c = 1 when xs < x, the sum over z with zs < z. A row visits only the
+candidates keys(row of y') and their s-images: by the lifting property
+x <= y implies x <= y' or xs <= y', so every x outside that set has
+P(x,y) = 0 (the tests cross-check the support against the Bruhat order).
+Both combine steps, P(lower, y') + q P(upper, y') for the pair {x, xs} and
+acc - m q^k P(x,z), are memoised on ids.
 """
 
 from __future__ import annotations
 
 import struct
-from multiprocessing import get_context
 
 from . import binio
 from .errors import CacheFormatError, InvalidSystemError, InvariantViolation, SliceCoverageError
@@ -94,96 +97,165 @@ _ZERO = IntPolynomial.zero()
 _ONE = IntPolynomial.one()
 
 
+def _combine(a: tuple, m: int, k: int, b: tuple) -> tuple:
+    """a + m*q^k*b on coefficient tuples (index = exponent, no trailing zeros)."""
+    out = list(a)
+    out.extend([0] * (len(b) + k - len(out)))
+    for e, v in enumerate(b, k):
+        out[e] += m * v
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+class _FillMemo:
+    """Fill-only state. Intermediate polynomials get work ids (0 is the zero
+    polynomial) and stay out of the pool; both combine steps are memoised:
+    ``pairs`` on (pool id, pool id), ``steps`` on (work id, m, k, pool id)."""
+
+    def __init__(self):
+        self.work: list[tuple[int, ...]] = [()]
+        self.ids: dict[tuple[int, ...], int] = {(): 0}
+        self.to_pool = [-1]  # work id -> pool id, -1 until stored in a row
+        self.pairs: dict[tuple[int, int], int] = {}
+        self.steps: dict[tuple[int, int, int, int], int] = {}
+
+    def intern(self, t: tuple[int, ...]) -> int:
+        w = self.ids.get(t)
+        if w is None:
+            w = self.ids[t] = len(self.work)
+            self.work.append(t)
+            self.to_pool.append(-1)
+        return w
+
+
 class KLTable:
     """Memoized map (x, y) -> P_{x,y} for one enumerated slice.
 
-    rows[y] holds the nonzero polynomials {x: P_{x,y}}; absence means the
-    polynomial is zero (equivalently x is not Bruhat-below y). ``filled``
+    Polynomials live once each in ``pool``, as coefficient tuples (index =
+    exponent of q, no trailing zeros); rows[y] maps x to the pool id of the
+    nonzero P_{x,y}, and absence means the polynomial is zero (equivalently
+    x is not Bruhat-below y). Pool ids are given in first appearance over
+    (y, x) order, so a filled and a loaded table agree id for id. ``filled``
     marks the largest completed length shell, and every query checks it so
     a truncated table can never silently return a wrong value.
     """
 
     def __init__(self, sl: GroupSlice):
         self.slice = sl
-        self.rows: list[dict[int, IntPolynomial] | None] = [None] * len(sl)
+        self.rows: list[dict[int, int] | None] = [None] * len(sl)
+        self.pool: list[tuple[int, ...]] = []
+        self._pool_ids: dict[tuple[int, ...], int] = {}
+        self._polys: dict[int, IntPolynomial] = {}
         self.filled = -1
         self._mu_rows: dict[int, tuple[tuple[int, int], ...]] = {}
+
+    def polynomial(self, pid: int) -> IntPolynomial:
+        """The pool entry ``pid`` as an IntPolynomial (shared, do not mutate)."""
+        pol = self._polys.get(pid)
+        if pol is None:
+            pol = self._polys[pid] = IntPolynomial(dict(enumerate(self.pool[pid])))
+        return pol
+
+    def coeff(self, pid: int, e: int) -> int:
+        """Coefficient of q^e of the pool entry ``pid``."""
+        t = self.pool[pid]
+        return t[e] if 0 <= e < len(t) else 0
+
+    def _store(self, t: tuple[int, ...], x: int, y: int) -> int:
+        """Pool id of the final value P(x,y), checking its shape once per
+        pool entry: constant term 1 and nonnegative coefficients (KL axioms)."""
+        pid = self._pool_ids.get(t)
+        if pid is None:
+            if t[0] != 1 or min(t) < 0:
+                raise InvariantViolation(
+                    f"KL axioms broken at ({x},{y}): P = {IntPolynomial(dict(enumerate(t)))}"
+                )
+            pid = self._pool_ids[t] = len(self.pool)
+            self.pool.append(t)
+        return pid
 
     # -- fill ---------------------------------------------------------------
 
     def fill(self, upto: int | None = None, workers: int = 1) -> None:
+        """Fill every row up to length ``upto`` (default: the slice cutoff).
+
+        ``workers`` is accepted for compatibility and ignored: the fill is
+        sequential.
+        """
         top = self.slice.cutoff if upto is None else upto
         if top > self.slice.cutoff:
             raise SliceCoverageError(
                 f"table fill to length {top} needs a slice cutoff >= {top}; "
                 f"enlarge cutoff (current {self.slice.cutoff})"
             )
-        ctx = get_context("fork") if workers > 1 else None
+        memo = _FillMemo()
         for level in range(self.filled + 1, top + 1):
-            shell = self.slice.shell(level)
-            if workers > 1 and len(shell) > 1:
-                chunks = [shell[i::workers] for i in range(workers)]
-                chunks = [c for c in chunks if c]
-                global _FILL_STATE
-                _FILL_STATE = self
-                with ctx.Pool(len(chunks)) as pool:
-                    results = pool.map(_fill_chunk, chunks)
-                _FILL_STATE = None
-                merged = {}
-                for part in results:
-                    merged.update(part)
-                for y in shell:
-                    self.rows[y] = {
-                        x: IntPolynomial(dict(items)) for x, items in merged[y]
-                    }
-            else:
-                for y in shell:
-                    self.rows[y] = self._compute_row(y)
+            for y in self.slice.shell(level):
+                self.rows[y] = self._compute_row(y, memo)
             self.filled = level
 
-    def _compute_row(self, y: int, descent_choice=None) -> dict[int, IntPolynomial]:
+    def _compute_row(self, y: int, memo: _FillMemo) -> dict[int, int]:
         sl = self.slice
-        ly = sl.length[y]
+        length, right = sl.length, sl.right
+        pool = self.pool
+        work, pairs, steps, to_pool = memo.work, memo.pairs, memo.steps, memo.to_pool
+        ly = length[y]
         if ly == 0:
-            return {y: _ONE}
-        descents = sl.right_descents(y)
-        s = descents[0] if descent_choice is None else descent_choice(y, descents)
-        yp = sl.right[y][s]
+            return {y: self._store((1,), y, y)}
+        s = sl.right_descents(y)[0]
+        yp = right[y][s]
         row_yp = self.rows_for(yp)
-        corrections = [
-            (self.rows_for(z), m, (ly - sl.length[z]) // 2)
-            for z, m in self.mu_row(yp)
-            if sl.length[sl.right[z][s]] < sl.length[z]
-        ]
-        row: dict[int, IntPolynomial] = {y: _ONE}
-        for x in range(len(sl)):
-            lx = sl.length[x]
-            if lx >= ly:
-                continue  # P is delta_{x,y} on and above the diagonal shell
-            xs = sl.right[x][s]
-            if xs == -1:
-                raise InvariantViolation(f"descent neighbor of {x} left the slice")
-            p_xs = row_yp.get(xs, _ZERO)
-            p_x = row_yp.get(x, _ZERO)
-            if sl.length[xs] < lx:
-                acc = p_xs.add(p_x.shifted(1))
-            else:
-                acc = p_xs.shifted(1).add(p_x)
-            for row_z, m, shift in corrections:
-                p_xz = row_z.get(x)
-                if p_xz is not None:
-                    acc = acc.sub_scaled_shifted(p_xz, m, shift)
-            if acc.is_zero():
+        # Candidates: x <= y implies x <= y' or xs <= y' (lifting property),
+        # so every nonzero P(x,y) has x in keys(row_yp) or in their s-images.
+        # The first step q^(1-c) P(xs,y') + q^c P(x,y') is the same for x and
+        # xs: P(lower, y') + q*P(upper, y') of the pair {x, xs}.
+        acc: dict[int, int] = {}
+        for z in row_yp:
+            zs = right[z][s]
+            if zs == -1:
+                raise InvariantViolation(f"descent neighbor of {z} left the slice")
+            if z in acc:
                 continue
-            # KL axioms double as integrity checks of the recursion: constant
-            # term 1, positive coefficients, degree bound
-            if (acc.coeff(0) != 1 or min(acc.c.values()) <= 0
-                    or 2 * acc.degree() > ly - lx - 1):
-                raise InvariantViolation(f"KL axioms broken at ({x},{y}): P = {acc}")
-            row[x] = acc
+            lo, hi = (zs, z) if length[zs] < length[z] else (z, zs)
+            key = (row_yp.get(lo, -1), row_yp.get(hi, -1))
+            w = pairs.get(key)
+            if w is None:
+                a = pool[key[0]] if key[0] >= 0 else ()
+                b = pool[key[1]] if key[1] >= 0 else ()
+                w = pairs[key] = memo.intern(_combine(a, 1, 1, b))
+            acc[z] = acc[zs] = w
+        acc.pop(y, None)  # the pair {y', y}: P(y,y) = 1 is set below
+        for z, m in self.mu_row(yp):
+            if length[right[z][s]] >= length[z]:
+                continue
+            k = (ly - length[z]) // 2
+            for x, p in self.rows[z].items():
+                w0 = acc.get(x, 0)
+                key = (w0, m, k, p)
+                w = steps.get(key)
+                if w is None:
+                    w = steps[key] = memo.intern(_combine(work[w0], -m, k, pool[p]))
+                acc[x] = w
+        row: dict[int, int] = {}
+        for x in sorted(acc):
+            w = acc[x]
+            if w == 0:
+                continue
+            pid = to_pool[w]
+            if pid < 0:
+                pid = to_pool[w] = self._store(work[w], x, y)
+            # KL axioms double as integrity checks of the recursion: the
+            # shape is checked once per pool entry, the degree bound here
+            if 2 * len(pool[pid]) > ly - length[x] + 1:
+                raise InvariantViolation(
+                    f"KL axioms broken at ({x},{y}): P = {self.polynomial(pid)}"
+                )
+            row[x] = pid
+        row[y] = self._store((1,), y, y)
         return row
 
-    def rows_for(self, y: int) -> dict[int, IntPolynomial]:
+    def rows_for(self, y: int) -> dict[int, int]:
         row = self.rows[y]
         if row is None:
             raise SliceCoverageError(
@@ -200,11 +272,11 @@ class KLTable:
         sl = self.slice
         ly = sl.length[y]
         out = []
-        for z, pol in self.rows_for(y).items():
+        for z, pid in self.rows_for(y).items():
             gap = ly - sl.length[z]
             if gap <= 0 or gap % 2 == 0:
                 continue
-            top = pol.coeff((gap - 1) // 2)
+            top = self.coeff(pid, (gap - 1) // 2)
             if top:
                 out.append((z, top))
         out.sort()
@@ -213,25 +285,14 @@ class KLTable:
         return res
 
 
-_FILL_STATE: KLTable | None = None
-
-
-def _fill_chunk(ys):
-    table = _FILL_STATE
-    out = {}
-    for y in ys:
-        row = table._compute_row(y)
-        out[y] = sorted((x, tuple(sorted(p.c.items()))) for x, p in row.items())
-    return out
-
-
 # -- queries -------------------------------------------------------------------
 
 
 def kl_polynomial(table: KLTable, x: int, y: int) -> IntPolynomial:
     """P_{x,y} in q; the zero polynomial unless x <= y in Bruhat order."""
     table.slice.check_index(x, y)
-    return table.rows_for(y).get(x, _ZERO)
+    pid = table.rows_for(y).get(x)
+    return _ZERO if pid is None else table.polynomial(pid)
 
 
 def mu(table: KLTable, x: int, y: int) -> int:
@@ -243,7 +304,8 @@ def mu(table: KLTable, x: int, y: int) -> int:
     gap = sl.length[y] - sl.length[x]
     if x == y or gap % 2 == 0:
         return 0
-    return table.rows_for(y).get(x, _ZERO).coeff((gap - 1) // 2)
+    pid = table.rows_for(y).get(x)
+    return 0 if pid is None else table.coeff(pid, (gap - 1) // 2)
 
 
 def kl_coefficient(table: KLTable, x: int, y: int, m: int) -> int:
@@ -301,13 +363,13 @@ def kl_coefficient_sum(table: KLTable, y: int, m: int) -> int:
     sl.check_index(y)
     ly = sl.length[y]
     total = 0
-    for x, pol in table.rows_for(y).items():
+    for x, pid in table.rows_for(y).items():
         if not sl.dominant[x]:
             continue
         e = ly - sl.length[x] - m
         if e < 0 or e % 2:
             continue
-        total += pol.coeff(e // 2)
+        total += table.coeff(pid, e // 2)
     return total
 
 
@@ -334,13 +396,13 @@ def max_top_coefficient(table: KLTable, m: int, dominant_only: bool = True) -> i
         if dominant_only and not sl.dominant[y]:
             continue
         ly = sl.length[y]
-        for x, pol in table.rows_for(y).items():
+        for x, pid in table.rows_for(y).items():
             if dominant_only and not sl.dominant[x]:
                 continue
             e = ly - sl.length[x] - m
             if e < 0 or e % 2:
                 continue
-            best = max(best, pol.coeff(e // 2))
+            best = max(best, table.coeff(pid, e // 2))
     return best
 
 
@@ -402,44 +464,52 @@ def kl_polynomial_recomputed(table: KLTable, x: int, y: int, rng) -> IntPolynomi
 # -- persistence ----------------------------------------------------------------
 
 _TABLE_MAGIC = b"KLXTABLE"
-_TABLE_VERSION = 1
+_TABLE_VERSION = 2
+_TABLE_HEAD = ">cHBIiII"  # type, rank, affine, cutoff, filled, pool size, rows
+
+
+def _row_format(n_elements: int, n_pool: int, k: int) -> str:
+    """One row: its length k, then k element indices, then k pool ids, each
+    array in the narrowest unsigned width that holds every value."""
+    xc = "H" if n_elements <= 1 << 16 else "I"
+    ic = "B" if n_pool <= 1 << 8 else "H" if n_pool <= 1 << 16 else "I"
+    return f">I{k}{xc}{k}{ic}"
 
 
 def save_table(table: KLTable, path) -> None:
+    """Write the pool once, then every filled row's x and pool-id arrays."""
     sl = table.slice
     rs = sl.rs
-    entries = []
-    for y in range(len(sl)):
-        if sl.length[y] > table.filled or table.rows[y] is None:
-            continue
-        for x in sorted(table.rows[y]):
-            entries.append((y, x, table.rows[y][x]))
-    entries.sort()
+    ys = [y for y in range(len(sl)) if sl.length[y] <= table.filled]
     parts = [
         struct.pack(
-            ">cHBIiQ",
+            _TABLE_HEAD,
             rs.type_label.encode(),
             rs.rank,
             1 if sl.affine else 0,
             sl.cutoff,
             table.filled,
-            len(entries),
+            len(table.pool),
+            len(ys),
         )
     ]
-    for y, x, pol in entries:
-        items = pol.items_sorted()
-        parts.append(struct.pack(">IIH", y, x, len(items)))
-        for e, v in items:
-            parts.append(struct.pack(">H", e))
-            parts.append(binio.pack_bigint(v))
+    for t in table.pool:
+        parts.append(struct.pack(">H", len(t)))
+        parts.extend(binio.pack_bigint(v) for v in t)
+    for y in ys:
+        row = table.rows_for(y)
+        xs = sorted(row)
+        parts.append(struct.pack(
+            _row_format(len(sl), len(table.pool), len(xs)),
+            len(xs), *xs, *(row[x] for x in xs),
+        ))
     binio.write_frame(path, _TABLE_MAGIC, _TABLE_VERSION, b"".join(parts))
 
 
 def load_table(path, sl: GroupSlice | None = None) -> KLTable:
     buf = binio.read_frame(path, _TABLE_MAGIC, _TABLE_VERSION)
-    off = 0
-    lab, rank, aff, cutoff, filled, n_entries = struct.unpack_from(">cHBIiQ", buf, off)
-    off += struct.calcsize(">cHBIiQ")
+    lab, rank, aff, cutoff, filled, n_pool, n_rows = struct.unpack_from(_TABLE_HEAD, buf, 0)
+    off = struct.calcsize(_TABLE_HEAD)
     if sl is None:
         rs = build_root_system(lab.decode(), rank)
         sl = enumerate_slice(rs, cutoff, affine=bool(aff))
@@ -452,20 +522,28 @@ def load_table(path, sl: GroupSlice | None = None) -> KLTable:
         ):
             raise CacheFormatError(f"{path}: table does not match the provided slice")
     table = KLTable(sl)
-    for y in range(len(sl)):
-        if sl.length[y] <= filled:
-            table.rows[y] = {}
-    for _ in range(n_entries):
-        y, x, nterms = struct.unpack_from(">IIH", buf, off)
-        off += struct.calcsize(">IIH")
-        coeffs = {}
+    for _ in range(n_pool):
+        (nterms,) = struct.unpack_from(">H", buf, off)
+        off += 2
+        coeffs = []
         for _ in range(nterms):
-            (e,) = struct.unpack_from(">H", buf, off)
-            off += 2
             v, off = binio.unpack_bigint(buf, off)
-            coeffs[e] = v
-        if y >= len(sl.elements):
+            coeffs.append(v)
+        table.pool.append(tuple(coeffs))
+    table._pool_ids = {t: pid for pid, t in enumerate(table.pool)}
+    ys = [y for y in range(len(sl)) if sl.length[y] <= filled]
+    if len(table._pool_ids) != n_pool or len(ys) != n_rows:
+        raise CacheFormatError(f"{path}: pool or row count does not match the slice")
+    for y in ys:
+        (k,) = struct.unpack_from(">I", buf, off)
+        fmt = _row_format(len(sl), n_pool, k)
+        vals = struct.unpack_from(fmt, buf, off)
+        off += struct.calcsize(fmt)
+        xs, ids = vals[1 : k + 1], vals[k + 1 :]
+        if k and (max(xs) >= len(sl) or max(ids) >= n_pool):
             raise CacheFormatError(f"{path}: entry index out of range")
-        table.rows[y][x] = IntPolynomial(coeffs)
+        table.rows[y] = dict(zip(xs, ids))
+    if off != len(buf):
+        raise CacheFormatError(f"{path}: trailing bytes after the last row")
     table.filled = filled
     return table

@@ -29,6 +29,11 @@ def b2_table10():
 
 
 @pytest.fixture(scope="session")
+def g2_table14():
+    return _table("G", 2, 14)
+
+
+@pytest.fixture(scope="session")
 def a3_finite_table():
     rs = build_root_system("A", 3)
     return _table("A", 3, rs.num_positive, affine=False)

@@ -1,5 +1,6 @@
 """CLI: outputs, exit codes, cache behavior, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -209,3 +210,46 @@ def test_truncated_flag_rendering(tmp_path):
         "--x", "19", cache=tmp_path,
     )
     assert res.returncode == 2
+
+
+def test_workers_flag_prints_the_same(tmp_path):
+    # the fill is sequential; --workers is accepted and changes no output
+    args = ("--format", "json", "kl", "A", "2", "--cutoff", "8", "--all")
+    one = run_cli("--workers", "1", *args, cache=tmp_path / "one")
+    four = run_cli("--workers", "4", *args, cache=tmp_path / "four")
+    assert one.returncode == four.returncode == 0
+    assert one.stdout == four.stdout
+
+
+def test_v1_cache_rejected(tmp_path):
+    args = ("mu", "A", "1", "--cutoff", "10", "--x", "1", "--y", "2")
+    assert run_cli(*args, cache=tmp_path).returncode == 0
+    table_file = next(tmp_path.glob("kl_*.klt"))
+    blob = bytearray(table_file.read_bytes()[:-32])
+    blob[8:12] = (1).to_bytes(4, "big")  # the version field of the frame
+    table_file.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
+    res = run_cli(*args, cache=tmp_path)
+    assert res.returncode == 1 and res.stdout == ""
+    assert "version 1, expected 2" in res.stderr and "delete" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_level_warnings():
+    # the default l = h is the CLI's own choice: no warning about it
+    base = ("extsum", "A", "2", "--cutoff", "4", "--x", "15", "--n", "1")
+    default = run_cli(*base)
+    assert default.returncode == 0 and default.stderr == ""
+    # an explicit l <= h warns, as one line with no source line
+    res = run_cli(*base, "--l", "3")
+    assert res.returncode == 0 and res.stdout == default.stdout
+    assert res.stderr.splitlines() == [
+        "warning: l=3 is not above the Coxeter number 3; "
+        "character-level readings assume l > h",
+    ]
+    # so does an l that breaks the root-of-unity rules
+    res = run_cli("extsum", "B", "2", "--cutoff", "4", "--x", "21", "--n", "1", "--l", "6")
+    assert res.returncode == 0
+    assert res.stderr.splitlines() == [
+        "warning: l=6 violates the usual root-of-unity restrictions "
+        "(odd, prime to 3 for G2); combinatorial results only",
+    ]

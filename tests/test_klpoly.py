@@ -1,4 +1,4 @@
-"""KL tables: axioms, closed forms, sums, persistence, parallel fill."""
+"""KL tables: axioms, closed forms, sums, the polynomial pool, persistence."""
 
 import hashlib
 import os
@@ -81,8 +81,10 @@ def test_mu_axioms_exhaustive(a2_table12, b2_table10, a3_finite_table):
                     assert sl.bruhat_leq(x, y)
 
 
-def test_support_equals_bruhat(a2_table12, a3_finite_table):
-    for table in (a2_table12, a3_finite_table):
+def test_support_equals_bruhat(a2_table12, a3_finite_table, b2_table10, g2_table14):
+    # the fill only visits the lifting-property candidates of each row, so
+    # this is the check that no x <= y was missed
+    for table in (a2_table12, a3_finite_table, b2_table10, g2_table14):
         sl = table.slice
         for y in range(len(sl)):
             row = table.rows_for(y)
@@ -176,12 +178,21 @@ def test_element_indices_validated(a2_table12):
     assert mu_row_sum(a2_table12, dom)[0] >= 0
 
 
-def test_parallel_fill_identical(a2_table12):
-    rs = build_root_system("A", 2)
-    sl = enumerate_slice(rs, 12)
-    par = KLTable(sl)
-    par.fill(workers=4)
-    assert all(par.rows[y] == a2_table12.rows[y] for y in range(len(sl)))
+def test_pool_ids_valid_and_distinct(a2_table12):
+    table = a2_table12
+    sl = table.slice
+    pids = {pid for y in range(len(sl)) for pid in table.rows_for(y).values()}
+    assert pids == set(range(len(table.pool)))
+    assert len(set(table.pool)) == len(table.pool)
+    resolved = {
+        kl_polynomial(table, x, y) for y in range(len(sl)) for x in table.rows_for(y)
+    }
+    assert len(resolved) == len(table.pool)
+    # a second fill of the same slice, in two steps, gives the same ids
+    again = KLTable(sl)
+    again.fill(upto=5)
+    again.fill()
+    assert again.pool == table.pool and again.rows == table.rows
 
 
 def test_save_load_roundtrip(tmp_path, a2_table12):
@@ -195,6 +206,15 @@ def test_save_load_roundtrip(tmp_path, a2_table12):
     )
     save_table(loaded, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest1
+
+
+def test_v1_table_rejected(tmp_path, a1_table20):
+    path = tmp_path / "table.klt"
+    save_table(a1_table20, path)
+    payload = binio.read_frame(path, b"KLXTABLE", 2)
+    binio.write_frame(path, b"KLXTABLE", 1, payload)
+    with pytest.raises(CacheFormatError, match="version 1, expected 2.*delete"):
+        load_table(path)
 
 
 def test_interrupted_write_keeps_old_file(tmp_path, a1_table20, a2_table12, monkeypatch):
