@@ -11,10 +11,18 @@ at the level of the formula
     ((lam+rho,lam+rho) - (mu+rho,mu+rho)) m_mu = 2 sum_{a>0} sum_{k>=1} m_{mu+ka} (mu+ka, a)
 
 is all-integer: the left factor equals (lam+mu+2rho, lam-mu) with lam-mu
-in the root lattice, and (wt, root) pairings are integral. The classical
+in the root lattice, and (wt, root) pairings are integral. The inner sums
+are the string sums S(mu, a) = sum_{k>=1} m_{mu+ka} (mu+ka, a), taken by
+the recursion S(mu, a) = S(mu+a, a) + m_{mu+a} (mu+a, a) of Moody and
+Patera: the string is climbed only up to the next dominant weight, whose
+S was stored when its own multiplicity was computed. The classical
 alternating-sum definition (Weyl's quotient) is kept as an independent
 verification oracle: cross-multiplied, chi(lam) * A(rho) = A(lam+rho),
 plus the per-weight alternating Kostant count.
+
+Tensor products are decomposed by the Brauer-Klimyk rule, which needs the
+weights of one factor only: L(lam) (x) L(nu) = sum over the weights mu of
+L(lam) of m_mu * sign(w) * L(w(mu+nu+rho) - rho), terms on a wall dropped.
 """
 
 from __future__ import annotations
@@ -22,12 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
+from operator import mul as _mul
 
 from .errors import InvalidSystemError, InvariantViolation, SliceCoverageError
 from .klpoly import KLTable
 from .rootsys import (
     RootSystemData,
+    RootVec,
     Weight,
+    check_vector,
     classify_weight,
     dominance_leq,
     is_dominant,
@@ -71,17 +82,27 @@ def dominant_representative(rs: RootSystemData, wt: Weight) -> Weight:
     if got is not None:
         return got
     v = list(wt)
+    _reflect_to_dominant(rs, v)
+    out = cache[wt] = tuple(v)
+    return out
+
+
+def _reflect_to_dominant(rs: RootSystemData, v: list[int]) -> int:
+    """Move v into the dominant chamber in place by simple reflections.
+
+    Returns the number of reflections, the length of the Weyl group element.
+    """
+    steps = 0
     while True:
         for i in range(rs.rank):
             if v[i] < 0:
                 coeff = v[i]
                 for j in range(rs.rank):
                     v[j] -= coeff * rs.cartan[i][j]
+                steps += 1
                 break
         else:
-            out = tuple(v)
-            cache[wt] = out
-            return out
+            return steps
 
 
 def weyl_orbit(rs: RootSystemData, wt: Weight) -> frozenset:
@@ -118,26 +139,11 @@ def full_expansion(char: Character) -> dict[Weight, int]:
     return out
 
 
-_full_cache: dict[tuple, dict] = {}
-
-
-def full_simple_expansion(rs: RootSystemData, lam: Weight) -> dict[Weight, int]:
-    """Cached full weight expansion of the irreducible with highest weight lam."""
-    key = (rs.type_label, rs.rank, tuple(lam))
-    got = _full_cache.get(key)
-    if got is None:
-        got = full_expansion(weyl_character(rs, lam))
-        _full_cache[key] = got
-    return got
-
-
 # -- dominant weights below a bound ---------------------------------------------
 
 
-def dominant_weights_below(rs: RootSystemData, bound: Weight) -> list[Weight]:
-    """All dominant mu <= bound (integral dominance order)."""
-    if not is_dominant(bound):
-        raise InvalidSystemError("bound weight must be dominant")
+def _dominant_below(rs: RootSystemData, bound: Weight) -> list[tuple[RootVec, Weight]]:
+    """(bound - mu in root coordinates, mu) for every dominant mu <= bound."""
     det = rs.cartan_det
     caps = []
     for c in rs.wt_to_rt_scaled(bound):
@@ -148,9 +154,15 @@ def dominant_weights_below(rs: RootSystemData, bound: Weight) -> list[Weight]:
     for beta in _iproduct(*(range(cap + 1) for cap in caps)):
         wt = tuple(b - r for b, r in zip(bound, rs.rt_to_wt(beta)))
         if is_dominant(wt):
-            out.append(wt)
-    out.sort()
+            out.append((beta, wt))
     return out
+
+
+def dominant_weights_below(rs: RootSystemData, bound: Weight) -> list[Weight]:
+    """All dominant mu <= bound (integral dominance order)."""
+    if not is_dominant(bound):
+        raise InvalidSystemError("bound weight must be dominant")
+    return sorted(wt for _, wt in _dominant_below(rs, bound))
 
 
 # -- Weyl characters -------------------------------------------------------------
@@ -166,7 +178,7 @@ _char_cache: dict[tuple, Character] = {}
 
 def weyl_character(rs: RootSystemData, lam: Weight) -> Character:
     """Character of the complex irreducible with highest weight lam."""
-    lam = tuple(lam)
+    lam = check_vector(rs, lam)
     if not is_dominant(lam):
         raise InvalidSystemError(f"highest weight must be dominant, got {lam}")
     key = (rs.type_label, rs.rank, lam)
@@ -174,37 +186,45 @@ def weyl_character(rs: RootSystemData, lam: Weight) -> Character:
     if got is not None:
         return got
 
-    candidates = dominant_weights_below(rs, lam)
-    # order by distance below lam: the height of lam - mu, scaled by det(C)
-    diffs = {mu: rs.wt_to_rt_scaled(tuple(a - b for a, b in zip(lam, mu)))
-             for mu in candidates}
-    candidates.sort(key=lambda mu: (sum(diffs[mu]), mu))
-    det = rs.cartan_det
+    # order by distance below lam, the height of lam - mu
+    candidates = _dominant_below(rs, lam)
+    candidates.sort(key=lambda c: (sum(c[0]), c[1]))
     mults: dict[Weight, int] = {lam: 1}
-    # (mu + k*alpha, alpha) walks an arithmetic progression with step (alpha, alpha)
+    # per positive root alpha: its weight coordinates, the coefficients of
+    # (wt, alpha) in wt, the step (alpha, alpha) of the arithmetic progression
+    # (mu + k*alpha, alpha), and sums[mu] = S(mu, alpha) of each dominant mu done
     root_steps = [
-        (rs.pos_roots_wt[a], rs.positive_roots[a], 2 * rs._half_norms[a])
-        for a in range(rs.num_positive)
+        (rs.pos_roots_wt[a], tuple(map(_mul, rt, rs.symmetrizers)),
+         2 * rs._half_norms[a], {lam: 0})
+        for a, rt in enumerate(rs.positive_roots)
     ]
     domrep = dominant_representative
-    for mu in candidates:
+    for diff_rt, mu in candidates:
         if mu == lam:
             continue
-        diff_rt = tuple(c // det for c in diffs[mu])
         denom = _pair_wt_rt(rs, tuple(a + b + 2 for a, b in zip(lam, mu)), diff_rt)
         acc = 0
-        for root_wt, root_rt, step in root_steps:
-            val = _pair_wt_rt(rs, mu, root_rt)
+        for root_wt, form, step, sums in root_steps:
+            # S(mu, a) = S(mu + a, a) + m(mu + a) (mu + a, a): climb the string
+            # to the first dominant weight, whose S is known, or to its end
+            val = sum(map(_mul, form, mu))
             cur = mu
+            s = 0
             while True:
                 cur = tuple(c + r for c, r in zip(cur, root_wt))
                 val += step
-                m = mults.get(cur, 0)
-                if m == 0 and any(c < 0 for c in cur):
-                    m = mults.get(domrep(rs, cur), 0)
-                if m == 0:
+                m = mults.get(cur)
+                if m is not None:
+                    s += m * val + sums[cur]
                     break
-                acc += m * val
+                if all(c >= 0 for c in cur):
+                    break  # dominant and not below lam: past the end
+                m = mults.get(domrep(rs, cur))
+                if m is None:
+                    break
+                s += m * val
+            sums[mu] = s
+            acc += s
         m_mu, rem = divmod(2 * acc, denom)
         if rem or m_mu <= 0:
             raise InvariantViolation(
@@ -507,33 +527,28 @@ def resubstitution_check(dm: DecompositionMatrix) -> bool:
 
 
 def tensor_decompose(rs: RootSystemData, lam: Weight, nu: Weight) -> dict[Weight, int]:
-    """Multiplicities of each simple in L(lam) (x) L(nu), by exact character
-    multiplication and iterated extraction of maximal weights."""
-    work = convolve(
-        full_simple_expansion(rs, tuple(lam)),
-        full_simple_expansion(rs, tuple(nu)),
-    )
-    # height in the root basis (scaled by det(C)) orders the support
-    # compatibly with dominance
-    heights: dict[Weight, int] = {}
+    """Multiplicities of each simple in L(lam) (x) L(nu), by Brauer-Klimyk.
 
-    def height(wt):
-        got = heights.get(wt)
-        if got is None:
-            got = heights[wt] = sum(rs.wt_to_rt_scaled(wt))
-        return got
-
+    Each weight mu of the smaller factor, with multiplicity m, contributes
+    sign(w) * m to L(w(mu + nu + rho) - rho), where w moves mu + nu + rho
+    into the dominant chamber; a term whose shifted weight lies on a wall
+    is dropped, since it cancels.
+    """
+    lam = check_vector(rs, lam)
+    nu = check_vector(rs, nu)
+    if not (is_dominant(lam) and is_dominant(nu)):
+        raise InvalidSystemError(f"highest weights must be dominant, got {lam}, {nu}")
+    if weyl_dimension(rs, lam) > weyl_dimension(rs, nu):
+        lam, nu = nu, lam
     out: dict[Weight, int] = {}
-    while work:
-        tau = max(work, key=lambda wt: (height(wt), wt))
-        m = work[tau]
-        if not is_dominant(tau) or m <= 0:
-            raise InvariantViolation(f"tensor extraction lost dominance at {tau}")
-        out[tau] = m
-        for v, mult in full_simple_expansion(rs, tau).items():
-            s = work.get(v, 0) - m * mult
-            if s:
-                work[v] = s
-            elif v in work:
-                del work[v]
-    return dict(sorted(out.items()))
+    for wt, m in weyl_character(rs, lam).dom.items():
+        for mu in weyl_orbit(rs, wt):
+            x = [a + b + 1 for a, b in zip(mu, nu)]
+            length = _reflect_to_dominant(rs, x)
+            if 0 in x:
+                continue
+            tau = tuple(c - 1 for c in x)
+            out[tau] = out.get(tau, 0) + (-m if length % 2 else m)
+    if any(v < 0 for v in out.values()):
+        raise InvariantViolation(f"negative tensor multiplicity in {lam} (x) {nu}")
+    return dict(sorted((tau, v) for tau, v in out.items() if v))

@@ -23,8 +23,9 @@ recomputed from that data and cross-validated at construction time.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations as _combinations, product as _iproduct
+from itertools import accumulate as _accumulate, combinations as _combinations
 from math import factorial, gcd as _gcd
+from operator import add as _add
 
 from .errors import InvalidSystemError, InvariantViolation, ResourceCapError
 
@@ -445,6 +446,26 @@ def dominance_leq(rs: RootSystemData, lam, nu, variant: str = "integral") -> boo
 KOSTANT_BOX_CAP = 2_000_000
 
 
+def check_vector(rs: RootSystemData, vec, what: str = "weight") -> tuple[int, ...]:
+    """``vec`` as a tuple of ints, one per simple root of ``rs``.
+
+    Raises InvalidSystemError on a wrong length or a non-integral coordinate.
+    """
+    out = tuple(vec)
+    if len(out) != rs.rank:
+        raise InvalidSystemError(
+            f"{what} {out} has {len(out)} coordinates, "
+            f"{rs.type_label}{rs.rank} needs {rs.rank}"
+        )
+    try:
+        ints = tuple(int(c) for c in out)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != out:
+        raise InvalidSystemError(f"{what} {out} has a non-integral coordinate")
+    return ints
+
+
 def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
     """Number of ways to write ``vec`` as an N-combination of positive roots.
 
@@ -453,11 +474,11 @@ def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
     vector is not a nonnegative combination.
     """
     if basis == "weight":
-        target = rs.wt_to_rt_int(vec)
+        target = rs.wt_to_rt_int(check_vector(rs, vec))
         if target is None:
             raise InvalidSystemError("weight does not lie in the root lattice")
     elif basis == "root":
-        target = tuple(int(c) for c in vec)
+        target = check_vector(rs, vec, "root vector")
     else:
         raise InvalidSystemError(f"unknown basis {basis!r}")
 
@@ -468,22 +489,40 @@ def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
     if target in rs._kostant_cache:
         return rs._kostant_cache[target]
 
-    # bounded coin-change over the coordinate box below the target; product
-    # order lists v - beta before v for every beta >= 0, beta != 0
+    # bounded coin-change over the coordinate box below the target, stored
+    # flat in mixed radix with the last coordinate fastest, so that one row
+    # holds the points that differ only in their last coordinate
     size = _prod(t + 1 for t in target)
     if size > KOSTANT_BOX_CAP:
         raise ResourceCapError(
             f"Kostant partition of {target} needs a box of {size} points, "
             f"above the cap of {KOSTANT_BOX_CAP}"
         )
-    ways = dict.fromkeys(_iproduct(*(range(t + 1) for t in target)), 0)
-    ways[(0,) * rs.rank] = 1
+    *lead, last = target
+    width = last + 1
+    strides = [width * _prod(t + 1 for t in lead[i + 1:]) for i in range(len(lead))]
+    ways = [0] * size
+    ways[0] = 1
     for beta in rs.positive_roots:
-        for v in ways:
-            prev = tuple(a - b for a, b in zip(v, beta))
-            if all(x >= 0 for x in prev):
-                ways[v] += ways[prev]
-    result = ways[target]
+        *blead, b = beta
+        if not any(blead):
+            # the last simple root: a running sum along every row
+            for s in range(0, size, width):
+                ways[s:s + width] = _accumulate(ways[s:s + width])
+            continue
+        n = width - b
+        if n <= 0:
+            continue
+        # every row at or above blead takes the row off(beta) below it,
+        # shifted by b; rows ascend, so the source row already counts beta
+        off = sum(c * st for c, st in zip(blead, strides))
+        starts = [b]
+        for lo, t, st in zip(blead, lead, strides):
+            starts = [s + v * st for s in starts for v in range(lo, t + 1)]
+        for d in starts:
+            src = d - b - off
+            ways[d:d + n] = map(_add, ways[d:d + n], ways[src:src + n])
+    result = ways[-1]
     rs._kostant_cache[target] = result
     return result
 

@@ -1,12 +1,15 @@
 """Characters: Freudenthal vs alternating sums, chi_KL, blocks, tensors."""
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from klext.characters import (
     alternating_sum_check,
     chi_kl,
+    convolve,
     decomposition_matrix,
     dominant_weights_below,
     full_expansion,
@@ -17,7 +20,7 @@ from klext.characters import (
     weyl_dimension,
 )
 from klext.errors import InvalidSystemError, SliceCoverageError
-from klext.rootsys import build_root_system, dominance_leq
+from klext.rootsys import build_root_system, dominance_leq, is_dominant
 
 
 def test_trivial_and_fundamental_characters():
@@ -62,6 +65,19 @@ def test_freudenthal_equals_kostant_oracle():
                 assert c.dom.get(mu, 0) == kostant_multiplicity(rs, lam, mu)
 
 
+def test_freudenthal_g2_against_both_oracles():
+    # G2 has the longest root strings, with up to four weights each
+    g2 = build_root_system("G", 2)
+    lams = [wt for wt in product(range(8), repeat=2) if weyl_dimension(g2, wt) <= 300]
+    assert len(lams) >= 10 and max(weyl_dimension(g2, wt) for wt in lams) > 250
+    for lam in lams:
+        c = weyl_character(g2, lam)
+        assert c.dimension() == weyl_dimension(g2, lam)
+        assert alternating_sum_check(g2, lam), lam
+        for mu in dominant_weights_below(g2, lam):
+            assert c.dom.get(mu, 0) == kostant_multiplicity(g2, lam, mu), (lam, mu)
+
+
 def test_alternating_sum_identity_small():
     for lab, rank in [("A", 1), ("A", 2), ("B", 2)]:
         rs = build_root_system(lab, rank)
@@ -73,6 +89,22 @@ def test_weyl_character_rejects_non_dominant():
     a2 = build_root_system("A", 2)
     with pytest.raises(InvalidSystemError):
         weyl_character(a2, (-1, 0))
+
+
+def test_malformed_weights_rejected():
+    a2 = build_root_system("A", 2)
+    for bad in [(1,), (1, 0, 0)]:
+        with pytest.raises(InvalidSystemError, match="coordinates"):
+            weyl_character(a2, bad)
+    with pytest.raises(InvalidSystemError, match="non-integral"):
+        weyl_character(a2, (Fraction(1, 2), 0))
+    for lam, nu in [((1,), (1, 0)), ((1, 0), (1, 0, 0))]:
+        with pytest.raises(InvalidSystemError, match="coordinates"):
+            tensor_decompose(a2, lam, nu)
+    with pytest.raises(InvalidSystemError, match="non-integral"):
+        tensor_decompose(a2, (1, 0), (0.5, 1))
+    with pytest.raises(InvalidSystemError, match="dominant"):
+        tensor_decompose(a2, (1, 0), (-1, 1))
 
 
 # -- chi_KL ----------------------------------------------------------------------
@@ -185,3 +217,35 @@ def test_tensor_dimension_homomorphism():
                 m * weyl_dimension(rs, wt) for wt, m in comps.items()
             ) == weyl_dimension(rs, lam) * weyl_dimension(rs, nu)
             assert tensor_decompose(rs, nu, lam) == comps
+
+
+def convolution_tensor(rs, lam, nu):
+    """Reference decomposition: multiply the two full characters, then peel
+    off the simple of each maximal remaining weight."""
+    work = convolve(full_expansion(weyl_character(rs, lam)),
+                    full_expansion(weyl_character(rs, nu)))
+    out = {}
+    while work:
+        tau = max(work, key=lambda wt: (sum(rs.wt_to_rt_scaled(wt)), wt))
+        m = work[tau]
+        assert is_dominant(tau) and m > 0
+        out[tau] = m
+        for v, mult in full_expansion(weyl_character(rs, tau)).items():
+            s = work.get(v, 0) - m * mult
+            if s:
+                work[v] = s
+            else:
+                work.pop(v, None)
+    return dict(sorted(out.items()))
+
+
+def test_tensor_equals_convolution_oracle():
+    rng = random.Random(12)
+    for lab in ("A", "B"):
+        rs = build_root_system(lab, 2)
+        smalls = [wt for wt in product(range(15), repeat=2) if weyl_dimension(rs, wt) <= 100]
+        for _ in range(40):
+            lam, nu = rng.choice(smalls), rng.choice(smalls)
+            got = tensor_decompose(rs, lam, nu)
+            assert list(got) == sorted(got)
+            assert got == convolution_tensor(rs, lam, nu), (lab, lam, nu)

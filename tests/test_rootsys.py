@@ -307,13 +307,39 @@ def test_kostant_box_cap():
 
 
 def test_kostant_dp_equals_naive_enumeration():
-    for lab, rank in [("A", 2), ("B", 2), ("G", 2)]:
+    for lab, rank, height in [("A", 2, 8), ("B", 2, 8), ("G", 2, 8),
+                              ("A", 3, 8), ("B", 3, 7), ("C", 3, 7)]:
         rs = build_root_system(lab, rank)
-        for target in product(range(9), repeat=rank):
-            if sum(target) > 8:
+        for target in product(range(height + 1), repeat=rank):
+            if sum(target) > height:
                 continue
             assert kostant_partition(rs, target) == naive_kostant(rs, target), (
                 lab, target)
+
+
+def test_kostant_large_values():
+    # P(k rho) in the weight basis, the argument shape of mu_bound
+    for lab, rank, k, value in [("B", 3, 8, 783_435), ("B", 3, 10, 2_616_770),
+                                ("C", 3, 8, 795_591), ("C", 3, 10, 2_657_886),
+                                ("D", 4, 10, 421_414_254)]:
+        rs = build_root_system(lab, rank)
+        assert kostant_partition(rs, (k,) * rank, basis="weight") == value, (lab, k)
+
+
+def test_kostant_rejects_malformed_vectors():
+    a2 = build_root_system("A", 2)
+    for bad in [(Fraction(1, 2), 1), (1.7, 1), ("1", 1), (float("inf"), 0)]:
+        with pytest.raises(InvalidSystemError, match="non-integral"):
+            kostant_partition(a2, bad)
+    for bad in [(1, 1, 1), (1,), ()]:
+        with pytest.raises(InvalidSystemError, match="coordinates"):
+            kostant_partition(a2, bad)
+        with pytest.raises(InvalidSystemError, match="coordinates"):
+            kostant_partition(a2, bad, basis="weight")
+    with pytest.raises(InvalidSystemError, match="non-integral"):
+        kostant_partition(a2, (Fraction(3, 2), 0), basis="weight")
+    # integral values of another numeric type are the same vector
+    assert kostant_partition(a2, (Fraction(1), 1.0)) == kostant_partition(a2, (1, 1)) == 2
 
 
 # -- p-adic expansion --------------------------------------------------------------
