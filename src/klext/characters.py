@@ -44,14 +44,7 @@ from .rootsys import (
     is_dominant,
     kostant_partition,
 )
-from .weylaffine import (
-    dot_action,
-    factorize_weight,
-    generators,
-    identity,
-    _matmul,
-    _matvec,
-)
+from .weylaffine import dot_action, enumerate_slice, factorize_weight, _matvec
 
 
 @dataclass
@@ -257,22 +250,8 @@ def weyl_group_elements(rs: RootSystemData):
     cache = _weyl_cache.get(rs)
     if cache is not None:
         return cache
-    gens = [g.wmat for g in generators(rs, affine=False)]
-    eye = identity(rs).wmat
-    seen = {eye: 0}
-    shell = [eye]
-    ln = 0
-    while shell:
-        ln += 1
-        nxt = []
-        for m in shell:
-            for g in gens:
-                prod = _matmul(m, g)
-                if prod not in seen:
-                    seen[prod] = ln
-                    nxt.append(prod)
-        shell = nxt
-    out = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
+    sl = enumerate_slice(rs, rs.num_positive, affine=False)
+    out = [(g.wmat, g.length) for g in sl.elements]
     _weyl_cache[rs] = out
     return out
 

@@ -55,22 +55,35 @@ def _cache_paths(cache_dir, rs, cutoff, affine):
 
 def ensure_table(rs, cutoff, *, affine=True, cache_dir=None, workers=1,
                  max_elements=None) -> klpoly.KLTable:
-    """Load the (slice, KL table) pair from cache or build and persist it."""
+    """Load the (slice, KL table) pair from cache or build and persist it.
+
+    ``workers`` is accepted for compatibility and ignored: the fill is
+    sequential. A cached slice must be the requested one and a cached table
+    must match its slice (CacheFormatError otherwise); the element cap holds
+    for a cached slice as for a fresh enumeration.
+    """
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         slice_path, table_path = _cache_paths(cache_dir, rs, cutoff, affine)
         if os.path.exists(table_path):
-            sl = weylaffine.load_slice(slice_path) if os.path.exists(slice_path) else None
+            if os.path.exists(slice_path):
+                sl = weylaffine.load_slice(slice_path)
+                found = (sl.rs.type_label, sl.rs.rank, sl.affine, sl.cutoff)
+                if found != (rs.type_label, rs.rank, affine, cutoff):
+                    raise CacheFormatError(
+                        f"{slice_path}: slice of {found} does not match the request"
+                    )
+                weylaffine.check_cap(sl, max_elements)
+            else:  # a deleted slice file is rebuilt
+                sl = weylaffine.enumerate_slice(rs, cutoff, affine, max_elements)
+                weylaffine.save_slice(sl, slice_path)
             return klpoly.load_table(table_path, sl)
-        sl = weylaffine.enumerate_slice(rs, cutoff, affine, max_elements)
-        table = klpoly.KLTable(sl)
-        table.fill(workers=workers)
-        weylaffine.save_slice(sl, slice_path)
-        klpoly.save_table(table, table_path)
-        return table
     sl = weylaffine.enumerate_slice(rs, cutoff, affine, max_elements)
     table = klpoly.KLTable(sl)
-    table.fill(workers=workers)
+    table.fill()
+    if cache_dir:
+        weylaffine.save_slice(sl, slice_path)
+        klpoly.save_table(table, table_path)
     return table
 
 
@@ -184,7 +197,7 @@ def _table_for(args, affine=True):
     rs = rootsys.build_root_system(args.type, args.rank)
     table = ensure_table(
         rs, args.cutoff, affine=affine, cache_dir=args.cache_dir,
-        workers=args.workers, max_elements=args.max_elements,
+        max_elements=args.max_elements,
     )
     return rs, table
 
@@ -389,8 +402,7 @@ def cmd_bounds(args):
     table = None
     if args.empirical:
         table = ensure_table(
-            rs, args.cutoff, cache_dir=args.cache_dir, workers=args.workers,
-            max_elements=args.max_elements,
+            rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
         )
     reports = extbounds.bound_constants(rs, args.p, ns=tuple(args.n), table=table)
     return {
@@ -441,11 +453,9 @@ def cmd_generic_shift(args):
 def cmd_verify(args):
     rs = rootsys.build_root_system(args.type, args.rank)
     table = ensure_table(
-        rs, args.cutoff, cache_dir=args.cache_dir, workers=args.workers,
-        max_elements=args.max_elements,
+        rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
     )
-    results = extbounds.run_verification(rs, args.cutoff, args.l, table,
-                                         workers=args.workers)
+    results = extbounds.run_verification(rs, args.cutoff, args.l, table)
     payload = {
         "type": rs.type_label,
         "rank": rs.rank,

@@ -118,18 +118,13 @@ def ext1_simple_simple(ctx: BlockContext, x: int, y: int) -> int:
     return mu(ctx.table, y, x)
 
 
-def extn_simple_costandard(ctx: BlockContext, x: int, z: int, n: int,
-                           alt_index: bool = False) -> int:
-    """dim Ext^n(L(x . lam-), nabla(z . lam-)): one KL t-coefficient.
-
-    alt_index exposes the rejected low-degree indexing (coefficient of t^n)
-    for diagnostics; the default is pinned by the n=1 <-> mu cross-checks.
-    """
+def extn_simple_costandard(ctx: BlockContext, x: int, z: int, n: int) -> int:
+    """dim Ext^n(L(x . lam-), nabla(z . lam-)): one KL t-coefficient, the
+    coefficient of t^(l(x)-l(z)-n), pinned by the n=1 <-> mu cross-checks."""
     ctx.require_regular()
     ctx.require_dominant(x, z)
     sl = ctx.slice
-    gap = sl.length[x] - sl.length[z]
-    e = n if alt_index else gap - n
+    e = sl.length[x] - sl.length[z] - n
     if e < 0 or e % 2:
         return 0
     pid = ctx.table.rows_for(x).get(z)
@@ -503,7 +498,7 @@ def bound_constants(rs: RootSystemData, p: int, ns=(1,),
 
 
 def run_verification(rs: RootSystemData, cutoff: int, l: int,
-                     table: KLTable | None = None, workers: int = 1):
+                     table: KLTable | None = None):
     """Invariant battery over one slice; returns [(name, ok, detail)].
 
     Used by the CLI ``verify`` subcommand; any False entry is an invariant
@@ -518,10 +513,14 @@ def run_verification(rs: RootSystemData, cutoff: int, l: int,
     def record(name, ok, detail=""):
         results.append((name, bool(ok), detail))
 
+    def witness(name, bad, what):
+        """Record a check that passes when no witness ``bad`` was found."""
+        record(name, bad is None, "" if bad is None else f"{what} at {bad}")
+
     if table is None:
         sl = enumerate_slice(rs, cutoff)
         table = KLTable(sl)
-        table.fill(workers=workers)
+        table.fill()
     else:
         sl = table.slice
 
@@ -557,27 +556,25 @@ def run_verification(rs: RootSystemData, cutoff: int, l: int,
     record("kl_axioms", ok, detail)
 
     # parity vanishing and symmetry of mu
-    ok = True
-    for y in range(len(sl)):
-        if sl.length[y] > table.filled:
-            continue
-        for z, m in table.mu_row(y):
-            if (sl.length[y] - sl.length[z]) % 2 == 0 and m:
-                ok = False
-    record("mu_parity", ok)
+    bad = next(
+        ((z, y) for y in range(len(sl)) if sl.length[y] <= table.filled
+         for z, m in table.mu_row(y) if m and (sl.length[y] - sl.length[z]) % 2 == 0),
+        None,
+    )
+    witness("mu_parity", bad, "nonzero mu(x,y) for an even length gap")
 
     # descent-choice independence, randomized
     rng = random.Random(12345)
-    ok = True
+    bad = None
     n = len(sl)
     for _ in range(100):
         x, y = rng.randrange(n), rng.randrange(n)
         if sl.length[y] > table.filled:
             continue
         if kl_polynomial_recomputed(table, x, y, rng) != kl_polynomial(table, x, y):
-            ok = False
+            bad = (x, y)
             break
-    record("descent_independence", ok)
+    witness("descent_independence", bad, "recomputed P(x,y) differs")
 
     # empirical mu window (backstop for the saturation certificates)
     window = mu_support_window(rs)
@@ -602,27 +599,26 @@ def run_verification(rs: RootSystemData, cutoff: int, l: int,
     ctx = make_block_context(rs, l, table)
     if ctx.regular:
         doms = [i for i in sl.dominant_indices() if sl.length[i] <= table.filled]
-        ok0 = all(
-            extn_simple_simple(ctx, x, y, 0) == (1 if x == y else 0)
-            for x in doms[:20]
-            for y in doms[:20]
+        bad = next(
+            ((x, y) for x in doms[:20] for y in doms[:20]
+             if extn_simple_simple(ctx, x, y, 0) != (1 if x == y else 0)),
+            None,
         )
-        record("ext_n0_kronecker", ok0)
-        ok1 = all(
-            extn_simple_simple(ctx, x, y, 1) == ext1_simple_simple(ctx, x, y)
-            for x in doms
-            for y in doms
+        witness("ext_n0_kronecker", bad, "Ext^0(x,y) is not the Kronecker delta")
+        bad = next(
+            ((x, y) for x in doms for y in doms
+             if extn_simple_simple(ctx, x, y, 1) != ext1_simple_simple(ctx, x, y)),
+            None,
         )
-        record("ext_n1_equals_mu", ok1)
+        witness("ext_n1_equals_mu", bad, "Ext^1(x,y) differs from mu(y,x)")
         # dual-path coefficient sums
-        okp = True
-        for y in doms:
-            for m in (0, 1, 2):
-                lhs = kl_coefficient_sum(table, y, m)
-                rhs = sum(extn_simple_costandard(ctx, y, x, m) for x in doms)
-                if lhs != rhs:
-                    okp = False
-        record("coefficient_sum_dual_path", okp)
+        bad = next(
+            ((y, m) for y in doms for m in (0, 1, 2)
+             if kl_coefficient_sum(table, y, m)
+             != sum(extn_simple_costandard(ctx, y, x, m) for x in doms)),
+            None,
+        )
+        witness("coefficient_sum_dual_path", bad, "KL and Ext coefficient sums differ for (y,m)")
     else:
         record("ext_block", True, f"l={l} < h: no regular block to test")
 

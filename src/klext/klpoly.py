@@ -177,12 +177,8 @@ class KLTable:
 
     # -- fill ---------------------------------------------------------------
 
-    def fill(self, upto: int | None = None, workers: int = 1) -> None:
-        """Fill every row up to length ``upto`` (default: the slice cutoff).
-
-        ``workers`` is accepted for compatibility and ignored: the fill is
-        sequential.
-        """
+    def fill(self, upto: int | None = None) -> None:
+        """Fill every row up to length ``upto`` (default: the slice cutoff)."""
         top = self.slice.cutoff if upto is None else upto
         if top > self.slice.cutoff:
             raise SliceCoverageError(

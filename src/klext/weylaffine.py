@@ -14,6 +14,12 @@ fundamental alcove (for the dot action) is the one bounded by the walls
 (u, alpha_i^vee) = 0 and (u, alpha_0^vee) = -1, with interior point
 -rho/h.
 
+Bounded-length slices are enumerated shell by shell: each element is
+multiplied by each generator exactly once, and those products give both
+the next shell and the right-multiplication table. ``GroupSlice`` is the
+plain record of that walk; the slice file (format version 2) stores it
+whole, table included, so loading a slice multiplies nothing.
+
 Level-l data never enters the group structure: scaling s_{alpha,n} to
 s_{alpha,nl} is the isomorphism applied pointwise in ``dot_action``, so a
 GroupSlice is reusable for every l.
@@ -206,23 +212,22 @@ class GroupSlice:
 
     Index order is by length shell, then by the lexicographic normal form
     (finite-part matrix, translation); index 0 is the identity. The
-    right-multiplication table maps (element, generator) -> index, with -1
-    for products that leave the slice.
+    right-multiplication table ``right`` maps (element, generator) -> index,
+    with -1 for products that leave the slice; generator t is
+    ``generators(rs, affine)[t]``. A slice is a plain record: it
+    is built by ``enumerate_slice`` or ``load_slice``, which supply the
+    table, and it does no group multiplication of its own.
     """
 
     def __init__(self, rs: RootSystemData, cutoff: int, affine: bool,
-                 elements: list[AffineElement]):
+                 elements: list[AffineElement], right: list[list[int]]):
         self.rs = rs
         self.cutoff = cutoff
         self.affine = affine
-        self.gens = generators(rs, affine)
         self.elements = elements
         self.index = {g.key(): i for i, g in enumerate(elements)}
         self.length = [g.length for g in elements]
-        self.right = [
-            [self.index.get(multiply(rs, g, s).key(), -1) for s in self.gens]
-            for g in elements
-        ]
+        self.right = right
         self.dominant = [is_dominant_element(rs, g) for g in elements]
         self._bruhat: dict[tuple[int, int], bool] = {}
 
@@ -292,10 +297,17 @@ class GroupSlice:
         return [i for i, f in enumerate(self.dominant) if f]
 
 
+_CAP_MESSAGE = "slice exceeded the configured cap of {} elements at length {}"
+
+
 def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
                     max_elements: int | None = None) -> GroupSlice:
-    """Breadth-first enumeration up to the length cutoff.
+    """Shell-by-shell enumeration up to the length cutoff.
 
+    Each element of shell n is multiplied by each generator exactly once:
+    the products of length n+1 make up shell n+1 (sorted by normal form),
+    and all of them resolve through the index into shell n's rows of the
+    right-multiplication table; upward products of the top shell are -1.
     Raises ResourceCapError (never truncates silently) if the configured
     element cap is exceeded.
     """
@@ -304,27 +316,32 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
     gens = generators(rs, affine)
     ident = identity(rs)
     elements = [ident]
+    index = {ident.key(): 0}
+    right: list[list[int]] = []
     shell = [ident]
-    seen = {ident.key()}
-    for level in range(1, cutoff + 1):
-        grown = {}
-        for g in shell:
-            for s in gens:
-                p = multiply(rs, g, s)
-                if p.length == level and p.key() not in seen:
-                    grown.setdefault(p.key(), p)
-        shell = [grown[k] for k in sorted(grown)]
-        for g in shell:
-            seen.add(g.key())
-        elements.extend(shell)
-        if max_elements is not None and len(elements) > max_elements:
-            raise ResourceCapError(
-                f"slice exceeded the configured cap of {max_elements} elements "
-                f"at length {level}"
-            )
-        if not shell:
-            break  # finite group exhausted
-    return GroupSlice(rs, cutoff, affine, elements)
+    level = 0
+    while shell:
+        prods = [[multiply(rs, g, s) for s in gens] for g in shell]
+        shell = []
+        if level < cutoff:
+            level += 1
+            grown = {p.key(): p for row in prods for p in row if p.length == level}
+            shell = [grown[k] for k in sorted(grown)]
+            for g in shell:
+                index[g.key()] = len(elements)
+                elements.append(g)
+            if max_elements is not None and len(elements) > max_elements:
+                raise ResourceCapError(_CAP_MESSAGE.format(max_elements, level))
+        right.extend([index.get(p.key(), -1) for p in row] for row in prods)
+    return GroupSlice(rs, cutoff, affine, elements, right)
+
+
+def check_cap(sl: GroupSlice, max_elements: int | None) -> None:
+    """Fail as ``enumerate_slice`` would under ``max_elements``: at the shell
+    of the element at index max(cap, 1), the first to pass the cap."""
+    first_over = None if max_elements is None else max(max_elements, 1)
+    if first_over is not None and first_over < len(sl):
+        raise ResourceCapError(_CAP_MESSAGE.format(max_elements, sl.length[first_over]))
 
 
 # -- point stabilizers --------------------------------------------------------
@@ -520,64 +537,65 @@ def factorize_weight(rs: RootSystemData, lam, l: int):
 # -- slice persistence --------------------------------------------------------
 
 _SLICE_MAGIC = b"KLXSLICE"
-_SLICE_VERSION = 1
+_SLICE_VERSION = 2
+_SLICE_HEAD = ">cHBIII"  # type, rank, affine, cutoff, finite parts, elements
+
+
+def _right_format(n_elements: int, n_gens: int) -> str:
+    """The right table, row by row, in the narrowest signed width (-1 kept)."""
+    return f">{n_elements * n_gens}{'h' if n_elements <= 1 << 15 else 'i'}"
 
 
 def save_slice(sl: GroupSlice, path) -> None:
+    """Write the header, then as 4-byte signed ints the distinct finite parts
+    and every element's (finite part id, translation, length), then the
+    right-multiplication table."""
     rs = sl.rs
-    wmats = []
-    windex = {}
+    windex: dict[IntMatrix, int] = {}
     for g in sl.elements:
-        if g.wmat not in windex:
-            windex[g.wmat] = len(wmats)
-            wmats.append(g.wmat)
-    parts = [
-        struct.pack(
-            ">cHBIII",
-            rs.type_label.encode(),
-            rs.rank,
-            1 if sl.affine else 0,
-            sl.cutoff,
-            len(wmats),
-            len(sl.elements),
-        )
-    ]
-    for m in wmats:
-        for row in m:
-            parts.append(struct.pack(f">{rs.rank}i", *row))
+        windex.setdefault(g.wmat, len(windex))
+    ints = [c for m in windex for row in m for c in row]
     for g in sl.elements:
-        parts.append(struct.pack(">I", windex[g.wmat]))
-        parts.append(struct.pack(f">{rs.rank}i", *g.mu))
-        parts.append(struct.pack(">I", g.length))
-    binio.write_frame(path, _SLICE_MAGIC, _SLICE_VERSION, b"".join(parts))
+        ints += (windex[g.wmat], *g.mu, g.length)
+    head = struct.pack(_SLICE_HEAD, rs.type_label.encode(), rs.rank,
+                       1 if sl.affine else 0, sl.cutoff, len(windex), len(sl))
+    body = struct.pack(f">{len(ints)}i", *ints)
+    table = struct.pack(_right_format(len(sl), rs.rank + sl.affine),
+                        *(j for row in sl.right for j in row))
+    binio.write_frame(path, _SLICE_MAGIC, _SLICE_VERSION, head + body + table)
 
 
 def load_slice(path) -> GroupSlice:
+    """Read a slice, checking every stored length against the geometry and
+    the right table's structure: entries in -1..N-1, -1 only on the top
+    shell, every other product one length step away and undone by the same
+    generator."""
     buf = binio.read_frame(path, _SLICE_MAGIC, _SLICE_VERSION)
-    off = 0
-    lab, rank, aff, cutoff, n_w, n_el = struct.unpack_from(">cHBIII", buf, off)
-    off += struct.calcsize(">cHBIII")
+    lab, rank, aff, cutoff, n_w, n_el = struct.unpack_from(_SLICE_HEAD, buf, 0)
     rs = build_root_system(lab.decode(), rank)
-    wmats = []
-    for _ in range(n_w):
-        rows = []
-        for _ in range(rank):
-            rows.append(struct.unpack_from(f">{rank}i", buf, off))
-            off += 4 * rank
-        wmats.append(tuple(rows))
+    k, wsize, esize = rank + aff, rank * rank, rank + 2
+    ints_fmt, right_fmt = f">{n_w * wsize + n_el * esize}i", _right_format(n_el, k)
+    off = struct.calcsize(_SLICE_HEAD)
+    if off + struct.calcsize(ints_fmt) + struct.calcsize(right_fmt) != len(buf):
+        raise CacheFormatError(f"{path}: file size does not match its header")
+    ints = struct.unpack_from(ints_fmt, buf, off)
+    flat = struct.unpack_from(right_fmt, buf, off + struct.calcsize(ints_fmt))
+    wmats = [tuple(ints[o + r : o + r + rank] for r in range(0, wsize, rank))
+             for o in range(0, n_w * wsize, wsize)]
     elements = []
-    for _ in range(n_el):
-        (wi,) = struct.unpack_from(">I", buf, off)
-        off += 4
-        mu = struct.unpack_from(f">{rank}i", buf, off)
-        off += 4 * rank
-        (ln,) = struct.unpack_from(">I", buf, off)
-        off += 4
-        g = AffineElement(wmats[wi], tuple(mu), ln)
-        if element_length(rs, g.wmat, g.mu) != ln:
+    for o in range(n_w * wsize, len(ints), esize):
+        wi, mu, ln = ints[o], ints[o + 1 : o + esize - 1], ints[o + esize - 1]
+        if not 0 <= wi < n_w or element_length(rs, wmats[wi], mu) != ln:
             raise CacheFormatError(f"{path}: stored length disagrees with geometry")
-        elements.append(g)
-    return GroupSlice(rs, cutoff, bool(aff), elements)
+        elements.append(AffineElement(wmats[wi], mu, ln))
+    right = [list(flat[i : i + k]) for i in range(0, len(flat), k)]
+    for i, row in enumerate(right):
+        ln = elements[i].length
+        for t, j in enumerate(row):
+            if not (ln == cutoff if j == -1 else 0 <= j < n_el
+                    and abs(elements[j].length - ln) == 1 and right[j][t] == i):
+                raise CacheFormatError(f"{path}: inconsistent right table entry ({i}, {t})")
+    return GroupSlice(rs, cutoff, bool(aff), elements, right)
 
 
 def slice_to_json(sl: GroupSlice) -> dict:

@@ -364,7 +364,7 @@ def test_criterion_12_performance_envelope(tmp_path):
     sl = enumerate_slice(rs, 12)
     start = time.time()
     seq = KLTable(sl)
-    seq.fill(workers=1)
+    seq.fill()
     fill_time = time.time() - start
     assert fill_time < 60, f"single-worker fill took {fill_time:.1f}s"
     # --workers is accepted and leaves every byte of output unchanged

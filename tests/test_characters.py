@@ -18,9 +18,11 @@ from klext.characters import (
     tensor_decompose,
     weyl_character,
     weyl_dimension,
+    weyl_group_elements,
 )
 from klext.errors import InvalidSystemError, SliceCoverageError
 from klext.rootsys import build_root_system, dominance_leq, is_dominant
+from klext.weylaffine import _matmul, generators, identity
 
 
 def test_trivial_and_fundamental_characters():
@@ -50,6 +52,35 @@ def test_highest_weight_multiplicity_one_and_positivity():
             assert c.dom[lam] == 1
             assert all(m > 0 for m in c.dom.values())
             assert c.dimension() == weyl_dimension(rs, lam)
+
+
+def bfs_weyl_group(rs):
+    """W by breadth-first search on weight-coordinate matrices alone, with
+    the first depth at which each matrix appears as its length: the oracle
+    for ``weyl_group_elements``, which reads the finite slice."""
+    gens = [g.wmat for g in generators(rs, affine=False)]
+    eye = identity(rs).wmat
+    seen = {eye: 0}
+    shell = [eye]
+    ln = 0
+    while shell:
+        ln += 1
+        nxt = []
+        for m in shell:
+            for g in gens:
+                prod = _matmul(m, g)
+                if prod not in seen:
+                    seen[prod] = ln
+                    nxt.append(prod)
+        shell = nxt
+    return sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
+
+
+def test_weyl_group_elements_equal_bfs_oracle():
+    for lab, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                      ("C", 3), ("D", 4), ("G", 2)]:
+        rs = build_root_system(lab, rank)
+        assert weyl_group_elements(rs) == bfs_weyl_group(rs)
 
 
 def test_freudenthal_equals_kostant_oracle():

@@ -234,6 +234,73 @@ def test_v1_cache_rejected(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_v1_slice_cache_rejected(tmp_path):
+    args = ("mu", "A", "1", "--cutoff", "10", "--x", "1", "--y", "2")
+    first = run_cli(*args, cache=tmp_path)
+    assert first.returncode == 0
+    slice_file = next(tmp_path.glob("slice_*.slc"))
+    saved = slice_file.read_bytes()
+    blob = bytearray(saved[:-32])
+    blob[8:12] = (1).to_bytes(4, "big")  # the version field of the frame
+    slice_file.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
+    res = run_cli(*args, cache=tmp_path)
+    assert res.returncode == 1 and res.stdout == ""
+    assert "version 1, expected 2" in res.stderr and "delete" in res.stderr
+    assert "Traceback" not in res.stderr
+    # deleted, it is rebuilt beside the table that is still there
+    slice_file.unlink()
+    res = run_cli(*args, cache=tmp_path)
+    assert res.returncode == 0 and res.stdout == first.stdout
+    assert slice_file.read_bytes() == saved
+
+
+def test_mismatched_table_cache_rejected(tmp_path):
+    # an A2 table under the B2 name with no slice file beside it must not
+    # answer B2 queries: mu(1, 7) is 1 on B2 and 0 on A2
+    assert run_cli("mu", "A", "2", "--cutoff", "6", "--x", "1", "--y", "7",
+                   cache=tmp_path).returncode == 0
+    (tmp_path / "kl_A2_aff_L6.klt").rename(tmp_path / "kl_B2_aff_L6.klt")
+    for path in tmp_path.glob("slice_*.slc"):
+        path.unlink()
+    for y in ("7", "60"):
+        res = run_cli("mu", "B", "2", "--cutoff", "6", "--x", "1", "--y", y, cache=tmp_path)
+        assert res.returncode == 1 and res.stdout == "", res.stderr
+        assert "does not match" in res.stderr and "Traceback" not in res.stderr
+    # so must a matching pair of another cutoff under this cutoff's names
+    other = tmp_path / "other"
+    assert run_cli("mu", "B", "2", "--cutoff", "5", "--x", "1", "--y", "7",
+                   cache=other).returncode == 0
+    for path in other.iterdir():
+        path.rename(other / path.name.replace("_L5.", "_L6."))
+    res = run_cli("mu", "B", "2", "--cutoff", "6", "--x", "1", "--y", "7", cache=other)
+    assert res.returncode == 1 and "does not match" in res.stderr
+    # the rightful table answers as a cache-free run does; B2@6 has 57 elements
+    good = tmp_path / "good"
+    free = run_cli("mu", "B", "2", "--cutoff", "6", "--x", "1", "--y", "7")
+    for _ in range(2):
+        res = run_cli("mu", "B", "2", "--cutoff", "6", "--x", "1", "--y", "7", cache=good)
+        assert res.returncode == 0 and res.stdout == free.stdout == "mu: 1\nx: 1\ny: 7\n"
+    res = run_cli("mu", "B", "2", "--cutoff", "6", "--x", "1", "--y", "60", cache=good)
+    assert res.returncode == 2 and "0..56" in res.stderr
+
+
+def test_element_cap_on_every_path(tmp_path):
+    args = ("mu", "A", "2", "--cutoff", "10", "--x", "0", "--y", "5")
+    capped = ("--max-elements", "30", *args)
+    cold = run_cli(*capped, cache=tmp_path)
+    assert cold.returncode == 3 and not list(tmp_path.iterdir())
+    assert run_cli(*args, cache=tmp_path).returncode == 0  # primes the cache
+    warm = run_cli(*capped, cache=tmp_path)
+    free = run_cli(*capped)
+    assert warm.returncode == free.returncode == 3
+    assert warm.stderr == free.stderr == cold.stderr == (
+        "resource cap: slice exceeded the configured cap of 30 elements at length 4\n"
+    )
+    # a cap the slice fits under leaves the warm run alone
+    assert run_cli("--max-elements", "166", *args, cache=tmp_path).returncode == 0
+    assert run_cli("--max-elements", "165", *args, cache=tmp_path).returncode == 3
+
+
 def test_level_warnings():
     # the default l = h is the CLI's own choice: no warning about it
     base = ("extsum", "A", "2", "--cutoff", "4", "--x", "15", "--n", "1")

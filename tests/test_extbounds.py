@@ -254,3 +254,48 @@ def test_run_verification_passes(a2_table12):
         build_root_system("A", 2), 12, 5, table=a2_table12
     )
     assert results and all(ok for _, ok, _ in results)
+
+
+def test_run_verification_names_witness(monkeypatch):
+    # each check that fails names its first failing pair; passing checks
+    # keep the detail they always had
+    import random
+
+    from klext import extbounds, klpoly
+    from klext.klpoly import IntPolynomial
+
+    rs = build_root_system("A", 2)
+    table = KLTable(enumerate_slice(rs, 8))
+    table.fill()
+    sl = table.slice
+    named = ("mu_parity", "descent_independence", "ext_n0_kronecker",
+             "ext_n1_equals_mu", "coefficient_sum_dual_path")
+    clean = {name: (ok, detail) for name, ok, detail in run_verification(rs, 8, 5, table=table)}
+    assert all(ok for ok, _ in clean.values())
+    assert all(clean[name] == (True, "") for name in named)
+
+    y_even = sl.shell(2)[0]
+    mu_row = table.mu_row
+    monkeypatch.setattr(table, "mu_row",
+                        lambda y: mu_row(y) + (((0, 1),) if y == y_even else ()))
+    monkeypatch.setattr(klpoly, "kl_polynomial_recomputed",
+                        lambda table, x, y, rng: IntPolynomial({0: 7}))
+    doms = sl.dominant_indices()
+    bad_xy, bad_ym = (doms[1], doms[0]), (doms[2], 1)
+    extn = extbounds.extn_simple_simple
+    monkeypatch.setattr(extbounds, "extn_simple_simple",
+                        lambda ctx, x, y, n: extn(ctx, x, y, n) + ((x, y) == bad_xy))
+    ksum = extbounds.kl_coefficient_sum
+    monkeypatch.setattr(extbounds, "kl_coefficient_sum",
+                        lambda table, y, m: ksum(table, y, m) + ((y, m) == bad_ym))
+
+    rng = random.Random(12345)
+    first_pair = (rng.randrange(len(sl)), rng.randrange(len(sl)))
+    got = {name: (ok, detail) for name, ok, detail in run_verification(rs, 8, 5, table=table)}
+    assert got["mu_parity"] == (False, f"nonzero mu(x,y) for an even length gap at {(0, y_even)}")
+    assert got["descent_independence"] == (False, f"recomputed P(x,y) differs at {first_pair}")
+    assert got["ext_n0_kronecker"] == (False, f"Ext^0(x,y) is not the Kronecker delta at {bad_xy}")
+    assert got["ext_n1_equals_mu"] == (False, f"Ext^1(x,y) differs from mu(y,x) at {bad_xy}")
+    assert got["coefficient_sum_dual_path"] == (
+        False, f"KL and Ext coefficient sums differ for (y,m) at {bad_ym}")
+    assert got["kl_axioms"] == (True, "")

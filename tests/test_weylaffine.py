@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from klext.errors import ResourceCapError, SliceCoverageError
+from klext import binio
+from klext.errors import CacheFormatError, ResourceCapError, SliceCoverageError
 from klext.rootsys import build_root_system, classify_weight
 from klext.weylaffine import (
+    check_cap,
     dot_action,
     enumerate_slice,
     factorize_weight,
@@ -135,6 +137,75 @@ def test_slice_save_load_roundtrip(tmp_path):
         assert loaded.right == fresh.right and loaded.dominant == fresh.dominant
 
 
+def test_right_table_matches_multiply():
+    # the enumeration records each product once; recomputing every one of
+    # them through the index is the oracle
+    cases = [("A", 2, 12, True), ("B", 2, 10, True), ("G", 2, 10, True),
+             ("A", 3, 6, True), ("B", 3, None, False), ("C", 3, None, False)]
+    for lab, rank, cutoff, affine in cases:
+        rs = build_root_system(lab, rank)
+        sl = enumerate_slice(rs, rs.num_positive if cutoff is None else cutoff, affine)
+        gens = generators(rs, affine)
+        assert len(sl.right) == len(sl)
+        for i, g in enumerate(sl.elements):
+            assert sl.right[i] == [sl.index.get(multiply(rs, g, s).key(), -1) for s in gens]
+
+
+def test_slice_file_resaves_identically(tmp_path):
+    # A1 at cutoff 16384 has 32769 elements: the right table's wide format
+    for lab, rank, cutoff, affine in [("A", 2, 8, True), ("B", 3, 9, False),
+                                      ("A", 1, 16384, True)]:
+        rs = build_root_system(lab, rank)
+        first, second = tmp_path / "first.slc", tmp_path / "second.slc"
+        save_slice(enumerate_slice(rs, cutoff, affine), first)
+        save_slice(load_slice(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+def _reframed(tmp_path, sl, edit):
+    """Save ``sl``, apply ``edit`` to its payload and frame it again, so the
+    checksum is valid and only the structure checks can catch the change."""
+    path = tmp_path / "slice.slc"
+    save_slice(sl, path)
+    payload = bytearray(binio.read_frame(path, b"KLXSLICE", 2))
+    edit(payload)
+    binio.write_frame(path, b"KLXSLICE", 2, bytes(payload))
+    return path
+
+
+def test_altered_right_table_rejected(tmp_path):
+    rs = build_root_system("A", 2)
+    sl = enumerate_slice(rs, 6)
+    n, k = len(sl), 3
+
+    def setting(*entries):
+        """An edit writing each (i, t, value) into the table, the payload's
+        tail of two bytes an entry."""
+        def edit(payload):
+            for i, t, value in entries:
+                at = len(payload) - 2 * n * k + 2 * (i * k + t)
+                payload[at : at + 2] = value.to_bytes(2, "big", signed=True)
+        return edit
+
+    # two generator-t pairs {a, a.t} and {b, b.t} between shells 1 and 2
+    t = 0
+    a, b = [i for i in sl.shell(1) if sl.length[sl.right[i][t]] == 2][:2]
+    at, bt = sl.right[a][t], sl.right[b][t]
+    for edit in (
+        setting((a, t, bt)),  # one length step away, not taken back
+        setting((a, t, b), (b, t, a), (at, t, bt), (bt, t, at)),  # no length step
+        setting((a, t, -1), (at, t, -1)),  # -1 below the top shell
+        setting((0, t, n)),  # out of range, in the first row checked
+        setting((0, t, -2)),
+        lambda payload: payload.extend(b"\0\0"),  # trailing bytes
+    ):
+        path = _reframed(tmp_path, sl, edit)
+        with pytest.raises(CacheFormatError):
+            load_slice(path)
+    # the unaltered re-framing loads
+    assert load_slice(_reframed(tmp_path, sl, lambda payload: None)).right == sl.right
+
+
 # -- dot action ------------------------------------------------------------------
 
 
@@ -172,12 +243,13 @@ def subword_leq(sl, i, j):
     word = sl.reduced_word(j)
     target = sl.elements[i]
     rs = sl.rs
+    gens = generators(rs, sl.affine)
     n = len(word)
     for mask in range(1 << n):
         g = identity(rs)
         for b in range(n):
             if (mask >> b) & 1:
-                g = multiply(rs, g, sl.gens[word[b]])
+                g = multiply(rs, g, gens[word[b]])
         if g == target:
             return True
     return False
@@ -403,6 +475,27 @@ def test_enumeration_determinism_and_cap():
     )
     with pytest.raises(ResourceCapError):
         enumerate_slice(a2, 10, max_elements=20)
+
+
+def test_cap_on_a_built_slice_matches_enumeration():
+    # check_cap must fail exactly where, and with the message with which,
+    # the enumeration under the same cap fails
+    for lab, rank, cutoff, affine in [("A", 2, 6, True), ("B", 2, 10, False),
+                                      ("A", 1, 0, True)]:
+        rs = build_root_system(lab, rank)
+        sl = enumerate_slice(rs, cutoff, affine)
+        for cap in [None, -1, *range(len(sl) + 2)]:
+            try:
+                enumerate_slice(rs, cutoff, affine, max_elements=cap)
+                expected = None
+            except ResourceCapError as ex:
+                expected = str(ex)
+            try:
+                check_cap(sl, cap)
+                got = None
+            except ResourceCapError as ex:
+                got = str(ex)
+            assert got == expected, (lab, rank, cutoff, cap)
 
 
 def test_length_is_word_metric():
