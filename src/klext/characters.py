@@ -15,10 +15,10 @@ in the root lattice, and (wt, root) pairings are integral. The inner sums
 are the string sums S(mu, a) = sum_{k>=1} m_{mu+ka} (mu+ka, a), taken by
 the recursion S(mu, a) = S(mu+a, a) + m_{mu+a} (mu+a, a) of Moody and
 Patera: the string is climbed only up to the next dominant weight, whose
-S was stored when its own multiplicity was computed. The classical
-alternating-sum definition (Weyl's quotient) is kept as an independent
-verification oracle: cross-multiplied, chi(lam) * A(rho) = A(lam+rho),
-plus the per-weight alternating Kostant count.
+S was stored when its own multiplicity was computed. The tests keep the
+classical alternating-sum definition (Weyl's quotient) as an independent
+oracle: cross-multiplied, chi(lam) * A(rho) = A(lam+rho), plus the
+per-weight alternating Kostant count.
 
 Tensor products are decomposed by the Brauer-Klimyk rule, which needs the
 weights of one factor only: L(lam) (x) L(nu) = sum over the weights mu of
@@ -42,9 +42,8 @@ from .rootsys import (
     classify_weight,
     dominance_leq,
     is_dominant,
-    kostant_partition,
 )
-from .weylaffine import dot_action, enumerate_slice, factorize_weight, _matvec
+from .weylaffine import dot_action, factorize_weight
 
 
 @dataclass
@@ -136,18 +135,33 @@ def full_expansion(char: Character) -> dict[Weight, int]:
 
 
 def _dominant_below(rs: RootSystemData, bound: Weight) -> list[tuple[RootVec, Weight]]:
-    """(bound - mu in root coordinates, mu) for every dominant mu <= bound."""
+    """(bound - mu in root coordinates, mu) for every dominant mu <= bound,
+    in the lexicographic order of the root coordinates.
+
+    The walk runs over all but the last root coordinate; along the last one,
+    mu = base - k alpha_last moves every coordinate linearly in k, so its
+    dominant stretch is one range of k, read off the signs of alpha_last.
+    """
     det = rs.cartan_det
     caps = []
     for c in rs.wt_to_rt_scaled(bound):
         if c < 0:
             return []
         caps.append(c // det)
+    last = rs.cartan[-1]  # alpha_last in weight coordinates
     out = []
-    for beta in _iproduct(*(range(cap + 1) for cap in caps)):
-        wt = tuple(b - r for b, r in zip(bound, rs.rt_to_wt(beta)))
-        if is_dominant(wt):
-            out.append((beta, wt))
+    for head in _iproduct(*(range(cap + 1) for cap in caps[:-1])):
+        base = tuple(b - r for b, r in zip(bound, rs.rt_to_wt(head + (0,))))
+        lo, hi = 0, caps[-1]
+        for b, a in zip(base, last):
+            if a > 0:
+                hi = min(hi, b // a)
+            elif a < 0:
+                lo = max(lo, -(b // -a))
+            elif b < 0:
+                hi = -1
+        for k in range(lo, hi + 1):
+            out.append((head + (k,), tuple(b - k * a for b, a in zip(base, last))))
     return out
 
 
@@ -240,68 +254,6 @@ def weyl_dimension(rs: RootSystemData, lam: Weight) -> int:
     if num.denominator != 1:
         raise InvariantViolation(f"Weyl dimension of {lam} is not an integer: {num}")
     return int(num)
-
-
-# -- alternating-sum oracle -------------------------------------------------------
-
-
-def weyl_group_elements(rs: RootSystemData):
-    """All of W as weight-coordinate matrices with lengths (small rank only)."""
-    cache = _weyl_cache.get(rs)
-    if cache is not None:
-        return cache
-    sl = enumerate_slice(rs, rs.num_positive, affine=False)
-    out = [(g.wmat, g.length) for g in sl.elements]
-    _weyl_cache[rs] = out
-    return out
-
-
-_weyl_cache: dict[RootSystemData, list] = {}
-
-
-def kostant_multiplicity(rs: RootSystemData, lam: Weight, mu: Weight) -> int:
-    """Alternating-sum weight multiplicity: sum_w (-1)^l(w) P(w(lam+rho)-(mu+rho))."""
-    total = 0
-    lam_rho = tuple(x + 1 for x in lam)
-    mu_rho = tuple(x + 1 for x in mu)
-    for wmat, ln in weyl_group_elements(rs):
-        arg = tuple(a - b for a, b in zip(_matvec(wmat, lam_rho), mu_rho))
-        coords = rs.wt_to_rt_int(arg)
-        if coords is None or any(c < 0 for c in coords):
-            continue
-        val = kostant_partition(rs, coords)
-        total += val if ln % 2 == 0 else -val
-    return total
-
-
-def skew_orbit_sum(rs: RootSystemData, wt: Weight) -> dict[Weight, int]:
-    """The signed orbit sum A(wt) = sum_w (-1)^l(w) e(w(wt))."""
-    out: dict[Weight, int] = {}
-    for wmat, ln in weyl_group_elements(rs):
-        img = _matvec(wmat, wt)
-        out[img] = out.get(img, 0) + (1 if ln % 2 == 0 else -1)
-    return {k: v for k, v in out.items() if v}
-
-
-def convolve(a: dict[Weight, int], b: dict[Weight, int]) -> dict[Weight, int]:
-    out: dict[Weight, int] = {}
-    for u, mu_ in a.items():
-        for v, mv in b.items():
-            key = tuple(x + y for x, y in zip(u, v))
-            s = out.get(key, 0) + mu_ * mv
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-    return out
-
-
-def alternating_sum_check(rs: RootSystemData, lam: Weight) -> bool:
-    """chi(lam) * A(rho) == A(lam+rho), elementwise in the group algebra."""
-    char = full_expansion(weyl_character(rs, lam))
-    lhs = convolve(char, skew_orbit_sum(rs, rs.rho))
-    rhs = skew_orbit_sum(rs, tuple(x + 1 for x in lam))
-    return lhs == rhs
 
 
 # -- signed KL character combinations ----------------------------------------------
@@ -481,25 +433,6 @@ def decomposition_matrix(rs: RootSystemData, seed: Weight, l: int,
         rs, l, lam_minus, weights, indices,
         tuple(tuple(r) for r in a), tuple(tuple(r) for r in d),
     )
-
-
-def resubstitution_check(dm: DecompositionMatrix) -> bool:
-    """chi(nu) == sum_mu [Delta(nu):L(mu)] ch L(mu), fully expanded."""
-    for j, nu in enumerate(dm.weights):
-        acc: dict[Weight, int] = {}
-        for i, mu in enumerate(dm.weights):
-            coeff = dm.d_matrix[i][j]
-            if coeff == 0:
-                continue
-            for v, m in dm.simple_character(mu).dom.items():
-                s = acc.get(v, 0) + coeff * m
-                if s:
-                    acc[v] = s
-                elif v in acc:
-                    del acc[v]
-        if acc != weyl_character(dm.rs, nu).dom:
-            return False
-    return True
 
 
 # -- tensor products ------------------------------------------------------------------

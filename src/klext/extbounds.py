@@ -504,7 +504,7 @@ def run_verification(rs: RootSystemData, cutoff: int, l: int,
     Used by the CLI ``verify`` subcommand; any False entry is an invariant
     violation and should map to a nonzero exit status.
     """
-    from .klpoly import kl_polynomial, kl_polynomial_recomputed
+    from .klpoly import kl_polynomial, kl_recomputation
     from .weylaffine import enumerate_slice
     import random
 
@@ -563,15 +563,16 @@ def run_verification(rs: RootSystemData, cutoff: int, l: int,
     )
     witness("mu_parity", bad, "nonzero mu(x,y) for an even length gap")
 
-    # descent-choice independence, randomized
+    # descent-choice independence, randomized, one recomputation memo
     rng = random.Random(12345)
+    recomputed = kl_recomputation(table, rng)
     bad = None
     n = len(sl)
     for _ in range(100):
         x, y = rng.randrange(n), rng.randrange(n)
         if sl.length[y] > table.filled:
             continue
-        if kl_polynomial_recomputed(table, x, y, rng) != kl_polynomial(table, x, y):
+        if recomputed(x, y) != kl_polynomial(table, x, y):
             bad = (x, y)
             break
     witness("descent_independence", bad, "recomputed P(x,y) differs")

@@ -72,9 +72,6 @@ class IntPolynomial:
     def shifted(self, k):
         return IntPolynomial({e + k: v for e, v in self.c.items()})
 
-    def eval_one(self):
-        return sum(self.c.values())
-
     def items_sorted(self):
         return sorted(self.c.items())
 
@@ -402,12 +399,14 @@ def max_top_coefficient(table: KLTable, m: int, dominant_only: bool = True) -> i
     return best
 
 
-def kl_polynomial_recomputed(table: KLTable, x: int, y: int, rng) -> IntPolynomial:
-    """Recompute P_{x,y} from scratch with randomized descent choices.
+def kl_recomputation(table: KLTable, rng):
+    """A function (x, y) -> P_{x,y} that recomputes from scratch, with one
+    randomized descent choice per row.
 
-    Uses its own memo (never the table's rows), so the result is an
-    independent derivation; the descent-choice independence of the
-    recursion makes it equal to the stored polynomial.
+    It keeps its own memo of rows (never the table's), shared by all of its
+    calls, so each row is derived once; the result is an independent
+    derivation, which the descent-choice independence of the recursion
+    makes equal to the stored polynomial.
     """
     sl = table.slice
     memo: dict[int, dict[int, IntPolynomial]] = {}
@@ -423,15 +422,15 @@ def kl_polynomial_recomputed(table: KLTable, x: int, y: int, rng) -> IntPolynomi
         s = rng.choice(descents)
         yp = sl.right[yy][s]
         row_yp = row_of(yp)
-        lyp = sl.length[yp]
-        murow = []
+        lyp, lyy = sl.length[yp], sl.length[yy]
+        # the mu(z, y') q^k P(x, z) terms: z below y' at odd gap with zs < z
+        corrections = []
         for z, pol in row_yp.items():
             gap = lyp - sl.length[z]
-            if gap > 0 and gap % 2:
+            if gap > 0 and gap % 2 and sl.length[sl.right[z][s]] < sl.length[z]:
                 top = pol.coeff((gap - 1) // 2)
                 if top:
-                    murow.append((z, top))
-        lyy = sl.length[yy]
+                    corrections.append((row_of(z), top, (lyy - sl.length[z]) // 2))
         row: dict[int, IntPolynomial] = {yy: _ONE}
         for xx in range(len(sl)):
             if sl.length[xx] >= lyy:
@@ -443,18 +442,24 @@ def kl_polynomial_recomputed(table: KLTable, x: int, y: int, rng) -> IntPolynomi
                 acc = p_xs.add(p_x.shifted(1))
             else:
                 acc = p_xs.shifted(1).add(p_x)
-            for z, m in murow:
-                if sl.length[sl.right[z][s]] >= sl.length[z]:
-                    continue
-                p_xz = row_of(z).get(xx, _ZERO)
-                if not p_xz.is_zero():
-                    acc = acc.sub_scaled_shifted(p_xz, m, (lyy - sl.length[z]) // 2)
+            for row_z, m, k in corrections:
+                p_xz = row_z.get(xx)
+                if p_xz is not None:
+                    acc = acc.sub_scaled_shifted(p_xz, m, k)
             if not acc.is_zero():
                 row[xx] = acc
         memo[yy] = row
         return row
 
-    return row_of(y).get(x, _ZERO)
+    def polynomial(x: int, y: int) -> IntPolynomial:
+        return row_of(y).get(x, _ZERO)
+
+    return polynomial
+
+
+def kl_polynomial_recomputed(table: KLTable, x: int, y: int, rng) -> IntPolynomial:
+    """Recompute P_{x,y} alone, with a fresh ``kl_recomputation`` memo."""
+    return kl_recomputation(table, rng)(x, y)
 
 
 # -- persistence ----------------------------------------------------------------

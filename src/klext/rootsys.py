@@ -241,6 +241,7 @@ class RootSystemData:
         self.cartan: tuple[tuple[int, ...], ...] = tuple(
             tuple(row) for row in _cartan_matrix(type_label, rank)
         )
+        self._cartan_cols = tuple(zip(*self.cartan))
         self.symmetrizers = _symmetrizers(self.cartan)
         self.positive_roots: tuple[RootVec, ...] = tuple(_generate_positive_roots(self.cartan))
         self.num_positive = len(self.positive_roots)
@@ -338,9 +339,7 @@ class RootSystemData:
 
     def rt_to_wt(self, rt) -> Weight:
         """Fundamental-weight coordinates of a root-basis vector."""
-        return tuple(
-            sum(rt[i] * self.cartan[i][j] for i in range(self.rank)) for j in range(self.rank)
-        )
+        return tuple([sum([rt[i] * c for i, c in enumerate(col)]) for col in self._cartan_cols])
 
     def wt_to_rt_scaled(self, wt) -> tuple[int, ...]:
         """det(C) times the simple-root coordinates of a weight, as integers.
@@ -547,17 +546,6 @@ def p_adic_expansion(rs: RootSystemData, lam, p: int) -> list[Weight]:
     if not digits:
         digits = [(0,) * rs.rank]
     return digits
-
-
-def p_adic_exponent(rs: RootSystemData, lam, p: int) -> int:
-    """Index of the last nonzero p-adic digit (0 for the zero weight)."""
-    return len(p_adic_expansion(rs, lam, p)) - 1
-
-
-def weight_dagger(rs: RootSystemData, lam, p: int) -> Weight:
-    """The shifted weight (lam - lam_0)/p from the p-adic splitting."""
-    digits = p_adic_expansion(rs, lam, p)
-    return tuple((x - d) // p for x, d in zip(lam, digits[0]))
 
 
 # -- weight classification --------------------------------------------------

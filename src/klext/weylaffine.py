@@ -8,17 +8,17 @@ coordinates is derived from it once per finite part (``root_action``).
 Composition is (g*h)(u) = g(h(u)), giving the
 semidirect-product law (w1, m1)(w2, m2) = (w1 w2, m1 + w1(m2)).
 
-Lengths are computed by the hyperplane-separation count between the
-fundamental alcove and its image, entirely in integer arithmetic: the
-fundamental alcove (for the dot action) is the one bounded by the walls
-(u, alpha_i^vee) = 0 and (u, alpha_0^vee) = -1, with interior point
--rho/h.
-
-Bounded-length slices are enumerated shell by shell: each element is
-multiplied by each generator exactly once, and those products give both
-the next shell and the right-multiplication table. ``GroupSlice`` is the
-plain record of that walk; the slice file (format version 2) stores it
-whole, table included, so loading a slice multiplies nothing.
+Bounded-length slices are enumerated shell by shell by descent signs
+(``_SignWalk``): one pairing per element and generator decides whether the
+product goes up or down, and only the upward products are computed. They
+give both the next shell and the right-multiplication table. ``GroupSlice``
+is the plain record of that walk; the slice file (format version 2) stores
+it whole, table included, and loading checks it by the same walk.
+``element_length`` counts, in integer arithmetic, the hyperplanes that
+separate the fundamental alcove (bounded by the walls (u, alpha_i^vee) = 0
+and (u, alpha_0^vee) = -1, with interior point -rho/h) from its image: it
+gives the lengths of ``generators`` and ``multiply``, and is the tests'
+oracle for the walk.
 
 Level-l data never enters the group structure: scaling s_{alpha,n} to
 s_{alpha,nl} is the isomorphism applied pointwise in ``dot_action``, so a
@@ -30,6 +30,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from math import factorial
+from operator import mul, sub
 
 from . import binio
 from .errors import (
@@ -284,15 +285,6 @@ class GroupSlice:
         self._bruhat[key] = res
         return res
 
-    def reduced_word(self, i: int) -> list[int]:
-        word = []
-        while self.length[i] > 0:
-            s = self.right_descents(i)[0]
-            word.append(s)
-            i = self.right[i][s]
-        word.reverse()
-        return word
-
     def dominant_indices(self) -> list[int]:
         return [i for i, f in enumerate(self.dominant) if f]
 
@@ -300,39 +292,123 @@ class GroupSlice:
 _CAP_MESSAGE = "slice exceeded the configured cap of {} elements at length {}"
 
 
+# -- descent signs ------------------------------------------------------------
+
+
+class _SignWalk:
+    """The generators of one group as walls, for the walk by descent signs.
+
+    The walk carries, for each element w, the integer vector q(w) = h w^-1(p)
+    for the alcove interior point p = -rho/h, so q(e) = (-1, ..., -1) and
+    q(ws) = s(q(w)). Generator t acts on h-scaled points as
+    s_t(u) = u - ((u, c) + e) r with (c, e, r) = (-alpha_t^vee, 0, -alpha_t)
+    for a simple reflection and (theta^vee, h, theta) for s_{theta,-1}, c
+    read as a pairing on weight coordinates; its finite part is I - r c^T.
+    The wall value (q, c) + e is positive on the fundamental alcove's side,
+    and l(ws) = l(w) + 1 exactly when it is positive at q(w): then w^-1(p)
+    and p lie on one side of the wall of s (Humphreys, Reflection Groups and
+    Coxeter Groups, 1990, 4.5).
+    """
+
+    def __init__(self, rs: RootSystemData, affine: bool):
+        r = rs.rank
+        self.rs = rs
+        self.coroots = [tuple(-int(j == t) for j in range(r)) for t in range(r)]
+        self.roots = [tuple(-x for x in rs.cartan[t]) for t in range(r)]
+        if affine:
+            a0 = rs._max_short_index
+            self.coroots.append(rs.avee_wt[a0])
+            self.roots.append(rs.pos_roots_wt[a0])
+        self.affine = affine
+        self.origin = (-1,) * r
+        # per generator: finite part -> (finite part times s, translation step)
+        self._steps: list[dict] = [{} for _ in self.roots]
+
+    def values(self, q) -> list[int]:
+        """The wall value of every generator at q, positive where it goes up."""
+        vals = [-x for x in q]
+        if self.affine:
+            vals.append(sum(map(mul, self.coroots[-1], q)) + self.rs.coxeter_number)
+        if 0 in vals:
+            raise InvariantViolation("alcove interior point landed on a hyperplane")
+        return vals
+
+    def reflect(self, q, v: int, t: int) -> tuple[int, ...]:
+        """s_t(q), given the wall value v of t at q."""
+        return tuple([a - v * b for a, b in zip(q, self.roots[t])])
+
+    def up(self, g: AffineElement, t: int) -> AffineElement:
+        """g s_t for a generator that goes up from g: finite part W - (W r) c^T,
+        translation g.mu minus w(theta) in root coordinates for the affine
+        generator (w(theta) = W r is a root), length g.length + 1. Both parts
+        depend on W alone and are memoised on it."""
+        steps = self._steps[t]
+        got = steps.get(g.wmat)
+        if got is None:
+            wr = _matvec(g.wmat, self.roots[t])
+            wmat = tuple(tuple(x - y * c for x, c in zip(row, self.coroots[t]))
+                         for row, y in zip(g.wmat, wr))
+            shift = self.rs.wt_to_rt_int(wr) if t == self.rs.rank else None
+            got = steps[g.wmat] = (wmat, shift)
+        wmat, shift = got
+        mu = g.mu if shift is None else tuple(map(sub, g.mu, shift))
+        return AffineElement(wmat, mu, g.length + 1)
+
+
 def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
                     max_elements: int | None = None) -> GroupSlice:
-    """Shell-by-shell enumeration up to the length cutoff.
+    """Shell-by-shell enumeration up to the length cutoff, by descent signs.
 
-    Each element of shell n is multiplied by each generator exactly once:
-    the products of length n+1 make up shell n+1 (sorted by normal form),
-    and all of them resolve through the index into shell n's rows of the
-    right-multiplication table; upward products of the top shell are -1.
+    For each element w of shell n and each generator s, the wall value at
+    q(w) decides the direction of ws. A downward product is the element
+    below that went up by s to w, already recorded in the table. An upward
+    one is new or met before under its q: the distinct ones, sorted by
+    normal form, make shell n+1, each normal form computed once by
+    ``_SignWalk.up``; upward products of the top shell are -1.
     Raises ResourceCapError (never truncates silently) if the configured
     element cap is exceeded.
     """
     if cutoff < 0:
         raise InvalidSystemError("length cutoff must be nonnegative")
-    gens = generators(rs, affine)
-    ident = identity(rs)
-    elements = [ident]
-    index = {ident.key(): 0}
-    right: list[list[int]] = []
-    shell = [ident]
+    walk = _SignWalk(rs, affine)
+    k = len(walk.roots)
+    elements = [identity(rs)]
+    qs = [walk.origin]
+    right: list[list] = [[None] * k]
+    shell = [0]
     level = 0
     while shell:
-        prods = [[multiply(rs, g, s) for s in gens] for g in shell]
+        grown: dict[tuple[int, ...], tuple[AffineElement, list]] = {}
+        for i in shell:
+            q, row = qs[i], right[i]
+            for t, v in enumerate(walk.values(q)):
+                if v < 0:
+                    if row[t] is None:
+                        raise InvariantViolation(
+                            f"descent {t} of element {i} has no recorded product")
+                elif level == cutoff:
+                    row[t] = -1
+                else:
+                    q_up = walk.reflect(q, v, t)
+                    up = grown.get(q_up)
+                    if up is None:
+                        up = grown[q_up] = (walk.up(elements[i], t), [])
+                    up[1].append((i, t))
         shell = []
         if level < cutoff:
             level += 1
-            grown = {p.key(): p for row in prods for p in row if p.length == level}
-            shell = [grown[k] for k in sorted(grown)]
-            for g in shell:
-                index[g.key()] = len(elements)
+            for q_up, (g, below) in sorted(grown.items(), key=lambda kv: kv[1][0].key()):
+                j = len(elements)
+                row = [None] * k
+                for i, t in below:
+                    right[i][t] = j
+                    row[t] = i
                 elements.append(g)
+                qs.append(q_up)
+                right.append(row)
+                shell.append(j)
             if max_elements is not None and len(elements) > max_elements:
                 raise ResourceCapError(_CAP_MESSAGE.format(max_elements, level))
-        right.extend([index.get(p.key(), -1) for p in row] for row in prods)
     return GroupSlice(rs, cutoff, affine, elements, right)
 
 
@@ -456,15 +532,6 @@ def facet_generators(rs: RootSystemData, lam_minus, l: int) -> list[int]:
     return out
 
 
-def in_closure_fundamental(rs: RootSystemData, lam, l: int) -> bool:
-    """Whether lam lies in the closure of the fundamental (antidominant) alcove."""
-    v = tuple(c + 1 for c in lam)
-    if any(c > 0 for c in v):
-        return False
-    a0 = rs._max_short_index
-    return sum(rs.avee_wt[a0][k] * v[k] for k in range(rs.rank)) >= -l
-
-
 def is_interior_fundamental(rs: RootSystemData, lam, l: int) -> bool:
     v = tuple(c + 1 for c in lam)
     if any(c >= 0 for c in v):
@@ -566,10 +633,19 @@ def save_slice(sl: GroupSlice, path) -> None:
 
 
 def load_slice(path) -> GroupSlice:
-    """Read a slice, checking every stored length against the geometry and
-    the right table's structure: entries in -1..N-1, -1 only on the top
-    shell, every other product one length step away and undone by the same
-    generator."""
+    """Read a slice and check it by the enumeration's own walk.
+
+    Index 0 must be the identity with length 0. The check then visits the
+    elements in index order, each reached from an earlier one, with its q.
+    Per table entry (i, t), the descent sign of t at q(i) decides: an upward
+    entry is -1 exactly on the top shell, and otherwise leads to an element
+    one length step up, which the first such entry proves to be element i
+    times generator t (normal form, length within the cutoff) and every
+    later one proves to have q = s_t(q(i)); a downward entry leads to an
+    element one length step down. Every entry other than -1 is taken back by
+    the same generator. So the stored normal forms, lengths and table agree
+    with the group. A file whose size does not match its header is rejected.
+    """
     buf = binio.read_frame(path, _SLICE_MAGIC, _SLICE_VERSION)
     lab, rank, aff, cutoff, n_w, n_el = struct.unpack_from(_SLICE_HEAD, buf, 0)
     rs = build_root_system(lab.decode(), rank)
@@ -585,15 +661,34 @@ def load_slice(path) -> GroupSlice:
     elements = []
     for o in range(n_w * wsize, len(ints), esize):
         wi, mu, ln = ints[o], ints[o + 1 : o + esize - 1], ints[o + esize - 1]
-        if not 0 <= wi < n_w or element_length(rs, wmats[wi], mu) != ln:
-            raise CacheFormatError(f"{path}: stored length disagrees with geometry")
+        if not 0 <= wi < n_w:
+            raise CacheFormatError(f"{path}: finite part id {wi} out of range")
         elements.append(AffineElement(wmats[wi], mu, ln))
     right = [list(flat[i : i + k]) for i in range(0, len(flat), k)]
+    walk = _SignWalk(rs, bool(aff))
+    ident = identity(rs)
+    if not elements or (elements[0].key(), elements[0].length) != (ident.key(), 0):
+        raise CacheFormatError(f"{path}: index 0 is not the identity")
+    qs = [walk.origin] + [None] * (n_el - 1)
     for i, row in enumerate(right):
-        ln = elements[i].length
-        for t, j in enumerate(row):
-            if not (ln == cutoff if j == -1 else 0 <= j < n_el
-                    and abs(elements[j].length - ln) == 1 and right[j][t] == i):
+        q, ln = qs[i], elements[i].length
+        if q is None:
+            raise CacheFormatError(f"{path}: element {i} is not reached from an earlier one")
+        for t, (j, v) in enumerate(zip(row, walk.values(q))):
+            if j == -1:
+                ok = v > 0 and ln == cutoff
+            elif not (0 <= j < n_el and right[j][t] == i):
+                ok = False
+            elif v < 0:
+                ok = elements[j].length == ln - 1
+            elif qs[j] is None:
+                g = walk.up(elements[i], t)
+                ok = g.length <= cutoff and (g.key(), g.length) == (
+                    elements[j].key(), elements[j].length)
+                qs[j] = walk.reflect(q, v, t)
+            else:
+                ok = elements[j].length == ln + 1 and qs[j] == walk.reflect(q, v, t)
+            if not ok:
                 raise CacheFormatError(f"{path}: inconsistent right table entry ({i}, {t})")
     return GroupSlice(rs, cutoff, bool(aff), elements, right)
 

@@ -15,11 +15,8 @@ import warnings
 from itertools import product as iproduct
 
 from klext.characters import (
-    alternating_sum_check,
     decomposition_matrix,
     dominant_weights_below,
-    kostant_multiplicity,
-    resubstitution_check,
     tensor_decompose,
     weyl_character,
     weyl_dimension,
@@ -44,6 +41,7 @@ from klext.klpoly import (
 )
 from klext.rootsys import build_root_system, generic_shift
 from klext.weylaffine import enumerate_slice
+from test_characters import alternating_sum_check, kostant_multiplicity, resubstitution_check
 
 warnings.filterwarnings("ignore", message="l=.*root-of-unity")
 

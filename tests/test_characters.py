@@ -1,5 +1,6 @@
 """Characters: Freudenthal vs alternating sums, chi_KL, blocks, tensors."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,22 +8,17 @@ from itertools import product
 import pytest
 
 from klext.characters import (
-    alternating_sum_check,
     chi_kl,
-    convolve,
     decomposition_matrix,
     dominant_weights_below,
     full_expansion,
-    kostant_multiplicity,
-    resubstitution_check,
     tensor_decompose,
     weyl_character,
     weyl_dimension,
-    weyl_group_elements,
 )
 from klext.errors import InvalidSystemError, SliceCoverageError
-from klext.rootsys import build_root_system, dominance_leq, is_dominant
-from klext.weylaffine import _matmul, generators, identity
+from klext.rootsys import build_root_system, dominance_leq, is_dominant, kostant_partition
+from klext.weylaffine import _matmul, _matvec, enumerate_slice, generators, identity
 
 
 def test_trivial_and_fundamental_characters():
@@ -52,6 +48,80 @@ def test_highest_weight_multiplicity_one_and_positivity():
             assert c.dom[lam] == 1
             assert all(m > 0 for m in c.dom.values())
             assert c.dimension() == weyl_dimension(rs, lam)
+
+
+# -- alternating-sum oracle -------------------------------------------------------
+
+
+@functools.cache
+def weyl_group_elements(rs):
+    """All of W as weight-coordinate matrices with lengths, off the finite slice."""
+    sl = enumerate_slice(rs, rs.num_positive, affine=False)
+    return [(g.wmat, g.length) for g in sl.elements]
+
+
+def kostant_multiplicity(rs, lam, mu):
+    """Alternating-sum weight multiplicity: sum_w (-1)^l(w) P(w(lam+rho)-(mu+rho))."""
+    total = 0
+    lam_rho = tuple(x + 1 for x in lam)
+    mu_rho = tuple(x + 1 for x in mu)
+    for wmat, ln in weyl_group_elements(rs):
+        arg = tuple(a - b for a, b in zip(_matvec(wmat, lam_rho), mu_rho))
+        coords = rs.wt_to_rt_int(arg)
+        if coords is None or any(c < 0 for c in coords):
+            continue
+        val = kostant_partition(rs, coords)
+        total += val if ln % 2 == 0 else -val
+    return total
+
+
+def skew_orbit_sum(rs, wt):
+    """The signed orbit sum A(wt) = sum_w (-1)^l(w) e(w(wt))."""
+    out = {}
+    for wmat, ln in weyl_group_elements(rs):
+        img = _matvec(wmat, wt)
+        out[img] = out.get(img, 0) + (1 if ln % 2 == 0 else -1)
+    return {k: v for k, v in out.items() if v}
+
+
+def convolve(a, b):
+    out = {}
+    for u, mu_ in a.items():
+        for v, mv in b.items():
+            key = tuple(x + y for x, y in zip(u, v))
+            s = out.get(key, 0) + mu_ * mv
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+def alternating_sum_check(rs, lam):
+    """chi(lam) * A(rho) == A(lam+rho), elementwise in the group algebra."""
+    char = full_expansion(weyl_character(rs, lam))
+    lhs = convolve(char, skew_orbit_sum(rs, rs.rho))
+    rhs = skew_orbit_sum(rs, tuple(x + 1 for x in lam))
+    return lhs == rhs
+
+
+def resubstitution_check(dm):
+    """chi(nu) == sum_mu [Delta(nu):L(mu)] ch L(mu), fully expanded."""
+    for j, nu in enumerate(dm.weights):
+        acc = {}
+        for i, mu in enumerate(dm.weights):
+            coeff = dm.d_matrix[i][j]
+            if coeff == 0:
+                continue
+            for v, m in dm.simple_character(mu).dom.items():
+                s = acc.get(v, 0) + coeff * m
+                if s:
+                    acc[v] = s
+                elif v in acc:
+                    del acc[v]
+        if acc != weyl_character(dm.rs, nu).dom:
+            return False
+    return True
 
 
 def bfs_weyl_group(rs):

@@ -278,8 +278,8 @@ def test_run_verification_names_witness(monkeypatch):
     mu_row = table.mu_row
     monkeypatch.setattr(table, "mu_row",
                         lambda y: mu_row(y) + (((0, 1),) if y == y_even else ()))
-    monkeypatch.setattr(klpoly, "kl_polynomial_recomputed",
-                        lambda table, x, y, rng: IntPolynomial({0: 7}))
+    monkeypatch.setattr(klpoly, "kl_recomputation",
+                        lambda table, rng: lambda x, y: IntPolynomial({0: 7}))
     doms = sl.dominant_indices()
     bad_xy, bad_ym = (doms[1], doms[0]), (doms[2], 1)
     extn = extbounds.extn_simple_simple

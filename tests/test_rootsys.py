@@ -16,12 +16,10 @@ from klext.rootsys import (
     integral,
     kostant_partition,
     p_adic_expansion,
-    p_adic_exponent,
     pairing,
     solve,
     special_isogeny_image,
     system_summary,
-    weight_dagger,
 )
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
@@ -343,6 +341,17 @@ def test_kostant_rejects_malformed_vectors():
 
 
 # -- p-adic expansion --------------------------------------------------------------
+
+
+def p_adic_exponent(rs, lam, p):
+    """Index of the last nonzero p-adic digit (0 for the zero weight)."""
+    return len(p_adic_expansion(rs, lam, p)) - 1
+
+
+def weight_dagger(rs, lam, p):
+    """The shifted weight (lam - lam_0)/p from the p-adic splitting."""
+    digits = p_adic_expansion(rs, lam, p)
+    return tuple((x - d) // p for x, d in zip(lam, digits[0]))
 
 
 def test_padic_examples():

@@ -9,14 +9,16 @@ from klext import binio
 from klext.errors import CacheFormatError, ResourceCapError, SliceCoverageError
 from klext.rootsys import build_root_system, classify_weight
 from klext.weylaffine import (
+    AffineElement,
+    GroupSlice,
     check_cap,
     dot_action,
+    element_length,
     enumerate_slice,
     factorize_weight,
     facet_generators,
     generators,
     identity,
-    in_closure_fundamental,
     is_dominant_element,
     is_interior_fundamental,
     inverse,
@@ -206,6 +208,147 @@ def test_altered_right_table_rejected(tmp_path):
     assert load_slice(_reframed(tmp_path, sl, lambda payload: None)).right == sl.right
 
 
+def enumerate_by_multiply(rs, cutoff, affine=True):
+    """The slice by group multiplication: each element of shell n times each
+    generator, with every product's length from ``element_length``. The
+    enumeration by descent signs must reproduce it exactly."""
+    gens = generators(rs, affine)
+    ident = identity(rs)
+    elements = [ident]
+    index = {ident.key(): 0}
+    right = []
+    shell = [ident]
+    level = 0
+    while shell:
+        prods = [[multiply(rs, g, s) for s in gens] for g in shell]
+        shell = []
+        if level < cutoff:
+            level += 1
+            grown = {p.key(): p for row in prods for p in row if p.length == level}
+            shell = [grown[k] for k in sorted(grown)]
+            for g in shell:
+                index[g.key()] = len(elements)
+                elements.append(g)
+        right.extend([index.get(p.key(), -1) for p in row] for row in prods)
+    return GroupSlice(rs, cutoff, affine, elements, right)
+
+
+SIGN_WALK_CASES = [("A", 2, 12, True), ("A", 3, 8, True), ("B", 3, 6, True),
+                   ("C", 3, 6, True), ("G", 2, 14, True), ("D", 4, 5, True),
+                   ("A", 1, 20, True), ("A", 3, None, False), ("B", 3, None, False),
+                   ("C", 3, None, False), ("D", 4, None, False), ("G", 2, None, False)]
+
+
+def test_sign_walk_matches_multiplication():
+    for lab, rank, cutoff, affine in SIGN_WALK_CASES:
+        rs = build_root_system(lab, rank)
+        cutoff = rs.num_positive if cutoff is None else cutoff
+        sl = enumerate_slice(rs, cutoff, affine)
+        oracle = enumerate_by_multiply(rs, cutoff, affine)
+        assert [(g.key(), g.length) for g in sl.elements] == [
+            (g.key(), g.length) for g in oracle.elements], (lab, rank, affine)
+        assert sl.length == oracle.length
+        assert sl.right == oracle.right and sl.dominant == oracle.dominant
+        # the walk never calls element_length: it stays the length oracle
+        assert all(g.length == element_length(rs, g.wmat, g.mu) for g in sl.elements)
+        if not affine:
+            assert len(sl) == rs.weyl_order
+
+
+def test_altered_elements_rejected(tmp_path):
+    rs = build_root_system("A", 2)
+    sl = enumerate_slice(rs, 6)
+    rank, n = rs.rank, len(sl)
+    finite_parts = list(dict.fromkeys(g.wmat for g in sl.elements))
+    record = rank + 2  # finite part id, translation, length
+
+    def at(i, field):
+        """Byte offset of one field of element i's record in the payload."""
+        return 16 + 4 * (len(finite_parts) * rank * rank + i * record + field)
+
+    def changing(i, field, change):
+        def edit(payload):
+            old = int.from_bytes(payload[at(i, field) : at(i, field) + 4], "big", signed=True)
+            payload[at(i, field) : at(i, field) + 4] = change(old).to_bytes(4, "big", signed=True)
+        return edit
+
+    def swapping(i, j):
+        def edit(payload):
+            a, b = payload[at(i, 0) : at(i, record)], payload[at(j, 0) : at(j, record)]
+            payload[at(i, 0) : at(i, record)], payload[at(j, 0) : at(j, record)] = b, a
+        return edit
+
+    # the same generator's pairs {a, a.t} and {b, b.t} between shells 1 and 2,
+    # re-paired crosswise: lengths and involutions still agree, the normal
+    # form check at the first visit sees it
+    t = 0
+    a, b = [i for i in sl.shell(1) if sl.length[sl.right[i][t]] == 2][:2]
+    at_, bt = sl.right[a][t], sl.right[b][t]
+
+    def setting(*entries):
+        def edit(payload):
+            for i, u, value in entries:
+                spot = len(payload) - 2 * n * 3 + 2 * (i * 3 + u)
+                payload[spot : spot + 2] = value.to_bytes(2, "big", signed=True)
+        return edit
+
+    # two upward entries by one generator that are not the first to reach
+    # their targets, re-paired crosswise: only the check of q(ws) sees it
+    def first_visit(j):
+        return min((i, u) for u, i in enumerate(sl.right[j])
+                   if i != -1 and sl.length[i] < sl.length[j])
+
+    late = [(i, u, j) for i in range(n) for u, j in enumerate(sl.right[i])
+            if j != -1 and sl.length[j] > sl.length[i] and first_visit(j) != (i, u)]
+    (c, u, cu), (d, _, du) = next(
+        (x, y) for x in late for y in late
+        if x[1] == y[1] and x[0] != y[0] and sl.length[x[0]] == sl.length[y[0]])
+
+    middle = sl.shell(3)[1]
+    for edit in (
+        changing(middle, 1, lambda x: x + 1),  # translation
+        changing(middle, 0, lambda x: (x + 1) % len(finite_parts)),  # finite part id
+        changing(middle, record - 1, lambda x: x + 2),  # stored length
+        changing(0, record - 1, lambda x: x + 1),  # the identity's length
+        swapping(0, 1),  # the identity moved off index 0
+        setting((a, t, bt), (bt, t, a), (b, t, at_), (at_, t, b)),
+        setting((at_, t, b)),  # a downward entry that is not taken back
+        setting((c, u, du), (du, u, c), (d, u, cu), (cu, u, d)),
+    ):
+        with pytest.raises(CacheFormatError):
+            load_slice(_reframed(tmp_path, sl, edit))
+    loaded = load_slice(_reframed(tmp_path, sl, lambda payload: None))
+    assert [g.key() for g in loaded.elements] == [g.key() for g in sl.elements]
+
+
+def test_forged_slices_rejected(tmp_path):
+    """Slices whose table is a consistent walk but not the slice's own."""
+    rs = build_root_system("A", 2)
+    sl = enumerate_slice(rs, 6)
+    n = len(sl)
+    s0 = generators(rs, affine=False)[0]
+    # every element moved to s0 g, lengths and table kept: consistent
+    # products, but index 0 is no longer the identity
+    moved = [AffineElement(*multiply(rs, s0, g).key(), g.length) for g in sl.elements]
+    # index 1 and the last index swapped: a top-shell element comes before
+    # every element below it
+    perm = [0, n - 1, *range(2, n - 1), 1]
+    back = {old: new for new, old in enumerate(perm)}
+    relabelled = [[back.get(j, -1) for j in sl.right[old]] for old in perm]
+    # the whole finite group under a cutoff below its longest element
+    b2 = build_root_system("B", 2)
+    full = enumerate_slice(b2, b2.num_positive, affine=False)
+    for forged in (
+        GroupSlice(rs, 6, True, moved, sl.right),
+        GroupSlice(rs, 6, True, [sl.elements[old] for old in perm], relabelled),
+        GroupSlice(b2, b2.num_positive - 1, False, full.elements, full.right),
+    ):
+        path = tmp_path / "forged.slc"
+        save_slice(forged, path)
+        with pytest.raises(CacheFormatError):
+            load_slice(path)
+
+
 # -- dot action ------------------------------------------------------------------
 
 
@@ -239,8 +382,19 @@ def test_dot_action_homomorphism_and_scaling():
 # -- Bruhat order ------------------------------------------------------------------
 
 
+def reduced_word(sl, i):
+    """A reduced word of element i, read off the right descents."""
+    word = []
+    while sl.length[i] > 0:
+        s = sl.right_descents(i)[0]
+        word.append(s)
+        i = sl.right[i][s]
+    word.reverse()
+    return word
+
+
 def subword_leq(sl, i, j):
-    word = sl.reduced_word(j)
+    word = reduced_word(sl, j)
     target = sl.elements[i]
     rs = sl.rs
     gens = generators(rs, sl.affine)
@@ -423,6 +577,15 @@ def test_stabilizer_orders():
 
 
 # -- factorization -----------------------------------------------------------------------
+
+
+def in_closure_fundamental(rs, lam, l):
+    """Whether lam lies in the closure of the fundamental (antidominant) alcove."""
+    v = tuple(c + 1 for c in lam)
+    if any(c > 0 for c in v):
+        return False
+    a0 = rs._max_short_index
+    return sum(rs.avee_wt[a0][k] * v[k] for k in range(rs.rank)) >= -l
 
 
 def test_factorize_roundtrip_and_conventions():
