@@ -1,9 +1,9 @@
 """Weyl characters, signed KL character combinations, decomposition matrices,
 and complex tensor-product decomposition.
 
-Characters are stored on dominant orbit representatives only (the full
-W-symmetric expansion is materialized lazily); multiplicities are plain
-integers, negative values allowed for virtual characters.
+Characters are stored on dominant orbit representatives only;
+multiplicities are plain integers, negative values allowed for virtual
+characters.
 
 Dominant multiplicities are computed by the Freudenthal recursion, which
 at the level of the formula
@@ -121,14 +121,6 @@ def weyl_orbit(rs: RootSystemData, wt: Weight) -> frozenset:
 
 
 _orbit_cache: dict[RootSystemData, dict] = {}
-
-
-def full_expansion(char: Character) -> dict[Weight, int]:
-    out: dict[Weight, int] = {}
-    for wt, m in char.dom.items():
-        for v in weyl_orbit(char.rs, wt):
-            out[v] = out.get(v, 0) + m
-    return out
 
 
 # -- dominant weights below a bound ---------------------------------------------

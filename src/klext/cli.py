@@ -204,13 +204,13 @@ def _table_for(args, affine=True):
 
 def _kl_record(table, x, y):
     sl = table.slice
-    pol = klpoly.kl_polynomial(table, x, y)
+    coeffs = klpoly.kl_polynomial(table, x, y)
     return {
         "x": x,
         "y": y,
         "length_x": sl.length[x],
         "length_y": sl.length[y],
-        "polynomial_coeffs": {str(e): v for e, v in pol.items_sorted()},
+        "polynomial_coeffs": {str(e): v for e, v in enumerate(coeffs) if v},
         "mu": klpoly.mu(table, x, y),
     }
 
@@ -675,10 +675,8 @@ def _run(args, parser) -> int:
             return 0 if payload["all_passed"] else 1
         sys.stdout.write(_render(payload, args.format))
         return 0
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except InvalidSystemError as ex:
+    except (UsageError, InvalidSystemError, OSError) as ex:
+        # OSError: an unusable --cache-dir, cache entry or output path
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except ResourceCapError as ex:

@@ -3,10 +3,10 @@
 Polynomials are in the variable q = t^2 (only even t-powers occur). A
 table holds each distinct polynomial once, as a tuple of arbitrary-precision
 integer coefficients in a per-table pool (a few dozen polynomials serve
-hundreds of thousands of entries), and each row maps x to a pool id; query
-results are ``IntPolynomial`` objects. The table for a slice is filled
-shell by shell in the length of the upper index y; within a shell every
-entry depends only on completed shells.
+hundreds of thousands of entries), and each row maps x to a pool id;
+queries return those coefficient tuples, () for zero. The table for a
+slice is filled shell by shell in the length of the upper index y; within
+a shell every entry depends only on completed shells.
 
 The recursion used is the standard descent recursion: for a right descent
 s of y and y' = ys,
@@ -16,8 +16,11 @@ s of y and y' = ys,
 with c = 1 when xs < x, the sum over z with zs < z. A row visits only the
 candidates keys(row of y') and their s-images: by the lifting property
 x <= y implies x <= y' or xs <= y', so every x outside that set has
-P(x,y) = 0 (the tests cross-check the support against the Bruhat order).
-Both combine steps, P(lower, y') + q P(upper, y') for the pair {x, xs} and
+P(x,y) = 0. By KL positivity the support of row y is exactly the Bruhat
+ideal of y, so ``verify`` checks it row by row by the same property:
+ideal(y) = ideal(ys) + ideal(ys)s for a right descent s of y (the tests
+cross-check it against a subword oracle of the Bruhat order). Both combine
+steps, P(lower, y') + q P(upper, y') for the pair {x, xs} and
 acc - m q^k P(x,z), are memoised on ids.
 """
 
@@ -29,69 +32,6 @@ from . import binio
 from .errors import CacheFormatError, InvalidSystemError, InvariantViolation, SliceCoverageError
 from .rootsys import build_root_system
 from .weylaffine import GroupSlice, enumerate_slice
-
-
-class IntPolynomial:
-    """Sparse polynomial with integer coefficients and exponents >= 0."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        self.c = {e: v for e, v in (coeffs or {}).items() if v != 0}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def one(cls):
-        return cls({0: 1})
-
-    def is_zero(self):
-        return not self.c
-
-    def degree(self):
-        return max(self.c) if self.c else -1
-
-    def coeff(self, e):
-        return self.c.get(e, 0)
-
-    def add(self, other):
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e] = out.get(e, 0) + v
-        return IntPolynomial(out)
-
-    def sub_scaled_shifted(self, other, scale, shift):
-        """self - scale * q^shift * other, the recursion's correction step."""
-        out = dict(self.c)
-        for e, v in other.c.items():
-            out[e + shift] = out.get(e + shift, 0) - scale * v
-        return IntPolynomial(out)
-
-    def shifted(self, k):
-        return IntPolynomial({e + k: v for e, v in self.c.items()})
-
-    def items_sorted(self):
-        return sorted(self.c.items())
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.c == other.c
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.c.items())))
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(
-            (f"{v}" if e == 0 else f"{v}*q^{e}" if v != 1 else f"q^{e}")
-            for e, v in self.items_sorted()
-        )
-
-
-_ZERO = IntPolynomial.zero()
-_ONE = IntPolynomial.one()
 
 
 def _combine(a: tuple, m: int, k: int, b: tuple) -> tuple:
@@ -143,16 +83,8 @@ class KLTable:
         self.rows: list[dict[int, int] | None] = [None] * len(sl)
         self.pool: list[tuple[int, ...]] = []
         self._pool_ids: dict[tuple[int, ...], int] = {}
-        self._polys: dict[int, IntPolynomial] = {}
         self.filled = -1
         self._mu_rows: dict[int, tuple[tuple[int, int], ...]] = {}
-
-    def polynomial(self, pid: int) -> IntPolynomial:
-        """The pool entry ``pid`` as an IntPolynomial (shared, do not mutate)."""
-        pol = self._polys.get(pid)
-        if pol is None:
-            pol = self._polys[pid] = IntPolynomial(dict(enumerate(self.pool[pid])))
-        return pol
 
     def coeff(self, pid: int, e: int) -> int:
         """Coefficient of q^e of the pool entry ``pid``."""
@@ -165,9 +97,7 @@ class KLTable:
         pid = self._pool_ids.get(t)
         if pid is None:
             if t[0] != 1 or min(t) < 0:
-                raise InvariantViolation(
-                    f"KL axioms broken at ({x},{y}): P = {IntPolynomial(dict(enumerate(t)))}"
-                )
+                raise InvariantViolation(f"KL axioms broken at ({x},{y}): coefficients {t}")
             pid = self._pool_ids[t] = len(self.pool)
             self.pool.append(t)
         return pid
@@ -242,7 +172,7 @@ class KLTable:
             # shape is checked once per pool entry, the degree bound here
             if 2 * len(pool[pid]) > ly - length[x] + 1:
                 raise InvariantViolation(
-                    f"KL axioms broken at ({x},{y}): P = {self.polynomial(pid)}"
+                    f"KL axioms broken at ({x},{y}): coefficients {pool[pid]}"
                 )
             row[x] = pid
         row[y] = self._store((1,), y, y)
@@ -281,11 +211,12 @@ class KLTable:
 # -- queries -------------------------------------------------------------------
 
 
-def kl_polynomial(table: KLTable, x: int, y: int) -> IntPolynomial:
-    """P_{x,y} in q; the zero polynomial unless x <= y in Bruhat order."""
+def kl_polynomial(table: KLTable, x: int, y: int) -> tuple[int, ...]:
+    """P_{x,y} as its pool tuple of q-coefficients; () unless x <= y in
+    Bruhat order."""
     table.slice.check_index(x, y)
     pid = table.rows_for(y).get(x)
-    return _ZERO if pid is None else table.polynomial(pid)
+    return () if pid is None else table.pool[pid]
 
 
 def mu(table: KLTable, x: int, y: int) -> int:
@@ -303,9 +234,8 @@ def mu(table: KLTable, x: int, y: int) -> int:
 
 def kl_coefficient(table: KLTable, x: int, y: int, m: int) -> int:
     """Coefficient of t^m of P_{x,y} under q = t^2 (odd m give 0)."""
-    if m < 0 or m % 2:
-        return 0
-    return kl_polynomial(table, x, y).coeff(m // 2)
+    t = kl_polynomial(table, x, y)
+    return t[m // 2] if 0 <= m < 2 * len(t) and m % 2 == 0 else 0
 
 
 def mu_support_window(rs) -> int:
@@ -403,63 +333,59 @@ def kl_recomputation(table: KLTable, rng):
     """A function (x, y) -> P_{x,y} that recomputes from scratch, with one
     randomized descent choice per row.
 
-    It keeps its own memo of rows (never the table's), shared by all of its
-    calls, so each row is derived once; the result is an independent
+    It keeps its own memo of rows (never the table's or its pool), shared
+    by all of its calls, so each row is derived once; a row sweeps every
+    shorter x, not the lifting candidates. The result is an independent
     derivation, which the descent-choice independence of the recursion
     makes equal to the stored polynomial.
     """
     sl = table.slice
-    memo: dict[int, dict[int, IntPolynomial]] = {}
+    length, right = sl.length, sl.right
+    memo: dict[int, dict[int, tuple[int, ...]]] = {}
 
-    def row_of(yy: int) -> dict[int, IntPolynomial]:
+    def row_of(yy: int) -> dict[int, tuple[int, ...]]:
         got = memo.get(yy)
         if got is not None:
             return got
-        if sl.length[yy] == 0:
-            memo[yy] = {yy: _ONE}
+        if length[yy] == 0:
+            memo[yy] = {yy: (1,)}
             return memo[yy]
-        descents = sl.right_descents(yy)
-        s = rng.choice(descents)
-        yp = sl.right[yy][s]
+        s = rng.choice(sl.right_descents(yy))
+        yp = right[yy][s]
         row_yp = row_of(yp)
-        lyp, lyy = sl.length[yp], sl.length[yy]
+        lyp, lyy = length[yp], length[yy]
         # the mu(z, y') q^k P(x, z) terms: z below y' at odd gap with zs < z
         corrections = []
         for z, pol in row_yp.items():
-            gap = lyp - sl.length[z]
-            if gap > 0 and gap % 2 and sl.length[sl.right[z][s]] < sl.length[z]:
-                top = pol.coeff((gap - 1) // 2)
+            gap = lyp - length[z]
+            if gap > 0 and gap % 2 and length[right[z][s]] < length[z]:
+                top = pol[(gap - 1) // 2] if gap < 2 * len(pol) else 0
                 if top:
-                    corrections.append((row_of(z), top, (lyy - sl.length[z]) // 2))
-        row: dict[int, IntPolynomial] = {yy: _ONE}
+                    corrections.append((row_of(z), top, (lyy - length[z]) // 2))
+        row: dict[int, tuple[int, ...]] = {yy: (1,)}
         for xx in range(len(sl)):
-            if sl.length[xx] >= lyy:
+            if length[xx] >= lyy:
                 continue
-            xs = sl.right[xx][s]
-            p_xs = row_yp.get(xs, _ZERO)
-            p_x = row_yp.get(xx, _ZERO)
-            if sl.length[xs] < sl.length[xx]:
-                acc = p_xs.add(p_x.shifted(1))
+            xs = right[xx][s]
+            p_xs = row_yp.get(xs, ())
+            p_x = row_yp.get(xx, ())
+            if length[xs] < length[xx]:
+                acc = _combine(p_xs, 1, 1, p_x)
             else:
-                acc = p_xs.shifted(1).add(p_x)
+                acc = _combine(p_x, 1, 1, p_xs)
             for row_z, m, k in corrections:
                 p_xz = row_z.get(xx)
                 if p_xz is not None:
-                    acc = acc.sub_scaled_shifted(p_xz, m, k)
-            if not acc.is_zero():
+                    acc = _combine(acc, -m, k, p_xz)
+            if acc:
                 row[xx] = acc
         memo[yy] = row
         return row
 
-    def polynomial(x: int, y: int) -> IntPolynomial:
-        return row_of(y).get(x, _ZERO)
+    def polynomial(x: int, y: int) -> tuple[int, ...]:
+        return row_of(y).get(x, ())
 
     return polynomial
-
-
-def kl_polynomial_recomputed(table: KLTable, x: int, y: int, rng) -> IntPolynomial:
-    """Recompute P_{x,y} alone, with a fresh ``kl_recomputation`` memo."""
-    return kl_recomputation(table, rng)(x, y)
 
 
 # -- persistence ----------------------------------------------------------------

@@ -526,28 +526,6 @@ def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
     return result
 
 
-# -- p-adic digits ----------------------------------------------------------
-
-
-def p_adic_expansion(rs: RootSystemData, lam, p: int) -> list[Weight]:
-    """Digits (lam_0, lam_1, ...) with lam = sum p^i lam_i, all digits p-restricted.
-
-    The zero weight expands to the single digit (0, ..., 0).
-    """
-    if p < 2:
-        raise InvalidSystemError("p must be at least 2")
-    if not is_dominant(lam):
-        raise InvalidSystemError(f"p-adic expansion requires a dominant weight, got {lam}")
-    rest = list(lam)
-    digits = []
-    while any(rest):
-        digits.append(tuple(x % p for x in rest))
-        rest = [x // p for x in rest]
-    if not digits:
-        digits = [(0,) * rs.rank]
-    return digits
-
-
 # -- weight classification --------------------------------------------------
 
 

@@ -160,12 +160,6 @@ def multiply(rs: RootSystemData, g: AffineElement, h: AffineElement) -> AffineEl
     return make_element(rs, _matmul(g.wmat, h.wmat), mu)
 
 
-def inverse(rs: RootSystemData, g: AffineElement) -> AffineElement:
-    winv = integral(solve(g.wmat, _identity_matrix(rs.rank)), "inverse finite part")
-    mu = tuple(-x for x in _matvec(root_action(rs, winv), g.mu))
-    return make_element(rs, winv, mu)
-
-
 def dot_action(rs: RootSystemData, g: AffineElement, x, l: int = 1) -> tuple[int, ...]:
     """g . x at level l: scale s_{alpha,n} to s_{alpha,nl}, then w(x+rho)-rho."""
     if l < 1:
@@ -230,7 +224,6 @@ class GroupSlice:
         self.length = [g.length for g in elements]
         self.right = right
         self.dominant = [is_dominant_element(rs, g) for g in elements]
-        self._bruhat: dict[tuple[int, int], bool] = {}
 
     def __len__(self):
         return len(self.elements)
@@ -262,28 +255,6 @@ class GroupSlice:
             if j != -1 and self.length[j] < self.length[i]:
                 out.append(t)
         return out
-
-    def bruhat_leq(self, i: int, j: int) -> bool:
-        """Bruhat-Chevalley order, by descent recursion over the slice."""
-        if i == j:
-            return True
-        if self.length[i] >= self.length[j]:
-            return False
-        key = (i, j)
-        cached = self._bruhat.get(key)
-        if cached is not None:
-            return cached
-        s = self.right_descents(j)[0]
-        js = self.right[j][s]
-        is_ = self.right[i][s]
-        if is_ == -1:
-            raise InvariantViolation(f"descent step from element {i} left the slice")
-        if self.length[is_] < self.length[i]:
-            res = self.bruhat_leq(is_, js)
-        else:
-            res = self.bruhat_leq(i, js)
-        self._bruhat[key] = res
-        return res
 
     def dominant_indices(self) -> list[int]:
         return [i for i, f in enumerate(self.dominant) if f]

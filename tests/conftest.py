@@ -1,8 +1,25 @@
+import functools
+
 import pytest
 
 from klext.klpoly import KLTable
 from klext.rootsys import build_root_system
 from klext.weylaffine import enumerate_slice
+
+
+@functools.lru_cache(maxsize=None)
+def bruhat_leq(sl, i, j):
+    """Bruhat-Chevalley order on a slice by the descent recursion, the
+    tests' reference independent of the KL table: for the first right
+    descent s of j, i <= j iff min(i, is) <= js."""
+    if i == j:
+        return True
+    if sl.length[i] >= sl.length[j]:
+        return False
+    s = sl.right_descents(j)[0]
+    is_ = sl.right[i][s]
+    assert is_ != -1, f"descent step from element {i} left the slice"
+    return bruhat_leq(sl, min(i, is_, key=sl.length.__getitem__), sl.right[j][s])
 
 
 def _table(lab, rank, cutoff, affine=True):

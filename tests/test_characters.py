@@ -11,14 +11,24 @@ from klext.characters import (
     chi_kl,
     decomposition_matrix,
     dominant_weights_below,
-    full_expansion,
     tensor_decompose,
     weyl_character,
     weyl_dimension,
+    weyl_orbit,
 )
 from klext.errors import InvalidSystemError, SliceCoverageError
 from klext.rootsys import build_root_system, dominance_leq, is_dominant, kostant_partition
 from klext.weylaffine import _matmul, _matvec, enumerate_slice, generators, identity
+
+
+def full_expansion(char):
+    """The W-symmetric expansion of a character: every weight with its
+    multiplicity, not just the dominant representatives."""
+    out = {}
+    for wt, m in char.dom.items():
+        for v in weyl_orbit(char.rs, wt):
+            out[v] = out.get(v, 0) + m
+    return out
 
 
 def test_trivial_and_fundamental_characters():

@@ -284,6 +284,25 @@ def test_mismatched_table_cache_rejected(tmp_path):
     assert res.returncode == 2 and "0..56" in res.stderr
 
 
+def test_unusable_paths_exit_2(tmp_path):
+    # a path the operating system refuses is a configuration error: one
+    # error line and exit 2, never a traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    entry = tmp_path / "cache"
+    (entry / "kl_A1_aff_L4.klt").mkdir(parents=True)
+    mu = ("mu", "A", "1", "--cutoff", "4", "--x", "0", "--y", "1")
+    for res in (
+        run_cli(*mu, cache=blocker),  # --cache-dir is a file
+        run_cli(*mu, cache=blocker / "sub"),  # --cache-dir lies under one
+        run_cli("enumerate", "A", "1", "--cutoff", "4",
+                "--export-json", str(tmp_path / "missing" / "slice.json")),
+        run_cli(*mu, cache=entry),  # a cache entry is a directory
+    ):
+        assert res.returncode == 2 and res.stdout == "", res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
 def test_element_cap_on_every_path(tmp_path):
     args = ("mu", "A", "2", "--cutoff", "10", "--x", "0", "--y", "5")
     capped = ("--max-elements", "30", *args)

