@@ -22,11 +22,17 @@ ideal(y) = ideal(ys) + ideal(ys)s for a right descent s of y (the tests
 cross-check it against a subword oracle of the Bruhat order). Both combine
 steps, P(lower, y') + q P(upper, y') for the pair {x, xs} and
 acc - m q^k P(x,z), are memoised on ids.
+
+A loaded table keeps each row as the two arrays read from its file, range
+checked at load, and builds the row's dict on its first read
+(``KLTable.rows_for``), so a warm query decodes only the rows it reads.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 
 from . import binio
 from .errors import CacheFormatError, InvalidSystemError, InvariantViolation, SliceCoverageError
@@ -70,8 +76,8 @@ class KLTable:
     """Memoized map (x, y) -> P_{x,y} for one enumerated slice.
 
     Polynomials live once each in ``pool``, as coefficient tuples (index =
-    exponent of q, no trailing zeros); rows[y] maps x to the pool id of the
-    nonzero P_{x,y}, and absence means the polynomial is zero (equivalently
+    exponent of q, no trailing zeros); rows_for(y) maps x to the pool id of
+    the nonzero P_{x,y}, and absence means the polynomial is zero (equivalently
     x is not Bruhat-below y). Pool ids are given in first appearance over
     (y, x) order, so a filled and a loaded table agree id for id. ``filled``
     marks the largest completed length shell, and every query checks it so
@@ -80,11 +86,14 @@ class KLTable:
 
     def __init__(self, sl: GroupSlice):
         self.slice = sl
-        self.rows: list[dict[int, int] | None] = [None] * len(sl)
+        # a loaded row stays as its (element indices, pool ids) arrays
+        # until rows_for first reads it
+        self.rows: list[dict[int, int] | tuple[array, array] | None] = [None] * len(sl)
         self.pool: list[tuple[int, ...]] = []
         self._pool_ids: dict[tuple[int, ...], int] = {}
         self.filled = -1
         self._mu_rows: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._path = None  # the file a loaded table came from
 
     def coeff(self, pid: int, e: int) -> int:
         """Coefficient of q^e of the pool entry ``pid``."""
@@ -153,7 +162,7 @@ class KLTable:
             if length[right[z][s]] >= length[z]:
                 continue
             k = (ly - length[z]) // 2
-            for x, p in self.rows[z].items():
+            for x, p in self.rows_for(z).items():
                 w0 = acc.get(x, 0)
                 key = (w0, m, k, p)
                 w = steps.get(key)
@@ -179,13 +188,22 @@ class KLTable:
         return row
 
     def rows_for(self, y: int) -> dict[int, int]:
+        """Row y as a dict x -> pool id. A loaded row is held as its two
+        stored arrays until this first read, which decodes it and drops them."""
         row = self.rows[y]
+        if type(row) is dict:
+            return row
         if row is None:
             raise SliceCoverageError(
                 f"row {y} (length {self.slice.length[y]}) not filled; "
                 f"fill the table to length {self.slice.length[y]} first"
             )
-        return row
+        xs, ids = row
+        decoded = dict(zip(xs, ids))
+        if len(decoded) != len(xs):
+            raise CacheFormatError(f"{self._path}: table row {y} repeats an element index")
+        self.rows[y] = decoded
+        return decoded
 
     def mu_row(self, y: int) -> tuple[tuple[int, int], ...]:
         """All (z, mu(z, y)) with nonzero mu and z < y."""
@@ -300,11 +318,11 @@ def max_mu_dominant(table: KLTable) -> int:
     """Largest mu over dominant pairs in the filled part of the table."""
     sl = table.slice
     best = 0
-    for y in range(len(sl)):
+    for y in sl.dominant_indices():
         if sl.length[y] > table.filled:
             continue
         for z, m in table.mu_row(y):
-            if sl.dominant[y] and sl.dominant[z]:
+            if sl.dominant[z]:
                 best = max(best, m)
     return best
 
@@ -395,11 +413,19 @@ _TABLE_VERSION = 2
 _TABLE_HEAD = ">cHBIiII"  # type, rank, affine, cutoff, filled, pool size, rows
 
 
-def _row_format(n_elements: int, n_pool: int, k: int) -> str:
-    """One row: its length k, then k element indices, then k pool ids, each
-    array in the narrowest unsigned width that holds every value."""
+def _row_codes(n_elements: int, n_pool: int) -> tuple[str, str]:
+    """The codes of a row's element indices and pool ids, the narrowest
+    unsigned width that holds every value; both struct and array codes
+    (an array "I" of another width than 4 bytes fails the load's size
+    checks, never silently)."""
     xc = "H" if n_elements <= 1 << 16 else "I"
     ic = "B" if n_pool <= 1 << 8 else "H" if n_pool <= 1 << 16 else "I"
+    return xc, ic
+
+
+def _row_format(n_elements: int, n_pool: int, k: int) -> str:
+    """One row: its length k, then k element indices, then k pool ids."""
+    xc, ic = _row_codes(n_elements, n_pool)
     return f">I{k}{xc}{k}{ic}"
 
 
@@ -461,16 +487,26 @@ def load_table(path, sl: GroupSlice | None = None) -> KLTable:
     ys = [y for y in range(len(sl)) if sl.length[y] <= filled]
     if len(table._pool_ids) != n_pool or len(ys) != n_rows:
         raise CacheFormatError(f"{path}: pool or row count does not match the slice")
+    xc, ic = _row_codes(len(sl), n_pool)
+    xw, iw = array(xc).itemsize, array(ic).itemsize
+    swap = sys.byteorder == "little"
     for y in ys:
         (k,) = struct.unpack_from(">I", buf, off)
-        fmt = _row_format(len(sl), n_pool, k)
-        vals = struct.unpack_from(fmt, buf, off)
-        off += struct.calcsize(fmt)
-        xs, ids = vals[1 : k + 1], vals[k + 1 :]
+        mid, end = off + 4 + k * xw, off + 4 + k * (xw + iw)
+        if end > len(buf):
+            raise CacheFormatError(f"{path}: row {y} runs past the end of the file")
+        xs, ids = array(xc), array(ic)
+        xs.frombytes(buf[off + 4 : mid])
+        ids.frombytes(buf[mid:end])
+        if swap:
+            xs.byteswap()
+            ids.byteswap()
         if k and (max(xs) >= len(sl) or max(ids) >= n_pool):
             raise CacheFormatError(f"{path}: entry index out of range")
-        table.rows[y] = dict(zip(xs, ids))
+        table.rows[y] = (xs, ids)
+        off = end
     if off != len(buf):
         raise CacheFormatError(f"{path}: trailing bytes after the last row")
+    table._path = path
     table.filled = filled
     return table

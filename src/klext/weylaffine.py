@@ -170,20 +170,6 @@ def dot_action(rs: RootSystemData, g: AffineElement, x, l: int = 1) -> tuple[int
     return tuple(img[i] + l * mu_wt[i] - 1 for i in range(rs.rank))
 
 
-def is_dominant_element(rs: RootSystemData, g: AffineElement) -> bool:
-    """Whether g . C^- + rho lies in the dominant cone (independent of level)."""
-    h = rs.coxeter_number
-    wrho = tuple(sum(row) for row in g.wmat)
-    mu_wt = rs.rt_to_wt(g.mu)
-    for i in range(rs.rank):
-        val = h * mu_wt[i] - wrho[i]
-        if val == 0:
-            raise InvariantViolation("alcove interior point on a chamber wall")
-        if val < 0:
-            return False
-    return True
-
-
 def longest_finite_element(rs: RootSystemData) -> AffineElement:
     """w_0, built by sorting rho into the antidominant chamber."""
     gens = generators(rs, affine=False)
@@ -209,13 +195,16 @@ class GroupSlice:
     (finite-part matrix, translation); index 0 is the identity. The
     right-multiplication table ``right`` maps (element, generator) -> index,
     with -1 for products that leave the slice; generator t is
-    ``generators(rs, affine)[t]``. A slice is a plain record: it
-    is built by ``enumerate_slice`` or ``load_slice``, which supply the
-    table, and it does no group multiplication of its own.
+    ``generators(rs, affine)[t]``. ``dominant[i]`` says whether element i
+    maps the fundamental alcove into the dominant cone (g . C^- + rho
+    dominant, at every level). A slice is a plain record: it is built by
+    ``enumerate_slice`` or ``load_slice``, which supply the table and the
+    dominance flags, and it does no group multiplication of its own.
     """
 
     def __init__(self, rs: RootSystemData, cutoff: int, affine: bool,
-                 elements: list[AffineElement], right: list[list[int]]):
+                 elements: list[AffineElement], right: list[list[int]],
+                 dominant: list[bool]):
         self.rs = rs
         self.cutoff = cutoff
         self.affine = affine
@@ -223,7 +212,7 @@ class GroupSlice:
         self.index = {g.key(): i for i, g in enumerate(elements)}
         self.length = [g.length for g in elements]
         self.right = right
-        self.dominant = [is_dominant_element(rs, g) for g in elements]
+        self.dominant = dominant
 
     def __len__(self):
         return len(self.elements)
@@ -279,6 +268,11 @@ class _SignWalk:
     and l(ws) = l(w) + 1 exactly when it is positive at q(w): then w^-1(p)
     and p lie on one side of the wall of s (Humphreys, Reflection Groups and
     Coxeter Groups, 1990, 4.5).
+
+    It also carries the point h w(p) = h mu - W rho (weight coordinates):
+    (-1, ..., -1) at e, and h ws(p) = h w(p) - W r for either kind of
+    generator. w maps the alcove into the dominant cone exactly when every
+    coordinate of h w(p) is positive (``_dominant``).
     """
 
     def __init__(self, rs: RootSystemData, affine: bool):
@@ -308,10 +302,11 @@ class _SignWalk:
         """s_t(q), given the wall value v of t at q."""
         return tuple([a - v * b for a, b in zip(q, self.roots[t])])
 
-    def up(self, g: AffineElement, t: int) -> AffineElement:
-        """g s_t for a generator that goes up from g: finite part W - (W r) c^T,
-        translation g.mu minus w(theta) in root coordinates for the affine
-        generator (w(theta) = W r is a root), length g.length + 1. Both parts
+    def up(self, g: AffineElement, pt, t: int) -> tuple[AffineElement, tuple[int, ...]]:
+        """g s_t and its point h g s_t(p), given pt = h g(p), for a generator
+        that goes up from g: finite part W - (W r) c^T, translation g.mu minus
+        w(theta) in root coordinates for the affine generator (w(theta) = W r
+        is a root), length g.length + 1, point pt - W r. All three steps
         depend on W alone and are memoised on it."""
         steps = self._steps[t]
         got = steps.get(g.wmat)
@@ -320,10 +315,18 @@ class _SignWalk:
             wmat = tuple(tuple(x - y * c for x, c in zip(row, self.coroots[t]))
                          for row, y in zip(g.wmat, wr))
             shift = self.rs.wt_to_rt_int(wr) if t == self.rs.rank else None
-            got = steps[g.wmat] = (wmat, shift)
-        wmat, shift = got
+            got = steps[g.wmat] = (wmat, shift, wr)
+        wmat, shift, wr = got
         mu = g.mu if shift is None else tuple(map(sub, g.mu, shift))
-        return AffineElement(wmat, mu, g.length + 1)
+        return AffineElement(wmat, mu, g.length + 1), tuple(map(sub, pt, wr))
+
+
+def _dominant(pt) -> bool:
+    """Whether the element w with point pt = h w(p) (see ``_SignWalk``) maps
+    the alcove into the dominant cone."""
+    if 0 in pt:
+        raise InvariantViolation("alcove interior point on a chamber wall")
+    return min(pt) > 0
 
 
 def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
@@ -345,11 +348,12 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
     k = len(walk.roots)
     elements = [identity(rs)]
     qs = [walk.origin]
+    pts = [walk.origin]  # h w(p): p = -rho/h, so also (-1, ..., -1) at e
     right: list[list] = [[None] * k]
     shell = [0]
     level = 0
     while shell:
-        grown: dict[tuple[int, ...], tuple[AffineElement, list]] = {}
+        grown: dict[tuple[int, ...], tuple[AffineElement, tuple[int, ...], list]] = {}
         for i in shell:
             q, row = qs[i], right[i]
             for t, v in enumerate(walk.values(q)):
@@ -363,12 +367,12 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
                     q_up = walk.reflect(q, v, t)
                     up = grown.get(q_up)
                     if up is None:
-                        up = grown[q_up] = (walk.up(elements[i], t), [])
-                    up[1].append((i, t))
+                        up = grown[q_up] = (*walk.up(elements[i], pts[i], t), [])
+                    up[2].append((i, t))
         shell = []
         if level < cutoff:
             level += 1
-            for q_up, (g, below) in sorted(grown.items(), key=lambda kv: kv[1][0].key()):
+            for q_up, (g, pt, below) in sorted(grown.items(), key=lambda kv: kv[1][0].key()):
                 j = len(elements)
                 row = [None] * k
                 for i, t in below:
@@ -376,11 +380,12 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
                     row[t] = i
                 elements.append(g)
                 qs.append(q_up)
+                pts.append(pt)
                 right.append(row)
                 shell.append(j)
             if max_elements is not None and len(elements) > max_elements:
                 raise ResourceCapError(_CAP_MESSAGE.format(max_elements, level))
-    return GroupSlice(rs, cutoff, affine, elements, right)
+    return GroupSlice(rs, cutoff, affine, elements, right, [_dominant(pt) for pt in pts])
 
 
 def check_cap(sl: GroupSlice, max_elements: int | None) -> None:
@@ -616,6 +621,8 @@ def load_slice(path) -> GroupSlice:
     element one length step down. Every entry other than -1 is taken back by
     the same generator. So the stored normal forms, lengths and table agree
     with the group. A file whose size does not match its header is rejected.
+    The first visits also step each element's point h w(p), which gives
+    ``dominant`` as in the enumeration.
     """
     buf = binio.read_frame(path, _SLICE_MAGIC, _SLICE_VERSION)
     lab, rank, aff, cutoff, n_w, n_el = struct.unpack_from(_SLICE_HEAD, buf, 0)
@@ -641,6 +648,7 @@ def load_slice(path) -> GroupSlice:
     if not elements or (elements[0].key(), elements[0].length) != (ident.key(), 0):
         raise CacheFormatError(f"{path}: index 0 is not the identity")
     qs = [walk.origin] + [None] * (n_el - 1)
+    pts = qs[:]
     for i, row in enumerate(right):
         q, ln = qs[i], elements[i].length
         if q is None:
@@ -653,7 +661,7 @@ def load_slice(path) -> GroupSlice:
             elif v < 0:
                 ok = elements[j].length == ln - 1
             elif qs[j] is None:
-                g = walk.up(elements[i], t)
+                g, pts[j] = walk.up(elements[i], pts[i], t)
                 ok = g.length <= cutoff and (g.key(), g.length) == (
                     elements[j].key(), elements[j].length)
                 qs[j] = walk.reflect(q, v, t)
@@ -661,7 +669,7 @@ def load_slice(path) -> GroupSlice:
                 ok = elements[j].length == ln + 1 and qs[j] == walk.reflect(q, v, t)
             if not ok:
                 raise CacheFormatError(f"{path}: inconsistent right table entry ({i}, {t})")
-    return GroupSlice(rs, cutoff, bool(aff), elements, right)
+    return GroupSlice(rs, cutoff, bool(aff), elements, right, [_dominant(pt) for pt in pts])
 
 
 def slice_to_json(sl: GroupSlice) -> dict:

@@ -339,3 +339,50 @@ def test_level_warnings():
         "warning: l=6 violates the usual root-of-unity restrictions "
         "(odd, prime to 3 for G2); combinatorial results only",
     ]
+
+
+def test_kl_queries_leave_character_modules_unrun(tmp_path):
+    # characters and extbounds (with the dataclasses they import) are
+    # registered by ``import klext.cli`` but run only by a command that uses
+    # them; ``loaded`` lists the ones that ran
+    probe = (
+        "import sys, types\n"
+        "from klext.cli import main\n"
+        "main(sys.argv[1:]) if sys.argv[1:] else None\n"
+        "names = ('klext.characters', 'klext.extbounds', 'dataclasses')\n"
+        "print('loaded', [n for n in names if type(sys.modules.get(n)) is types.ModuleType])\n"
+    )
+    mu = ["--cache-dir", str(tmp_path), "mu", "A", "2", "--cutoff", "6", "--x", "0", "--y", "5"]
+    assert run_cli(*mu[2:], cache=tmp_path).returncode == 0
+    for argv, loaded in (
+        ([], "[]"),
+        (mu, "[]"),  # warm
+        (["char", "A", "2", "--weight", "1,0"], "['klext.characters', 'dataclasses']"),
+        (["bounds", "A", "2", "--p", "3"],
+         "['klext.characters', 'klext.extbounds', 'dataclasses']"),
+    ):
+        res = subprocess.run([sys.executable, "-c", probe, *argv],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == f"loaded {loaded}"
+
+
+def test_repeated_table_index_exits_1(tmp_path):
+    from klext import binio
+
+    args = ("kl", "A", "1", "--cutoff", "4", "--x", "0", "--y", "8")
+    first = run_cli(*args, cache=tmp_path)
+    assert first.returncode == 0 and "0: 1" in first.stdout
+    table_file = next(tmp_path.glob("kl_*.klt"))
+    payload = bytearray(binio.read_frame(table_file, b"KLXTABLE", 2))
+    # the last row (y = 8) stores x = 0..6 and 8 as 2-byte indices, then
+    # 1-byte pool ids; x = 0 becomes a second x = 1
+    at = len(payload) - 3 * 8
+    payload[at : at + 2] = (1).to_bytes(2, "big")
+    binio.write_frame(table_file, b"KLXTABLE", 2, bytes(payload))
+    res = run_cli(*args, cache=tmp_path)
+    assert res.returncode == 1 and res.stdout == ""
+    assert "repeats an element index" in res.stderr and "Traceback" not in res.stderr
+    # rows that are not read still answer
+    assert run_cli("kl", "A", "1", "--cutoff", "4", "--x", "0", "--y", "7",
+                   cache=tmp_path).returncode == 0

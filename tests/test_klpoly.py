@@ -209,7 +209,7 @@ def test_save_load_roundtrip(tmp_path, a2_table12):
     loaded = load_table(path)
     assert loaded.filled == a2_table12.filled
     assert all(
-        loaded.rows[y] == a2_table12.rows[y] for y in range(len(a2_table12.slice))
+        loaded.rows_for(y) == a2_table12.rows_for(y) for y in range(len(a2_table12.slice))
     )
     save_table(loaded, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest1
@@ -271,3 +271,118 @@ def test_longer_table_serves_shorter_queries(tmp_path):
         for x in range(len(sl_small)):
             # indices agree because enumeration order is deterministic by shells
             assert kl_polynomial(loaded, x, y) == kl_polynomial(small, x, y)
+
+
+def test_max_mu_dominant_matches_brute_force(a2_table12, b2_table10):
+    for table in (a2_table12, b2_table10):
+        sl = table.slice
+        dom = [i for i in sl.dominant_indices() if sl.length[i] <= table.filled]
+        assert max_mu_dominant(table) == max(mu(table, x, y) for x in dom for y in dom)
+
+
+# -- rows decoded on first read --------------------------------------------------
+
+
+def _reframed(tmp_path, table, edit):
+    """Save ``table``, apply ``edit`` to its payload and frame it again, so the
+    checksum is valid and only the structure checks can catch the change."""
+    path = tmp_path / "table.klt"
+    save_table(table, path)
+    payload = bytearray(binio.read_frame(path, b"KLXTABLE", 2))
+    edit(payload)
+    binio.write_frame(path, b"KLXTABLE", 2, bytes(payload))
+    return path
+
+
+def test_loaded_rows_read_in_any_order(tmp_path, a2_table12):
+    a3 = KLTable(enumerate_slice(build_root_system("A", 3), 6))
+    a3.fill()
+    rng = random.Random(8)
+    for table in (a2_table12, a3):
+        path = tmp_path / "table.klt"
+        save_table(table, path)
+        backwards = list(range(len(table.slice)))[::-1]
+        for order in (backwards, rng.sample(backwards, len(backwards))):
+            loaded = load_table(path)
+            assert loaded.pool == table.pool and loaded.filled == table.filled
+            for y in order:
+                assert list(loaded.rows_for(y).items()) == list(table.rows_for(y).items())
+            # every row read is held as its dict alone, the arrays dropped
+            assert all(type(row) is dict for row in loaded.rows)
+
+
+def test_partly_read_table_resaves_identically(tmp_path, a2_table12):
+    path, again = tmp_path / "table.klt", tmp_path / "again.klt"
+    save_table(a2_table12, path)
+    loaded = load_table(path)
+    for y in range(0, len(loaded.slice), 3):
+        loaded.rows_for(y)
+    assert mu(loaded, 0, len(loaded.slice) - 1) == mu(a2_table12, 0, len(loaded.slice) - 1)
+    save_table(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_last_row_out_of_range_rejected_at_load(tmp_path, a2_table12):
+    sl = a2_table12.slice
+    n_pool = len(a2_table12.pool)
+    k = len(a2_table12.rows_for(len(sl) - 1))
+    # the payload ends with the last row's k element indices, 2 bytes each,
+    # then its k pool ids, 1 byte each
+    assert len(sl) <= 1 << 16 and n_pool < 1 << 8
+    last_x, last_id = -3 * k + 2 * (k - 1), -1
+
+    def setting(at, value, width):
+        def edit(payload):
+            payload[len(payload) + at : len(payload) + at + width] = value.to_bytes(width, "big")
+        return edit
+
+    for edit in (setting(last_x, len(sl), 2), setting(last_id, n_pool, 1)):
+        with pytest.raises(CacheFormatError, match="out of range"):
+            load_table(_reframed(tmp_path, a2_table12, edit))
+    # the unaltered re-framing loads
+    loaded = load_table(_reframed(tmp_path, a2_table12, lambda payload: None))
+    assert loaded.rows_for(len(sl) - 1) == a2_table12.rows_for(len(sl) - 1)
+
+
+def test_repeated_row_index_rejected(tmp_path):
+    table = KLTable(enumerate_slice(build_root_system("A", 1), 4))
+    table.fill()
+    y = len(table.slice) - 1
+    k = len(table.rows_for(y))
+    assert list(table.rows_for(y))[:2] == [0, 1]
+
+    def edit(payload):
+        at = len(payload) - 3 * k  # the last row's element indices
+        payload[at : at + 2] = (1).to_bytes(2, "big")  # x = 1 twice, x = 0 never
+
+    loaded = load_table(_reframed(tmp_path, table, edit))
+    assert kl_polynomial(loaded, 0, y - 1) == ONE
+    with pytest.raises(CacheFormatError, match=f"row {y} repeats an element index"):
+        kl_polynomial(loaded, 0, y)
+
+
+def test_loaded_partial_table_resumes_fill(tmp_path, a2_table12):
+    part = KLTable(a2_table12.slice)
+    part.fill(upto=6)
+    path = tmp_path / "part.klt"
+    save_table(part, path)
+    loaded = load_table(path)
+    assert loaded.filled == 6
+    loaded.fill()
+    assert loaded.filled == a2_table12.filled and loaded.pool == a2_table12.pool
+    assert all(loaded.rows_for(y) == a2_table12.rows_for(y) for y in range(len(a2_table12.slice)))
+
+
+def test_wide_pool_ids_roundtrip(tmp_path, a2_table12):
+    # a pool padded past 2^8 and 2^16 entries stores its ids in 2 and 4 bytes
+    path = tmp_path / "wide.klt"
+    sl = a2_table12.slice
+    for extra in (1 << 8, 1 << 16):
+        wide = KLTable(sl)
+        wide.rows = [a2_table12.rows_for(y) for y in range(len(sl))]
+        wide.pool = a2_table12.pool + [(2, i) for i in range(extra)]  # never a KL value
+        wide.filled = a2_table12.filled
+        save_table(wide, path)
+        loaded = load_table(path, sl)
+        assert loaded.pool == wide.pool
+        assert all(loaded.rows_for(y) == wide.rows[y] for y in range(len(sl)))

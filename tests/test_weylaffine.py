@@ -18,14 +18,11 @@ from klext.weylaffine import (
     check_cap,
     dot_action,
     element_length,
-    enumerate_slice,
     factorize_weight,
     facet_generators,
     generators,
     identity,
-    is_dominant_element,
     is_interior_fundamental,
-    load_slice,
     longest_finite_element,
     make_element,
     multiply,
@@ -34,6 +31,33 @@ from klext.weylaffine import (
     save_slice,
     stabilizer_order,
 )
+from klext.weylaffine import enumerate_slice as _enumerate_slice
+from klext.weylaffine import load_slice as _load_slice
+
+
+def is_dominant_element(rs, g):
+    """Whether g . C^- + rho lies in the dominant cone (independent of level):
+    the oracle for ``GroupSlice.dominant``, from the normal form alone."""
+    h = rs.coxeter_number
+    wrho = tuple(sum(row) for row in g.wmat)
+    mu_wt = rs.rt_to_wt(g.mu)
+    vals = [h * mu_wt[i] - wrho[i] for i in range(rs.rank)]
+    assert 0 not in vals, "alcove interior point on a chamber wall"
+    return min(vals) > 0
+
+
+def _dominance_checked(sl):
+    assert sl.dominant == [is_dominant_element(sl.rs, g) for g in sl.elements]
+    return sl
+
+
+# every slice this file enumerates or loads has its dominance flags checked
+def enumerate_slice(*args, **kwargs):
+    return _dominance_checked(_enumerate_slice(*args, **kwargs))
+
+
+def load_slice(path):
+    return _dominance_checked(_load_slice(path))
 
 
 # -- symbolic affine-map oracle -------------------------------------------------
@@ -241,7 +265,8 @@ def enumerate_by_multiply(rs, cutoff, affine=True):
                 index[g.key()] = len(elements)
                 elements.append(g)
         right.extend([index.get(p.key(), -1) for p in row] for row in prods)
-    return GroupSlice(rs, cutoff, affine, elements, right)
+    return GroupSlice(rs, cutoff, affine, elements, right,
+                      [is_dominant_element(rs, g) for g in elements])
 
 
 SIGN_WALK_CASES = [("A", 2, 12, True), ("A", 3, 8, True), ("B", 3, 6, True),
@@ -350,9 +375,10 @@ def test_forged_slices_rejected(tmp_path):
     b2 = build_root_system("B", 2)
     full = enumerate_slice(b2, b2.num_positive, affine=False)
     for forged in (
-        GroupSlice(rs, 6, True, moved, sl.right),
-        GroupSlice(rs, 6, True, [sl.elements[old] for old in perm], relabelled),
-        GroupSlice(b2, b2.num_positive - 1, False, full.elements, full.right),
+        GroupSlice(rs, 6, True, moved, sl.right, sl.dominant),
+        GroupSlice(rs, 6, True, [sl.elements[old] for old in perm], relabelled,
+                   [sl.dominant[old] for old in perm]),
+        GroupSlice(b2, b2.num_positive - 1, False, full.elements, full.right, full.dominant),
     ):
         path = tmp_path / "forged.slc"
         save_slice(forged, path)
