@@ -284,9 +284,9 @@ def chi_kl(rs: RootSystemData, lam: Weight, l: int, table: KLTable) -> KLCharact
             f"{lam} is l-singular at l={l}; singular data is reached via "
             "translation (see extbounds.singular_ext1_report)"
         )
-    g, lam_minus = factorize_weight(rs, lam, l)
+    word, lam_minus = factorize_weight(rs, lam, l)
     sl = table.slice
-    w = sl.element_index(g)
+    w = sl.follow(word)
     if sl.length[w] > table.filled:
         raise SliceCoverageError(
             f"KL table filled to length {table.filled}, element has length "
@@ -360,22 +360,22 @@ class DecompositionMatrix:
 def linkage_block(rs: RootSystemData, seed: Weight, l: int, bound: Weight,
                   table: KLTable):
     """Dominant weights linked to seed inside the ideal {nu <= bound}, with
-    their group elements, ordered by (length, normal form)."""
+    their element indices, in index order: by (length, normal form)."""
     _, lam_minus = factorize_weight(rs, seed, l)
     sl = table.slice
     members = []
     for mu in dominant_weights_below(rs, bound):
-        g, lm = factorize_weight(rs, mu, l)
+        word, lm = factorize_weight(rs, mu, l)
         if lm != lam_minus:
             continue
-        idx = sl.element_index(g)
+        idx = sl.follow(word)
         if sl.length[idx] > table.filled:
             raise SliceCoverageError(
                 f"block member {mu} needs table filled to length {sl.length[idx]}"
             )
-        members.append((sl.length[idx], sl.elements[idx].key(), mu, idx))
+        members.append((idx, mu))
     members.sort()
-    return lam_minus, [(mu, idx) for _, _, mu, idx in members]
+    return lam_minus, [(mu, idx) for idx, mu in members]
 
 
 def decomposition_matrix(rs: RootSystemData, seed: Weight, l: int,

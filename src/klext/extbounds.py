@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .characters import decomposition_matrix, linkage_block
+from .characters import decomposition_matrix, dominant_representative, linkage_block
 from .errors import InvalidSystemError, InvariantViolation, LevelWarning, SliceCoverageError
 from .klpoly import (
     KLTable,
@@ -42,17 +42,7 @@ from .rootsys import (
     is_dominant,
     kostant_partition,
 )
-from .weylaffine import (
-    GroupSlice,
-    facet_generators,
-    factorize_weight,
-    generators,
-    identity,
-    is_interior_fundamental,
-    longest_finite_element,
-    multiply,
-    _matvec,
-)
+from .weylaffine import GroupSlice, facet_generators, factorize_weight, is_interior_fundamental
 
 
 @dataclass
@@ -174,12 +164,12 @@ def ext1_deltared_costandard(ctx: BlockContext, lam: Weight, nu: Weight) -> int:
             raise InvalidSystemError(
                 f"weight {wt} is l-singular; use singular_ext1_report"
             )
-    g_lam, lm_lam = factorize_weight(rs, lam, ctx.l)
-    g_nu, lm_nu = factorize_weight(rs, nu, ctx.l)
+    w_word, lm_lam = factorize_weight(rs, lam, ctx.l)
+    y_word, lm_nu = factorize_weight(rs, nu, ctx.l)
     if lm_lam != lm_nu:
         return 0
-    w = ctx.slice.element_index(g_lam)
-    y = ctx.slice.element_index(g_nu)
+    w = ctx.slice.follow(w_word)
+    y = ctx.slice.follow(y_word)
     if y not in ctx.table.rows_for(w):  # support = Bruhat ideal of w
         return 0
     return mu(ctx.table, y, w)
@@ -188,13 +178,13 @@ def ext1_deltared_costandard(ctx: BlockContext, lam: Weight, nu: Weight) -> int:
 def ext1_weights(ctx: BlockContext, lam: Weight, nu: Weight) -> int:
     """dim Ext^1(L(lam), L(nu)) for regular dominant weights, 0 across blocks."""
     rs = ctx.rs
-    g_lam, lm_lam = factorize_weight(rs, lam, ctx.l)
-    g_nu, lm_nu = factorize_weight(rs, nu, ctx.l)
+    w_word, lm_lam = factorize_weight(rs, lam, ctx.l)
+    y_word, lm_nu = factorize_weight(rs, nu, ctx.l)
     if lm_lam != lm_nu:
         return 0
     if not (is_interior_fundamental(rs, lm_lam, ctx.l)):
         raise InvalidSystemError("weights are l-singular; use singular_ext1_report")
-    return mu(ctx.table, ctx.slice.element_index(g_lam), ctx.slice.element_index(g_nu))
+    return mu(ctx.table, ctx.slice.follow(w_word), ctx.slice.follow(y_word))
 
 
 @dataclass
@@ -228,34 +218,32 @@ def singular_ext1_report(ctx: BlockContext, lam: Weight, nu: Weight) -> Singular
         )
     if not is_dominant(lam) or not is_dominant(nu):
         raise InvalidSystemError("weights must be dominant")
-    g, lam_minus = factorize_weight(rs, lam, ctx.l)
+    g_word, lam_minus = factorize_weight(rs, lam, ctx.l)
     fixing = facet_generators(rs, lam_minus, ctx.l)
-    gens = generators(rs, affine=True)
-    # enumerate the finite parabolic W_J
-    e = identity(rs)
-    group = {e.key(): e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for t in fixing:
-                p = multiply(rs, a, gens[t])
-                if p.key() not in group:
-                    group[p.key()] = p
-                    nxt.append(p)
-        frontier = nxt
-    stab_order = len(group)
+    sl = ctx.slice
+    y_word, _ = factorize_weight(rs, nu, ctx.l)
+    y = sl.follow(y_word)
+    y_par = sl.length[y] % 2
 
-    g_nu, _ = factorize_weight(rs, nu, ctx.l)
-    y = ctx.slice.element_index(g_nu)
-    y_par = ctx.slice.length[y] % 2
+    # the coset g W_J, closed under the facet's generators from g: g is its
+    # longest element, so every member lies in the slice when g does
+    stack = [sl.follow(g_word)]
+    coset = set(stack)
+    while stack:
+        i = stack.pop()
+        for t in fixing:
+            j = sl.right[i][t]
+            if j == -1:
+                raise InvariantViolation(f"coset member {i} times generator {t} left the slice")
+            if j not in coset:
+                coset.add(j)
+                stack.append(j)
+    stab_order = len(coset)
 
     terms = []
     total = 0
-    for member in group.values():
-        v = multiply(rs, g, member)
-        vi = ctx.slice.element_index(v)
-        if ctx.slice.length[vi] % 2 == y_par:
+    for vi in sorted(coset):
+        if sl.length[vi] % 2 == y_par:
             continue  # same parity as nu: these sections contribute nothing
         val = mu(ctx.table, vi, y)
         terms.append((vi, val))
@@ -263,8 +251,7 @@ def singular_ext1_report(ctx: BlockContext, lam: Weight, nu: Weight) -> Singular
 
     kept = len(terms)
     bound = (stab_order // 2) * mu_bound(rs)
-    return SingularReport(tuple(lam), tuple(nu), stab_order, kept, total, bound,
-                          sorted(terms))
+    return SingularReport(tuple(lam), tuple(nu), stab_order, kept, total, bound, terms)
 
 
 # -- projective covers ---------------------------------------------------------
@@ -297,9 +284,12 @@ def pim_length(ctx: BlockContext, lam0: Weight, bound: Weight | None = None) -> 
     flags = classify_weight(rs, lam0, l)
     if not flags["restricted_1l"]:
         raise InvalidSystemError(f"{lam0} is not l-restricted at l={l}")
-    w0 = longest_finite_element(rs)
-    w0lam = _matvec(w0.wmat, lam0)
-    hw = tuple(2 * (l - 1) + v for v in w0lam)
+    # w0 is linear and sends the fundamental weight omega_i to
+    # -dominant(-omega_i); neg_w0[i] = -w0(omega_i)
+    neg_w0 = [dominant_representative(rs, tuple(-int(i == j) for j in range(rs.rank)))
+              for i in range(rs.rank)]
+    hw = tuple(2 * (l - 1) - sum(c * img[k] for c, img in zip(lam0, neg_w0))
+               for k in range(rs.rank))
     if not is_dominant(hw):
         raise InvariantViolation(f"2(l-1)rho + w0({lam0}) = {hw} is not dominant")
     if bound is None:

@@ -3,10 +3,7 @@
 Group elements are pairs (w, mu) in W x Q acting on the Euclidean space by
 u |-> w(u) + mu in the rho-shifted coordinates (so the "dot" action
 w.x = w(x+rho) - rho becomes linear). The finite part w is stored as its
-integer matrix on fundamental-weight coordinates; its action on simple-root
-coordinates is derived from it once per finite part (``root_action``).
-Composition is (g*h)(u) = g(h(u)), giving the
-semidirect-product law (w1, m1)(w2, m2) = (w1 w2, m1 + w1(m2)).
+integer matrix on fundamental-weight coordinates.
 
 Bounded-length slices are enumerated shell by shell by descent signs
 (``_SignWalk``): one pairing per element and generator decides whether the
@@ -14,11 +11,12 @@ product goes up or down, and only the upward products are computed. They
 give both the next shell and the right-multiplication table. ``GroupSlice``
 is the plain record of that walk; the slice file (format version 2) stores
 it whole, table included, and loading checks it by the same walk.
-``element_length`` counts, in integer arithmetic, the hyperplanes that
-separate the fundamental alcove (bounded by the walls (u, alpha_i^vee) = 0
-and (u, alpha_0^vee) = -1, with interior point -rho/h) from its image: it
-gives the lengths of ``generators`` and ``multiply``, and is the tests'
-oracle for the walk.
+
+A weight factorizes through the closed fundamental alcove as a reduced word
+in the generators (``factorize_weight``), by weight arithmetic alone;
+``GroupSlice.follow`` resolves the word to an element index through the
+right table, one lookup per letter. After the enumeration, the right table
+is the only group arithmetic.
 
 Level-l data never enters the group structure: scaling s_{alpha,n} to
 s_{alpha,nl} is the isomorphism applied pointwise in ``dot_action``, so a
@@ -28,8 +26,6 @@ GroupSlice is reusable for every l.
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
-from math import factorial
 from operator import mul, sub
 
 from . import binio
@@ -40,7 +36,7 @@ from .errors import (
     ResourceCapError,
     SliceCoverageError,
 )
-from .rootsys import RootSystemData, _int_det, build_root_system, integral, solve
+from .rootsys import RootSystemData, build_root_system
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -51,32 +47,6 @@ def _identity_matrix(n: int) -> IntMatrix:
 
 def _matvec(m: IntMatrix, v) -> tuple[int, ...]:
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
-
-
-def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(arow[k] * bcol[k] for k in range(n)) for bcol in bt) for arow in a
-    )
-
-
-_root_action_cache: dict[RootSystemData, dict[IntMatrix, IntMatrix]] = {}
-
-
-def root_action(rs: RootSystemData, wmat: IntMatrix) -> IntMatrix:
-    """The finite part on simple-root coordinates: R = B^-1 W B, B = cartan^T.
-
-    B maps root to weight coordinates, so W B = B R; memoised per finite part.
-    """
-    cache = _root_action_cache.get(rs)
-    if cache is None:
-        cache = _root_action_cache[rs] = {}
-    got = cache.get(wmat)
-    if got is None:
-        b = tuple(zip(*rs.cartan))
-        got = cache[wmat] = integral(solve(b, _matmul(wmat, b)), "root action")
-    return got
 
 
 class AffineElement:
@@ -93,71 +63,12 @@ class AffineElement:
         """Canonical sort/identity key: the normal form itself."""
         return (self.wmat, self.mu)
 
-    def __eq__(self, other):
-        return isinstance(other, AffineElement) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         return f"AffineElement(mu={self.mu}, len={self.length})"
 
 
-def element_length(rs: RootSystemData, wmat: IntMatrix, mu) -> int:
-    """Separating-hyperplane count between the fundamental alcove and its image."""
-    h = rs.coxeter_number
-    wrho = tuple(sum(row) for row in wmat)  # w(rho): rho is the all-ones vector
-    total = 0
-    for a in range(rs.num_positive):
-        avee_r = rs.avee_rt[a]
-        avee_w = rs.avee_wt[a]
-        num = h * sum(avee_r[j] * mu[j] for j in range(rs.rank)) - sum(
-            avee_w[k] * wrho[k] for k in range(rs.rank)
-        )
-        # the image of the interior point -rho/h never sits on a wall
-        if num % h == 0:
-            raise InvariantViolation("alcove interior point landed on a hyperplane")
-        total += abs(num // h + 1)
-    return total
-
-
-def make_element(rs: RootSystemData, wmat: IntMatrix, mu) -> AffineElement:
-    mu = tuple(mu)
-    return AffineElement(wmat, mu, element_length(rs, wmat, mu))
-
-
 def identity(rs: RootSystemData) -> AffineElement:
     return AffineElement(_identity_matrix(rs.rank), (0,) * rs.rank, 0)
-
-
-def reflection(rs: RootSystemData, rt, n: int = 0) -> AffineElement:
-    """The affine reflection in the hyperplane (u, alpha^vee) = n."""
-    idx, sign = rs.root_index(rt)
-    root_rt = rs.positive_roots[idx]
-    root_wt = rs.pos_roots_wt[idx]
-    avee_w = rs.avee_wt[idx]
-    r = rs.rank
-    wmat = tuple(
-        tuple(int(j == k) - root_wt[j] * avee_w[k] for k in range(r)) for j in range(r)
-    )
-    mu = tuple(n * sign * c for c in root_rt)
-    return make_element(rs, wmat, mu)
-
-
-def generators(rs: RootSystemData, affine: bool = True) -> list[AffineElement]:
-    """Simple reflections, plus s_{alpha_0,-1} when affine."""
-    simple = [
-        tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
-    ]
-    gens = [reflection(rs, rt, 0) for rt in simple]
-    if affine:
-        gens.append(reflection(rs, rs.max_short_root, -1))
-    return gens
-
-
-def multiply(rs: RootSystemData, g: AffineElement, h: AffineElement) -> AffineElement:
-    mu = tuple(a + b for a, b in zip(g.mu, _matvec(root_action(rs, g.wmat), h.mu)))
-    return make_element(rs, _matmul(g.wmat, h.wmat), mu)
 
 
 def dot_action(rs: RootSystemData, g: AffineElement, x, l: int = 1) -> tuple[int, ...]:
@@ -170,21 +81,6 @@ def dot_action(rs: RootSystemData, g: AffineElement, x, l: int = 1) -> tuple[int
     return tuple(img[i] + l * mu_wt[i] - 1 for i in range(rs.rank))
 
 
-def longest_finite_element(rs: RootSystemData) -> AffineElement:
-    """w_0, built by sorting rho into the antidominant chamber."""
-    gens = generators(rs, affine=False)
-    v = list(rs.rho)
-    out = identity(rs)
-    while True:
-        for i in range(rs.rank):
-            if v[i] > 0:
-                v = list(_matvec(gens[i].wmat, v))
-                out = multiply(rs, out, gens[i])
-                break
-        else:
-            return out
-
-
 # -- bounded-length enumeration ---------------------------------------------
 
 
@@ -194,8 +90,9 @@ class GroupSlice:
     Index order is by length shell, then by the lexicographic normal form
     (finite-part matrix, translation); index 0 is the identity. The
     right-multiplication table ``right`` maps (element, generator) -> index,
-    with -1 for products that leave the slice; generator t is
-    ``generators(rs, affine)[t]``. ``dominant[i]`` says whether element i
+    with -1 for products that leave the slice; generator t < rank is the
+    simple reflection s_t and, in an affine slice, generator rank is
+    s_{alpha_0,-1}. ``dominant[i]`` says whether element i
     maps the fundamental alcove into the dominant cone (g . C^- + rho
     dominant, at every level). A slice is a plain record: it is built by
     ``enumerate_slice`` or ``load_slice``, which supply the table and the
@@ -209,7 +106,6 @@ class GroupSlice:
         self.cutoff = cutoff
         self.affine = affine
         self.elements = elements
-        self.index = {g.key(): i for i, g in enumerate(elements)}
         self.length = [g.length for g in elements]
         self.right = right
         self.dominant = dominant
@@ -226,14 +122,19 @@ class GroupSlice:
                     f"element index {i} out of range: the slice has indices 0..{n - 1}"
                 )
 
-    def element_index(self, g: AffineElement) -> int:
-        try:
-            return self.index[g.key()]
-        except KeyError:
-            raise SliceCoverageError(
-                f"element of length {g.length} outside slice; "
-                f"enlarge cutoff to at least {g.length}"
-            )
+    def follow(self, word) -> int:
+        """The index of the product of a reduced word's generators, one
+        right-table lookup per letter from the identity."""
+        i = 0
+        for t in word:
+            row = self.right[i]
+            i = row[t] if t < len(row) else -1
+            if i == -1:
+                raise SliceCoverageError(
+                    f"element of length {len(word)} outside slice; "
+                    f"enlarge cutoff to at least {len(word)}"
+                )
+        return i
 
     def shell(self, n: int) -> list[int]:
         return [i for i, ln in enumerate(self.length) if ln == n]
@@ -396,108 +297,6 @@ def check_cap(sl: GroupSlice, max_elements: int | None) -> None:
         raise ResourceCapError(_CAP_MESSAGE.format(max_elements, sl.length[first_over]))
 
 
-# -- point stabilizers --------------------------------------------------------
-
-
-def _reflection_subgroup_order(rs: RootSystemData, psi_indices: list[int]) -> int:
-    """Order of the reflection group generated by a self-closed set of roots."""
-    if not psi_indices:
-        return 1
-    psi_rts = [rs.positive_roots[a] for a in psi_indices]
-    psi_set = set(psi_rts)
-
-    def reflect(gamma, beta_idx):
-        beta = rs.positive_roots[beta_idx]
-        pair = sum(rs.avee_rt[beta_idx][j] * gamma[j] for j in range(rs.rank))
-        return tuple(g - pair * b for g, b in zip(gamma, beta))
-
-    # simple system: beta whose reflection permutes the other positives
-    simples = []
-    for a in psi_indices:
-        beta = rs.positive_roots[a]
-        ok = True
-        for gamma in psi_rts:
-            if gamma == beta:
-                continue
-            img = reflect(gamma, a)
-            if any(c < 0 for c in img):
-                ok = False
-                break
-            if img not in psi_set:
-                raise InvariantViolation("root set not closed under its reflections")
-        if ok:
-            simples.append(a)
-
-    # split into irreducible components by Cartan coupling
-    k = len(simples)
-    coupling = [
-        [
-            sum(rs.avee_rt[simples[j]][t] * rs.positive_roots[simples[i]][t]
-                for t in range(rs.rank))
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    comp_of = [-1] * k
-    ncomp = 0
-    for i in range(k):
-        if comp_of[i] != -1:
-            continue
-        stack = [i]
-        comp_of[i] = ncomp
-        while stack:
-            a = stack.pop()
-            for b in range(k):
-                if comp_of[b] == -1 and coupling[a][b] != 0:
-                    comp_of[b] = ncomp
-                    stack.append(b)
-        ncomp += 1
-
-    order = 1
-    for comp in range(ncomp):
-        members = [i for i in range(k) if comp_of[i] == comp]
-        # the component's simple roots are the columns of the basis matrix
-        basis = tuple(zip(*(rs.positive_roots[simples[i]] for i in members)))
-        cartan_sub = [[coupling[i][j] for j in members] for i in members]
-        # expand each subsystem root in the component basis; the highest one
-        # (max coefficient sum) plays the role of the highest root
-        best = None
-        for gamma in psi_rts:
-            coeffs = solve(basis, [[c] for c in gamma])
-            if coeffs is None:
-                continue
-            coeffs = [c for (c,) in coeffs]
-            if any(c < 0 for c in coeffs):
-                continue
-            if best is None or sum(coeffs) > sum(best):
-                best = coeffs
-        if best is None:
-            raise InvariantViolation("root subsystem component has no highest root")
-        prod = 1
-        for c in integral([best], "highest root expansion")[0]:
-            prod *= c
-        order *= _int_det(cartan_sub) * factorial(len(members)) * prod
-    return order
-
-
-def stabilizer_order(rs: RootSystemData, x, l: int = 1) -> int:
-    """Order of the dot-action point stabilizer of x in the level-l group.
-
-    x may have Fraction or integer coordinates (fundamental basis). The
-    stabilizer is the reflection group generated by the affine reflections
-    through x, read off from the pairings (x+rho, alpha^vee) mod l.
-    """
-    if l < 1:
-        raise InvalidSystemError("level l must be a positive integer")
-    v = tuple(Fraction(c) + 1 for c in x)
-    psi = []
-    for a in range(rs.num_positive):
-        val = sum(Fraction(rs.avee_wt[a][kk]) * v[kk] for kk in range(rs.rank))
-        if val.denominator == 1 and int(val) % l == 0:
-            psi.append(a)
-    return _reflection_subgroup_order(rs, psi)
-
-
 def facet_generators(rs: RootSystemData, lam_minus, l: int) -> list[int]:
     """Indices of the fundamental-alcove generators fixing lam_minus (dot, level l)."""
     v = tuple(c + 1 for c in lam_minus)
@@ -517,64 +316,60 @@ def is_interior_fundamental(rs: RootSystemData, lam, l: int) -> bool:
 
 
 def factorize_weight(rs: RootSystemData, lam, l: int):
-    """Unique (g, lam_minus) with g ._l lam_minus = lam, lam_minus in the
-    closed fundamental alcove, and g of maximal length in g * Stab(lam_minus).
+    """(word, lam_minus): a reduced word, in the generator ids of
+    ``GroupSlice``, of the unique g with g ._l lam_minus = lam, lam_minus in
+    the closed fundamental alcove and g of maximal length in
+    g * Stab(lam_minus).
 
-    The maximal-length convention makes g the dominant-coset representative
-    whenever lam is dominant, so factorization is compatible with indexing
-    regular dominant weights by dominant group elements.
+    The word first reflects lam + rho across a wall of the fundamental
+    alcove that strictly separates it from the alcove, the first simple wall
+    and otherwise the level-l wall of alpha_0, until none does. Each step
+    removes one separating hyperplane, so the word is reduced and spells the
+    minimal element g^J of the coset (Humphreys, Reflection Groups and
+    Coxeter Groups, 4.5). Then follows a reduced word of the longest element
+    w_J of the facet's parabolic subgroup, read off the descent signs; the
+    longest element of the coset is g^J w_J, and the lengths add (Bjorner-
+    Brenti, Combinatorics of Coxeter Groups, 2.4). The maximal-length
+    convention makes g the dominant-coset representative whenever lam is
+    dominant, so factorization is compatible with indexing regular dominant
+    weights by dominant group elements.
     """
     if l < 1:
         raise InvalidSystemError("level l must be a positive integer")
-    gens = generators(rs, affine=True)
     a0 = rs._max_short_index
+    coroot0, root0 = rs.avee_wt[a0], rs.pos_roots_wt[a0]
     v = [c + 1 for c in lam]
-    g = identity(rs)
-    guard = 0
-    while True:
-        guard += 1
-        if guard >= 100000:
-            raise InvariantViolation("alcove reduction failed to terminate")
-        for i in range(rs.rank):
-            if v[i] > 0:
-                v = list(_matvec(gens[i].wmat, v))
-                g = multiply(rs, g, gens[i])
-                break
+    word = []
+    for _ in range(99999):
+        i = next((i for i, c in enumerate(v) if c > 0), None)
+        if i is not None:
+            # s_i: v - v_i alpha_i, with alpha_i = row i of the Cartan matrix
+            vi = v[i]
+            v = [x - vi * a for x, a in zip(v, rs.cartan[i])]
         else:
-            pair0 = sum(rs.avee_wt[a0][k] * v[k] for k in range(rs.rank))
-            if pair0 < -l:
-                # apply the level-scaled affine generator s_{alpha_0,-l}
-                shift = pair0 + l
-                root_wt = rs.pos_roots_wt[a0]
-                v = [v[k] - shift * root_wt[k] for k in range(rs.rank)]
-                g = multiply(rs, g, gens[rs.rank])
-            else:
+            # the level-scaled affine generator s_{alpha_0,-l}
+            shift = sum(map(mul, coroot0, v)) + l
+            if shift >= 0:
                 break
+            v = [x - shift * a for x, a in zip(v, root0)]
+            i = rs.rank
+        word.append(i)
+    else:
+        raise InvariantViolation("alcove reduction failed to terminate")
     lam_minus = tuple(c - 1 for c in v)
 
     fixing = facet_generators(rs, lam_minus, l)
     if fixing:
-        sub = [gens[t] for t in fixing]
-        # minimal coset representative, then append the longest parabolic element
-        changed = True
-        while changed:
-            changed = False
-            for s in sub:
-                cand = multiply(rs, g, s)
-                if cand.length < g.length:
-                    g = cand
-                    changed = True
-        w_long = identity(rs)
-        changed = True
-        while changed:
-            changed = False
-            for s in sub:
-                cand = multiply(rs, w_long, s)
-                if cand.length > w_long.length:
-                    w_long = cand
-                    changed = True
-        g = multiply(rs, g, w_long)
-    return g, lam_minus
+        walk = _SignWalk(rs, True)
+        q = walk.origin
+        while True:
+            vals = walk.values(q)
+            t = next((t for t in fixing if vals[t] > 0), None)
+            if t is None:
+                break
+            q = walk.reflect(q, vals[t], t)
+            word.append(t)
+    return word, lam_minus
 
 
 # -- slice persistence --------------------------------------------------------
@@ -611,7 +406,8 @@ def save_slice(sl: GroupSlice, path) -> None:
 def load_slice(path) -> GroupSlice:
     """Read a slice and check it by the enumeration's own walk.
 
-    Index 0 must be the identity with length 0. The check then visits the
+    The elements must come in index order, by length and then normal form,
+    and index 0 must be the identity with length 0. The check then visits the
     elements in index order, each reached from an earlier one, with its q.
     Per table entry (i, t), the descent sign of t at q(i) decides: an upward
     entry is -1 exactly on the top shell, and otherwise leads to an element
@@ -641,7 +437,11 @@ def load_slice(path) -> GroupSlice:
         wi, mu, ln = ints[o], ints[o + 1 : o + esize - 1], ints[o + esize - 1]
         if not 0 <= wi < n_w:
             raise CacheFormatError(f"{path}: finite part id {wi} out of range")
-        elements.append(AffineElement(wmats[wi], mu, ln))
+        g = AffineElement(wmats[wi], mu, ln)
+        if elements and (elements[-1].length, elements[-1].key()) >= (ln, g.key()):
+            raise CacheFormatError(
+                f"{path}: element {len(elements)} is out of (length, normal form) order")
+        elements.append(g)
     right = [list(flat[i : i + k]) for i in range(0, len(flat), k)]
     walk = _SignWalk(rs, bool(aff))
     ident = identity(rs)

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from groupmul import _matmul, generators
 from klext.characters import (
     chi_kl,
     decomposition_matrix,
@@ -18,7 +19,7 @@ from klext.characters import (
 )
 from klext.errors import InvalidSystemError, SliceCoverageError
 from klext.rootsys import build_root_system, dominance_leq, is_dominant, kostant_partition
-from klext.weylaffine import _matmul, _matvec, enumerate_slice, generators, identity
+from klext.weylaffine import _matvec, enumerate_slice, identity
 
 
 def full_expansion(char):

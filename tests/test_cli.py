@@ -104,6 +104,16 @@ def test_ext_and_pim(tmp_path):
     assert data["total_length"] == 3 and data["highest_weight_check"]
 
 
+def test_ext1_above_cutoff():
+    args = ("ext1", "A", "1", "--cutoff", "4", "--l", "3", "--lam", "40")
+    res = run_cli(*args, "--nu", "0")
+    assert res.returncode == 1
+    assert res.stderr.strip().splitlines()[-1] == (
+        "error: element of length 14 outside slice; enlarge cutoff to at least 14")
+    res = run_cli(*args, "--nu", "1")  # unlinked: 0 whatever the cutoff
+    assert res.returncode == 0 and "value: 0" in res.stdout.splitlines()
+
+
 def test_decomp_csv(tmp_path):
     res = run_cli(
         "--format", "csv", "decomp", "A", "1", "--cutoff", "16", "--l", "3",

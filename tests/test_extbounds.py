@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from conftest import bruhat_leq
+from klext.characters import chi_kl
 from klext.errors import InvalidSystemError, SliceCoverageError
 from klext.extbounds import (
     BoundReport,
@@ -115,6 +116,23 @@ def test_deltared_costandard_routing(a1_table20):
     assert ext1_weights(ctx, (0,), (4,)) == 1
     with pytest.raises(InvalidSystemError):
         ext1_deltared_costandard(ctx, (2,), (0,))  # singular input rejected
+
+
+def test_element_above_cutoff():
+    # (40) at l = 3 has an element of length 14, over the cutoff 4
+    rs = build_root_system("A", 1)
+    table = KLTable(enumerate_slice(rs, 4))
+    table.fill()
+    ctx = ctx_for(table, 3)
+    message = "element of length 14 outside slice; enlarge cutoff to at least 14"
+    for call in (lambda: ext1_deltared_costandard(ctx, (40,), (0,)),
+                 lambda: ext1_weights(ctx, (40,), (0,)),
+                 lambda: chi_kl(rs, (40,), 3, table)):
+        with pytest.raises(SliceCoverageError, match=message):
+            call()
+    # unlinked: 0 before any slice lookup
+    assert ext1_deltared_costandard(ctx, (40,), (1,)) == 0
+    assert ext1_weights(ctx, (40,), (1,)) == 0
 
 
 def test_singular_report(a1_table20):

@@ -6,9 +6,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import bruhat_leq
+from groupmul import (
+    coset,
+    element_length,
+    factorize_by_multiply,
+    generators,
+    longest_finite_element,
+    make_element,
+    multiply,
+    reflection,
+    root_action,
+)
 from klext import binio
 from klext.errors import CacheFormatError, ResourceCapError, SliceCoverageError
-from klext.klpoly import KLTable
+from klext.extbounds import make_block_context, singular_ext1_report
+from klext.klpoly import KLTable, mu
 from klext.rootsys import build_root_system, classify_weight, integral, solve
 from klext.weylaffine import (
     AffineElement,
@@ -17,19 +29,11 @@ from klext.weylaffine import (
     _matvec,
     check_cap,
     dot_action,
-    element_length,
     factorize_weight,
     facet_generators,
-    generators,
     identity,
     is_interior_fundamental,
-    longest_finite_element,
-    make_element,
-    multiply,
-    reflection,
-    root_action,
     save_slice,
-    stabilizer_order,
 )
 from klext.weylaffine import enumerate_slice as _enumerate_slice
 from klext.weylaffine import load_slice as _load_slice
@@ -138,10 +142,11 @@ def test_inverse_and_associativity_random():
     e = identity(a2)
     for _ in range(10000):
         x, y, z = (rng.choice(sl.elements) for _ in range(3))
-        assert multiply(a2, multiply(a2, x, y), z) == multiply(a2, x, multiply(a2, y, z))
+        assert (multiply(a2, multiply(a2, x, y), z).key()
+                == multiply(a2, x, multiply(a2, y, z)).key())
     for _ in range(200):
         x = rng.choice(sl.elements)
-        assert multiply(a2, x, inverse(a2, x)) == e
+        assert multiply(a2, x, inverse(a2, x)).key() == e.key()
 
 
 def test_root_action_intertwines_weight_action():
@@ -183,9 +188,10 @@ def test_right_table_matches_multiply():
         rs = build_root_system(lab, rank)
         sl = enumerate_slice(rs, rs.num_positive if cutoff is None else cutoff, affine)
         gens = generators(rs, affine)
+        index = {g.key(): i for i, g in enumerate(sl.elements)}
         assert len(sl.right) == len(sl)
         for i, g in enumerate(sl.elements):
-            assert sl.right[i] == [sl.index.get(multiply(rs, g, s).key(), -1) for s in gens]
+            assert sl.right[i] == [index.get(multiply(rs, g, s).key(), -1) for s in gens]
 
 
 def test_slice_file_resaves_identically(tmp_path):
@@ -369,15 +375,22 @@ def test_forged_slices_rejected(tmp_path):
     # index 1 and the last index swapped: a top-shell element comes before
     # every element below it
     perm = [0, n - 1, *range(2, n - 1), 1]
-    back = {old: new for new, old in enumerate(perm)}
-    relabelled = [[back.get(j, -1) for j in sl.right[old]] for old in perm]
+    # two elements of one length shell swapped: a consistent walk, but the
+    # indices no longer follow (length, normal form)
+    a, b = sl.shell(3)[:2]
+    swap = [b if i == a else a if i == b else i for i in range(n)]
+
+    def relabelled(perm):
+        back = {old: new for new, old in enumerate(perm)}
+        return [[back.get(j, -1) for j in sl.right[old]] for old in perm]
+
     # the whole finite group under a cutoff below its longest element
     b2 = build_root_system("B", 2)
     full = enumerate_slice(b2, b2.num_positive, affine=False)
     for forged in (
         GroupSlice(rs, 6, True, moved, sl.right, sl.dominant),
-        GroupSlice(rs, 6, True, [sl.elements[old] for old in perm], relabelled,
-                   [sl.dominant[old] for old in perm]),
+        *(GroupSlice(rs, 6, True, [sl.elements[old] for old in p], relabelled(p),
+                     [sl.dominant[old] for old in p]) for p in (perm, swap)),
         GroupSlice(b2, b2.num_positive - 1, False, full.elements, full.right, full.dominant),
     ):
         path = tmp_path / "forged.slc"
@@ -441,7 +454,7 @@ def subword_leq(sl, i, j):
         for b in range(n):
             if (mask >> b) & 1:
                 g = multiply(rs, g, gens[word[b]])
-        if g == target:
+        if g.key() == target.key():
             return True
     return False
 
@@ -485,8 +498,10 @@ def test_bruhat_outside_slice_rejected():
     a1 = build_root_system("A", 1)
     sl = enumerate_slice(a1, 4)
     big = enumerate_slice(a1, 6)
-    with pytest.raises(SliceCoverageError):
-        sl.element_index(big.elements[-1])
+    word = reduced_word(big, len(big) - 1)
+    with pytest.raises(SliceCoverageError, match="length 6 outside slice; .* at least 6"):
+        sl.follow(word)
+    assert big.follow(word) == len(big) - 1
 
 
 # -- dominance of elements -----------------------------------------------------------
@@ -594,24 +609,27 @@ def brute_stabilizer_order(rs, x, l):
     return len(seen)
 
 
-def test_stabilizer_orders():
-    rng = random.Random(5)
-    for lab, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
-        rs = build_root_system(lab, rank)
-        # interior point of the fundamental alcove: trivial stabilizer
-        interior = tuple(Fraction(-1, rs.coxeter_number) - 1 for _ in range(rank))
-        assert stabilizer_order(rs, interior, 1) == 1
-        # the dot-action origin is fixed by all of W
-        assert stabilizer_order(rs, (-1,) * rank, 1) == rs.weyl_order
-        for _ in range(25):
-            l = rng.choice([1, 2, 3])
-            x = tuple(
-                Fraction(rng.randrange(-8, 9), rng.choice([1, 2, 3]))
-                for _ in range(rank)
-            )
-            order = stabilizer_order(rs, x, l)
-            assert 1 <= order <= rs.weyl_order
-            assert order == brute_stabilizer_order(rs, x, l), (lab, x, l)
+@pytest.mark.filterwarnings("ignore::klext.errors.LevelWarning")
+def test_stabilizer_orders(a1_table20, a2_table12):
+    """The singular report's stabilizer order against the brute-force
+    stabilizer, and its terms against the coset built by multiplication."""
+    b2_table11 = KLTable(enumerate_slice(build_root_system("B", 2), 11))
+    b2_table11.fill()  # (4, 4) at l = 5 has an element of length 11
+    for table, l, lam, nu, order in [(a1_table20, 3, (2,), (0,), 2),
+                                     (a2_table12, 3, (2, 2), (0, 0), 6),
+                                     (b2_table11, 5, (4, 4), (0, 0), 8)]:
+        rs, sl = table.slice.rs, table.slice
+        ctx = make_block_context(rs, l, table)
+        rep = singular_ext1_report(ctx, lam, nu)
+        g, lam_minus = factorize_by_multiply(rs, lam, l)
+        assert rep.stabilizer_order == brute_stabilizer_order(rs, lam_minus, l) == order
+        index = {h.key(): i for i, h in enumerate(sl.elements)}
+        y = index[factorize_by_multiply(rs, nu, l)[0].key()]
+        members = [index[v.key()] for v in coset(rs, g, facet_generators(rs, lam_minus, l))]
+        assert len(members) == order
+        assert rep.terms == sorted((v, mu(table, v, y)) for v in members
+                                   if (sl.length[v] - sl.length[y]) % 2)
+        assert rep.kept_parities == len(rep.terms) and rep.mu_sum == sum(m for _, m in rep.terms)
 
 
 # -- factorization -----------------------------------------------------------------------
@@ -626,24 +644,34 @@ def in_closure_fundamental(rs, lam, l):
     return sum(rs.avee_wt[a0][k] * v[k] for k in range(rs.rank)) >= -l
 
 
-def test_factorize_roundtrip_and_conventions():
-    for lab, rank, l in [("A", 1, 3), ("A", 2, 5), ("B", 2, 7)]:
-        rs = build_root_system(lab, rank)
-        from itertools import product
+FACTORIZE_GRID = [("A", 1, 3, 9), ("A", 2, 5, 15), ("B", 2, 7, 21), ("G", 2, 7, 14),
+                  ("A", 3, 5, 5)]
 
-        for lam in product(range(3 * l), repeat=rank):
-            g, lam_minus = factorize_weight(rs, lam, l)
+
+def test_factorize_roundtrip_and_conventions():
+    """Every weight of a box factorizes to a reduced word whose slice index
+    is the element the multiplication oracle builds."""
+    from itertools import product
+
+    for lab, rank, l, box in FACTORIZE_GRID:
+        rs = build_root_system(lab, rank)
+        words = {lam: factorize_weight(rs, lam, l) for lam in product(range(box), repeat=rank)}
+        sl = enumerate_slice(rs, max(len(word) for word, _ in words.values()))
+        for lam, (word, lam_minus) in words.items():
+            i = sl.follow(word)
+            g = sl.elements[i]
+            assert sl.length[i] == len(word)  # the word is reduced
             assert in_closure_fundamental(rs, lam_minus, l)
             assert dot_action(rs, g, lam_minus, l) == tuple(lam)
             regular = classify_weight(rs, lam, l)["regular_l"]
             assert regular == is_interior_fundamental(rs, lam_minus, l)
-            # maximal length in its stabilizer coset: right multiplication by
-            # any fixing generator strictly decreases length
-            gens = generators(rs, affine=True)
-            for t in facet_generators(rs, lam_minus, l):
-                assert multiply(rs, g, gens[t]).length < g.length
+            # maximal length in its stabilizer coset: every fixing generator
+            # is a right descent
+            assert set(facet_generators(rs, lam_minus, l)) <= set(sl.right_descents(i))
             if regular:
-                assert is_dominant_element(rs, g)
+                assert sl.dominant[i]
+            oracle, oracle_minus = factorize_by_multiply(rs, lam, l)
+            assert (g.key(), lam_minus) == (oracle.key(), oracle_minus), (lab, lam, l)
 
 
 # -- enumeration ---------------------------------------------------------------------------
