@@ -81,22 +81,17 @@ def ensure_table(rs, cutoff, *, affine=True, cache_dir=None, workers=1,
     """Load the (slice, KL table) pair from cache or build and persist it.
 
     ``workers`` is accepted for compatibility and ignored: the fill is
-    sequential. A cached slice must be the requested one and a cached table
-    must match its slice (CacheFormatError otherwise); the element cap holds
-    for a cached slice as for a fresh enumeration.
+    sequential. A cached slice file must equal what the enumeration of the
+    request writes and a cached table must match its slice (CacheFormatError
+    otherwise); the element cap holds on every path, since a warm run
+    enumerates the slice too.
     """
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         slice_path, table_path = _cache_paths(cache_dir, rs, cutoff, affine)
         if os.path.exists(table_path):
             if os.path.exists(slice_path):
-                sl = weylaffine.load_slice(slice_path)
-                found = (sl.rs.type_label, sl.rs.rank, sl.affine, sl.cutoff)
-                if found != (rs.type_label, rs.rank, affine, cutoff):
-                    raise CacheFormatError(
-                        f"{slice_path}: slice of {found} does not match the request"
-                    )
-                weylaffine.check_cap(sl, max_elements)
+                sl = weylaffine.load_slice(slice_path, rs, cutoff, affine, max_elements)
             else:  # a deleted slice file is rebuilt
                 sl = weylaffine.enumerate_slice(rs, cutoff, affine, max_elements)
                 weylaffine.save_slice(sl, slice_path)

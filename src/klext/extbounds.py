@@ -70,12 +70,10 @@ class BlockContext:
                 raise InvalidSystemError(f"element {i} is not dominant")
 
 
-def make_block_context(rs: RootSystemData, l: int, table: KLTable,
-                       lam_minus: Weight | None = None) -> BlockContext:
-    """Default block: seeded at -2rho, interior of the fundamental alcove
-    exactly when l >= h."""
-    if lam_minus is None:
-        lam_minus = tuple(-2 for _ in range(rs.rank))
+def make_block_context(rs: RootSystemData, l: int, table: KLTable) -> BlockContext:
+    """The block seeded at -2rho, interior of the fundamental alcove exactly
+    when l >= h."""
+    lam_minus = (-2,) * rs.rank
     regular = is_interior_fundamental(rs, lam_minus, l)
     # quantum-parameter hygiene: the combinatorics is defined regardless,
     # so these are warnings rather than hard errors
@@ -95,7 +93,7 @@ def make_block_context(rs: RootSystemData, l: int, table: KLTable,
             LevelWarning,
             stacklevel=2,
         )
-    return BlockContext(rs, l, tuple(lam_minus), table.slice, table, regular)
+    return BlockContext(rs, l, lam_minus, table.slice, table, regular)
 
 
 # -- Ext dimensions inside a regular block -----------------------------------
@@ -270,7 +268,8 @@ class PimReport:
 
 
 def pim_length(ctx: BlockContext, lam0: Weight, bound: Weight | None = None) -> PimReport:
-    """Composition length of the projective cover of L(lam0), lam0 restricted.
+    """Composition length of the projective cover of L(lam0), lam0 dominant
+    and restricted.
 
     Multiplicities come from reciprocity: [Q(lam0) : Delta(nu)] equals the
     decomposition number [Delta(nu) : L(lam0)], summed against the standard
@@ -282,14 +281,12 @@ def pim_length(ctx: BlockContext, lam0: Weight, bound: Weight | None = None) -> 
     l = ctx.l
     lam0 = tuple(lam0)
     flags = classify_weight(rs, lam0, l)
+    if not is_dominant(lam0):
+        raise InvalidSystemError(f"{lam0} is not dominant")
     if not flags["restricted_1l"]:
         raise InvalidSystemError(f"{lam0} is not l-restricted at l={l}")
-    # w0 is linear and sends the fundamental weight omega_i to
-    # -dominant(-omega_i); neg_w0[i] = -w0(omega_i)
-    neg_w0 = [dominant_representative(rs, tuple(-int(i == j) for j in range(rs.rank)))
-              for i in range(rs.rank)]
-    hw = tuple(2 * (l - 1) - sum(c * img[k] for c, img in zip(lam0, neg_w0))
-               for k in range(rs.rank))
+    # w0(lam0) = -dominant(-lam0) for dominant lam0
+    hw = tuple(2 * (l - 1) - c for c in dominant_representative(rs, tuple(-c for c in lam0)))
     if not is_dominant(hw):
         raise InvariantViolation(f"2(l-1)rho + w0({lam0}) = {hw} is not dominant")
     if bound is None:
@@ -408,8 +405,7 @@ class BoundReport:
 
 
 def bound_constants(rs: RootSystemData, p: int, ns=(1,),
-                    table: KLTable | None = None,
-                    ms=(0, 1, 2)) -> list[BoundReport]:
+                    table: KLTable | None = None) -> list[BoundReport]:
     """Every closed-formula constant, plus empirical maxima when a table is given.
 
     Empirical rows are slice-dependent lower bounds / witnesses; the
@@ -461,7 +457,7 @@ def bound_constants(rs: RootSystemData, p: int, ns=(1,),
                 f"{prov_t}; support window {window}",
             )
         )
-        for m in ms:
+        for m in (0, 1, 2):
             reports.append(
                 BoundReport(
                     "top_coeff_max_empirical", None,

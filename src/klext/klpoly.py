@@ -327,18 +327,16 @@ def max_mu_dominant(table: KLTable) -> int:
     return best
 
 
-def max_top_coefficient(table: KLTable, m: int, dominant_only: bool = True) -> int:
-    """Largest coefficient c[len(y)-len(x)-m] over (dominant) pairs x <= y."""
+def max_top_coefficient(table: KLTable, m: int) -> int:
+    """Largest coefficient c[len(y)-len(x)-m] over dominant pairs x <= y."""
     sl = table.slice
     best = 0
     for y in range(len(sl)):
-        if sl.length[y] > table.filled:
-            continue
-        if dominant_only and not sl.dominant[y]:
+        if sl.length[y] > table.filled or not sl.dominant[y]:
             continue
         ly = sl.length[y]
         for x, pid in table.rows_for(y).items():
-            if dominant_only and not sl.dominant[x]:
+            if not sl.dominant[x]:
                 continue
             e = ly - sl.length[x] - m
             if e < 0 or e % 2:

@@ -10,7 +10,9 @@ Bounded-length slices are enumerated shell by shell by descent signs
 product goes up or down, and only the upward products are computed. They
 give both the next shell and the right-multiplication table. ``GroupSlice``
 is the plain record of that walk; the slice file (format version 2) stores
-it whole, table included, and loading checks it by the same walk.
+it whole, table included. The file is a function of the request, so loading
+checks it by regenerating it: the slice is enumerated again and the file must
+equal its payload byte for byte.
 
 A weight factorizes through the closed fundamental alcove as a reduced word
 in the generators (``factorize_weight``), by weight arithmetic alone;
@@ -36,7 +38,7 @@ from .errors import (
     ResourceCapError,
     SliceCoverageError,
 )
-from .rootsys import RootSystemData, build_root_system
+from .rootsys import RootSystemData
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -95,8 +97,9 @@ class GroupSlice:
     s_{alpha_0,-1}. ``dominant[i]`` says whether element i
     maps the fundamental alcove into the dominant cone (g . C^- + rho
     dominant, at every level). A slice is a plain record: it is built by
-    ``enumerate_slice`` or ``load_slice``, which supply the table and the
-    dominance flags, and it does no group multiplication of its own.
+    ``enumerate_slice``, which supplies the table and the dominance flags,
+    and it does no group multiplication of its own. ``load_slice`` checks a
+    slice file by regenerating it and comparing bytes.
     """
 
     def __init__(self, rs: RootSystemData, cutoff: int, affine: bool,
@@ -148,9 +151,6 @@ class GroupSlice:
 
     def dominant_indices(self) -> list[int]:
         return [i for i, f in enumerate(self.dominant) if f]
-
-
-_CAP_MESSAGE = "slice exceeded the configured cap of {} elements at length {}"
 
 
 # -- descent signs ------------------------------------------------------------
@@ -285,16 +285,10 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
                 right.append(row)
                 shell.append(j)
             if max_elements is not None and len(elements) > max_elements:
-                raise ResourceCapError(_CAP_MESSAGE.format(max_elements, level))
+                raise ResourceCapError(
+                    f"slice exceeded the configured cap of {max_elements} elements "
+                    f"at length {level}")
     return GroupSlice(rs, cutoff, affine, elements, right, [_dominant(pt) for pt in pts])
-
-
-def check_cap(sl: GroupSlice, max_elements: int | None) -> None:
-    """Fail as ``enumerate_slice`` would under ``max_elements``: at the shell
-    of the element at index max(cap, 1), the first to pass the cap."""
-    first_over = None if max_elements is None else max(max_elements, 1)
-    if first_over is not None and first_over < len(sl):
-        raise ResourceCapError(_CAP_MESSAGE.format(max_elements, sl.length[first_over]))
 
 
 def facet_generators(rs: RootSystemData, lam_minus, l: int) -> list[int]:
@@ -384,9 +378,9 @@ def _right_format(n_elements: int, n_gens: int) -> str:
     return f">{n_elements * n_gens}{'h' if n_elements <= 1 << 15 else 'i'}"
 
 
-def save_slice(sl: GroupSlice, path) -> None:
-    """Write the header, then as 4-byte signed ints the distinct finite parts
-    and every element's (finite part id, translation, length), then the
+def _slice_payload(sl: GroupSlice) -> bytes:
+    """The header, then as 4-byte signed ints the distinct finite parts and
+    every element's (finite part id, translation, length), then the
     right-multiplication table."""
     rs = sl.rs
     windex: dict[IntMatrix, int] = {}
@@ -400,76 +394,28 @@ def save_slice(sl: GroupSlice, path) -> None:
     body = struct.pack(f">{len(ints)}i", *ints)
     table = struct.pack(_right_format(len(sl), rs.rank + sl.affine),
                         *(j for row in sl.right for j in row))
-    binio.write_frame(path, _SLICE_MAGIC, _SLICE_VERSION, head + body + table)
+    return head + body + table
 
 
-def load_slice(path) -> GroupSlice:
-    """Read a slice and check it by the enumeration's own walk.
+def save_slice(sl: GroupSlice, path) -> None:
+    binio.write_frame(path, _SLICE_MAGIC, _SLICE_VERSION, _slice_payload(sl))
 
-    The elements must come in index order, by length and then normal form,
-    and index 0 must be the identity with length 0. The check then visits the
-    elements in index order, each reached from an earlier one, with its q.
-    Per table entry (i, t), the descent sign of t at q(i) decides: an upward
-    entry is -1 exactly on the top shell, and otherwise leads to an element
-    one length step up, which the first such entry proves to be element i
-    times generator t (normal form, length within the cutoff) and every
-    later one proves to have q = s_t(q(i)); a downward entry leads to an
-    element one length step down. Every entry other than -1 is taken back by
-    the same generator. So the stored normal forms, lengths and table agree
-    with the group. A file whose size does not match its header is rejected.
-    The first visits also step each element's point h w(p), which gives
-    ``dominant`` as in the enumeration.
+
+def load_slice(path, rs: RootSystemData, cutoff: int, affine: bool = True,
+               max_elements: int | None = None) -> GroupSlice:
+    """The requested slice, checked against the file at ``path``.
+
+    A slice file is a function of the request, so the check regenerates it:
+    the slice is enumerated (under ``max_elements``, as a cold run would) and
+    the file is accepted only if its payload equals, byte for byte, what
+    ``save_slice`` writes for that slice. The file's header is never trusted.
     """
     buf = binio.read_frame(path, _SLICE_MAGIC, _SLICE_VERSION)
-    lab, rank, aff, cutoff, n_w, n_el = struct.unpack_from(_SLICE_HEAD, buf, 0)
-    rs = build_root_system(lab.decode(), rank)
-    k, wsize, esize = rank + aff, rank * rank, rank + 2
-    ints_fmt, right_fmt = f">{n_w * wsize + n_el * esize}i", _right_format(n_el, k)
-    off = struct.calcsize(_SLICE_HEAD)
-    if off + struct.calcsize(ints_fmt) + struct.calcsize(right_fmt) != len(buf):
-        raise CacheFormatError(f"{path}: file size does not match its header")
-    ints = struct.unpack_from(ints_fmt, buf, off)
-    flat = struct.unpack_from(right_fmt, buf, off + struct.calcsize(ints_fmt))
-    wmats = [tuple(ints[o + r : o + r + rank] for r in range(0, wsize, rank))
-             for o in range(0, n_w * wsize, wsize)]
-    elements = []
-    for o in range(n_w * wsize, len(ints), esize):
-        wi, mu, ln = ints[o], ints[o + 1 : o + esize - 1], ints[o + esize - 1]
-        if not 0 <= wi < n_w:
-            raise CacheFormatError(f"{path}: finite part id {wi} out of range")
-        g = AffineElement(wmats[wi], mu, ln)
-        if elements and (elements[-1].length, elements[-1].key()) >= (ln, g.key()):
-            raise CacheFormatError(
-                f"{path}: element {len(elements)} is out of (length, normal form) order")
-        elements.append(g)
-    right = [list(flat[i : i + k]) for i in range(0, len(flat), k)]
-    walk = _SignWalk(rs, bool(aff))
-    ident = identity(rs)
-    if not elements or (elements[0].key(), elements[0].length) != (ident.key(), 0):
-        raise CacheFormatError(f"{path}: index 0 is not the identity")
-    qs = [walk.origin] + [None] * (n_el - 1)
-    pts = qs[:]
-    for i, row in enumerate(right):
-        q, ln = qs[i], elements[i].length
-        if q is None:
-            raise CacheFormatError(f"{path}: element {i} is not reached from an earlier one")
-        for t, (j, v) in enumerate(zip(row, walk.values(q))):
-            if j == -1:
-                ok = v > 0 and ln == cutoff
-            elif not (0 <= j < n_el and right[j][t] == i):
-                ok = False
-            elif v < 0:
-                ok = elements[j].length == ln - 1
-            elif qs[j] is None:
-                g, pts[j] = walk.up(elements[i], pts[i], t)
-                ok = g.length <= cutoff and (g.key(), g.length) == (
-                    elements[j].key(), elements[j].length)
-                qs[j] = walk.reflect(q, v, t)
-            else:
-                ok = elements[j].length == ln + 1 and qs[j] == walk.reflect(q, v, t)
-            if not ok:
-                raise CacheFormatError(f"{path}: inconsistent right table entry ({i}, {t})")
-    return GroupSlice(rs, cutoff, bool(aff), elements, right, [_dominant(pt) for pt in pts])
+    sl = enumerate_slice(rs, cutoff, affine, max_elements)
+    if buf != _slice_payload(sl):
+        raise CacheFormatError(
+            f"{path}: slice file does not match the enumeration of the request")
+    return sl
 
 
 def slice_to_json(sl: GroupSlice) -> dict:

@@ -104,6 +104,12 @@ def test_ext_and_pim(tmp_path):
     assert data["total_length"] == 3 and data["highest_weight_check"]
 
 
+def test_pim_non_dominant_exits_2():
+    res = run_cli("pim", "A", "1", "--cutoff", "16", "--l", "5", "--lambda0=-2")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: (-2,) is not dominant\n"
+
+
 def test_ext1_above_cutoff():
     args = ("ext1", "A", "1", "--cutoff", "4", "--l", "3", "--lam", "40")
     res = run_cli(*args, "--nu", "0")

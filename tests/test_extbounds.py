@@ -173,6 +173,8 @@ def test_pim_errors(a1_table20):
     ctx = ctx_for(a1_table20, 3)
     with pytest.raises(InvalidSystemError):
         pim_length(ctx, (5,))  # not restricted at l=3
+    with pytest.raises(InvalidSystemError, match="not dominant"):
+        pim_length(ctx, (-2,))
     with pytest.raises(SliceCoverageError):
         pim_length(ctx, (1,), bound=(1,))  # ideal misses the highest weight
 
@@ -183,6 +185,11 @@ def test_pim_a2(a2_table12):
     assert rep.highest_weight == (2 * 4 - 1, 2 * 4 - 1)
     assert rep.highest_weight_check
     assert rep.total_length >= 1
+    # w0 swaps the fundamental weights of A2: 2(l-1)rho + w0(0, 1) = (7, 8)
+    rep = pim_length(ctx, (0, 1))
+    assert rep.highest_weight == (7, 8) and rep.highest_weight_check
+    with pytest.raises(InvalidSystemError, match="not dominant"):
+        pim_length(ctx, (2, -1))
 
 
 # -- sums --------------------------------------------------------------------------------
