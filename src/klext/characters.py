@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import product as _iproduct
 from operator import mul as _mul
 
-from .errors import InvalidSystemError, InvariantViolation, SliceCoverageError
+from .errors import InvalidSystemError, InvariantViolation
 from .klpoly import KLTable
 from .rootsys import (
     RootSystemData,
@@ -52,7 +52,6 @@ class Character:
 
     rs: RootSystemData
     dom: dict[Weight, int]
-    w_invariant: bool = True
 
     def dimension(self) -> int:
         return sum(m * len(weyl_orbit(self.rs, wt)) for wt, m in self.dom.items())
@@ -263,15 +262,22 @@ class KLCharacter:
     terms: list[tuple[Weight, int]]  # (dominant weight, signed coefficient)
 
     def expand(self) -> Character:
-        dom: dict[Weight, int] = {}
-        for wt, coeff in self.terms:
-            for v, m in weyl_character(self.rs, wt).dom.items():
-                s = dom.get(v, 0) + coeff * m
-                if s:
-                    dom[v] = s
-                elif v in dom:
-                    del dom[v]
-        return Character(self.rs, dom)
+        return _weyl_combination(self.rs, self.terms)
+
+
+def _weyl_combination(rs: RootSystemData, terms) -> Character:
+    """The virtual character sum of coeff * chi(wt) over (wt, coeff) terms."""
+    dom: dict[Weight, int] = {}
+    for wt, coeff in terms:
+        if coeff == 0:
+            continue
+        for v, m in weyl_character(rs, wt).dom.items():
+            s = dom.get(v, 0) + coeff * m
+            if s:
+                dom[v] = s
+            elif v in dom:
+                del dom[v]
+    return Character(rs, dom)
 
 
 def chi_kl(rs: RootSystemData, lam: Weight, l: int, table: KLTable) -> KLCharacter:
@@ -287,11 +293,6 @@ def chi_kl(rs: RootSystemData, lam: Weight, l: int, table: KLTable) -> KLCharact
     word, lam_minus = factorize_weight(rs, lam, l)
     sl = table.slice
     w = sl.follow(word)
-    if sl.length[w] > table.filled:
-        raise SliceCoverageError(
-            f"KL table filled to length {table.filled}, element has length "
-            f"{sl.length[w]}; enlarge cutoff/fill"
-        )
     lw = sl.length[w]
     terms = []
     for y, pid in sorted(table.rows_for(w).items()):
@@ -343,18 +344,8 @@ class DecompositionMatrix:
     def simple_character(self, mu) -> Character:
         """ch L(mu) expanded from column index_of(mu) of A."""
         j = self.index_of(mu)
-        dom: dict[Weight, int] = {}
-        for i, wt in enumerate(self.weights):
-            coeff = self.a_matrix[i][j]
-            if coeff == 0:
-                continue
-            for v, m in weyl_character(self.rs, wt).dom.items():
-                s = dom.get(v, 0) + coeff * m
-                if s:
-                    dom[v] = s
-                elif v in dom:
-                    del dom[v]
-        return Character(self.rs, dom)
+        column = (row[j] for row in self.a_matrix)
+        return _weyl_combination(self.rs, zip(self.weights, column))
 
 
 def linkage_block(rs: RootSystemData, seed: Weight, l: int, bound: Weight,
@@ -362,25 +353,19 @@ def linkage_block(rs: RootSystemData, seed: Weight, l: int, bound: Weight,
     """Dominant weights linked to seed inside the ideal {nu <= bound}, with
     their element indices, in index order: by (length, normal form)."""
     _, lam_minus = factorize_weight(rs, seed, l)
-    sl = table.slice
     members = []
     for mu in dominant_weights_below(rs, bound):
         word, lm = factorize_weight(rs, mu, l)
         if lm != lam_minus:
             continue
-        idx = sl.follow(word)
-        if sl.length[idx] > table.filled:
-            raise SliceCoverageError(
-                f"block member {mu} needs table filled to length {sl.length[idx]}"
-            )
-        members.append((idx, mu))
+        members.append((table.slice.follow(word), mu))
     members.sort()
     return lam_minus, [(mu, idx) for idx, mu in members]
 
 
 def decomposition_matrix(rs: RootSystemData, seed: Weight, l: int,
-                         bound: Weight | None = None,
-                         table: KLTable | None = None) -> DecompositionMatrix:
+                         bound: Weight | None = None, *,
+                         table: KLTable) -> DecompositionMatrix:
     """Exact unitriangular inversion of the signed P(1) matrix on a block."""
     seed = tuple(seed)
     if bound is None:

@@ -240,8 +240,6 @@ def cmd_kl(args):
         records = []
         csv_rows = [["x", "y", "length_x", "length_y", "polynomial", "mu"]]
         for y in range(len(sl)):
-            if sl.length[y] > table.filled:
-                continue
             for x in sorted(table.rows_for(y)):
                 rec = _kl_record(table, x, y)
                 records.append(rec)
@@ -265,7 +263,7 @@ def cmd_mu_sum(args):
     return {
         "x": args.x,
         "sum": total,
-        "status": _status(saturated, table.filled),
+        "status": _status(saturated, table.slice.cutoff),
         "support_window": klpoly.mu_support_window(rs),
     }
 
@@ -312,7 +310,7 @@ def cmd_decomp(args):
     rs, table = _table_for(args)
     seed = _parse_weight(args.seed, rs.rank)
     bound = _parse_weight(args.bound, rs.rank) if args.bound else None
-    dm = characters.decomposition_matrix(rs, seed, args.l, bound, table)
+    dm = characters.decomposition_matrix(rs, seed, args.l, bound, table=table)
     weights = [",".join(map(str, wt)) for wt in dm.weights]
     csv_rows = [["weyl\\simple"] + weights]
     for j, nu in enumerate(dm.weights):
@@ -473,7 +471,7 @@ def cmd_verify(args):
     table = ensure_table(
         rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
     )
-    results = extbounds.run_verification(rs, args.cutoff, args.l, table)
+    results = extbounds.run_verification(rs, args.l, table)
     payload = {
         "type": rs.type_label,
         "rank": rs.rank,
@@ -512,7 +510,10 @@ def _add_table_args(sub):
                      help="level l (default: Coxeter number h)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config=None) -> argparse.ArgumentParser:
+    """The klext parser. Each key of ``config`` becomes the default of the
+    option of that name, on the main parser or on every subcommand that has
+    it, so that a flag given on the command line always wins."""
     parser = argparse.ArgumentParser(
         prog="klext",
         description=__doc__.splitlines()[0],
@@ -642,23 +643,36 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--l", type=int, default=0)
     s.set_defaults(func=cmd_verify)
 
+    for key, value in (config or {}).items():
+        attr = key.replace("-", "_")
+        for p in (parser, *subs.choices.values()):
+            if any(action.dest == attr for action in p._actions):
+                p.set_defaults(**{attr: value})
     return parser
 
 
-def _apply_config(args, parser):
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as ex:
-            raise UsageError(f"cannot read config file: {ex}")
-        for key, value in conf.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                raise UsageError(f"unknown config key {key!r}")
-            # flags explicitly given on the command line win
-            if parser.get_default(attr) == getattr(args, attr, None):
-                setattr(args, attr, value)
+def _read_config(argv) -> dict:
+    """The contents of the ``--config`` file, found before the parse."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:  # reported by the parse itself
+        return {}
+    if path is None:
+        return {}
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as ex:
+        raise UsageError(f"cannot read config file: {ex}")
+
+
+def _apply_config(args, config):
+    for key in config:
+        # a key that neither the main parser nor the subcommand has
+        if not hasattr(args, key.replace("-", "_")):
+            raise UsageError(f"unknown config key {key!r}")
     if args.cache_dir is None:
         args.cache_dir = os.environ.get(ENV_CACHE) or None
     if getattr(args, "l", None) == 0 and hasattr(args, "type"):
@@ -670,8 +684,12 @@ def _apply_config(args, parser):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        config = _read_config(argv)
+    except UsageError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 2
+    args = build_parser(config).parse_args(argv)
 
     def show(message, category, *_):
         # one line per warning; none about the l = h the CLI chose itself
@@ -680,12 +698,12 @@ def main(argv=None) -> int:
 
     with warnings.catch_warnings():
         warnings.showwarning = show
-        return _run(args, parser)
+        return _run(args, config)
 
 
-def _run(args, parser) -> int:
+def _run(args, config) -> int:
     try:
-        _apply_config(args, parser)
+        _apply_config(args, config)
         payload = args.func(args)
         if args.command == "verify":
             # keep a stable textual report regardless of --format

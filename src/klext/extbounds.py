@@ -335,19 +335,19 @@ def sum_ext_n(ctx: BlockContext, x: int, n: int) -> SumReport:
 
     n = 0 is the Kronecker delta, so the sum is 1 exactly. For n >= 1 the
     saturation flag holds when the mu support window (scaled by n) fits
-    inside the filled cutoff, certifying no nonzero term was cut off.
+    inside the slice cutoff, certifying no nonzero term was cut off.
     """
     ctx.require_regular()
     ctx.require_dominant(x)
-    if n == 0:
-        return SumReport(1, True, 0, ctx.table.filled)
     sl = ctx.slice
+    if n == 0:
+        return SumReport(1, True, 0, sl.cutoff)
     total = 0
     for y in sl.dominant_indices():
         total += extn_simple_simple(ctx, x, y, n)
     window = n * mu_support_window(ctx.rs)
-    saturated = sl.length[x] + window <= ctx.table.filled
-    return SumReport(total, saturated, window, ctx.table.filled)
+    saturated = sl.length[x] + window <= sl.cutoff
+    return SumReport(total, saturated, window, sl.cutoff)
 
 
 # -- effective constants ----------------------------------------------------------
@@ -416,16 +416,11 @@ def bound_constants(rs: RootSystemData, p: int, ns=(1,),
     e_val = mu_bound(rs)
     prov = f"{rs.type_label}{rs.rank}; {MU_BOUND_READING}"
     emp_mu = None
-    saturated = False
-    cutoff = None
+    prov_t = prov
     if table is not None:
         emp_mu = max_mu_dominant(table)
-        cutoff = table.filled
-        prov_t = f"{prov}; slice cutoff {cutoff}"
-    reports.append(
-        BoundReport("mu_bound", e_val, emp_mu, False,
-                    prov if table is None else prov_t)
-    )
+        prov_t = f"{prov}; slice cutoff {table.slice.cutoff}"
+    reports.append(BoundReport("mu_bound", e_val, emp_mu, False, prov_t))
     reports.append(BoundReport("ext1_bound", ext1_bound(rs), None, False, prov))
     reports.append(
         BoundReport(
@@ -446,8 +441,6 @@ def bound_constants(rs: RootSystemData, p: int, ns=(1,),
         best_sum = 0
         best_sat = False
         for x in sl.dominant_indices():
-            if sl.length[x] > table.filled:
-                continue
             s, sat = mu_row_sum(table, x)
             if s > best_sum:
                 best_sum, best_sat = s, sat
@@ -466,8 +459,6 @@ def bound_constants(rs: RootSystemData, p: int, ns=(1,),
             )
             best = 0
             for y in sl.dominant_indices():
-                if sl.length[y] > table.filled:
-                    continue
                 best = max(best, kl_coefficient_sum(table, y, m))
             reports.append(
                 BoundReport(
@@ -484,7 +475,7 @@ def bound_constants(rs: RootSystemData, p: int, ns=(1,),
 
 
 def _kl_axioms_witness(table: KLTable) -> str:
-    """The first KL axiom that a filled row breaks, as a detail, or "".
+    """The first KL axiom that a row breaks, as a detail, or "".
 
     P(y,y) = 1. The support of row y is the Bruhat ideal of y, checked by
     the lifting property for the last right descent s of y (the fill uses
@@ -495,8 +486,6 @@ def _kl_axioms_witness(table: KLTable) -> str:
     sl = table.slice
     length, right = sl.length, sl.right
     for y in range(len(sl)):
-        if length[y] > table.filled:
-            continue
         row = table.rows_for(y)
         if row.get(y) is None or table.pool[row[y]] != (1,):
             return f"P(y,y) != 1 at {y}"
@@ -519,15 +508,13 @@ def _kl_axioms_witness(table: KLTable) -> str:
     return ""
 
 
-def run_verification(rs: RootSystemData, cutoff: int, l: int,
-                     table: KLTable | None = None):
+def run_verification(rs: RootSystemData, l: int, table: KLTable):
     """Invariant battery over one slice; returns [(name, ok, detail)].
 
     Used by the CLI ``verify`` subcommand; any False entry is an invariant
     violation and should map to a nonzero exit status.
     """
     from .klpoly import kl_polynomial, kl_recomputation
-    from .weylaffine import enumerate_slice
     import random
 
     results = []
@@ -539,19 +526,14 @@ def run_verification(rs: RootSystemData, cutoff: int, l: int,
         """Record a check that passes when no witness ``bad`` was found."""
         record(name, bad is None, "" if bad is None else f"{what} at {bad}")
 
-    if table is None:
-        sl = enumerate_slice(rs, cutoff)
-        table = KLTable(sl)
-        table.fill()
-    else:
-        sl = table.slice
+    sl = table.slice
 
     detail = _kl_axioms_witness(table)
     record("kl_axioms", not detail, detail)
 
     # parity vanishing and symmetry of mu
     bad = next(
-        ((z, y) for y in range(len(sl)) if sl.length[y] <= table.filled
+        ((z, y) for y in range(len(sl))
          for z, m in table.mu_row(y) if m and (sl.length[y] - sl.length[z]) % 2 == 0),
         None,
     )
@@ -564,8 +546,6 @@ def run_verification(rs: RootSystemData, cutoff: int, l: int,
     n = len(sl)
     for _ in range(100):
         x, y = rng.randrange(n), rng.randrange(n)
-        if sl.length[y] > table.filled:
-            continue
         if recomputed(x, y) != kl_polynomial(table, x, y):
             bad = (x, y)
             break
@@ -573,17 +553,12 @@ def run_verification(rs: RootSystemData, cutoff: int, l: int,
 
     # empirical mu window (backstop for the saturation certificates)
     window = mu_support_window(rs)
-    ok = True
     worst = 0
-    for y in range(len(sl)):
-        if sl.length[y] > table.filled or not sl.dominant[y]:
-            continue
+    for y in sl.dominant_indices():
         for z, m in table.mu_row(y):
             if sl.dominant[z] and m:
                 worst = max(worst, sl.length[y] - sl.length[z])
-    if worst > window:
-        ok = False
-    record("mu_support_window", ok, f"max dominant mu gap {worst} <= window {window}")
+    record("mu_support_window", worst <= window, f"max dominant mu gap {worst} <= window {window}")
 
     # mu ceiling
     emp = max_mu_dominant(table)
@@ -593,7 +568,7 @@ def run_verification(rs: RootSystemData, cutoff: int, l: int,
     # Ext consistency on the default regular block
     ctx = make_block_context(rs, l, table)
     if ctx.regular:
-        doms = [i for i in sl.dominant_indices() if sl.length[i] <= table.filled]
+        doms = sl.dominant_indices()
         bad = next(
             ((x, y) for x in doms[:20] for y in doms[:20]
              if extn_simple_simple(ctx, x, y, 0) != (1 if x == y else 0)),

@@ -23,9 +23,12 @@ cross-check it against a subword oracle of the Bruhat order). Both combine
 steps, P(lower, y') + q P(upper, y') for the pair {x, xs} and
 acc - m q^k P(x,z), are memoised on ids.
 
-A loaded table keeps each row as the two arrays read from its file, range
-checked at load, and builds the row's dict on its first read
-(``KLTable.rows_for``), so a warm query decodes only the rows it reads.
+A table is always the complete table of its slice: ``fill`` computes
+every row up to the slice cutoff and a table file holds every row, so a
+query may read any row of the slice. A loaded table keeps each row
+as the two arrays read from its file, range checked at load, and builds
+the row's dict on its first read (``KLTable.rows_for``), so a warm query
+decodes only the rows it reads.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from array import array
 
 from . import binio
 from .errors import CacheFormatError, InvalidSystemError, InvariantViolation, SliceCoverageError
-from .rootsys import build_root_system
-from .weylaffine import GroupSlice, enumerate_slice
+from .weylaffine import GroupSlice
 
 
 def _combine(a: tuple, m: int, k: int, b: tuple) -> tuple:
@@ -79,9 +81,10 @@ class KLTable:
     exponent of q, no trailing zeros); rows_for(y) maps x to the pool id of
     the nonzero P_{x,y}, and absence means the polynomial is zero (equivalently
     x is not Bruhat-below y). Pool ids are given in first appearance over
-    (y, x) order, so a filled and a loaded table agree id for id. ``filled``
-    marks the largest completed length shell, and every query checks it so
-    a truncated table can never silently return a wrong value.
+    (y, x) order, so a filled and a loaded table agree id for id.
+    ``filled`` is the largest completed length shell: -1 before ``fill``,
+    the slice cutoff after it or after ``load_table``. Reading a row that
+    was never filled raises SliceCoverageError.
     """
 
     def __init__(self, sl: GroupSlice):
@@ -113,16 +116,10 @@ class KLTable:
 
     # -- fill ---------------------------------------------------------------
 
-    def fill(self, upto: int | None = None) -> None:
-        """Fill every row up to length ``upto`` (default: the slice cutoff)."""
-        top = self.slice.cutoff if upto is None else upto
-        if top > self.slice.cutoff:
-            raise SliceCoverageError(
-                f"table fill to length {top} needs a slice cutoff >= {top}; "
-                f"enlarge cutoff (current {self.slice.cutoff})"
-            )
+    def fill(self) -> None:
+        """Fill every row up to the slice cutoff, from the first unfilled shell."""
         memo = _FillMemo()
-        for level in range(self.filled + 1, top + 1):
+        for level in range(self.filled + 1, self.slice.cutoff + 1):
             for y in self.slice.shell(level):
                 self.rows[y] = self._compute_row(y, memo)
             self.filled = level
@@ -194,10 +191,7 @@ class KLTable:
         if type(row) is dict:
             return row
         if row is None:
-            raise SliceCoverageError(
-                f"row {y} (length {self.slice.length[y]}) not filled; "
-                f"fill the table to length {self.slice.length[y]} first"
-            )
+            raise SliceCoverageError(f"row {y} not filled; fill the table first")
         xs, ids = row
         decoded = dict(zip(xs, ids))
         if len(decoded) != len(xs):
@@ -290,7 +284,7 @@ def mu_row_sum(table: KLTable, x: int) -> tuple[int, bool]:
     for y in sl.dominant_indices():
         total += mu(table, x, y)
     window = mu_support_window(sl.rs)
-    saturated = sl.length[x] + window <= min(table.filled, sl.cutoff)
+    saturated = sl.length[x] + window <= sl.cutoff
     return total, saturated
 
 
@@ -315,12 +309,10 @@ def kl_coefficient_sum(table: KLTable, y: int, m: int) -> int:
 
 
 def max_mu_dominant(table: KLTable) -> int:
-    """Largest mu over dominant pairs in the filled part of the table."""
+    """Largest mu over dominant pairs of the slice."""
     sl = table.slice
     best = 0
     for y in sl.dominant_indices():
-        if sl.length[y] > table.filled:
-            continue
         for z, m in table.mu_row(y):
             if sl.dominant[z]:
                 best = max(best, m)
@@ -331,9 +323,7 @@ def max_top_coefficient(table: KLTable, m: int) -> int:
     """Largest coefficient c[len(y)-len(x)-m] over dominant pairs x <= y."""
     sl = table.slice
     best = 0
-    for y in range(len(sl)):
-        if sl.length[y] > table.filled or not sl.dominant[y]:
-            continue
+    for y in sl.dominant_indices():
         ly = sl.length[y]
         for x, pid in table.rows_for(y).items():
             if not sl.dominant[x]:
@@ -428,10 +418,10 @@ def _row_format(n_elements: int, n_pool: int, k: int) -> str:
 
 
 def save_table(table: KLTable, path) -> None:
-    """Write the pool once, then every filled row's x and pool-id arrays."""
+    """Write the pool once, then every row's x and pool-id arrays. The
+    header's ``filled`` field always equals its cutoff."""
     sl = table.slice
     rs = sl.rs
-    ys = [y for y in range(len(sl)) if sl.length[y] <= table.filled]
     parts = [
         struct.pack(
             _TABLE_HEAD,
@@ -439,15 +429,15 @@ def save_table(table: KLTable, path) -> None:
             rs.rank,
             1 if sl.affine else 0,
             sl.cutoff,
-            table.filled,
+            sl.cutoff,
             len(table.pool),
-            len(ys),
+            len(sl),
         )
     ]
     for t in table.pool:
         parts.append(struct.pack(">H", len(t)))
         parts.extend(binio.pack_bigint(v) for v in t)
-    for y in ys:
+    for y in range(len(sl)):
         row = table.rows_for(y)
         xs = sorted(row)
         parts.append(struct.pack(
@@ -457,21 +447,23 @@ def save_table(table: KLTable, path) -> None:
     binio.write_frame(path, _TABLE_MAGIC, _TABLE_VERSION, b"".join(parts))
 
 
-def load_table(path, sl: GroupSlice | None = None) -> KLTable:
+def load_table(path, sl: GroupSlice) -> KLTable:
+    """The complete table of ``sl`` stored at ``path``; a file of another
+    slice, or one whose header does not claim every row, is rejected."""
     buf = binio.read_frame(path, _TABLE_MAGIC, _TABLE_VERSION)
     lab, rank, aff, cutoff, filled, n_pool, n_rows = struct.unpack_from(_TABLE_HEAD, buf, 0)
     off = struct.calcsize(_TABLE_HEAD)
-    if sl is None:
-        rs = build_root_system(lab.decode(), rank)
-        sl = enumerate_slice(rs, cutoff, affine=bool(aff))
-    else:
-        if (sl.rs.type_label, sl.rs.rank, sl.affine, sl.cutoff) != (
-            lab.decode(),
-            rank,
-            bool(aff),
-            cutoff,
-        ):
-            raise CacheFormatError(f"{path}: table does not match the provided slice")
+    if (sl.rs.type_label, sl.rs.rank, sl.affine, sl.cutoff) != (
+        lab.decode(),
+        rank,
+        bool(aff),
+        cutoff,
+    ):
+        raise CacheFormatError(f"{path}: table does not match the provided slice")
+    if filled != cutoff:
+        raise CacheFormatError(
+            f"{path}: table header says filled to length {filled}, not its cutoff {cutoff}"
+        )
     table = KLTable(sl)
     for _ in range(n_pool):
         (nterms,) = struct.unpack_from(">H", buf, off)
@@ -482,13 +474,12 @@ def load_table(path, sl: GroupSlice | None = None) -> KLTable:
             coeffs.append(v)
         table.pool.append(tuple(coeffs))
     table._pool_ids = {t: pid for pid, t in enumerate(table.pool)}
-    ys = [y for y in range(len(sl)) if sl.length[y] <= filled]
-    if len(table._pool_ids) != n_pool or len(ys) != n_rows:
+    if len(table._pool_ids) != n_pool or n_rows != len(sl):
         raise CacheFormatError(f"{path}: pool or row count does not match the slice")
     xc, ic = _row_codes(len(sl), n_pool)
     xw, iw = array(xc).itemsize, array(ic).itemsize
     swap = sys.byteorder == "little"
-    for y in ys:
+    for y in range(len(sl)):
         (k,) = struct.unpack_from(">I", buf, off)
         mid, end = off + 4 + k * xw, off + 4 + k * (xw + iw)
         if end > len(buf):
@@ -506,5 +497,5 @@ def load_table(path, sl: GroupSlice | None = None) -> KLTable:
     if off != len(buf):
         raise CacheFormatError(f"{path}: trailing bytes after the last row")
     table._path = path
-    table.filled = filled
+    table.filled = cutoff
     return table

@@ -212,6 +212,30 @@ def test_config_file(tmp_path):
     assert res.returncode == 0
 
 
+def test_config_sets_subcommand_defaults(tmp_path):
+    # subcommand keys from the file reach the subcommand: at cutoff 30 the
+    # window around element 20 fits, at the default cutoff 10 it does not
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"cutoff": 30}))
+    args = ("--format", "json", "mu-sum", "A", "1", "--x", "20", "--l", "3")
+    res = run_cli("--config", str(conf), *args)
+    assert res.returncode == 0 and json.loads(res.stdout)["status"] == "exact"
+    res = run_cli("--config", str(conf), *args, "--cutoff", "10")
+    assert res.returncode == 0 and json.loads(res.stdout)["status"] == "truncated@10"
+    # a key that neither the main parser nor the subcommand has is invalid
+    res = run_cli("--config", str(conf), "info", "A", "1")
+    assert res.returncode == 2 and res.stderr == "error: unknown config key 'cutoff'\n"
+
+
+def test_config_loses_to_a_flag_equal_to_its_default(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"format": "json"}))
+    res = run_cli("--config", str(conf), "info", "A", "1")
+    assert json.loads(res.stdout)["h"] == 2
+    res = run_cli("--config", str(conf), "--format", "text", "info", "A", "1")
+    assert res.returncode == 0 and "h: 2" in res.stdout.splitlines()
+
+
 def test_truncated_flag_rendering(tmp_path):
     # a dominant element too close to the cutoff for the support window
     res = run_cli(
@@ -402,3 +426,43 @@ def test_repeated_table_index_exits_1(tmp_path):
     # rows that are not read still answer
     assert run_cli("kl", "A", "1", "--cutoff", "4", "--x", "0", "--y", "7",
                    cache=tmp_path).returncode == 0
+
+
+def test_table_header_not_filled_to_cutoff_exits_1(tmp_path):
+    # a table file always holds every row of its slice; one whose header
+    # claims another length is rejected, not read as a longer table that
+    # would turn a truncated sum into an exact one
+    from klext import binio
+
+    args = ("--format", "json", "extsum", "A", "1", "--cutoff", "10", "--l", "3",
+            "--x", "20", "--n", "1")
+    first = run_cli(*args, cache=tmp_path)
+    assert json.loads(first.stdout)["status"] == "truncated@10"
+    table_file = next(tmp_path.glob("kl_*.klt"))
+    payload = bytearray(binio.read_frame(table_file, b"KLXTABLE", 2))
+    payload[8:12] = (99).to_bytes(4, "big")  # the header's filled length
+    binio.write_frame(table_file, b"KLXTABLE", 2, bytes(payload))
+    res = run_cli(*args, cache=tmp_path)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == (
+        f"error: {table_file}: table header says filled to length 99, not its cutoff 10\n")
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every command of README's CLI block, in process, run in tmp_path so
+    # that its .cache lands there
+    import pathlib
+    import shlex
+
+    from klext import cli
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [c for c in commands if c and c[0] == "klext"]
+    assert commands
+    monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+        assert capsys.readouterr().out

@@ -276,9 +276,7 @@ def test_empirical_values_monotone_in_cutoff():
 
 
 def test_run_verification_passes(a2_table12):
-    results = run_verification(
-        build_root_system("A", 2), 12, 5, table=a2_table12
-    )
+    results = run_verification(build_root_system("A", 2), 5, table=a2_table12)
     assert results and all(ok for _, ok, _ in results)
 
 
@@ -295,7 +293,7 @@ def test_run_verification_names_witness(monkeypatch):
     sl = table.slice
     named = ("mu_parity", "descent_independence", "ext_n0_kronecker",
              "ext_n1_equals_mu", "coefficient_sum_dual_path")
-    clean = {name: (ok, detail) for name, ok, detail in run_verification(rs, 8, 5, table=table)}
+    clean = {name: (ok, detail) for name, ok, detail in run_verification(rs, 5, table=table)}
     assert all(ok for ok, _ in clean.values())
     assert all(clean[name] == (True, "") for name in named)
 
@@ -316,7 +314,7 @@ def test_run_verification_names_witness(monkeypatch):
 
     rng = random.Random(12345)
     first_pair = (rng.randrange(len(sl)), rng.randrange(len(sl)))
-    got = {name: (ok, detail) for name, ok, detail in run_verification(rs, 8, 5, table=table)}
+    got = {name: (ok, detail) for name, ok, detail in run_verification(rs, 5, table=table)}
     assert got["mu_parity"] == (False, f"nonzero mu(x,y) for an even length gap at {(0, y_even)}")
     assert got["descent_independence"] == (False, f"recomputed P(x,y) differs at {first_pair}")
     assert got["ext_n0_kronecker"] == (False, f"Ext^0(x,y) is not the Kronecker delta at {bad_xy}")
@@ -336,7 +334,7 @@ def test_run_verification_names_support_witness():
         table = KLTable(sl)
         table.fill()
         edit(table.rows[y])
-        return next(r for r in run_verification(rs, 8, 5, table=table) if r[0] == "kl_axioms")
+        return next(r for r in run_verification(rs, 5, table=table) if r[0] == "kl_axioms")
 
     y = sl.shell(5)[0]
     clean = KLTable(sl)

@@ -154,12 +154,11 @@ def test_fill_guard_and_coverage():
     rs = build_root_system("A", 1)
     sl = enumerate_slice(rs, 6)
     table = KLTable(sl)
-    with pytest.raises(SliceCoverageError):
-        table.fill(upto=10)
-    table.fill(upto=3)
-    with pytest.raises(SliceCoverageError):
+    # a row of a table that was never filled is never read as zero
+    with pytest.raises(SliceCoverageError, match="not filled"):
         table.rows_for(sl.shell(5)[0])
-    # shorter queries are served
+    table.fill()
+    assert table.filled == sl.cutoff
     assert kl_polynomial(table, 0, sl.shell(3)[0]) == ONE
 
 
@@ -195,9 +194,8 @@ def test_pool_ids_valid_and_distinct(a2_table12):
         kl_polynomial(table, x, y) for y in range(len(sl)) for x in table.rows_for(y)
     }
     assert len(resolved) == len(table.pool)
-    # a second fill of the same slice, in two steps, gives the same ids
+    # a second fill of the same slice gives the same ids
     again = KLTable(sl)
-    again.fill(upto=5)
     again.fill()
     assert again.pool == table.pool and again.rows == table.rows
 
@@ -206,7 +204,7 @@ def test_save_load_roundtrip(tmp_path, a2_table12):
     path = tmp_path / "table.klt"
     save_table(a2_table12, path)
     digest1 = hashlib.sha256(path.read_bytes()).hexdigest()
-    loaded = load_table(path)
+    loaded = load_table(path, a2_table12.slice)
     assert loaded.filled == a2_table12.filled
     assert all(
         loaded.rows_for(y) == a2_table12.rows_for(y) for y in range(len(a2_table12.slice))
@@ -221,7 +219,7 @@ def test_v1_table_rejected(tmp_path, a1_table20):
     payload = binio.read_frame(path, b"KLXTABLE", 2)
     binio.write_frame(path, b"KLXTABLE", 1, payload)
     with pytest.raises(CacheFormatError, match="version 1, expected 2.*delete"):
-        load_table(path)
+        load_table(path, a1_table20.slice)
 
 
 def test_interrupted_write_keeps_old_file(tmp_path, a1_table20, a2_table12, monkeypatch):
@@ -238,7 +236,7 @@ def test_interrupted_write_keeps_old_file(tmp_path, a1_table20, a2_table12, monk
         save_table(a2_table12, path)
     monkeypatch.undo()
     assert path.read_bytes() == before
-    assert load_table(path).filled == a1_table20.filled
+    assert load_table(path, a1_table20.slice).filled == a1_table20.filled
     assert os.listdir(tmp_path) == ["table.klt"]
 
 
@@ -249,12 +247,12 @@ def test_corrupted_table_detected(tmp_path, a1_table20):
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
     with pytest.raises(CacheFormatError):
-        load_table(path)
+        load_table(path, a1_table20.slice)
     # truncation is also rejected
     save_table(a1_table20, path)
     path.write_bytes(path.read_bytes()[:-5])
     with pytest.raises(CacheFormatError):
-        load_table(path)
+        load_table(path, a1_table20.slice)
 
 
 def test_longer_table_serves_shorter_queries(tmp_path):
@@ -263,7 +261,7 @@ def test_longer_table_serves_shorter_queries(tmp_path):
     big.fill()
     path = tmp_path / "big.klt"
     save_table(big, path)
-    loaded = load_table(path)
+    loaded = load_table(path, big.slice)
     small = KLTable(enumerate_slice(rs, 6))
     small.fill()
     sl_small = small.slice
@@ -303,7 +301,7 @@ def test_loaded_rows_read_in_any_order(tmp_path, a2_table12):
         save_table(table, path)
         backwards = list(range(len(table.slice)))[::-1]
         for order in (backwards, rng.sample(backwards, len(backwards))):
-            loaded = load_table(path)
+            loaded = load_table(path, table.slice)
             assert loaded.pool == table.pool and loaded.filled == table.filled
             for y in order:
                 assert list(loaded.rows_for(y).items()) == list(table.rows_for(y).items())
@@ -314,7 +312,7 @@ def test_loaded_rows_read_in_any_order(tmp_path, a2_table12):
 def test_partly_read_table_resaves_identically(tmp_path, a2_table12):
     path, again = tmp_path / "table.klt", tmp_path / "again.klt"
     save_table(a2_table12, path)
-    loaded = load_table(path)
+    loaded = load_table(path, a2_table12.slice)
     for y in range(0, len(loaded.slice), 3):
         loaded.rows_for(y)
     assert mu(loaded, 0, len(loaded.slice) - 1) == mu(a2_table12, 0, len(loaded.slice) - 1)
@@ -338,9 +336,9 @@ def test_last_row_out_of_range_rejected_at_load(tmp_path, a2_table12):
 
     for edit in (setting(last_x, len(sl), 2), setting(last_id, n_pool, 1)):
         with pytest.raises(CacheFormatError, match="out of range"):
-            load_table(_reframed(tmp_path, a2_table12, edit))
+            load_table(_reframed(tmp_path, a2_table12, edit), sl)
     # the unaltered re-framing loads
-    loaded = load_table(_reframed(tmp_path, a2_table12, lambda payload: None))
+    loaded = load_table(_reframed(tmp_path, a2_table12, lambda payload: None), sl)
     assert loaded.rows_for(len(sl) - 1) == a2_table12.rows_for(len(sl) - 1)
 
 
@@ -355,22 +353,26 @@ def test_repeated_row_index_rejected(tmp_path):
         at = len(payload) - 3 * k  # the last row's element indices
         payload[at : at + 2] = (1).to_bytes(2, "big")  # x = 1 twice, x = 0 never
 
-    loaded = load_table(_reframed(tmp_path, table, edit))
+    loaded = load_table(_reframed(tmp_path, table, edit), table.slice)
     assert kl_polynomial(loaded, 0, y - 1) == ONE
     with pytest.raises(CacheFormatError, match=f"row {y} repeats an element index"):
         kl_polynomial(loaded, 0, y)
 
 
-def test_loaded_partial_table_resumes_fill(tmp_path, a2_table12):
-    part = KLTable(a2_table12.slice)
-    part.fill(upto=6)
-    path = tmp_path / "part.klt"
-    save_table(part, path)
-    loaded = load_table(path)
-    assert loaded.filled == 6
-    loaded.fill()
-    assert loaded.filled == a2_table12.filled and loaded.pool == a2_table12.pool
-    assert all(loaded.rows_for(y) == a2_table12.rows_for(y) for y in range(len(a2_table12.slice)))
+def test_header_not_filled_to_cutoff_rejected(tmp_path, a2_table12):
+    # the header is type, rank, affine, cutoff, then the signed 4-byte
+    # filled length at offset 8; a file that claims any other length than
+    # its cutoff, more or fewer rows, never loads
+    sl = a2_table12.slice
+
+    def filled_to(n):
+        def edit(payload):
+            payload[8:12] = n.to_bytes(4, "big", signed=True)
+        return edit
+
+    for n in (-1, 6, sl.cutoff + 1, 99):
+        with pytest.raises(CacheFormatError, match=f"filled to length {n}, not its cutoff 12"):
+            load_table(_reframed(tmp_path, a2_table12, filled_to(n)), sl)
 
 
 def test_wide_pool_ids_roundtrip(tmp_path, a2_table12):
