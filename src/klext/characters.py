@@ -28,8 +28,8 @@ L(lam) of m_mu * sign(w) * L(w(mu+nu+rho) - rho), terms on a wall dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as _iproduct
+from math import prod
 from operator import mul as _mul
 
 from .errors import InvalidSystemError, InvariantViolation
@@ -237,14 +237,13 @@ def weyl_character(rs: RootSystemData, lam: Weight) -> Character:
 
 def weyl_dimension(rs: RootSystemData, lam: Weight) -> int:
     """dim of the irreducible with highest weight lam (Weyl's product formula)."""
-    num = Fraction(1)
     lam_rho = tuple(x + 1 for x in lam)
-    for a in range(rs.num_positive):
-        rt = rs.positive_roots[a]
-        num *= Fraction(_pair_wt_rt(rs, lam_rho, rt), _pair_wt_rt(rs, rs.rho, rt))
-    if num.denominator != 1:
-        raise InvariantViolation(f"Weyl dimension of {lam} is not an integer: {num}")
-    return int(num)
+    num = prod(_pair_wt_rt(rs, lam_rho, rt) for rt in rs.positive_roots)
+    den = prod(_pair_wt_rt(rs, rs.rho, rt) for rt in rs.positive_roots)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise InvariantViolation(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
+    return dim
 
 
 # -- signed KL character combinations ----------------------------------------------

@@ -646,9 +646,27 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     for key, value in (config or {}).items():
         attr = key.replace("-", "_")
         for p in (parser, *subs.choices.values()):
-            if any(action.dest == attr for action in p._actions):
-                p.set_defaults(**{attr: value})
+            for action in p._actions:
+                if action.dest == attr:
+                    p.set_defaults(**{attr: _config_value(key, value, action)})
     return parser
+
+
+def _config_value(key, value, action):
+    """``value`` checked like the flag ``action`` it sets: an int option takes
+    a JSON integer (not a bool), a string option a string, a switch a bool,
+    and ``choices`` hold. The repeatable ``bounds --n`` takes one integer too,
+    which its flags add to."""
+    kind = bool if action.nargs == 0 else action.type or str
+    if type(value) is not kind:  # type(True) is bool, not int
+        what = {bool: "true or false", int: "an integer", str: "a string"}[kind]
+        raise UsageError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(
+            f"config key {key!r} must be one of {', '.join(action.choices)}, "
+            f"not {json.dumps(value)}"
+        )
+    return [value] if isinstance(action, argparse._AppendAction) else value
 
 
 def _read_config(argv) -> dict:
@@ -663,9 +681,12 @@ def _read_config(argv) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as ex:
+            config = json.load(fh)
+    except (OSError, ValueError) as ex:  # ValueError: bad JSON or bad UTF-8
         raise UsageError(f"cannot read config file: {ex}")
+    if not isinstance(config, dict):
+        raise UsageError("config file must hold a JSON object")
+    return config
 
 
 def _apply_config(args, config):
@@ -686,10 +707,11 @@ def _apply_config(args, config):
 def main(argv=None) -> int:
     try:
         config = _read_config(argv)
+        parser = build_parser(config)
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    args = build_parser(config).parse_args(argv)
+    args = parser.parse_args(argv)
 
     def show(message, category, *_):
         # one line per warning; none about the l = h the CLI chose itself

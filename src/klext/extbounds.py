@@ -123,6 +123,8 @@ def extn_simple_costandard(ctx: BlockContext, x: int, z: int, n: int) -> int:
 
 def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
     """dim Ext^n between simples: sum over z and a+b=n of costandard tables."""
+    if n < 0:
+        raise InvalidSystemError("n must be nonnegative")
     ctx.require_regular()
     ctx.require_dominant(x, y)
     sl = ctx.slice
@@ -135,10 +137,10 @@ def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
             continue
         gx = sl.length[x] - sl.length[z]
         gy = sl.length[y] - sl.length[z]
-        for a in range(n + 1):
-            b = n - a
-            ea, eb = gx - a, gy - b
-            if ea < 0 or ea % 2 or eb < 0 or eb % 2:
+        # a <= gx and b = n - a <= gy, so that both degrees are nonnegative
+        for a in range(max(0, n - gy), min(n, gx) + 1):
+            ea, eb = gx - a, gy - n + a
+            if ea % 2 or eb % 2:
                 continue
             total += table.coeff(row_x[z], ea // 2) * table.coeff(row_y[z], eb // 2)
     return total
@@ -337,6 +339,8 @@ def sum_ext_n(ctx: BlockContext, x: int, n: int) -> SumReport:
     saturation flag holds when the mu support window (scaled by n) fits
     inside the slice cutoff, certifying no nonzero term was cut off.
     """
+    if n < 0:
+        raise InvalidSystemError("n must be nonnegative")
     ctx.require_regular()
     ctx.require_dominant(x)
     sl = ctx.slice

@@ -10,22 +10,23 @@ Two coordinate systems are used throughout the package:
 
 The Cartan matrix convention is ``cartan[i][j] = (alpha_i, alpha_j^vee)``,
 so row i of the Cartan matrix is the fundamental-coordinate vector of the
-simple root alpha_i. All arithmetic is exact: plain integers wherever the
-result is integral, fractions.Fraction for the rational conversions.
+simple root alpha_i. All arithmetic is in integers: the one rational basis
+change, from weight to root coordinates, is kept as the integer adjugate
+adj(C) = det(C) C^-1.
 
 Positive roots are generated by closure under addition from the simple
 roots using only Cartan integers (root strings); no tables beyond the
 Cartan matrices are hard-coded. Scalar invariants (Coxeter number, Weyl
 group order, torsion exponent of the weight/root lattice quotient) are
-recomputed from that data and cross-validated at construction time.
+recomputed from that data and cross-validated at construction time; the
+adjugate is checked by C adj(C) = det(C) I.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import accumulate as _accumulate, combinations as _combinations
-from math import factorial, gcd as _gcd
-from operator import add as _add
+from itertools import accumulate as _accumulate
+from math import factorial, gcd as _gcd, prod
+from operator import add as _add, mul as _mul
 
 from .errors import InvalidSystemError, InvariantViolation, ResourceCapError
 
@@ -82,23 +83,26 @@ def _cartan_matrix(type_label: str, rank: int) -> list[list[int]]:
 def _symmetrizers(cartan) -> tuple[int, ...]:
     """Integers d_i = (alpha_i, alpha_i)/2, normalized so short roots get 1."""
     rank = len(cartan)
-    d: list[Fraction | None] = [None] * rank
-    d[0] = Fraction(1)
+    d = [0] * rank
+    # a start divisible by every off-diagonal entry keeps each quotient integral
+    d[0] = prod(-c for row in cartan for c in row if c < 0)
     todo = [0]
     while todo:
         i = todo.pop()
         for j in range(rank):
-            if j != i and cartan[i][j] != 0 and d[j] is None:
+            if j != i and cartan[i][j] != 0 and not d[j]:
                 # symmetry of the form: d_j * c[i][j] == d_i * c[j][i]
-                d[j] = d[i] * cartan[j][i] / cartan[i][j]
+                d[j], rem = divmod(d[i] * cartan[j][i], cartan[i][j])
+                if rem:
+                    raise InvalidSystemError("non-integral symmetrizers; bad Cartan data")
                 todo.append(j)
-    if any(x is None for x in d):
+    if not all(d):
         raise InvalidSystemError("Dynkin diagram is not connected")
-    lo = min(d)
-    out = tuple(x / lo for x in d)
-    if any(x.denominator != 1 for x in out):
+    g = _gcd(*d)
+    out = tuple(x // g for x in d)
+    if min(out) != 1:
         raise InvalidSystemError("non-integral symmetrizers; bad Cartan data")
-    return tuple(int(x) for x in out)
+    return out
 
 
 def _generate_positive_roots(cartan) -> list[RootVec]:
@@ -117,16 +121,9 @@ def _generate_positive_roots(cartan) -> list[RootVec]:
                 p = 0
                 while True:
                     down[i] -= 1
-                    if tuple(down) in known or (
-                        # going below a simple root: beta - alpha_i = 0 also
-                        # terminates the string
-                        all(v == 0 for v in down)
-                    ):
-                        if all(v == 0 for v in down):
-                            break
-                        p += 1
-                    else:
+                    if tuple(down) not in known:
                         break
+                    p += 1
                 if p - pairing > 0:
                     up = list(beta)
                     up[i] += 1
@@ -140,7 +137,7 @@ def _generate_positive_roots(cartan) -> list[RootVec]:
 
 
 def _int_det(matrix) -> int:
-    """Determinant over Z via fraction-free Bareiss elimination."""
+    """Determinant over Z via fraction-free Bareiss elimination; 1 at size 0."""
     n = len(matrix)
     m = [list(row) for row in matrix]
     sign = 1
@@ -158,64 +155,18 @@ def _int_det(matrix) -> int:
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
-def _smith_diagonal(matrix) -> list[int]:
-    """Elementary divisors d_1 | d_2 | ... of an integer matrix.
-
-    Uses the minor-gcd characterization d_k = D_k / D_{k-1}, where D_k is
-    the gcd of all k x k minors; exact and plenty fast at rank <= 8.
-    """
+def _adjugate(matrix) -> list[list[int]]:
+    """adj(M) over Z by cofactors, so that M adj(M) = det(M) I; [[1]] at rank 1."""
     n = len(matrix)
-    divisors = []
-    prev = 1
-    for k in range(1, n + 1):
-        g = 0
-        for rows in _combinations(range(n), k):
-            for cols in _combinations(range(n), k):
-                sub = [[matrix[i][j] for j in cols] for i in rows]
-                g = _gcd(g, _int_det(sub))
-            if g == prev:
-                break
-        if g == 0:
-            divisors.extend([0] * (n - k + 1))
-            break
-        divisors.append(g // prev)
-        prev = g
-    return divisors
-
-
-def solve(a, b):
-    """Exact solution X of A X = B, or None when B is outside the span of A.
-
-    A is an n x k integer matrix of full column rank and B an n x m matrix
-    whose columns are the right-hand sides; X is k x m, with Fraction
-    entries. Fraction-based Gauss-Jordan elimination on [A | B].
-    """
-    n, k = len(a), len(a[0])
-    aug = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(n)]
-    for col in range(k):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise InvalidSystemError("solve needs a matrix of full column rank")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    if any(x != 0 for row in aug[k:] for x in row[k:]):
-        return None  # inconsistent: some right-hand side is outside the span
-    return [row[k:] for row in aug[:k]]
-
-
-def integral(matrix, what: str):
-    """The matrix with int entries; InvariantViolation if any has a denominator."""
-    if any(x.denominator != 1 for row in matrix for x in row):
-        raise InvariantViolation(f"{what} is not integral")
-    return tuple(tuple(int(x) for x in row) for row in matrix)
+    # entry (i, j) is the signed minor without row j and column i
+    return [
+        [(-1) ** (i + j) * _int_det([r[:i] + r[i + 1:] for k, r in enumerate(matrix) if k != j])
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
 class RootSystemData:
@@ -248,14 +199,21 @@ class RootSystemData:
         self.num_roots = 2 * self.num_positive
         self.rho: Weight = (1,) * rank
 
-        # weight -> root basis change: wt_to_rt is wt . C^-1 (row vector), kept
-        # as the integer matrix det(C) C^-1 so that hot paths stay in Z
-        self.cartan_det = _int_det(self.cartan)
-        eye = [[int(i == j) for j in range(rank)] for i in range(rank)]
-        self.inv_cartan = tuple(tuple(r) for r in solve(self.cartan, eye))
-        self._scaled_cols = tuple(zip(*integral(
-            [[x * self.cartan_det for x in row] for row in self.inv_cartan], "det(C) C^-1"
-        )))
+        # weight -> root basis change: the root coordinates of wt are the row
+        # vector wt . C^-1, kept as wt . adj(C) = det(C) wt . C^-1 in Z
+        det = self.cartan_det = _int_det(self.cartan)
+        if det <= 0:
+            raise InvalidSystemError(f"Cartan matrix has determinant {det}, not positive")
+        adj = _adjugate(self.cartan)
+        self._scaled_cols = tuple(zip(*adj))
+        if any(
+            sum(map(_mul, row, col)) != det * (i == j)
+            for i, row in enumerate(self.cartan)
+            for j, col in enumerate(self._scaled_cols)
+        ):
+            raise InvariantViolation("C adj(C) differs from det(C) I")
+        # exponent of P/Q: the least t with t C^-1 = t adj(C) / det(C) integral
+        self.torsion_exponent = det // _gcd(det, *(x for row in adj for x in row))
 
         # (alpha, alpha)/2 per positive root, in the short-root-is-1 scale
         self._half_norms = tuple(self._half_norm(rt) for rt in self.positive_roots)
@@ -319,19 +277,7 @@ class RootSystemData:
         if self.num_roots != rank * self.coxeter_number:
             raise InvalidSystemError("root count cross-check |Phi| = rank*h failed")
 
-        det = self.cartan_det
-        coeff_prod = 1
-        for c in self.max_root:
-            coeff_prod *= c
-        self.weyl_order = det * factorial(rank) * coeff_prod
-
-        snf = _smith_diagonal(self.cartan)
-        nontrivial = [d for d in snf if d not in (0,)]
-        if 0 in snf or len(snf) != rank:
-            raise InvalidSystemError("Cartan matrix is singular")
-        self.torsion_exponent = max(nontrivial)
-        if det != _prod(nontrivial):
-            raise InvalidSystemError("Smith normal form disagrees with determinant")
+        self.weyl_order = det * factorial(rank) * prod(self.max_root)
 
         self._kostant_cache: dict[RootVec, int] = {}
 
@@ -344,14 +290,10 @@ class RootSystemData:
     def wt_to_rt_scaled(self, wt) -> tuple[int, ...]:
         """det(C) times the simple-root coordinates of a weight, as integers.
 
-        det(C) > 0, so sums and sign tests read the same as on wt_to_rt.
+        det(C) > 0, so sums and sign tests read the same as on the rational
+        coordinates wt . C^-1.
         """
         return tuple(sum(a * b for a, b in zip(wt, col)) for col in self._scaled_cols)
-
-    def wt_to_rt(self, wt) -> tuple[Fraction, ...]:
-        """Simple-root coordinates (exact rationals) of a weight."""
-        d = self.cartan_det
-        return tuple(Fraction(c, d) for c in self.wt_to_rt_scaled(wt))
 
     def wt_to_rt_int(self, wt) -> tuple[int, ...] | None:
         """Integer simple-root coordinates of a root-lattice weight, else None."""
@@ -391,13 +333,6 @@ class RootSystemData:
 
     def __hash__(self):
         return hash((self.type_label, self.rank))
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 _SYSTEM_CACHE: dict[tuple[str, int], RootSystemData] = {}
@@ -491,7 +426,7 @@ def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
     # bounded coin-change over the coordinate box below the target, stored
     # flat in mixed radix with the last coordinate fastest, so that one row
     # holds the points that differ only in their last coordinate
-    size = _prod(t + 1 for t in target)
+    size = prod(t + 1 for t in target)
     if size > KOSTANT_BOX_CAP:
         raise ResourceCapError(
             f"Kostant partition of {target} needs a box of {size} points, "
@@ -499,7 +434,7 @@ def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
         )
     *lead, last = target
     width = last + 1
-    strides = [width * _prod(t + 1 for t in lead[i + 1:]) for i in range(len(lead))]
+    strides = [width * prod(t + 1 for t in lead[i + 1:]) for i in range(len(lead))]
     ways = [0] * size
     ways[0] = 1
     for beta in rs.positive_roots:

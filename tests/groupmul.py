@@ -12,7 +12,6 @@ simple-root coordinates of the translation through ``root_action``.
 """
 
 from klext.errors import InvariantViolation
-from klext.rootsys import integral, solve
 from klext.weylaffine import AffineElement, _matvec, facet_generators, identity
 
 
@@ -28,15 +27,16 @@ _root_action_cache = {}
 
 
 def root_action(rs, wmat):
-    """The finite part on simple-root coordinates: R = B^-1 W B, B = cartan^T.
-
-    B maps root to weight coordinates, so W B = B R; memoised per finite part.
-    """
+    """The finite part on simple-root coordinates: column j of R holds the
+    root coordinates of W alpha_j; memoised per finite part."""
     cache = _root_action_cache.setdefault(rs, {})
     got = cache.get(wmat)
     if got is None:
-        b = tuple(zip(*rs.cartan))
-        got = cache[wmat] = integral(solve(b, _matmul(wmat, b)), "root action")
+        # row j of cartan is alpha_j in weight coordinates
+        cols = [rs.wt_to_rt_int(_matvec(wmat, alpha)) for alpha in rs.cartan]
+        if None in cols:
+            raise InvariantViolation("a finite part moved a root off the root lattice")
+        got = cache[wmat] = tuple(zip(*cols))
     return got
 
 

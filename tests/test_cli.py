@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, cache=None, timeout=None):
     cmd = [sys.executable, "-m", "klext.cli"]
@@ -225,6 +227,49 @@ def test_config_sets_subcommand_defaults(tmp_path):
     # a key that neither the main parser nor the subcommand has is invalid
     res = run_cli("--config", str(conf), "info", "A", "1")
     assert res.returncode == 2 and res.stderr == "error: unknown config key 'cutoff'\n"
+
+
+@pytest.mark.parametrize("content, args, message", [
+    ("[1]", ("info", "A", "1"), "config file must hold a JSON object"),
+    ('{"format": "xml"}', ("info", "A", "1"),
+     "config key 'format' must be one of json, text, csv, not \"xml\""),
+    ('{"cutoff": 6.5}', ("mu", "A", "1", "--x", "0", "--y", "1"),
+     "config key 'cutoff' must be an integer, not 6.5"),
+    ('{"cutoff": true}', ("mu", "A", "1", "--x", "0", "--y", "1"),
+     "config key 'cutoff' must be an integer, not true"),
+    ('{"cache_dir": 5}', ("info", "A", "1"), "config key 'cache_dir' must be a string, not 5"),
+    ('{"n": [1, 2]}', ("bounds", "A", "1", "--p", "2"),
+     "config key 'n' must be an integer, not [1, 2]"),
+    ('{"finite": 1}', ("enumerate", "A", "1", "--cutoff", "2"),
+     "config key 'finite' must be true or false, not 1"),
+    ("{", ("info", "A", "1"), "cannot read config file: Expecting property name"),
+])
+def test_bad_config_value_exits_2(tmp_path, content, args, message):
+    conf = tmp_path / "conf.json"
+    conf.write_text(content)
+    res = run_cli("--config", str(conf), *args)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith(f"error: {message}") and res.stderr.count("\n") == 1
+
+
+def test_config_n_is_the_first_bounds_shift(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"n": 2}))
+    res = run_cli("--config", str(conf), "--format", "json", "bounds", "A", "1", "--p", "2",
+                  "--n", "3")
+    assert res.returncode == 0
+    shifts = [r["provenance"].rsplit(" ", 1)[1] for r in json.loads(res.stdout)["reports"]
+              if r["constant"] == "frobenius_shift"]
+    assert shifts == ["n=2", "n=3"]
+
+
+def test_negative_ext_degree_exits_2(tmp_path):
+    base = ("A", "1", "--cutoff", "16", "--l", "3")
+    for args in (("extn", *base, "--x", "2", "--y", "4", "--n", "-1"),
+                 ("extsum", *base, "--x", "2", "--n", "-1")):
+        res = run_cli(*args, cache=tmp_path)
+        assert res.returncode == 2 and res.stderr == "error: n must be nonnegative\n"
+        assert res.stdout == ""
 
 
 def test_config_loses_to_a_flag_equal_to_its_default(tmp_path):

@@ -206,6 +206,18 @@ def test_sum_ext_n(a1_table20):
         assert rep1.value == total and rep1.saturated == sat
 
 
+def test_ext_degree_far_above_the_slice_or_negative(a1_table20):
+    # degree 10**12 exceeds every length sum in the slice: 0 without a loop up to n
+    ctx = ctx_for(a1_table20, 3)
+    doms = ctx.slice.dominant_indices()
+    x = doms[3]
+    assert [extn_simple_simple(ctx, x, y, 10**12) for y in doms] == [0] * len(doms)
+    assert sum_ext_n(ctx, x, 10**12).value == 0
+    for call in (lambda: extn_simple_simple(ctx, x, x, -1), lambda: sum_ext_n(ctx, x, -1)):
+        with pytest.raises(InvalidSystemError, match="n must be nonnegative"):
+            call()
+
+
 def test_sum_ext2_stable_under_window_growth():
     a1 = build_root_system("A", 1)
     values = {}

@@ -1,4 +1,5 @@
-"""Invariant guards survive ``python -O``: no assert statements in the package."""
+"""Guards: invariants survive ``python -O`` (no assert statements in the
+package), and the CLI import stays free of ``fractions``."""
 
 import ast
 import os
@@ -29,3 +30,10 @@ def test_optimized_run_prints_the_same():
             for flags in ([], ["-O"])]
     assert [r.returncode for r in runs] == [0, 0]
     assert runs[0].stdout == runs[1].stdout
+
+
+def test_cli_import_leaves_fractions_out():
+    # root-system arithmetic is integer-only, so the CLI never loads fractions
+    code = "import sys, klext.cli; print('fractions' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr

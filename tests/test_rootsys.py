@@ -1,29 +1,33 @@
 """Root-system data: generation, pairings, orders, digit expansions."""
 
+import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from klext.errors import InvalidSystemError, InvariantViolation, ResourceCapError
+from klext.errors import InvalidSystemError, ResourceCapError
 from klext.rootsys import (
     KOSTANT_BOX_CAP,
+    _int_det,
     build_root_system,
     classify_weight,
     dominance_leq,
     generic_shift,
-    integral,
     is_dominant,
     kostant_partition,
     pairing,
-    solve,
     special_isogeny_image,
     system_summary,
 )
 
 ALL_SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
              ("D", 4), ("G", 2), ("F", 4)]
+# every irreducible type of rank <= 8
+TO_RANK_8 = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+             + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(3, 9)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
 
 
 # -- independent oracles ------------------------------------------------------
@@ -80,6 +84,28 @@ def brute_force_weyl_order(rs):
                 seen.add(prod)
                 stack.append(prod)
     return len(seen)
+
+
+def smith_diagonal(matrix):
+    """Elementary divisors d_1 | d_2 | ... of a nonsingular integer matrix.
+
+    Uses the minor-gcd characterization d_k = D_k / D_{k-1}, where D_k is
+    the gcd of all k x k minors; independent of the adjugate behind
+    ``torsion_exponent``.
+    """
+    n = len(matrix)
+    divisors = []
+    prev = 1
+    for k in range(1, n + 1):
+        g = 0
+        for rows in combinations(range(n), k):
+            for cols in combinations(range(n), k):
+                g = math.gcd(g, _int_det([[matrix[i][j] for j in cols] for i in rows]))
+            if g == prev:  # D_{k-1} divides D_k, so no smaller gcd is left
+                break
+        divisors.append(g // prev)
+        prev = g
+    return divisors
 
 
 def naive_kostant(rs, target):
@@ -169,56 +195,39 @@ def test_torsion_exponents():
     expected = {("A", 1): 2, ("A", 2): 3, ("A", 5): 6, ("B", 4): 2, ("C", 3): 2,
                 ("D", 4): 2, ("D", 5): 4, ("E", 6): 3, ("E", 7): 2, ("E", 8): 1,
                 ("F", 4): 1, ("G", 2): 1}
-    for (lab, rank), t in expected.items():
+    for lab, rank in TO_RANK_8:
         rs = build_root_system(lab, rank)
-        assert rs.torsion_exponent == t, (lab, rank)
-        # the full group order |X/Q| equals det(cartan)
-        from klext.rootsys import _int_det, _smith_diagonal
-
-        snf = _smith_diagonal(rs.cartan)
-        prod = 1
-        for d in snf:
-            prod *= d
-        assert prod == _int_det(rs.cartan)
+        snf = smith_diagonal(rs.cartan)
+        # |P/Q| is det(cartan), and the exponent of P/Q is its last divisor
+        assert math.prod(snf) == rs.cartan_det, (lab, rank)
+        assert rs.torsion_exponent == snf[-1], (lab, rank)
+    assert {key: build_root_system(*key).torsion_exponent for key in expected} == expected
 
 
 def test_weight_coordinate_roundtrip():
     rng = random.Random(0)
     for lab, rank in ALL_SMALL + [("E", 6), ("E", 7), ("E", 8)]:
         rs = build_root_system(lab, rank)
-        # C C^-1 = I for the inverse the solver produced
+        det = rs.cartan_det
+        # C adj(C) = det(C) I for the integer basis change
         for i in range(rank):
             for j in range(rank):
-                entry = sum(rs.cartan[i][k] * rs.inv_cartan[k][j] for k in range(rank))
-                assert entry == int(i == j), (lab, rank, i, j)
+                entry = sum(rs.cartan[i][k] * rs._scaled_cols[j][k] for k in range(rank))
+                assert entry == det * int(i == j), (lab, rank, i, j)
         for _ in range(50):
             wt = tuple(rng.randrange(-6, 7) for _ in range(rank))
-            rt = rs.wt_to_rt(wt)
+            scaled = rs.wt_to_rt_scaled(wt)
+            # the root coordinates scaled / det(C) map back to wt through C
             back = tuple(
-                sum(rt[i] * rs.cartan[i][j] for i in range(rank)) for j in range(rank)
+                sum(scaled[i] * rs.cartan[i][j] for i in range(rank)) for j in range(rank)
             )
-            assert tuple(int(x) for x in back) == wt
-            assert rs.rt_to_wt(rt) == wt
-            # the integer basis change is det(C) times the rational one
-            assert rs.wt_to_rt_scaled(wt) == tuple(rs.cartan_det * c for c in rt)
-            on_lattice = all(c.denominator == 1 for c in rt)
-            assert rs.wt_to_rt_int(wt) == (tuple(map(int, rt)) if on_lattice else None)
-
-
-def test_solve_exact_and_inconsistent():
-    # two right-hand sides at once: X = A^-1 B
-    a = [[2, -1], [-1, 2]]
-    x = solve(a, [[1, 0], [0, 1]])
-    assert x == [[Fraction(2, 3), Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]]
-    assert integral(solve(a, [[3], [0]]), "x") == ((2,), (1,))
-    with pytest.raises(InvariantViolation):
-        integral(x, "inverse")
-    # a tall basis: targets inside the span are expanded, those outside give None
-    basis = [[1, 0], [1, 1], [0, 1]]  # columns (1,1,0) and (0,1,1)
-    assert solve(basis, [[2], [5], [3]]) == [[2], [3]]
-    assert solve(basis, [[0], [1], [0]]) is None
-    with pytest.raises(InvalidSystemError):
-        solve([[1, 2], [2, 4]], [[1], [2]])  # rank deficient
+            assert back == tuple(det * x for x in wt)
+            on_lattice = all(c % det == 0 for c in scaled)
+            assert rs.wt_to_rt_int(wt) == (
+                tuple(c // det for c in scaled) if on_lattice else None
+            )
+            rt = tuple(rng.randrange(-6, 7) for _ in range(rank))
+            assert rs.wt_to_rt_int(rs.rt_to_wt(rt)) == rt
 
 
 # -- pairing -------------------------------------------------------------------

@@ -21,11 +21,10 @@ from klext import binio
 from klext.errors import CacheFormatError, ResourceCapError, SliceCoverageError
 from klext.extbounds import make_block_context, singular_ext1_report
 from klext.klpoly import KLTable, mu
-from klext.rootsys import build_root_system, classify_weight, integral, solve
+from klext.rootsys import _adjugate, _int_det, build_root_system, classify_weight
 from klext.weylaffine import (
     AffineElement,
     GroupSlice,
-    _identity_matrix,
     _matvec,
     dot_action,
     factorize_weight,
@@ -128,8 +127,10 @@ def test_basic_translation():
 
 
 def inverse(rs, g):
-    """g^-1 = (w^-1, -w^-1(mu)), from the exact inverse of the finite part."""
-    winv = integral(solve(g.wmat, _identity_matrix(rs.rank)), "inverse finite part")
+    """g^-1 = (w^-1, -w^-1(mu)); det(w) = +-1, so w^-1 = det(w) adj(w)."""
+    sign = _int_det(g.wmat)
+    assert sign in (1, -1)
+    winv = tuple(tuple(sign * x for x in row) for row in _adjugate(g.wmat))
     mu = tuple(-x for x in _matvec(root_action(rs, winv), g.mu))
     return make_element(rs, winv, mu)
 
@@ -530,14 +531,11 @@ def test_finite_part_invariants():
     rng = random.Random(11)
     for lab, rank in [("A", 2), ("B", 2), ("G", 2)]:
         rs = build_root_system(lab, rank)
-        # scaled invariant form on weight coordinates
-        form = [
-            [rs.inv_cartan[i][j] * rs.symmetrizers[j] for j in range(rank)]
-            for i in range(rank)
-        ]
-
+        # det(C) times the invariant form on weight coordinates:
+        # (u, v) = sum_j (root coordinate j of u) * d_j * v_j
         def pair(u, v):
-            return sum(form[i][j] * u[i] * v[j] for i in range(rank) for j in range(rank))
+            scaled = rs.wt_to_rt_scaled(u)
+            return sum(scaled[j] * rs.symmetrizers[j] * v[j] for j in range(rank))
 
         sl = enumerate_slice(rs, 5)
         for g in rng.sample(sl.elements, 12):
