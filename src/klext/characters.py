@@ -33,7 +33,7 @@ from math import prod
 from operator import mul as _mul
 
 from .errors import InvalidSystemError, InvariantViolation
-from .klpoly import KLTable
+from .klpoly import KLTable, kl_polynomial
 from .rootsys import (
     RootSystemData,
     RootVec,
@@ -294,14 +294,14 @@ def chi_kl(rs: RootSystemData, lam: Weight, l: int, table: KLTable) -> KLCharact
     w = sl.follow(word)
     lw = sl.length[w]
     terms = []
-    for y, pid in sorted(table.rows_for(w).items()):
+    for y in sorted(table.rows_for(w)):
         if not sl.dominant[y]:
             continue
         sign = 1 if (lw - sl.length[y]) % 2 == 0 else -1
         wt = dot_action(rs, sl.elements[y], lam_minus, l)
         if not is_dominant(wt):
             raise InvariantViolation(f"dominant element {y} gave non-dominant weight {wt}")
-        terms.append((wt, sign * sum(table.pool[pid])))
+        terms.append((wt, sign * sum(kl_polynomial(table, y, w))))
     terms.sort()
     return KLCharacter(rs, l, lam, lam_minus, w, terms)
 
@@ -381,14 +381,10 @@ def decomposition_matrix(rs: RootSystemData, seed: Weight, l: int,
     indices = [idx for _, idx in members]
     a = [[0] * n for _ in range(n)]
     for j in range(n):
-        row_j = table.rows_for(indices[j])
         lj = sl.length[indices[j]]
         for i in range(n):
-            pid = row_j.get(indices[i])
-            if pid is None:
-                continue
             sign = 1 if (lj - sl.length[indices[i]]) % 2 == 0 else -1
-            a[i][j] = sign * sum(table.pool[pid])
+            a[i][j] = sign * sum(kl_polynomial(table, indices[i], indices[j]))
     # back-substitution inverse of a unitriangular integer matrix
     d = [[int(i == j) for j in range(n)] for i in range(n)]
     for j in range(n):

@@ -647,9 +647,16 @@ def build_parser(config=None) -> argparse.ArgumentParser:
         attr = key.replace("-", "_")
         for p in (parser, *subs.choices.values()):
             for action in p._actions:
-                if action.dest == attr:
+                if action.dest == attr and _settable(action):
                     p.set_defaults(**{attr: _config_value(key, value, action)})
     return parser
+
+
+def _settable(action) -> bool:
+    """Whether a config default of ``action`` can take effect: it must be an
+    optional flag that is not required, not --help, --version or --config."""
+    return (bool(action.option_strings) and not action.required
+            and action.dest not in ("help", "version", "config"))
 
 
 def _config_value(key, value, action):
@@ -689,11 +696,15 @@ def _read_config(argv) -> dict:
     return config
 
 
-def _apply_config(args, config):
+def _apply_config(args, config, parser):
+    subs = next(a for a in parser._actions if a.dest == "command")
+    actions = {a.dest: a for p in (parser, subs.choices[args.command]) for a in p._actions}
     for key in config:
-        # a key that neither the main parser nor the subcommand has
-        if not hasattr(args, key.replace("-", "_")):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:  # neither the main parser nor the subcommand has it
             raise UsageError(f"unknown config key {key!r}")
+        if not _settable(action):
+            raise UsageError(f"config key {key!r} can only be given on the command line")
     if args.cache_dir is None:
         args.cache_dir = os.environ.get(ENV_CACHE) or None
     if getattr(args, "l", None) == 0 and hasattr(args, "type"):
@@ -720,19 +731,16 @@ def main(argv=None) -> int:
 
     with warnings.catch_warnings():
         warnings.showwarning = show
-        return _run(args, config)
+        return _run(args, config, parser)
 
 
-def _run(args, config) -> int:
+def _run(args, config, parser) -> int:
     try:
-        _apply_config(args, config)
+        _apply_config(args, config, parser)
         payload = args.func(args)
-        if args.command == "verify":
-            # keep a stable textual report regardless of --format
-            sys.stdout.write(_render(payload, args.format))
-            return 0 if payload["all_passed"] else 1
         sys.stdout.write(_render(payload, args.format))
-        return 0
+        # verify reports a failed check, in every format, by exit status 1
+        return 0 if payload.get("all_passed", True) else 1
     except (UsageError, InvalidSystemError, OSError) as ex:
         # OSError: an unusable --cache-dir, cache entry or output path
         print(f"error: {ex}", file=sys.stderr)

@@ -20,12 +20,14 @@ exact only when the window proves no term was truncated away.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 from .characters import decomposition_matrix, dominant_representative, linkage_block
 from .errors import InvalidSystemError, InvariantViolation, LevelWarning, SliceCoverageError
 from .klpoly import (
     KLTable,
+    kl_coefficient,
     kl_coefficient_sum,
     max_mu_dominant,
     max_top_coefficient,
@@ -51,7 +53,6 @@ class BlockContext:
 
     rs: RootSystemData
     l: int
-    lam_minus: Weight
     slice: GroupSlice
     table: KLTable
     regular: bool
@@ -73,12 +74,9 @@ class BlockContext:
 def make_block_context(rs: RootSystemData, l: int, table: KLTable) -> BlockContext:
     """The block seeded at -2rho, interior of the fundamental alcove exactly
     when l >= h."""
-    lam_minus = (-2,) * rs.rank
-    regular = is_interior_fundamental(rs, lam_minus, l)
+    regular = is_interior_fundamental(rs, (-2,) * rs.rank, l)
     # quantum-parameter hygiene: the combinatorics is defined regardless,
     # so these are warnings rather than hard errors
-    import warnings
-
     if l % 2 == 0 or (rs.type_label == "G" and l % 3 == 0):
         warnings.warn(
             f"l={l} violates the usual root-of-unity restrictions "
@@ -93,7 +91,7 @@ def make_block_context(rs: RootSystemData, l: int, table: KLTable) -> BlockConte
             LevelWarning,
             stacklevel=2,
         )
-    return BlockContext(rs, l, lam_minus, table.slice, table, regular)
+    return BlockContext(rs, l, table.slice, table, regular)
 
 
 # -- Ext dimensions inside a regular block -----------------------------------
@@ -112,13 +110,7 @@ def extn_simple_costandard(ctx: BlockContext, x: int, z: int, n: int) -> int:
     ctx.require_regular()
     ctx.require_dominant(x, z)
     sl = ctx.slice
-    e = sl.length[x] - sl.length[z] - n
-    if e < 0 or e % 2:
-        return 0
-    pid = ctx.table.rows_for(x).get(z)
-    if pid is None:
-        return 0  # z not Bruhat-below x: the Ext groups vanish
-    return ctx.table.coeff(pid, e // 2)
+    return kl_coefficient(ctx.table, z, x, sl.length[x] - sl.length[z] - n)
 
 
 def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
@@ -128,9 +120,9 @@ def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
     ctx.require_regular()
     ctx.require_dominant(x, y)
     sl = ctx.slice
-    table = ctx.table
-    row_x = table.rows_for(x)
-    row_y = table.rows_for(y)
+    coeff = ctx.table.coeff
+    row_x = ctx.table.rows_for(x)
+    row_y = ctx.table.rows_for(y)
     total = 0
     for z in row_x.keys() & row_y.keys():
         if not sl.dominant[z]:
@@ -139,10 +131,7 @@ def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
         gy = sl.length[y] - sl.length[z]
         # a <= gx and b = n - a <= gy, so that both degrees are nonnegative
         for a in range(max(0, n - gy), min(n, gx) + 1):
-            ea, eb = gx - a, gy - n + a
-            if ea % 2 or eb % 2:
-                continue
-            total += table.coeff(row_x[z], ea // 2) * table.coeff(row_y[z], eb // 2)
+            total += coeff(row_x[z], gx - a) * coeff(row_y[z], gy - n + a)
     return total
 
 
@@ -478,40 +467,6 @@ def bound_constants(rs: RootSystemData, p: int, ns=(1,),
 # -- verification battery ----------------------------------------------------------
 
 
-def _kl_axioms_witness(table: KLTable) -> str:
-    """The first KL axiom that a row breaks, as a detail, or "".
-
-    P(y,y) = 1. The support of row y is the Bruhat ideal of y, checked by
-    the lifting property for the last right descent s of y (the fill uses
-    the first): ideal(y) = ideal(ys) + ideal(ys)s, and ideal(e) = {e}.
-    Every stored entry has constant term 1, no negative coefficient and
-    degree below (l(y) - l(x))/2.
-    """
-    sl = table.slice
-    length, right = sl.length, sl.right
-    for y in range(len(sl)):
-        row = table.rows_for(y)
-        if row.get(y) is None or table.pool[row[y]] != (1,):
-            return f"P(y,y) != 1 at {y}"
-        if length[y] == 0:
-            ideal = {y}
-        else:
-            s = sl.right_descents(y)[-1]
-            below = table.rows_for(right[y][s])
-            ideal = set(below)
-            ideal.update(right[x][s] for x in below)
-        diff = ideal.symmetric_difference(row)
-        if diff:
-            return f"support/Bruhat mismatch at ({min(diff)},{y})"
-        for x, pid in row.items():
-            coeffs = table.pool[pid]
-            if coeffs[0] != 1 or min(coeffs) < 0:
-                return f"coefficient axiom broken at ({x},{y})"
-            if x != y and 2 * (len(coeffs) - 1) > length[y] - length[x] - 1:
-                return f"degree bound broken at ({x},{y})"
-    return ""
-
-
 def run_verification(rs: RootSystemData, l: int, table: KLTable):
     """Invariant battery over one slice; returns [(name, ok, detail)].
 
@@ -532,7 +487,7 @@ def run_verification(rs: RootSystemData, l: int, table: KLTable):
 
     sl = table.slice
 
-    detail = _kl_axioms_witness(table)
+    detail = table.axioms_witness()
     record("kl_axioms", not detail, detail)
 
     # parity vanishing and symmetry of mu

@@ -4,7 +4,10 @@ Polynomials are in the variable q = t^2 (only even t-powers occur). A
 table holds each distinct polynomial once, as a tuple of arbitrary-precision
 integer coefficients in a per-table pool (a few dozen polynomials serve
 hundreds of thousands of entries), and each row maps x to a pool id;
-queries return those coefficient tuples, () for zero. The table for a
+``kl_polynomial`` returns those coefficient tuples, () for zero. Every other
+reader takes a t-degree: ``KLTable.coeff(pid, d)`` is the coefficient of
+t^d, 0 for odd, negative or too large d, so no caller turns a t-degree into
+a pool index, and no other module reads the pool. The table for a
 slice is filled shell by shell in the length of the upper index y; within
 a shell every entry depends only on completed shells.
 
@@ -98,10 +101,11 @@ class KLTable:
         self._mu_rows: dict[int, tuple[tuple[int, int], ...]] = {}
         self._path = None  # the file a loaded table came from
 
-    def coeff(self, pid: int, e: int) -> int:
-        """Coefficient of q^e of the pool entry ``pid``."""
+    def coeff(self, pid: int, d: int) -> int:
+        """Coefficient of t^d of the pool entry ``pid`` under q = t^2: 0 when
+        d is odd, negative or above the degree."""
         t = self.pool[pid]
-        return t[e] if 0 <= e < len(t) else 0
+        return t[d // 2] if d % 2 == 0 and 0 <= d < 2 * len(t) else 0
 
     def _store(self, t: tuple[int, ...], x: int, y: int) -> int:
         """Pool id of the final value P(x,y), checking its shape once per
@@ -184,6 +188,39 @@ class KLTable:
         row[y] = self._store((1,), y, y)
         return row
 
+    def axioms_witness(self) -> str:
+        """The first KL axiom that a row breaks, as a detail, or "".
+
+        P(y,y) = 1. The support of row y is the Bruhat ideal of y, checked by
+        the lifting property for the last right descent s of y (the fill uses
+        the first): ideal(y) = ideal(ys) + ideal(ys)s, and ideal(e) = {e}.
+        Every stored entry has constant term 1, no negative coefficient and
+        degree below (l(y) - l(x))/2.
+        """
+        sl = self.slice
+        length, right = sl.length, sl.right
+        for y in range(len(sl)):
+            row = self.rows_for(y)
+            if row.get(y) is None or self.pool[row[y]] != (1,):
+                return f"P(y,y) != 1 at {y}"
+            if length[y] == 0:
+                ideal = {y}
+            else:
+                s = sl.right_descents(y)[-1]
+                below = self.rows_for(right[y][s])
+                ideal = set(below)
+                ideal.update(right[x][s] for x in below)
+            diff = ideal.symmetric_difference(row)
+            if diff:
+                return f"support/Bruhat mismatch at ({min(diff)},{y})"
+            for x, pid in row.items():
+                coeffs = self.pool[pid]
+                if coeffs[0] != 1 or min(coeffs) < 0:
+                    return f"coefficient axiom broken at ({x},{y})"
+                if x != y and 2 * (len(coeffs) - 1) > length[y] - length[x] - 1:
+                    return f"degree bound broken at ({x},{y})"
+        return ""
+
     def rows_for(self, y: int) -> dict[int, int]:
         """Row y as a dict x -> pool id. A loaded row is held as its two
         stored arrays until this first read, which decodes it and drops them."""
@@ -202,22 +239,14 @@ class KLTable:
     def mu_row(self, y: int) -> tuple[tuple[int, int], ...]:
         """All (z, mu(z, y)) with nonzero mu and z < y."""
         cached = self._mu_rows.get(y)
-        if cached is not None:
-            return cached
-        sl = self.slice
-        ly = sl.length[y]
-        out = []
-        for z, pid in self.rows_for(y).items():
-            gap = ly - sl.length[z]
-            if gap <= 0 or gap % 2 == 0:
-                continue
-            top = self.coeff(pid, (gap - 1) // 2)
-            if top:
-                out.append((z, top))
-        out.sort()
-        res = tuple(out)
-        self._mu_rows[y] = res
-        return res
+        if cached is None:
+            length, coeff = self.slice.length, self.coeff
+            ly = length[y]
+            cached = self._mu_rows[y] = tuple(sorted(
+                (z, top) for z, pid in self.rows_for(y).items()
+                if (top := coeff(pid, ly - length[z] - 1))
+            ))
+        return cached
 
 
 # -- queries -------------------------------------------------------------------
@@ -232,22 +261,21 @@ def kl_polynomial(table: KLTable, x: int, y: int) -> tuple[int, ...]:
 
 
 def mu(table: KLTable, x: int, y: int) -> int:
-    """Top KL coefficient, symmetrized: mu(x,y) = mu(y,x), 0 on the diagonal."""
+    """Top KL coefficient, of t^(l(y)-l(x)-1) in P_{x,y}; symmetrized,
+    mu(x,y) = mu(y,x), and 0 on the diagonal."""
     sl = table.slice
     sl.check_index(x, y)
     if sl.length[x] > sl.length[y]:
         x, y = y, x
-    gap = sl.length[y] - sl.length[x]
-    if x == y or gap % 2 == 0:
-        return 0
     pid = table.rows_for(y).get(x)
-    return 0 if pid is None else table.coeff(pid, (gap - 1) // 2)
+    return 0 if pid is None else table.coeff(pid, sl.length[y] - sl.length[x] - 1)
 
 
 def kl_coefficient(table: KLTable, x: int, y: int, m: int) -> int:
     """Coefficient of t^m of P_{x,y} under q = t^2 (odd m give 0)."""
-    t = kl_polynomial(table, x, y)
-    return t[m // 2] if 0 <= m < 2 * len(t) and m % 2 == 0 else 0
+    table.slice.check_index(x, y)
+    pid = table.rows_for(y).get(x)
+    return 0 if pid is None else table.coeff(pid, m)
 
 
 def mu_support_window(rs) -> int:
@@ -288,24 +316,22 @@ def mu_row_sum(table: KLTable, x: int) -> tuple[int, bool]:
     return total, saturated
 
 
+def _dominant_column(table: KLTable, y: int, m: int):
+    """The t-coefficients c[len(y)-len(x)-m] of P_{x,y} over dominant x <= y."""
+    sl = table.slice
+    ly = sl.length[y]
+    return (table.coeff(pid, ly - sl.length[x] - m)
+            for x, pid in table.rows_for(y).items() if sl.dominant[x])
+
+
 def kl_coefficient_sum(table: KLTable, y: int, m: int) -> int:
     """Sum over dominant x <= y of the t-coefficient c[len(y)-len(x)-m].
 
     The index set is finite and contained in any slice containing y, so
     the value is always exact.
     """
-    sl = table.slice
-    sl.check_index(y)
-    ly = sl.length[y]
-    total = 0
-    for x, pid in table.rows_for(y).items():
-        if not sl.dominant[x]:
-            continue
-        e = ly - sl.length[x] - m
-        if e < 0 or e % 2:
-            continue
-        total += table.coeff(pid, e // 2)
-    return total
+    table.slice.check_index(y)
+    return sum(_dominant_column(table, y, m))
 
 
 def max_mu_dominant(table: KLTable) -> int:
@@ -321,18 +347,8 @@ def max_mu_dominant(table: KLTable) -> int:
 
 def max_top_coefficient(table: KLTable, m: int) -> int:
     """Largest coefficient c[len(y)-len(x)-m] over dominant pairs x <= y."""
-    sl = table.slice
-    best = 0
-    for y in sl.dominant_indices():
-        ly = sl.length[y]
-        for x, pid in table.rows_for(y).items():
-            if not sl.dominant[x]:
-                continue
-            e = ly - sl.length[x] - m
-            if e < 0 or e % 2:
-                continue
-            best = max(best, table.coeff(pid, e // 2))
-    return best
+    return max((c for y in table.slice.dominant_indices()
+                for c in _dominant_column(table, y, m)), default=0)
 
 
 def kl_recomputation(table: KLTable, rng):

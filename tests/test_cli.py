@@ -143,6 +143,18 @@ def test_verify_exit_codes(tmp_path):
     assert all(c["result"] == "PASS" for c in data["checks"])
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_failed_verify_exits_1_in_every_format(fmt, monkeypatch, capsys):
+    from klext import cli, extbounds
+
+    monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
+    monkeypatch.setattr(extbounds, "run_verification",
+                        lambda rs, l, table: [("kl_axioms", False, "P(y,y) != 1 at 0")])
+    rc = cli.main(["--format", fmt, "verify", "--type", "A", "--rank", "1", "--cutoff", "2"])
+    out = capsys.readouterr().out
+    assert rc == 1 and "FAIL" in out and "P(y,y) != 1 at 0" in out
+
+
 def test_cold_warm_determinism(tmp_path):
     args = ("--format", "json", "kl", "A", "2", "--cutoff", "8", "--all")
     cold = run_cli(*args, cache=tmp_path)
@@ -243,6 +255,22 @@ def test_config_sets_subcommand_defaults(tmp_path):
     ('{"finite": 1}', ("enumerate", "A", "1", "--cutoff", "2"),
      "config key 'finite' must be true or false, not 1"),
     ("{", ("info", "A", "1"), "cannot read config file: Expecting property name"),
+    # keys whose defaults can never take effect: positionals, required
+    # options of the command that runs, help, version and config itself
+    ('{"rank": 5, "type": "B"}', ("info", "A", "1"),
+     "config key 'rank' can only be given on the command line"),
+    ('{"help": true}', ("info", "A", "1"),
+     "config key 'help' can only be given on the command line"),
+    ('{"command": "info"}', ("info", "A", "1"),
+     "config key 'command' can only be given on the command line"),
+    ('{"version": true}', ("info", "A", "1"),
+     "config key 'version' can only be given on the command line"),
+    ('{"config": "x.json"}', ("info", "A", "1"),
+     "config key 'config' can only be given on the command line"),
+    ('{"x": 1}', ("mu", "A", "1", "--cutoff", "4", "--x", "0", "--y", "1"),
+     "config key 'x' can only be given on the command line"),
+    ('{"type": "B"}', ("verify", "--type", "A", "--rank", "1", "--cutoff", "4"),
+     "config key 'type' can only be given on the command line"),
 ])
 def test_bad_config_value_exits_2(tmp_path, content, args, message):
     conf = tmp_path / "conf.json"
@@ -250,6 +278,15 @@ def test_bad_config_value_exits_2(tmp_path, content, args, message):
     res = run_cli("--config", str(conf), *args)
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith(f"error: {message}") and res.stderr.count("\n") == 1
+
+
+def test_config_sets_an_option_that_is_required_elsewhere(tmp_path):
+    # --x is required on mu but optional on kl, where the file may set it
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"x": 1}))
+    res = run_cli("--config", str(conf), "--format", "json", "kl", "A", "1", "--cutoff", "4",
+                  "--y", "3")
+    assert res.returncode == 0 and json.loads(res.stdout)["x"] == 1
 
 
 def test_config_n_is_the_first_bounds_shift(tmp_path):

@@ -1,5 +1,6 @@
 """Guards: invariants survive ``python -O`` (no assert statements in the
-package), and the CLI import stays free of ``fractions``."""
+package), the CLI import stays free of ``fractions``, and only ``klpoly``
+reads a KL table's polynomial pool."""
 
 import ast
 import os
@@ -37,3 +38,16 @@ def test_cli_import_leaves_fractions_out():
     code = "import sys, klext.cli; print('fractions' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
+
+
+def test_only_klpoly_reads_the_pool():
+    # the pool stores P in q = t^2; every other module reads coefficients by
+    # t-degree through klpoly's readers, so the storage convention stays there
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "klpoly.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "pool"]
+    assert found == [], f"the pool is read outside klpoly: {found}"

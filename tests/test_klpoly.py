@@ -9,6 +9,7 @@ import pytest
 from conftest import bruhat_leq
 from klext import binio
 from klext.errors import CacheFormatError, InvalidSystemError, SliceCoverageError
+from klext.extbounds import extn_simple_costandard, make_block_context
 from klext.klpoly import (
     KLTable,
     _combine,
@@ -108,6 +109,56 @@ def test_kl_coefficient_t_convention(a2_table12):
             if x != y:
                 for m in range(gap, gap + 3):
                     assert kl_coefficient(table, x, y, m) == 0
+
+
+def test_coeff_reads_a_t_degree(a2_table12):
+    table = a2_table12
+    pid, t = next((pid, t) for pid, t in enumerate(table.pool) if len(t) >= 2)
+    assert [table.coeff(pid, 2 * e) for e in range(len(t))] == list(t)
+    assert table.coeff(pid, 1) == table.coeff(pid, 3) == 0  # odd degrees
+    assert table.coeff(pid, -1) == table.coeff(pid, -2) == 0  # negative degrees
+    assert table.coeff(pid, 2 * len(t)) == table.coeff(pid, 2 * len(t) + 2) == 0  # too large
+
+
+def _q_coeff(t, e):
+    """The coefficient of t^e of a tuple of q-coefficients (q = t^2), with its
+    own parity guard and halving: the oracle of the reader test below."""
+    return t[e // 2] if 0 <= e < 2 * len(t) and e % 2 == 0 else 0
+
+
+def test_t_degree_readers_match_the_tuple_formulas():
+    for lab in ("A", "B"):
+        rs = build_root_system(lab, 2)
+        table = KLTable(enumerate_slice(rs, 8))
+        table.fill()
+        sl = table.slice
+        length, doms = sl.length, sl.dominant_indices()
+        ctx = make_block_context(rs, 5, table)
+        top = max(length) + 2
+        for y in range(len(sl)):
+            for x in range(len(sl)):
+                p = kl_polynomial(table, x, y)
+                for m in range(-1, top):
+                    assert kl_coefficient(table, x, y, m) == _q_coeff(p, m), (lab, x, y, m)
+                lo, hi = sorted((x, y), key=length.__getitem__)
+                gap = length[hi] - length[lo]
+                want = 0 if x == y or gap % 2 == 0 else _q_coeff(
+                    kl_polynomial(table, lo, hi), gap - 1)
+                assert mu(table, x, y) == want, (lab, x, y)
+            for m in range(-1, top):
+                want = sum(_q_coeff(kl_polynomial(table, x, y), length[y] - length[x] - m)
+                           for x in doms)
+                assert kl_coefficient_sum(table, y, m) == want, (lab, y, m)
+        for x in doms:
+            for z in doms:
+                p = kl_polynomial(table, z, x)
+                for n in range(-1, top):
+                    want = _q_coeff(p, length[x] - length[z] - n)
+                    assert extn_simple_costandard(ctx, x, z, n) == want, (lab, x, z, n)
+        for m in range(-1, top):
+            want = max(_q_coeff(kl_polynomial(table, x, y), length[y] - length[x] - m)
+                       for y in doms for x in doms)
+            assert max_top_coefficient(table, m) == want, (lab, m)
 
 
 def test_descent_choice_independence(a2_table12):
