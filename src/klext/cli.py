@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, klpoly, rootsys, weylaffine
 from .errors import (
@@ -110,10 +111,36 @@ def ensure_table(rs, cutoff, *, affine=True, cache_dir=None, workers=1,
 
 def _render(payload, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json(payload, "\n") + "\n"
     if fmt == "csv":
         return _render_csv(payload)
     return _render_text(payload)
+
+
+def _json(v, pad: str) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it, ``pad``
+    being a newline and the indentation of the line that ``v`` starts on.
+    Every payload's keys are strings; any other key is a TypeError.
+
+    ``indent`` sends ``json.dumps`` to its pure-Python encoder; this builds
+    each container as one joined string and hands a str or int leaf to the
+    encoder's C string quoter or to ``int.__repr__``."""
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is int:
+        return int.__repr__(v)
+    inner = pad + "  "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = [_quote(k) + ": " + _json(v[k], inner) for k in sorted(v)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in v]) + pad + "]"
+    return json.dumps(v)
 
 
 def _render_csv(payload) -> str:
@@ -220,33 +247,40 @@ def _table_for(args, affine=True):
     return rs, table
 
 
+def _coeff_dict(coeffs):
+    return {str(e): v for e, v in enumerate(coeffs) if v}
+
+
+def _coeff_fields(coeffs):
+    """The record's coefficient dict and the csv column's JSON of it."""
+    d = _coeff_dict(coeffs)
+    return d, json.dumps(d)
+
+
 def _kl_record(table, x, y):
-    sl = table.slice
-    coeffs = klpoly.kl_polynomial(table, x, y)
+    coeffs = klpoly.kl_polynomial(table, x, y)  # checks x and y
+    length = table.slice.length
     return {
         "x": x,
         "y": y,
-        "length_x": sl.length[x],
-        "length_y": sl.length[y],
-        "polynomial_coeffs": {str(e): v for e, v in enumerate(coeffs) if v},
+        "length_x": length[x],
+        "length_y": length[y],
+        "polynomial_coeffs": _coeff_dict(coeffs),
         "mu": klpoly.mu(table, x, y),
     }
 
 
 def cmd_kl(args):
     rs, table = _table_for(args)
-    sl = table.slice
     if args.all:
+        length = table.slice.length
         records = []
         csv_rows = [["x", "y", "length_x", "length_y", "polynomial", "mu"]]
-        for y in range(len(sl)):
-            for x in sorted(table.rows_for(y)):
-                rec = _kl_record(table, x, y)
-                records.append(rec)
-                csv_rows.append(
-                    [x, y, sl.length[x], sl.length[y],
-                     json.dumps(rec["polynomial_coeffs"]), rec["mu"]]
-                )
+        # the keys in _kl_record's order, which the text format keeps
+        for x, y, (coeffs, coeffs_json), m in klpoly.kl_entries(table, _coeff_fields):
+            records.append({"x": x, "y": y, "length_x": length[x], "length_y": length[y],
+                            "polynomial_coeffs": coeffs, "mu": m})
+            csv_rows.append([x, y, length[x], length[y], coeffs_json, m])
         return {"records": records, "csv_rows": csv_rows}
     _require(args.x is not None and args.y is not None, "kl needs --x and --y (or --all)")
     return _kl_record(table, args.x, args.y)
@@ -513,7 +547,8 @@ def _add_table_args(sub):
 def build_parser(config=None) -> argparse.ArgumentParser:
     """The klext parser. Each key of ``config`` becomes the default of the
     option of that name, on the main parser or on every subcommand that has
-    it, so that a flag given on the command line always wins."""
+    it and takes the value, so that a flag given on the command line always
+    wins."""
     parser = argparse.ArgumentParser(
         prog="klext",
         description=__doc__.splitlines()[0],
@@ -643,12 +678,16 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     s.add_argument("--l", type=int, default=0)
     s.set_defaults(func=cmd_verify)
 
+    # a value that does not fit is an error only on the command that runs
+    # (``_apply_config``)
     for key, value in (config or {}).items():
         attr = key.replace("-", "_")
         for p in (parser, *subs.choices.values()):
             for action in p._actions:
-                if action.dest == attr and _settable(action):
-                    p.set_defaults(**{attr: _config_value(key, value, action)})
+                if action.dest == attr and _settable(action) and not _config_error(
+                        key, value, action):
+                    append = isinstance(action, argparse._AppendAction)
+                    p.set_defaults(**{attr: [value] if append else value})
     return parser
 
 
@@ -659,21 +698,19 @@ def _settable(action) -> bool:
             and action.dest not in ("help", "version", "config"))
 
 
-def _config_value(key, value, action):
-    """``value`` checked like the flag ``action`` it sets: an int option takes
-    a JSON integer (not a bool), a string option a string, a switch a bool,
-    and ``choices`` hold. The repeatable ``bounds --n`` takes one integer too,
-    which its flags add to."""
+def _config_error(key, value, action) -> str:
+    """Why ``value`` does not fit the flag ``action`` it would set, or "": an
+    int option takes a JSON integer (not a bool), a string option a string, a
+    switch a bool, and ``choices`` hold. The repeatable ``bounds --n`` takes
+    one integer too, which its flags add to."""
     kind = bool if action.nargs == 0 else action.type or str
     if type(value) is not kind:  # type(True) is bool, not int
         what = {bool: "true or false", int: "an integer", str: "a string"}[kind]
-        raise UsageError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
+        return f"config key {key!r} must be {what}, not {json.dumps(value)}"
     if action.choices is not None and value not in action.choices:
-        raise UsageError(
-            f"config key {key!r} must be one of {', '.join(action.choices)}, "
-            f"not {json.dumps(value)}"
-        )
-    return [value] if isinstance(action, argparse._AppendAction) else value
+        return (f"config key {key!r} must be one of {', '.join(action.choices)}, "
+                f"not {json.dumps(value)}")
+    return ""
 
 
 def _read_config(argv) -> dict:
@@ -705,6 +742,9 @@ def _apply_config(args, config, parser):
             raise UsageError(f"unknown config key {key!r}")
         if not _settable(action):
             raise UsageError(f"config key {key!r} can only be given on the command line")
+        error = _config_error(key, config[key], action)
+        if error:
+            raise UsageError(error)
     if args.cache_dir is None:
         args.cache_dir = os.environ.get(ENV_CACHE) or None
     if getattr(args, "l", None) == 0 and hasattr(args, "type"):
@@ -718,10 +758,10 @@ def _apply_config(args, config, parser):
 def main(argv=None) -> int:
     try:
         config = _read_config(argv)
-        parser = build_parser(config)
     except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    parser = build_parser(config)
     args = parser.parse_args(argv)
 
     def show(message, category, *_):

@@ -120,19 +120,12 @@ def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
     ctx.require_regular()
     ctx.require_dominant(x, y)
     sl = ctx.slice
-    coeff = ctx.table.coeff
+    convolve = ctx.table.coeff_convolution
+    length = sl.length
     row_x = ctx.table.rows_for(x)
     row_y = ctx.table.rows_for(y)
-    total = 0
-    for z in row_x.keys() & row_y.keys():
-        if not sl.dominant[z]:
-            continue
-        gx = sl.length[x] - sl.length[z]
-        gy = sl.length[y] - sl.length[z]
-        # a <= gx and b = n - a <= gy, so that both degrees are nonnegative
-        for a in range(max(0, n - gy), min(n, gx) + 1):
-            total += coeff(row_x[z], gx - a) * coeff(row_y[z], gy - n + a)
-    return total
+    return sum(convolve(row_x[z], length[x] - length[z], row_y[z], length[y] - length[z], n)
+               for z in row_x.keys() & row_y.keys() if sl.dominant[z])
 
 
 # -- weight-level routing -----------------------------------------------------

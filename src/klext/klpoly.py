@@ -7,7 +7,10 @@ hundreds of thousands of entries), and each row maps x to a pool id;
 ``kl_polynomial`` returns those coefficient tuples, () for zero. Every other
 reader takes a t-degree: ``KLTable.coeff(pid, d)`` is the coefficient of
 t^d, 0 for odd, negative or too large d, so no caller turns a t-degree into
-a pool index, and no other module reads the pool. The table for a
+a pool index, and no other module reads the pool. ``coeff_convolution``
+sums products of two entries' t-coefficients (the Ext^n sum over a + b = n)
+over even degrees only, and ``kl_entries`` walks every nonzero entry with
+its mu, converting each distinct polynomial once. The table for a
 slice is filled shell by shell in the length of the upper index y; within
 a shell every entry depends only on completed shells.
 
@@ -106,6 +109,20 @@ class KLTable:
         d is odd, negative or above the degree."""
         t = self.pool[pid]
         return t[d // 2] if d % 2 == 0 and 0 <= d < 2 * len(t) else 0
+
+    def coeff_convolution(self, p: int, dp: int, r: int, dr: int, n: int) -> int:
+        """The sum over a + b = n, a and b >= 0, of coeff(p, dp - a) *
+        coeff(r, dr - b). Both t-degrees must be even, so it is 0 when
+        dp + dr - n is odd; otherwise it convolves the two q-coefficient tuples
+        at q-degree h = (dp + dr - n) / 2, a = dp - 2i stepping by 2."""
+        if (dp + dr - n) % 2:
+            return 0
+        h = (dp + dr - n) // 2
+        tp, tr = self.pool[p], self.pool[r]
+        # i and h - i index tp and tr, and 0 <= a = dp - 2i <= n
+        lo = max(0, h - len(tr) + 1, (dp - n + 1) // 2)
+        hi = min(len(tp) - 1, h, dp // 2)
+        return sum(tp[i] * tr[h - i] for i in range(lo, hi + 1))
 
     def _store(self, t: tuple[int, ...], x: int, y: int) -> int:
         """Pool id of the final value P(x,y), checking its shape once per
@@ -276,6 +293,24 @@ def kl_coefficient(table: KLTable, x: int, y: int, m: int) -> int:
     table.slice.check_index(x, y)
     pid = table.rows_for(y).get(x)
     return 0 if pid is None else table.coeff(pid, m)
+
+
+def kl_entries(table: KLTable, per_polynomial):
+    """Every nonzero P_{x,y} of the table as (x, y, per_polynomial(P), mu(x, y)),
+    in (y, sorted x) order, P being its q-coefficient tuple. ``per_polynomial``
+    runs once per distinct polynomial, so entries with equal P share its
+    value; mu is the coefficient of t^(l(y)-l(x)-1), 0 on the diagonal."""
+    length, coeff = table.slice.length, table.coeff
+    made = [None] * len(table.pool)
+    for y in range(len(length)):
+        ly = length[y]
+        row = table.rows_for(y)
+        for x in sorted(row):
+            pid = row[x]
+            value = made[pid]
+            if value is None:
+                value = made[pid] = per_polynomial(table.pool[pid])
+            yield x, y, value, coeff(pid, ly - length[x] - 1)
 
 
 def mu_support_window(rs) -> int:
@@ -495,18 +530,22 @@ def load_table(path, sl: GroupSlice) -> KLTable:
     xc, ic = _row_codes(len(sl), n_pool)
     xw, iw = array(xc).itemsize, array(ic).itemsize
     swap = sys.byteorder == "little"
+    # 1-byte ids are in range when deleting every valid id leaves no byte
+    valid_ids = bytes(range(n_pool)) if ic == "B" else b""
     for y in range(len(sl)):
         (k,) = struct.unpack_from(">I", buf, off)
         mid, end = off + 4 + k * xw, off + 4 + k * (xw + iw)
         if end > len(buf):
             raise CacheFormatError(f"{path}: row {y} runs past the end of the file")
         xs, ids = array(xc), array(ic)
+        raw_ids = buf[mid:end]
         xs.frombytes(buf[off + 4 : mid])
-        ids.frombytes(buf[mid:end])
+        ids.frombytes(raw_ids)
         if swap:
             xs.byteswap()
             ids.byteswap()
-        if k and (max(xs) >= len(sl) or max(ids) >= n_pool):
+        if k and (max(xs) >= len(sl) or (raw_ids.translate(None, valid_ids) if ic == "B"
+                                         else max(ids) >= n_pool)):
             raise CacheFormatError(f"{path}: entry index out of range")
         table.rows[y] = (xs, ids)
         off = end

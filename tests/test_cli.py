@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -13,7 +14,14 @@ def run_cli(*args, cache=None, timeout=None):
     if cache is not None:
         cmd += ["--cache-dir", str(cache)]
     cmd += list(args)
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
+    res = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
+    if "json" in args and res.stdout:  # every JSON output is exactly what json.dumps writes
+        assert res.stdout == as_json_dumps(res.stdout), args
+    return res
+
+
+def as_json_dumps(out):
+    return json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_info_json():
@@ -271,6 +279,10 @@ def test_config_sets_subcommand_defaults(tmp_path):
      "config key 'x' can only be given on the command line"),
     ('{"type": "B"}', ("verify", "--type", "A", "--rank", "1", "--cutoff", "4"),
      "config key 'type' can only be given on the command line"),
+    # a value is checked against the options of the command that runs only
+    ('{"bound": 5}', ("info", "A", "1"), "unknown config key 'bound'"),
+    ('{"bound": 5}', ("decomp", "A", "2", "--seed", "1,1"),
+     "config key 'bound' must be a string, not 5"),
 ])
 def test_bad_config_value_exits_2(tmp_path, content, args, message):
     conf = tmp_path / "conf.json"
@@ -548,3 +560,99 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
         assert capsys.readouterr().out
+
+
+# one run of every subcommand, in process
+EVERY_COMMAND = [
+    ["info", "A", "2"],
+    ["enumerate", "A", "2", "--cutoff", "4"],
+    ["kl", "A", "2", "--cutoff", "6", "--x", "0", "--y", "30"],
+    ["kl", "A", "2", "--cutoff", "6", "--all"],
+    ["mu", "A", "2", "--cutoff", "6", "--x", "3", "--y", "12"],
+    ["mu-sum", "A", "1", "--cutoff", "12", "--l", "3", "--x", "4"],
+    ["klsum", "A", "2", "--cutoff", "6", "--y", "40", "--m", "1"],
+    ["char", "B", "2", "--weight", "1,1"],
+    ["chikl", "A", "1", "--cutoff", "12", "--l", "3", "--weight", "3"],
+    ["decomp", "A", "1", "--cutoff", "12", "--l", "3", "--seed", "0", "--bound", "6"],
+    ["tensor", "A", "2", "--left", "1,0", "--right", "0,1"],
+    ["ext1", "A", "1", "--cutoff", "12", "--l", "3", "--lam", "4", "--nu", "0"],
+    ["ext1", "A", "1", "--cutoff", "12", "--l", "3", "--lam", "2", "--nu", "0"],
+    ["extn", "A", "1", "--cutoff", "12", "--l", "3", "--x", "2", "--y", "4", "--n", "2"],
+    ["extsum", "A", "1", "--cutoff", "12", "--l", "3", "--x", "8", "--n", "1"],
+    ["pim", "A", "1", "--cutoff", "16", "--l", "5", "--lambda0", "2"],
+    ["bounds", "A", "1", "--p", "2", "--empirical", "--cutoff", "8"],
+    ["isogeny-map", "C", "3", "--weight", "2,0,1"],
+    ["generic-shift", "A", "2", "--p", "3", "--n", "2"],
+    ["verify", "--type", "A", "--rank", "1", "--cutoff", "8", "--l", "3"],
+]
+
+
+def test_every_json_output_is_json_dumps(monkeypatch, capsys):
+    from klext import cli
+
+    monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
+    commands = {argv[0] for argv in EVERY_COMMAND}
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert commands == set(subs.choices)
+    for argv in EVERY_COMMAND:
+        assert cli.main(["--format", "json", *argv]) == 0, argv
+        out = capsys.readouterr().out
+        assert out == as_json_dumps(out), argv
+
+
+_TEXT = 'ab "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u4e2d\U0001f600'
+
+
+def _random_json(rng, depth=0):
+    """A nested payload of the kinds json.dumps takes, with string keys as
+    every command's payload has."""
+    kinds = ["int", "constant", "float", "str"]
+    kind = rng.choice(kinds + ["list", "tuple", "dict"] * 2 if depth < 4 else kinds)
+    if kind == "int":
+        return rng.choice([0, -1, 2 ** 64, -(3 ** 90), 10 ** 40 + 7, rng.randrange(-999, 999)])
+    if kind == "constant":
+        return rng.choice([True, False, None])
+    if kind == "float":
+        return rng.choice([0.5, -1e300, 3.0, float("inf"), float("nan")])
+    if kind == "str":
+        return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6)))
+    items = [_random_json(rng, depth + 1) for _ in range(rng.choice([0, 1, 2, 5]))]
+    if kind == "list":
+        return items
+    if kind == "tuple":
+        return tuple(items)
+    return {"".join(rng.choice(_TEXT) for _ in range(rng.randrange(4))): x for x in items}
+
+
+def test_json_renderer_matches_json_dumps():
+    from klext.cli import _render
+
+    rng = random.Random(1)
+    for _ in range(3000):
+        payload = _random_json(rng)
+        assert _render(payload, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for bad in ({1: 0}, {"a": 1, 2: 0}, {"a": object()}):  # never a payload
+        with pytest.raises(TypeError):
+            _render(bad, "json")
+
+
+@pytest.mark.parametrize("lab", ["A", "B"])
+def test_kl_all_prints_the_per_pair_records(lab, monkeypatch, capsys):
+    # the row walk against one index-checked record per pair, in every format
+    from klext import cli
+    from klext.rootsys import build_root_system
+
+    monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
+    table = cli.ensure_table(build_root_system(lab, 2), 8)
+    records = [cli._kl_record(table, x, y)
+               for y in range(len(table.slice)) for x in sorted(table.rows_for(y))]
+    payload = {"records": records, "csv_rows": [
+        ["x", "y", "length_x", "length_y", "polynomial", "mu"],
+        *([r["x"], r["y"], r["length_x"], r["length_y"], json.dumps(r["polynomial_coeffs"]),
+           r["mu"]] for r in records),
+    ]}
+    want = {"json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
+            "csv": cli._render_csv(payload), "text": cli._render_text(payload)}
+    for fmt, text in want.items():
+        assert cli.main(["--format", fmt, "kl", lab, "2", "--cutoff", "8", "--all"]) == 0
+        assert capsys.readouterr().out == text, fmt

@@ -23,14 +23,16 @@ def test_no_assert_in_package():
 
 
 def test_optimized_run_prints_the_same():
-    args = ["-m", "klext.cli", "--format", "json", "verify",
-            "--type", "A", "--rank", "2", "--cutoff", "8"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    runs = [subprocess.run([sys.executable, *flags, *args], capture_output=True,
-                           text=True, env=env)
-            for flags in ([], ["-O"])]
-    assert [r.returncode for r in runs] == [0, 0]
-    assert runs[0].stdout == runs[1].stdout
+    env.pop("KLEXT_CACHE_DIR", None)
+    for command in (["verify", "--type", "A", "--rank", "2", "--cutoff", "8"],
+                    ["kl", "A", "2", "--cutoff", "8", "--all"]):  # row walk, JSON renderer
+        args = ["-m", "klext.cli", "--format", "json", *command]
+        runs = [subprocess.run([sys.executable, *flags, *args], capture_output=True,
+                               text=True, env=env)
+                for flags in ([], ["-O"])]
+        assert [r.returncode for r in runs] == [0, 0], command
+        assert runs[0].stdout == runs[1].stdout, command
 
 
 def test_cli_import_leaves_fractions_out():

@@ -9,7 +9,7 @@ import pytest
 from conftest import bruhat_leq
 from klext import binio
 from klext.errors import CacheFormatError, InvalidSystemError, SliceCoverageError
-from klext.extbounds import extn_simple_costandard, make_block_context
+from klext.extbounds import extn_simple_costandard, extn_simple_simple, make_block_context
 from klext.klpoly import (
     KLTable,
     _combine,
@@ -159,6 +159,49 @@ def test_t_degree_readers_match_the_tuple_formulas():
             want = max(_q_coeff(kl_polynomial(table, x, y), length[y] - length[x] - m)
                        for y in doms for x in doms)
             assert max_top_coefficient(table, m) == want, (lab, m)
+
+
+def test_ext_convolution_matches_the_degree_loop():
+    # the dim Ext^n sum over z and a + b = n, as extn_simple_simple summed it
+    # with one t-degree read per factor, on every dominant pair
+    for lab in ("A", "B"):
+        rs = build_root_system(lab, 2)
+        table = KLTable(enumerate_slice(rs, 8))
+        table.fill()
+        sl = table.slice
+        length, doms = sl.length, sl.dominant_indices()
+        ctx = make_block_context(rs, 5, table)
+        for x in doms:
+            for y in doms:
+                for n in range(5):
+                    want = 0
+                    for z in doms:
+                        px, py = kl_polynomial(table, z, x), kl_polynomial(table, z, y)
+                        if not (px and py):
+                            continue
+                        gx, gy = length[x] - length[z], length[y] - length[z]
+                        term = sum(_q_coeff(px, gx - a) * _q_coeff(py, gy - n + a)
+                                   for a in range(max(0, n - gy), min(n, gx) + 1))
+                        got = table.coeff_convolution(
+                            table.rows_for(x)[z], gx, table.rows_for(y)[z], gy, n)
+                        assert got == term, (lab, x, y, z, n)
+                        want += term
+                    assert extn_simple_simple(ctx, x, y, n) == want, (lab, x, y, n)
+
+
+def test_coeff_convolution_bounds(b2_table10):
+    # every pool pair at degrees and n beyond both tuples, against the sum
+    # of t-degree reads over all a
+    table = b2_table10
+    pids = range(len(table.pool))
+    for p in pids:
+        for r in pids:
+            for dp in (0, 1, 3, 6):
+                for dr in (0, 1, 2, 5):
+                    for n in range(-1, dp + dr + 2):
+                        want = sum(table.coeff(p, dp - a) * table.coeff(r, dr - n + a)
+                                   for a in range(0, n + 1))
+                        assert table.coeff_convolution(p, dp, r, dr, n) == want
 
 
 def test_descent_choice_independence(a2_table12):
@@ -391,6 +434,33 @@ def test_last_row_out_of_range_rejected_at_load(tmp_path, a2_table12):
     # the unaltered re-framing loads
     loaded = load_table(_reframed(tmp_path, a2_table12, lambda payload: None), sl)
     assert loaded.rows_for(len(sl) - 1) == a2_table12.rows_for(len(sl) - 1)
+
+
+def test_middle_row_pool_id_out_of_range_rejected_at_load(tmp_path, a2_table12):
+    # a bad pool id in a middle row, with 1-byte ids and, in a pool padded
+    # past 2^8 entries, with 2-byte ids
+    sl = a2_table12.slice
+    wide = KLTable(sl)
+    wide.rows = [a2_table12.rows_for(y) for y in range(len(sl))]
+    wide.pool = a2_table12.pool + [(2, i) for i in range(1 << 8)]  # never a KL value
+    wide.filled = a2_table12.filled
+    y = len(sl) // 2
+    k = len(a2_table12.rows_for(y))
+    for table, width in ((a2_table12, 1), (wide, 2)):
+        n_pool = len(table.pool)
+        assert len(sl) <= 1 << 16 and (n_pool <= 1 << 8) == (width == 1)
+        # the rows from y on, each its 4-byte length, then 2-byte element
+        # indices and pool ids of ``width`` bytes
+        tail = sum(4 + len(table.rows_for(v)) * (2 + width) for v in range(y, len(sl)))
+
+        def edit(payload):
+            at = len(payload) - tail + 4 + 2 * k + width * (k // 2)  # row y's middle id
+            payload[at : at + width] = n_pool.to_bytes(width, "big")
+
+        with pytest.raises(CacheFormatError, match="entry index out of range"):
+            load_table(_reframed(tmp_path, table, edit), sl)
+        loaded = load_table(_reframed(tmp_path, table, lambda payload: None), sl)
+        assert loaded.rows_for(y) == table.rows_for(y)
 
 
 def test_repeated_row_index_rejected(tmp_path):
