@@ -169,37 +169,42 @@ def _flatten_rows(payload, prefix=""):
     return rows
 
 
-def _render_text(payload, indent=0) -> str:
-    out = []
-    pad = "  " * indent
-    if isinstance(payload, dict):
-        for k in payload if indent else sorted(payload):
-            v = payload[k]
-            if isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
-                out.append(f"{pad}{k}:")
-                out.append(_render_text(v, indent + 1))
-            else:
-                out.append(f"{pad}{k}: {_scalar(v)}")
-    elif isinstance(payload, list):
-        for item in payload:
-            if isinstance(item, (dict, list)):
-                out.append(_render_text(item, indent).rstrip("\n"))
-                out.append(f"{pad}-")
-            else:
-                out.append(f"{pad}- {_scalar(item)}")
-    else:
-        out.append(f"{pad}{_scalar(payload)}")
-    return "\n".join(x for x in out if x != "") + ("\n" if indent == 0 else "")
+def _render_text(payload) -> str:
+    return _text(payload, "", True) + "\n"
+
+
+def _text(v, pad: str, top: bool) -> str:
+    """The lines of ``v`` at indentation ``pad``, one join per container. A
+    dict's keys are sorted at the top level (``top``, which a list passes on
+    to its items) and kept in order below it. Under its key, a non-empty
+    container that is not a list of scalars opens a block indented one step
+    further; any other value stays on the key's line, a list as JSON. A list
+    writes a scalar item as "- item" and a container item as its own lines at
+    the list's indentation, trailing newlines stripped, closed by a "-" line."""
+    if isinstance(v, dict):
+        inner = pad + "  "
+        return "\n".join([
+            f"{pad}{k}: {x}" if not isinstance(x, (dict, list))
+            else f"{pad}{k}:\n{_text(x, inner, False)}" if x and not _is_scalar_list(x)
+            else f"{pad}{k}: {json.dumps(x) if isinstance(x, list) else x}"
+            for k, x in (sorted(v.items()) if top else v.items())
+        ])
+    if isinstance(v, list):
+        return "\n".join([
+            _closed(_text(x, pad, top).rstrip("\n"), pad)
+            if isinstance(x, (dict, list)) else f"{pad}- {x}"
+            for x in v
+        ])
+    return f"{v}"
 
 
 def _is_scalar_list(v):
     return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
 
 
-def _scalar(v):
-    if isinstance(v, list):
-        return json.dumps(v)
-    return v
+def _closed(body: str, pad: str) -> str:
+    """A container item's lines, then its closing "-" line."""
+    return f"{body}\n{pad}-" if body else f"{pad}-"
 
 
 def _status(saturated: bool, cutoff: int) -> str:
@@ -745,6 +750,8 @@ def _apply_config(args, config, parser):
         error = _config_error(key, config[key], action)
         if error:
             raise UsageError(error)
+    if args.max_elements is not None and args.max_elements < 0:
+        raise UsageError(f"--max-elements must be nonnegative, not {args.max_elements}")
     if args.cache_dir is None:
         args.cache_dir = os.environ.get(ENV_CACHE) or None
     if getattr(args, "l", None) == 0 and hasattr(args, "type"):

@@ -29,6 +29,17 @@ cross-check it against a subword oracle of the Bruhat order). Both combine
 steps, P(lower, y') + q P(upper, y') for the pair {x, xs} and
 acc - m q^k P(x,z), are memoised on ids.
 
+Two symmetries (Kazhdan-Lusztig, Invent. Math. 53 (1979)) spare most of
+that work: P(x^-1, y^-1) = P(x,y), and P(sigma x, sigma y) = P(x,y) for every
+automorphism sigma of the Coxeter graph. ``fill`` computes the row of the
+lowest index in each orbit of the group G they generate and relabels it for
+every other row of the orbit, row(g y) = {g(x): pid} in ascending x. The
+index maps come from the slice's right table alone
+(``weylaffine.slice_symmetries`` and ``slice_inversion``, each checked against
+the whole table) and are built by ``fill`` only, never by a load. Pool ids,
+rows and table files are byte-identical to those of a row-by-row fill, and
+``kl_recomputation`` uses no symmetry.
+
 A table is always the complete table of its slice: ``fill`` computes
 every row up to the slice cutoff and a table file holds every row, so a
 query may read any row of the slice. A loaded table keeps each row
@@ -45,7 +56,7 @@ from array import array
 
 from . import binio
 from .errors import CacheFormatError, InvalidSystemError, InvariantViolation, SliceCoverageError
-from .weylaffine import GroupSlice
+from .weylaffine import GroupSlice, slice_inversion, slice_symmetries
 
 
 def _combine(a: tuple, m: int, k: int, b: tuple) -> tuple:
@@ -138,11 +149,30 @@ class KLTable:
     # -- fill ---------------------------------------------------------------
 
     def fill(self) -> None:
-        """Fill every row up to the slice cutoff, from the first unfilled shell."""
+        """Fill every row up to the slice cutoff, from the first unfilled shell:
+        the row of the lowest index y of each orbit of G (see the module
+        docstring) is computed, and each other row g(y) of the orbit is row y
+        relabelled, {g(x): pid}, in ascending x."""
+        sl = self.slice
         memo = _FillMemo()
-        for level in range(self.filled + 1, self.slice.cutoff + 1):
-            for y in self.slice.shell(level):
-                self.rows[y] = self._compute_row(y, memo)
+        inv = slice_inversion(sl)
+        # each element of G but the identity, with its inverse map; sorting
+        # the relabelled indices alone and reading their ids back through the
+        # inverse is faster than sorting (index, id) pairs
+        group = [(g, sorted(range(len(g)), key=g.__getitem__))
+                 for sigma in slice_symmetries(sl)
+                 for g in (sigma, [sigma[i] for i in inv])][1:]
+        rows = self.rows
+        for level in range(self.filled + 1, sl.cutoff + 1):
+            for y in sl.shell(level):
+                if rows[y] is not None:
+                    continue
+                row = rows[y] = self._compute_row(y, memo)
+                for g, back in group:
+                    gy = g[y]
+                    if rows[gy] is None:
+                        xs = sorted(map(g.__getitem__, row))
+                        rows[gy] = dict(zip(xs, map(row.__getitem__, map(back.__getitem__, xs))))
             self.filled = level
 
     def _compute_row(self, y: int, memo: _FillMemo) -> dict[int, int]:

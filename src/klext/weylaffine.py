@@ -245,6 +245,8 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
     """
     if cutoff < 0:
         raise InvalidSystemError("length cutoff must be nonnegative")
+    if max_elements is not None and max_elements < 0:
+        raise InvalidSystemError("element cap must be nonnegative")
     walk = _SignWalk(rs, affine)
     k = len(walk.roots)
     elements = [identity(rs)]
@@ -254,6 +256,10 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
     shell = [0]
     level = 0
     while shell:
+        if max_elements is not None and len(elements) > max_elements:
+            raise ResourceCapError(
+                f"slice exceeded the configured cap of {max_elements} elements "
+                f"at length {level}")
         grown: dict[tuple[int, ...], tuple[AffineElement, tuple[int, ...], list]] = {}
         for i in shell:
             q, row = qs[i], right[i]
@@ -284,11 +290,102 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
                 pts.append(pt)
                 right.append(row)
                 shell.append(j)
-            if max_elements is not None and len(elements) > max_elements:
-                raise ResourceCapError(
-                    f"slice exceeded the configured cap of {max_elements} elements "
-                    f"at length {level}")
     return GroupSlice(rs, cutoff, affine, elements, right, [_dominant(pt) for pt in pts])
+
+
+# -- symmetries ----------------------------------------------------------------
+
+
+def _graph_automorphisms(rs: RootSystemData, affine: bool) -> list[tuple[int, ...]]:
+    """Every permutation of the generators that keeps the Coxeter matrix,
+    identity first. The walls of ``_SignWalk`` give n_ij = (r_i, c_j)(r_j, c_i),
+    which is 0, 1, 2, 3 for m_ij = 2, 3, 4, 6 and 4 for m_ij infinite (and 4 on
+    the diagonal), so a permutation keeps m exactly when it keeps n."""
+    walk = _SignWalk(rs, affine)
+    r, c = walk.roots, walk.coroots
+    k = len(r)
+    n = [[sum(map(mul, r[i], c[j])) * sum(map(mul, r[j], c[i])) for j in range(k)]
+         for i in range(k)]
+    found = []
+
+    def extend(perm):
+        i = len(perm)
+        if i == k:
+            found.append(tuple(perm))
+            return
+        for p in range(k):
+            if p not in perm and all(n[i][j] == n[p][q] for j, q in enumerate(perm)):
+                extend(perm + [p])
+
+    extend([])
+    return found
+
+
+def _relabelling(right: list[list[int]], perm: tuple[int, ...]) -> list[int]:
+    """The index map sigma of the slice automorphism taking generator t to
+    perm[t]: sigma(e) = e and sigma(ys) = right[sigma(y)][perm[s]]. One pass
+    over the table in index order (an upward neighbour has the larger index)
+    builds it and checks that every entry maps to the entry of the image:
+    right[sigma(y)][perm[t]] = sigma(right[y][t]), -1 to -1, and that sigma is
+    a permutation. Raises InvariantViolation otherwise."""
+    n = len(right)
+    sigma = [-1] * n
+    sigma[0] = 0
+    for y, row in enumerate(right):
+        img = right[sigma[y]]
+        for t, j in enumerate(row):
+            u = img[perm[t]]
+            if j == -1 or u == -1:
+                if j != u:
+                    break
+            elif j > y and sigma[j] == -1:
+                sigma[j] = u
+            elif sigma[j] != u:
+                break
+        else:
+            continue
+        raise InvariantViolation(
+            f"generator permutation {perm} does not relabel the right table at "
+            f"element {y}, generator {t}")
+    if sorted(sigma) != list(range(n)):
+        raise InvariantViolation(f"generator permutation {perm} does not permute the slice")
+    return sigma
+
+
+def slice_symmetries(sl: GroupSlice) -> list[list[int]]:
+    """The index maps of the slice automorphisms induced by the Coxeter-graph
+    automorphisms (identity first): each is a group automorphism that keeps
+    the generating set, so it keeps length and maps the slice onto itself.
+    Each map is checked against the whole right table (``_relabelling``)."""
+    perms = _graph_automorphisms(sl.rs, sl.affine)
+    return [list(range(len(sl)))] + [_relabelling(sl.right, p) for p in perms[1:]]
+
+
+def slice_inversion(sl: GroupSlice) -> list[int]:
+    """The index map y -> y^-1, from the right table alone. Each y != e is
+    x t for its first right descent t; its first letter s is that of x (t when
+    x = e) and its tail s y is tail(x) t, so y^-1 = tail(y)^-1 s. Raises
+    InvariantViolation unless every generator acts on the table as an
+    involution and the map is a length-keeping involution."""
+    right, length = sl.right, sl.length
+    n = len(right)
+    if any(j != -1 and right[j][t] != y for y, row in enumerate(right) for t, j in enumerate(row)):
+        raise InvariantViolation("a generator does not act on the right table as an involution")
+    first, tail, inv = [-1] * n, [0] * n, [0] * n
+    for y in range(1, n):
+        row = right[y]
+        t = next((t for t, j in enumerate(row) if 0 <= j < y), None)
+        if t is None:
+            raise InvariantViolation(f"element {y} has no right descent")
+        x = row[t]
+        if x:
+            first[y], tail[y] = first[x], right[tail[x]][t]
+        else:
+            first[y] = t
+        inv[y] = right[inv[tail[y]]][first[y]]
+    if any(i < 0 or inv[i] != y or length[i] != length[y] for y, i in enumerate(inv)):
+        raise InvariantViolation("the inversion map of the slice is not a length-keeping involution")
+    return inv
 
 
 def facet_generators(rs: RootSystemData, lam_minus, l: int) -> list[int]:

@@ -191,11 +191,21 @@ def test_resource_cap_exit_3():
     # the element cap, and the Kostant box cap: P((2h-2) rho) would need
     # 6.6e9 (F4) and 7.5e28 (E8) points, refused before any allocation
     for args in (("--max-elements", "30", "enumerate", "A", "2", "--cutoff", "10"),
+                 ("--max-elements", "0", "enumerate", "A", "1", "--cutoff", "0"),
                  ("bounds", "F", "4", "--p", "2"),
                  ("bounds", "E", "8", "--p", "2")):
         res = run_cli(*args, timeout=60)
         assert res.returncode == 3, (args, res.stderr)
         assert "cap" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_negative_element_cap_exits_2(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"max_elements": -1}')
+    args = ("enumerate", "A", "1", "--cutoff", "0")
+    for res in (run_cli("--max-elements", "-1", *args), run_cli("--config", str(conf), *args)):
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == "error: --max-elements must be nonnegative, not -1\n"
 
 
 def test_out_of_range_index_exits_2(tmp_path):
@@ -636,6 +646,50 @@ def test_json_renderer_matches_json_dumps():
             _render(bad, "json")
 
 
+def line_render_text(payload, indent=0) -> str:
+    """The text format as a line list per container, every line filtered
+    before one join: the reference for ``cli._render_text``."""
+    out = []
+    pad = "  " * indent
+    if isinstance(payload, dict):
+        for k in payload if indent else sorted(payload):
+            v = payload[k]
+            if isinstance(v, (dict, list)) and v and not _is_scalar_list(v):
+                out.append(f"{pad}{k}:")
+                out.append(line_render_text(v, indent + 1))
+            else:
+                out.append(f"{pad}{k}: {_scalar(v)}")
+    elif isinstance(payload, list):
+        for item in payload:
+            if isinstance(item, (dict, list)):
+                out.append(line_render_text(item, indent).rstrip("\n"))
+                out.append(f"{pad}-")
+            else:
+                out.append(f"{pad}- {_scalar(item)}")
+    else:
+        out.append(f"{pad}{_scalar(payload)}")
+    return "\n".join(x for x in out if x != "") + ("\n" if indent == 0 else "")
+
+
+def _is_scalar_list(v):
+    return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
+
+
+def _scalar(v):
+    if isinstance(v, list):
+        return json.dumps(v)
+    return v
+
+
+def test_text_renderer_matches_the_line_renderer():
+    from klext.cli import _render
+
+    rng = random.Random(2)
+    for _ in range(3000):
+        payload = _random_json(rng)
+        assert _render(payload, "text") == line_render_text(payload)
+
+
 @pytest.mark.parametrize("lab", ["A", "B"])
 def test_kl_all_prints_the_per_pair_records(lab, monkeypatch, capsys):
     # the row walk against one index-checked record per pair, in every format
@@ -652,7 +706,7 @@ def test_kl_all_prints_the_per_pair_records(lab, monkeypatch, capsys):
            r["mu"]] for r in records),
     ]}
     want = {"json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            "csv": cli._render_csv(payload), "text": cli._render_text(payload)}
+            "csv": cli._render_csv(payload), "text": line_render_text(payload)}
     for fmt, text in want.items():
         assert cli.main(["--format", fmt, "kl", lab, "2", "--cutoff", "8", "--all"]) == 0
         assert capsys.readouterr().out == text, fmt

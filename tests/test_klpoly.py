@@ -8,11 +8,17 @@ import pytest
 
 from conftest import bruhat_leq
 from klext import binio
-from klext.errors import CacheFormatError, InvalidSystemError, SliceCoverageError
+from klext.errors import (
+    CacheFormatError,
+    InvalidSystemError,
+    InvariantViolation,
+    SliceCoverageError,
+)
 from klext.extbounds import extn_simple_costandard, extn_simple_simple, make_block_context
 from klext.klpoly import (
     KLTable,
     _combine,
+    _FillMemo,
     kl_coefficient,
     kl_coefficient_sum,
     kl_polynomial,
@@ -26,7 +32,7 @@ from klext.klpoly import (
     save_table,
 )
 from klext.rootsys import build_root_system
-from klext.weylaffine import enumerate_slice
+from klext.weylaffine import GroupSlice, enumerate_slice
 
 ONE = (1,)
 
@@ -254,6 +260,58 @@ def test_fill_guard_and_coverage():
     table.fill()
     assert table.filled == sl.cutoff
     assert kl_polynomial(table, 0, sl.shell(3)[0]) == ONE
+
+
+# -- one row per symmetry orbit ----------------------------------------------------
+
+
+def rowwise_table(sl):
+    """The reference fill: ``_compute_row`` on every row in index order (so
+    shell by shell), using no symmetry of the slice."""
+    table = KLTable(sl)
+    memo = _FillMemo()
+    for y in range(len(sl)):
+        table.rows[y] = table._compute_row(y, memo)
+    table.filled = sl.cutoff
+    return table
+
+
+@pytest.mark.parametrize("lab, rank, cutoff, affine", [
+    ("A", 1, 20, True), ("A", 2, 12, True), ("A", 3, 8, True), ("B", 2, 16, True),
+    ("C", 3, 9, True), ("D", 4, 6, True), ("F", 4, 5, True), ("G", 2, 14, True),
+    # the whole finite D4 and F4, and finite E6 to length 5
+    ("D", 4, 12, False), ("F", 4, 24, False), ("E", 6, 5, False),
+])
+def test_orbit_fill_matches_the_rowwise_fill(tmp_path, lab, rank, cutoff, affine):
+    sl = enumerate_slice(build_root_system(lab, rank), cutoff, affine)
+    table, oracle = KLTable(sl), rowwise_table(sl)
+    table.fill()
+    assert table.pool == oracle.pool and table.filled == oracle.filled
+    for y in range(len(sl)):
+        assert list(table.rows_for(y).items()) == list(oracle.rows_for(y).items()), y
+    save_table(table, tmp_path / "orbit.klt")
+    save_table(oracle, tmp_path / "rowwise.klt")
+    assert (tmp_path / "orbit.klt").read_bytes() == (tmp_path / "rowwise.klt").read_bytes()
+
+
+def test_swapped_right_entries_raise_in_fill():
+    # a right table with two entries swapped is refused before any row is
+    # filled, also where the Coxeter graph has no automorphism (G2)
+    rng = random.Random(3)
+    for lab, cutoff in (("A", 8), ("G", 10)):
+        sl = enumerate_slice(build_root_system(lab, 2), cutoff)
+        cells = [(y, t) for y, row in enumerate(sl.right) for t in range(len(row))]
+        for _ in range(20):
+            (y1, t1), (y2, t2) = rng.sample(cells, 2)
+            right = [list(row) for row in sl.right]
+            if right[y1][t1] == right[y2][t2]:
+                continue
+            right[y1][t1], right[y2][t2] = right[y2][t2], right[y1][t1]
+            table = KLTable(GroupSlice(sl.rs, sl.cutoff, sl.affine, sl.elements, right,
+                                       sl.dominant))
+            with pytest.raises(InvariantViolation):
+                table.fill()
+            assert all(row is None for row in table.rows)
 
 
 def test_element_indices_validated(a2_table12):

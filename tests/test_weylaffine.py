@@ -1,5 +1,6 @@
 """Affine Weyl group: normal forms, lengths, Bruhat order, alcove geometry."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,7 +19,13 @@ from groupmul import (
     root_action,
 )
 from klext import binio
-from klext.errors import CacheFormatError, ResourceCapError, SliceCoverageError
+from klext.errors import (
+    CacheFormatError,
+    InvalidSystemError,
+    InvariantViolation,
+    ResourceCapError,
+    SliceCoverageError,
+)
 from klext.extbounds import make_block_context, singular_ext1_report
 from klext.klpoly import KLTable, mu
 from klext.rootsys import _adjugate, _int_det, build_root_system, classify_weight
@@ -32,6 +39,8 @@ from klext.weylaffine import (
     identity,
     is_interior_fundamental,
     save_slice,
+    slice_inversion,
+    slice_symmetries,
 )
 from klext.weylaffine import enumerate_slice as _enumerate_slice
 from klext.weylaffine import load_slice as _load_slice
@@ -713,6 +722,12 @@ def test_enumeration_determinism_and_cap():
     )
     with pytest.raises(ResourceCapError):
         enumerate_slice(a2, 10, max_elements=20)
+    # the identity shell counts against the cap too; a negative cap is invalid
+    with pytest.raises(ResourceCapError, match="cap of 0 elements at length 0"):
+        enumerate_slice(a2, 0, max_elements=0)
+    assert len(enumerate_slice(a2, 0, max_elements=1)) == 1
+    with pytest.raises(InvalidSystemError, match="nonnegative"):
+        enumerate_slice(a2, 0, max_elements=-1)
 
 
 def test_length_is_word_metric():
@@ -809,3 +824,66 @@ def test_dominant_counts_match_alcove_walk():
         for d in range(cutoff + 1):
             assert counts.get(d, 0) == total.get(d, 0), (lab, d)
             assert dcounts.get(d, 0) == dom.get(d, 0), (lab, d)
+
+
+# -- symmetries ------------------------------------------------------------------------
+
+
+def brute_symmetries(sl):
+    """Every labelled automorphism of the right table: for each permutation
+    of the generators, the map sending each element's reduced word through
+    it, kept when it permutes the slice and sends every table entry to the
+    entry of the images."""
+    words = [reduced_word(sl, i) for i in range(len(sl))]
+    found = set()
+    for perm in itertools.permutations(range(len(sl.right[0]))):
+        try:
+            sigma = [sl.follow([perm[t] for t in word]) for word in words]
+        except SliceCoverageError:
+            continue
+        if sorted(sigma) == list(range(len(sl))) and all(
+            sl.right[sigma[y]][perm[t]] == (-1 if j == -1 else sigma[j])
+            for y, row in enumerate(sl.right) for t, j in enumerate(row)
+        ):
+            found.add(tuple(sigma))
+    return found
+
+
+# (type, rank, cutoff, affine, order of the Coxeter-graph automorphism group);
+# at cutoff >= 6 the right table sees every relation (st)^m with m <= 6
+SYMMETRIC_SLICES = [
+    ("A", 1, 8, True, 2), ("A", 2, 6, True, 6), ("A", 3, 6, True, 8),
+    ("A", 4, 6, True, 10), ("B", 2, 8, True, 2), ("B", 3, 6, True, 2),
+    ("C", 3, 6, True, 2), ("D", 4, 6, True, 24), ("G", 2, 8, True, 1),
+    ("A", 3, 6, False, 2), ("G", 2, 6, False, 2), ("D", 4, 12, False, 6),
+    ("F", 4, 24, False, 2),
+]
+
+
+@pytest.mark.parametrize("lab, rank, cutoff, affine, order", SYMMETRIC_SLICES)
+def test_slice_symmetries_match_brute_force(lab, rank, cutoff, affine, order):
+    sl = _enumerate_slice(build_root_system(lab, rank), cutoff, affine)
+    maps = slice_symmetries(sl)
+    assert maps[0] == list(range(len(sl))) and len(maps) == order
+    assert set(map(tuple, maps)) == brute_symmetries(sl)
+
+
+def test_slice_inversion_is_the_group_inverse():
+    for lab, rank, cutoff, affine in (("A", 2, 8, True), ("B", 2, 8, True),
+                                      ("G", 2, 8, True), ("B", 3, 9, False)):
+        rs = build_root_system(lab, rank)
+        sl = _enumerate_slice(rs, cutoff, affine)
+        index = {g.key(): i for i, g in enumerate(sl.elements)}
+        assert slice_inversion(sl) == [index[inverse(rs, g).key()] for g in sl.elements]
+
+
+def test_inconsistent_right_table_rejected():
+    sl = _enumerate_slice(build_root_system("A", 2), 6)
+    y = sl.shell(3)[0]
+    bad = [list(row) for row in sl.right]
+    bad[y][0], bad[y][1] = bad[y][1], bad[y][0]
+    broken = GroupSlice(sl.rs, sl.cutoff, sl.affine, sl.elements, bad, sl.dominant)
+    with pytest.raises(InvariantViolation, match="involution"):
+        slice_inversion(broken)
+    with pytest.raises(InvariantViolation, match="does not relabel"):
+        slice_symmetries(broken)
