@@ -6,8 +6,9 @@ rounding. Quantities summed over infinite index sets are labeled either
 ever presented as exact. Outputs are deterministic given identical
 configuration and cache state, and cache reuse never changes any number.
 
-Exit codes: 0 success; 1 invariant violation (``verify``) or cache
-corruption; 2 invalid configuration; 3 resource cap exceeded.
+Exit codes: 0 success; 1 invariant violation (``verify``), cache corruption
+or a slice too short for the question; 2 invalid configuration; 3 resource
+cap exceeded.
 """
 
 from __future__ import annotations
@@ -243,11 +244,10 @@ def cmd_enumerate(args):
     }
 
 
-def _table_for(args, affine=True):
+def _table_for(args):
     rs = rootsys.build_root_system(args.type, args.rank)
     table = ensure_table(
-        rs, args.cutoff, affine=affine, cache_dir=args.cache_dir,
-        max_elements=args.max_elements,
+        rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
     )
     return rs, table
 
@@ -453,12 +453,10 @@ def cmd_pim(args):
 
 
 def cmd_bounds(args):
-    rs = rootsys.build_root_system(args.type, args.rank)
-    table = None
     if args.empirical:
-        table = ensure_table(
-            rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
-        )
+        rs, table = _table_for(args)
+    else:
+        rs, table = rootsys.build_root_system(args.type, args.rank), None
     reports = extbounds.bound_constants(rs, args.p, ns=tuple(args.n), table=table)
     return {
         "type": rs.type_label,
@@ -469,8 +467,7 @@ def cmd_bounds(args):
                 "constant": r.constant_name,
                 "formula_value": r.formula_value,
                 "empirical_value": r.empirical_value,
-                "status": "exact" if r.saturated or r.formula_value is not None
-                else f"truncated@{args.cutoff}",
+                "status": _status(r.saturated or r.formula_value is not None, args.cutoff),
                 "provenance": r.provenance,
             }
             for r in reports
@@ -506,10 +503,7 @@ def cmd_generic_shift(args):
 
 
 def cmd_verify(args):
-    rs = rootsys.build_root_system(args.type, args.rank)
-    table = ensure_table(
-        rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
-    )
+    rs, table = _table_for(args)
     results = extbounds.run_verification(rs, args.l, table)
     payload = {
         "type": rs.type_label,
@@ -549,11 +543,10 @@ def _add_table_args(sub):
                      help="level l (default: Coxeter number h)")
 
 
-def build_parser(config=None) -> argparse.ArgumentParser:
-    """The klext parser. Each key of ``config`` becomes the default of the
-    option of that name, on the main parser or on every subcommand that has
-    it and takes the value, so that a flag given on the command line always
-    wins."""
+def build_parser() -> argparse.ArgumentParser:
+    """The klext parser. It knows nothing of the ``--config`` file: ``main``
+    parses the command line, lets ``_apply_config`` make the file's values
+    defaults of their options, and parses the command line again."""
     parser = argparse.ArgumentParser(
         prog="klext",
         description=__doc__.splitlines()[0],
@@ -683,51 +676,11 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     s.add_argument("--l", type=int, default=0)
     s.set_defaults(func=cmd_verify)
 
-    # a value that does not fit is an error only on the command that runs
-    # (``_apply_config``)
-    for key, value in (config or {}).items():
-        attr = key.replace("-", "_")
-        for p in (parser, *subs.choices.values()):
-            for action in p._actions:
-                if action.dest == attr and _settable(action) and not _config_error(
-                        key, value, action):
-                    append = isinstance(action, argparse._AppendAction)
-                    p.set_defaults(**{attr: [value] if append else value})
     return parser
 
 
-def _settable(action) -> bool:
-    """Whether a config default of ``action`` can take effect: it must be an
-    optional flag that is not required, not --help, --version or --config."""
-    return (bool(action.option_strings) and not action.required
-            and action.dest not in ("help", "version", "config"))
-
-
-def _config_error(key, value, action) -> str:
-    """Why ``value`` does not fit the flag ``action`` it would set, or "": an
-    int option takes a JSON integer (not a bool), a string option a string, a
-    switch a bool, and ``choices`` hold. The repeatable ``bounds --n`` takes
-    one integer too, which its flags add to."""
-    kind = bool if action.nargs == 0 else action.type or str
-    if type(value) is not kind:  # type(True) is bool, not int
-        what = {bool: "true or false", int: "an integer", str: "a string"}[kind]
-        return f"config key {key!r} must be {what}, not {json.dumps(value)}"
-    if action.choices is not None and value not in action.choices:
-        return (f"config key {key!r} must be one of {', '.join(action.choices)}, "
-                f"not {json.dumps(value)}")
-    return ""
-
-
-def _read_config(argv) -> dict:
-    """The contents of the ``--config`` file, found before the parse."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    try:
-        path = pre.parse_known_args(argv)[0].config
-    except argparse.ArgumentError:  # reported by the parse itself
-        return {}
-    if path is None:
-        return {}
+def _read_config(path) -> dict:
+    """The JSON object in the ``--config`` file at ``path``."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -738,37 +691,57 @@ def _read_config(argv) -> dict:
     return config
 
 
-def _apply_config(args, config, parser):
+def _apply_config(args, parser):
+    """Make each value of the ``--config`` file the default of its option on
+    ``parser`` or on the subcommand that runs, so that parsing the command
+    line again takes the value and a flag given there still wins.
+
+    Each key is looked up once, on those two parsers. It must name an
+    optional flag that is not required, and not --help, --version or
+    --config. An int option takes a JSON integer (not a bool), a string
+    option a string, a switch a bool, and ``choices`` hold. The repeatable
+    ``bounds --n`` takes one integer too, which its flags add to."""
     subs = next(a for a in parser._actions if a.dest == "command")
-    actions = {a.dest: a for p in (parser, subs.choices[args.command]) for a in p._actions}
-    for key in config:
-        action = actions.get(key.replace("-", "_"))
-        if action is None:  # neither the main parser nor the subcommand has it
+    owners = {a.dest: (p, a) for p in (parser, subs.choices[args.command]) for a in p._actions}
+    for key, value in _read_config(args.config).items():
+        attr = key.replace("-", "_")
+        if attr not in owners:  # neither the main parser nor the subcommand has it
             raise UsageError(f"unknown config key {key!r}")
-        if not _settable(action):
+        owner, action = owners[attr]
+        if (not action.option_strings or action.required
+                or attr in ("help", "version", "config")):
             raise UsageError(f"config key {key!r} can only be given on the command line")
-        error = _config_error(key, config[key], action)
-        if error:
-            raise UsageError(error)
+        kind = bool if action.nargs == 0 else action.type or str
+        if type(value) is not kind:  # type(True) is bool, not int
+            what = {bool: "true or false", int: "an integer", str: "a string"}[kind]
+            raise UsageError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"config key {key!r} must be one of {', '.join(action.choices)}, "
+                             f"not {json.dumps(value)}")
+        append = isinstance(action, argparse._AppendAction)
+        owner.set_defaults(**{attr: [value] if append else value})
+
+
+def _check_args(args):
+    """The checks and defaults that the parse cannot express."""
     if args.max_elements is not None and args.max_elements < 0:
         raise UsageError(f"--max-elements must be nonnegative, not {args.max_elements}")
     if args.cache_dir is None:
         args.cache_dir = os.environ.get(ENV_CACHE) or None
-    if getattr(args, "l", None) == 0 and hasattr(args, "type"):
-        rs = rootsys.build_root_system(args.type, args.rank)
-        args.l = rs.coxeter_number
+    l = getattr(args, "l", None)
+    if l is not None and l < 0:  # 0 stands for h
+        raise UsageError("l must be a positive integer")
+    if l == 0:
+        args.l = rootsys.build_root_system(args.type, args.rank).coxeter_number
         args.default_l = True
     if getattr(args, "n", None) is None and args.command == "bounds":
         args.n = [1]
 
 
 def main(argv=None) -> int:
-    try:
-        config = _read_config(argv)
-    except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    parser = build_parser(config)
+    parser = build_parser()
+    # the command line first: --help, --version and its usage errors never
+    # read the config file
     args = parser.parse_args(argv)
 
     def show(message, category, *_):
@@ -778,26 +751,25 @@ def main(argv=None) -> int:
 
     with warnings.catch_warnings():
         warnings.showwarning = show
-        return _run(args, config, parser)
-
-
-def _run(args, config, parser) -> int:
-    try:
-        _apply_config(args, config, parser)
-        payload = args.func(args)
-        sys.stdout.write(_render(payload, args.format))
-        # verify reports a failed check, in every format, by exit status 1
-        return 0 if payload.get("all_passed", True) else 1
-    except (UsageError, InvalidSystemError, OSError) as ex:
-        # OSError: an unusable --cache-dir, cache entry or output path
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except ResourceCapError as ex:
-        print(f"resource cap: {ex}", file=sys.stderr)
-        return 3
-    except (CacheFormatError, InvariantViolation, SliceCoverageError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
+        try:
+            if args.config is not None:
+                _apply_config(args, parser)
+                args = parser.parse_args(argv)
+            _check_args(args)
+            payload = args.func(args)
+            sys.stdout.write(_render(payload, args.format))
+            # verify reports a failed check, in every format, by exit status 1
+            return 0 if payload.get("all_passed", True) else 1
+        except (UsageError, InvalidSystemError, OSError) as ex:
+            # OSError: an unusable --cache-dir, cache entry or output path
+            print(f"error: {ex}", file=sys.stderr)
+            return 2
+        except ResourceCapError as ex:
+            print(f"resource cap: {ex}", file=sys.stderr)
+            return 3
+        except (CacheFormatError, InvariantViolation, SliceCoverageError) as ex:
+            print(f"error: {ex}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -74,6 +74,8 @@ class BlockContext:
 def make_block_context(rs: RootSystemData, l: int, table: KLTable) -> BlockContext:
     """The block seeded at -2rho, interior of the fundamental alcove exactly
     when l >= h."""
+    if l < 1:
+        raise InvalidSystemError("l must be a positive integer")
     regular = is_interior_fundamental(rs, (-2,) * rs.rank, l)
     # quantum-parameter hygiene: the combinatorics is defined regardless,
     # so these are warnings rather than hard errors

@@ -331,6 +331,20 @@ def test_negative_ext_degree_exits_2(tmp_path):
         assert res.stdout == ""
 
 
+def test_negative_level_exits_2(tmp_path):
+    # --l 0 stands for h; a negative level is refused even where l is unused
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"l": -3}')
+    for args in (("verify", "--type", "A", "--rank", "2", "--cutoff", "6"),
+                 ("mu-sum", "A", "1", "--cutoff", "6", "--x", "0")):
+        for res in (run_cli(*args, "--l", "-2"), run_cli("--config", str(conf), *args)):
+            assert res.returncode == 2 and res.stdout == "", args
+            assert res.stderr == "error: l must be a positive integer\n"
+    res = run_cli("--format", "json", "verify", "--type", "A", "--rank", "2", "--cutoff", "6",
+                  "--l", "0")
+    assert res.returncode == 0 and json.loads(res.stdout)["l"] == 3
+
+
 def test_config_loses_to_a_flag_equal_to_its_default(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"format": "json"}))
@@ -338,6 +352,27 @@ def test_config_loses_to_a_flag_equal_to_its_default(tmp_path):
     assert json.loads(res.stdout)["h"] == 2
     res = run_cli("--config", str(conf), "--format", "text", "info", "A", "1")
     assert res.returncode == 0 and "h: 2" in res.stdout.splitlines()
+
+
+def test_command_line_is_parsed_before_the_config_file(tmp_path):
+    # --help and --version never read the file, and a usage error on the
+    # command line wins over an error in the file
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    res = run_cli("--config", str(broken), "--version")
+    assert res.returncode == 0 and res.stdout == "klext 0.1.0\n" and res.stderr == ""
+    res = run_cli("--config", str(tmp_path / "missing.json"), "info", "--help")
+    assert res.returncode == 0 and res.stdout.startswith("usage: klext info")
+    for conf in (broken, tmp_path / "missing.json"):
+        res = run_cli("--config", str(conf), "info", "A")
+        assert res.returncode == 2 and res.stdout == ""
+        assert "the following arguments are required: rank" in res.stderr
+        assert "config" not in res.stderr
+    # the --config=path spelling is honoured
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"format": "json"}))
+    res = run_cli(f"--config={conf}", "info", "A", "1")
+    assert res.returncode == 0 and json.loads(res.stdout)["h"] == 2
 
 
 def test_truncated_flag_rendering(tmp_path):
@@ -462,6 +497,25 @@ def test_element_cap_on_every_path(tmp_path):
     # a cap the slice fits under leaves the warm run alone
     assert run_cli("--max-elements", "166", *args, cache=tmp_path).returncode == 0
     assert run_cli("--max-elements", "165", *args, cache=tmp_path).returncode == 3
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--type", "A", "--rank", "2", "--cutoff", "10"),
+    ("bounds", "A", "2", "--p", "2", "--empirical", "--cutoff", "10"),
+])
+def test_element_cap_on_every_path_of_verify_and_bounds(tmp_path, args):
+    capped = ("--max-elements", "30", *args)
+    cold = run_cli(*capped, cache=tmp_path)
+    assert cold.returncode == 3 and not list(tmp_path.iterdir())
+    primed = run_cli(*args, cache=tmp_path)
+    again = run_cli(*args, cache=tmp_path)
+    assert primed.returncode == again.returncode == 0 and primed.stdout == again.stdout
+    warm = run_cli(*capped, cache=tmp_path)
+    free = run_cli(*capped)
+    assert warm.returncode == free.returncode == 3 and warm.stdout == free.stdout == ""
+    assert warm.stderr == free.stderr == cold.stderr == (
+        "resource cap: slice exceeded the configured cap of 30 elements at length 4\n"
+    )
 
 
 def test_level_warnings():

@@ -65,6 +65,12 @@ def test_element_indices_validated(a1_table20):
                 call()
 
 
+def test_block_context_rejects_a_level_below_1(a1_table20):
+    for l in (0, -2):
+        with pytest.raises(InvalidSystemError, match="^l must be a positive integer$"):
+            ctx_for(a1_table20, l)
+
+
 def test_extn_costandard_base_cases(a2_table12):
     ctx = ctx_for(a2_table12, 5)
     sl = ctx.slice
