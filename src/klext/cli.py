@@ -244,8 +244,19 @@ def cmd_enumerate(args):
     }
 
 
-def _table_for(args):
+def _table_for(args, reads=None):
+    """The root system and the KL table of the command's slice.
+
+    ``reads``, given by a query that reads a few rows, takes the slice and
+    returns the rows the query reads (``demand_table`` checks them).
+    Without a cache directory only those rows are computed
+    (``klpoly.demand_table``), once the slice is enumerated under the
+    element cap; with one, the complete table is loaded or built and saved
+    by ``ensure_table`` as ever."""
     rs = rootsys.build_root_system(args.type, args.rank)
+    if reads is not None and not args.cache_dir:
+        sl = weylaffine.enumerate_slice(rs, args.cutoff, True, args.max_elements)
+        return rs, klpoly.demand_table(sl, reads(sl))
     table = ensure_table(
         rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
     )
@@ -276,6 +287,8 @@ def _kl_record(table, x, y):
 
 
 def cmd_kl(args):
+    # the complete table, also without a cache: bench/reference.py primes
+    # the kl-warm B3@9 table only through this command's ensure_table call
     rs, table = _table_for(args)
     if args.all:
         length = table.slice.length
@@ -292,7 +305,11 @@ def cmd_kl(args):
 
 
 def cmd_mu(args):
-    rs, table = _table_for(args)
+    def reads(sl):  # the longer index's row, y on a tie; both checked before length
+        sl.check_index(args.x, args.y)
+        return [args.x if sl.length[args.x] > sl.length[args.y] else args.y]
+
+    rs, table = _table_for(args, reads)
     return {"x": args.x, "y": args.y, "mu": klpoly.mu(table, args.x, args.y)}
 
 
@@ -308,7 +325,7 @@ def cmd_mu_sum(args):
 
 
 def cmd_klsum(args):
-    rs, table = _table_for(args)
+    rs, table = _table_for(args, lambda sl: [args.y])  # demand_table checks y
     return {
         "y": args.y,
         "m": args.m,

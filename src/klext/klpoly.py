@@ -32,20 +32,24 @@ acc - m q^k P(x,z), are memoised on ids.
 Two symmetries (Kazhdan-Lusztig, Invent. Math. 53 (1979)) spare most of
 that work: P(x^-1, y^-1) = P(x,y), and P(sigma x, sigma y) = P(x,y) for every
 automorphism sigma of the Coxeter graph. ``fill`` computes the row of the
-lowest index in each orbit of the group G they generate and relabels it for
-every other row of the orbit, row(g y) = {g(x): pid} in ascending x. The
-index maps come from the slice's right table alone
-(``weylaffine.slice_symmetries`` and ``slice_inversion``, each checked against
-the whole table) and are built by ``fill`` only, never by a load. Pool ids,
-rows and table files are byte-identical to those of a row-by-row fill, and
-``kl_recomputation`` uses no symmetry.
+lowest index in each orbit of the group G they generate and reaches the
+rest of the orbit by the generators of G, row(g u) = {g(x): pid} in
+ascending x for a reached row u. The index maps of inversion and of a
+generating set of the graph automorphisms come from the slice's right table
+alone (``weylaffine.slice_inversion`` and ``slice_symmetry_generators``,
+each checked against the whole table) and are built by ``fill`` only, never
+by a load. Pool ids, rows and table files are byte-identical to those of a
+row-by-row fill, and ``kl_recomputation`` uses no symmetry.
 
-A table is always the complete table of its slice: ``fill`` computes
-every row up to the slice cutoff and a table file holds every row, so a
-query may read any row of the slice. A loaded table keeps each row
+A filled or loaded table is the complete table of its slice: ``fill``
+computes every row up to the slice cutoff and a table file holds every row,
+so a query may read any row of the slice. A loaded table keeps each row
 as the two arrays read from its file, range checked at load, and builds
 the row's dict on its first read (``KLTable.rows_for``), so a warm query
-decodes only the rows it reads.
+decodes only the rows it reads. ``demand_table`` computes only the rows one
+query reads, for a single-pair query without a cache; its ``filled`` stays
+-1, so ``save_table`` and every reader that walks the whole slice refuse it,
+and reading any other of its rows raises SliceCoverageError.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from array import array
 
 from . import binio
 from .errors import CacheFormatError, InvalidSystemError, InvariantViolation, SliceCoverageError
-from .weylaffine import GroupSlice, slice_inversion, slice_symmetries
+from .weylaffine import GroupSlice, slice_inversion, slice_symmetry_generators
 
 
 def _combine(a: tuple, m: int, k: int, b: tuple) -> tuple:
@@ -99,9 +103,10 @@ class KLTable:
     the nonzero P_{x,y}, and absence means the polynomial is zero (equivalently
     x is not Bruhat-below y). Pool ids are given in first appearance over
     (y, x) order, so a filled and a loaded table agree id for id.
-    ``filled`` is the largest completed length shell: -1 before ``fill``,
-    the slice cutoff after it or after ``load_table``. Reading a row that
-    was never filled raises SliceCoverageError.
+    ``filled`` is the largest completed length shell: -1 before ``fill``
+    and on a ``demand_table``, the slice cutoff after ``fill`` or
+    ``load_table``. Reading a row that was never computed raises
+    SliceCoverageError.
     """
 
     def __init__(self, sl: GroupSlice):
@@ -146,34 +151,63 @@ class KLTable:
             self.pool.append(t)
         return pid
 
+    def require_complete(self, reader: str) -> None:
+        """Raise SliceCoverageError unless every row of the slice is there:
+        ``reader`` walks the whole slice, and a missing row is no zero."""
+        if self.filled != self.slice.cutoff:
+            raise SliceCoverageError(
+                f"{reader} reads the whole slice, but the table is filled to length "
+                f"{self.filled}, not its cutoff {self.slice.cutoff}"
+            )
+
     # -- fill ---------------------------------------------------------------
 
     def fill(self) -> None:
         """Fill every row up to the slice cutoff, from the first unfilled shell:
         the row of the lowest index y of each orbit of G (see the module
-        docstring) is computed, and each other row g(y) of the orbit is row y
+        docstring) is computed, and the rest of the orbit is reached from y by
+        the generators of G, each new row g(u) being a reached row u
         relabelled, {g(x): pid}, in ascending x."""
         sl = self.slice
         memo = _FillMemo()
         inv = slice_inversion(sl)
-        # each element of G but the identity, with its inverse map; sorting
-        # the relabelled indices alone and reading their ids back through the
-        # inverse is faster than sorting (index, id) pairs
-        group = [(g, sorted(range(len(g)), key=g.__getitem__))
-                 for sigma in slice_symmetries(sl)
-                 for g in (sigma, [sigma[i] for i in inv])][1:]
+        # each generator of G with its inverse map; sorting the relabelled
+        # indices alone and reading their ids back through the inverse is
+        # faster than sorting (index, id) pairs
+        gens = [(inv, inv)] + [(g, sorted(range(len(g)), key=g.__getitem__))
+                               for g in slice_symmetry_generators(sl)]
         rows = self.rows
         for level in range(self.filled + 1, sl.cutoff + 1):
             for y in sl.shell(level):
                 if rows[y] is not None:
                     continue
-                row = rows[y] = self._compute_row(y, memo)
-                for g, back in group:
-                    gy = g[y]
-                    if rows[gy] is None:
-                        xs = sorted(map(g.__getitem__, row))
-                        rows[gy] = dict(zip(xs, map(row.__getitem__, map(back.__getitem__, xs))))
+                rows[y] = self._compute_row(y, memo)
+                orbit = [y]
+                for u in orbit:  # grows while iterated
+                    row = rows[u]
+                    for g, back in gens:
+                        gu = g[u]
+                        if rows[gu] is None:
+                            xs = sorted(map(g.__getitem__, row))
+                            ids = map(row.__getitem__, map(back.__getitem__, xs))
+                            rows[gu] = dict(zip(xs, ids))
+                            orbit.append(gu)
             self.filled = level
+
+    def _missing_inputs(self, y: int) -> list[int]:
+        """The rows that ``_compute_row(y)`` reads and that are not there yet:
+        row y' = ys, and once it is there, the rows z with mu(z, y') != 0 and
+        zs < z, for the first right descent s of y. Each is shorter than y."""
+        sl = self.slice
+        if sl.length[y] == 0:
+            return []
+        length, right, rows = sl.length, sl.right, self.rows
+        s = sl.right_descents(y)[0]
+        yp = right[y][s]
+        if rows[yp] is None:
+            return [yp]
+        return [z for z, _ in self.mu_row(yp)
+                if rows[z] is None and length[right[z][s]] < length[z]]
 
     def _compute_row(self, y: int, memo: _FillMemo) -> dict[int, int]:
         sl = self.slice
@@ -183,7 +217,7 @@ class KLTable:
         ly = length[y]
         if ly == 0:
             return {y: self._store((1,), y, y)}
-        s = sl.right_descents(y)[0]
+        s = sl.right_descents(y)[0]  # the descent _missing_inputs follows
         yp = right[y][s]
         row_yp = self.rows_for(yp)
         # Candidates: x <= y implies x <= y' or xs <= y' (lifting property),
@@ -244,6 +278,7 @@ class KLTable:
         Every stored entry has constant term 1, no negative coefficient and
         degree below (l(y) - l(x))/2.
         """
+        self.require_complete("the axioms check")
         sl = self.slice
         length, right = sl.length, sl.right
         for y in range(len(sl)):
@@ -296,6 +331,38 @@ class KLTable:
         return cached
 
 
+def demand_table(sl: GroupSlice, wanted) -> KLTable:
+    """A table of ``sl`` that holds the rows ``wanted`` and the rows their
+    computation reads, and no other: for one query that reads only those
+    rows, without a cache. Its ``filled`` stays -1, so it is never saved
+    and no reader of the whole slice takes it (``require_complete``);
+    reading a row outside it raises SliceCoverageError.
+
+    An explicit work stack, no recursion, finds and computes that closure.
+    The rows that row y reads are known only once row y' = ys is there (they
+    are the rows z with mu(z, y') != 0 and zs < z), so a row stays on the stack
+    until every row it reads is computed; each of those is shorter than y.
+    Rows equal those of ``fill`` as polynomials; pool ids follow the order
+    in which rows are computed, so they may differ from a full table's."""
+    table = KLTable(sl)
+    memo = _FillMemo()
+    rows = table.rows
+    stack = list(wanted)
+    sl.check_index(*stack)
+    while stack:
+        y = stack[-1]
+        if rows[y] is not None:
+            stack.pop()
+            continue
+        missing = table._missing_inputs(y)
+        if missing:
+            stack.extend(missing)
+        else:
+            rows[y] = table._compute_row(y, memo)
+            stack.pop()
+    return table
+
+
 # -- queries -------------------------------------------------------------------
 
 
@@ -330,6 +397,7 @@ def kl_entries(table: KLTable, per_polynomial):
     in (y, sorted x) order, P being its q-coefficient tuple. ``per_polynomial``
     runs once per distinct polynomial, so entries with equal P share its
     value; mu is the coefficient of t^(l(y)-l(x)-1), 0 on the diagonal."""
+    table.require_complete("kl_entries")
     length, coeff = table.slice.length, table.coeff
     made = [None] * len(table.pool)
     for y in range(len(length)):
@@ -369,6 +437,7 @@ def mu_row_sum(table: KLTable, x: int) -> tuple[int, bool]:
     with mu(x,y) != 0 lies inside the slice, i.e. the sum is exact rather
     than a truncated lower bound.
     """
+    table.require_complete("mu_row_sum")
     sl = table.slice
     sl.check_index(x)
     if not sl.dominant[x]:
@@ -401,6 +470,7 @@ def kl_coefficient_sum(table: KLTable, y: int, m: int) -> int:
 
 def max_mu_dominant(table: KLTable) -> int:
     """Largest mu over dominant pairs of the slice."""
+    table.require_complete("max_mu_dominant")
     sl = table.slice
     best = 0
     for y in sl.dominant_indices():
@@ -412,6 +482,7 @@ def max_mu_dominant(table: KLTable) -> int:
 
 def max_top_coefficient(table: KLTable, m: int) -> int:
     """Largest coefficient c[len(y)-len(x)-m] over dominant pairs x <= y."""
+    table.require_complete("max_top_coefficient")
     return max((c for y in table.slice.dominant_indices()
                 for c in _dominant_column(table, y, m)), default=0)
 
@@ -500,8 +571,14 @@ def _row_format(n_elements: int, n_pool: int, k: int) -> str:
 
 def save_table(table: KLTable, path) -> None:
     """Write the pool once, then every row's x and pool-id arrays. The
-    header's ``filled`` field always equals its cutoff."""
+    header's ``filled`` field always equals its cutoff: a table filled to
+    another length, such as a ``demand_table``, raises InvariantViolation."""
     sl = table.slice
+    if table.filled != sl.cutoff:
+        raise InvariantViolation(
+            f"only a complete table is saved; this one is filled to length "
+            f"{table.filled}, not its cutoff {sl.cutoff}"
+        )
     rs = sl.rs
     parts = [
         struct.pack(

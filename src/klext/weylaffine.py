@@ -361,6 +361,29 @@ def slice_symmetries(sl: GroupSlice) -> list[list[int]]:
     return [list(range(len(sl)))] + [_relabelling(sl.right, p) for p in perms[1:]]
 
 
+def slice_symmetry_generators(sl: GroupSlice) -> list[list[int]]:
+    """The index maps of a generating set of the automorphisms that
+    ``slice_symmetries`` lists, without the identity: a graph automorphism
+    joins the set when the ones before it do not generate it, a test on the
+    generator permutations alone. Each map is checked like those of
+    ``slice_symmetries``; composites of checked maps need no check."""
+    gens: list[tuple[int, ...]] = []
+    reached: set[tuple[int, ...]] = set()
+    for p in _graph_automorphisms(sl.rs, sl.affine)[1:]:
+        if p in reached:
+            continue
+        gens.append(p)
+        reached = {tuple(range(len(p)))}
+        frontier = list(reached)
+        for q in frontier:  # grows while iterated: the group the gens generate
+            for g in gens:
+                gq = tuple(g[i] for i in q)
+                if gq not in reached:
+                    reached.add(gq)
+                    frontier.append(gq)
+    return [_relabelling(sl.right, p) for p in gens]
+
+
 def slice_inversion(sl: GroupSlice) -> list[int]:
     """The index map y -> y^-1, from the right table alone. Each y != e is
     x t for its first right descent t; its first letter s is that of x (t when

@@ -1,6 +1,6 @@
 """Guards: invariants survive ``python -O`` (no assert statements in the
-package), the CLI import stays free of ``fractions``, and only ``klpoly``
-reads a KL table's polynomial pool."""
+package), the CLI import stays free of ``fractions``, only ``klpoly``
+reads a KL table's polynomial pool, and only a complete table is saved."""
 
 import ast
 import os
@@ -8,7 +8,13 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import klext
+from klext.errors import InvariantViolation
+from klext.klpoly import KLTable, demand_table, save_table
+from klext.rootsys import build_root_system
+from klext.weylaffine import enumerate_slice
 
 PACKAGE = pathlib.Path(klext.__file__).resolve().parent
 
@@ -53,3 +59,14 @@ def test_only_klpoly_reads_the_pool():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "pool"]
     assert found == [], f"the pool is read outside klpoly: {found}"
+
+
+def test_only_a_complete_table_is_saved(tmp_path):
+    # a demand-built table never becomes a cache file, not even one that
+    # holds every row, nor does a table that was never filled
+    sl = enumerate_slice(build_root_system("A", 2), 6)
+    for table in (KLTable(sl), demand_table(sl, [sl.shell(6)[0]]),
+                  demand_table(sl, range(len(sl)))):
+        with pytest.raises(InvariantViolation, match="filled to length -1, not its cutoff 6"):
+            save_table(table, tmp_path / "t.klt")
+    assert not list(tmp_path.iterdir())

@@ -41,6 +41,7 @@ from klext.weylaffine import (
     save_slice,
     slice_inversion,
     slice_symmetries,
+    slice_symmetry_generators,
 )
 from klext.weylaffine import enumerate_slice as _enumerate_slice
 from klext.weylaffine import load_slice as _load_slice
@@ -868,6 +869,22 @@ def test_slice_symmetries_match_brute_force(lab, rank, cutoff, affine, order):
     assert set(map(tuple, maps)) == brute_symmetries(sl)
 
 
+@pytest.mark.parametrize("lab, rank, cutoff, affine, order", SYMMETRIC_SLICES)
+def test_symmetry_generators_generate_every_symmetry(lab, rank, cutoff, affine, order):
+    sl = _enumerate_slice(build_root_system(lab, rank), cutoff, affine)
+    gens = slice_symmetry_generators(sl)
+    assert len(gens) <= 3  # of up to order - 1 = 23 maps (D4 affine: three transpositions)
+    group = {tuple(range(len(sl)))}
+    frontier = list(group)
+    for q in frontier:
+        for g in gens:
+            gq = tuple(g[i] for i in q)
+            if gq not in group:
+                group.add(gq)
+                frontier.append(gq)
+    assert group == set(map(tuple, slice_symmetries(sl))) and len(group) == order
+
+
 def test_slice_inversion_is_the_group_inverse():
     for lab, rank, cutoff, affine in (("A", 2, 8, True), ("B", 2, 8, True),
                                       ("G", 2, 8, True), ("B", 3, 9, False)):
@@ -887,3 +904,5 @@ def test_inconsistent_right_table_rejected():
         slice_inversion(broken)
     with pytest.raises(InvariantViolation, match="does not relabel"):
         slice_symmetries(broken)
+    with pytest.raises(InvariantViolation, match="does not relabel"):
+        slice_symmetry_generators(broken)
