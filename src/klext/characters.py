@@ -27,7 +27,6 @@ L(lam) of m_mu * sign(w) * L(w(mu+nu+rho) - rho), terms on a wall dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import prod
 from operator import mul as _mul
@@ -46,12 +45,12 @@ from .rootsys import (
 from .weylaffine import dot_action, factorize_weight
 
 
-@dataclass
 class Character:
     """W-invariant (virtual) character, stored on dominant representatives."""
 
-    rs: RootSystemData
-    dom: dict[Weight, int]
+    def __init__(self, rs: RootSystemData, dom: dict[Weight, int]):
+        self.rs = rs
+        self.dom = dom
 
     def dimension(self) -> int:
         return sum(m * len(weyl_orbit(self.rs, wt)) for wt, m in self.dom.items())
@@ -249,16 +248,17 @@ def weyl_dimension(rs: RootSystemData, lam: Weight) -> int:
 # -- signed KL character combinations ----------------------------------------------
 
 
-@dataclass
 class KLCharacter:
     """chi-combination sum_y (-1)^(l(w)-l(y)) P_{y,w}(1) chi(y . lam_minus)."""
 
-    rs: RootSystemData
-    l: int
-    lam: Weight
-    lam_minus: Weight
-    w_index: int
-    terms: list[tuple[Weight, int]]  # (dominant weight, signed coefficient)
+    def __init__(self, rs: RootSystemData, l: int, lam: Weight, lam_minus: Weight,
+                 w_index: int, terms: list[tuple[Weight, int]]):
+        self.rs = rs
+        self.l = l
+        self.lam = lam
+        self.lam_minus = lam_minus
+        self.w_index = w_index
+        self.terms = terms  # (dominant weight, signed coefficient)
 
     def expand(self) -> Character:
         return _weyl_combination(self.rs, self.terms)
@@ -309,7 +309,6 @@ def chi_kl(rs: RootSystemData, lam: Weight, l: int, table: KLTable) -> KLCharact
 # -- decomposition matrices ----------------------------------------------------------
 
 
-@dataclass
 class DecompositionMatrix:
     """Signed-KL change of basis on one linkage block and its exact inverse.
 
@@ -320,13 +319,16 @@ class DecompositionMatrix:
     D[row index of mu][column index of nu].
     """
 
-    rs: RootSystemData
-    l: int
-    lam_minus: Weight
-    weights: list[Weight]
-    element_indices: list[int]
-    a_matrix: tuple[tuple[int, ...], ...]
-    d_matrix: tuple[tuple[int, ...], ...]
+    def __init__(self, rs: RootSystemData, l: int, lam_minus: Weight,
+                 weights: list[Weight], element_indices: list[int],
+                 a_matrix: tuple[tuple[int, ...], ...], d_matrix: tuple[tuple[int, ...], ...]):
+        self.rs = rs
+        self.l = l
+        self.lam_minus = lam_minus
+        self.weights = weights
+        self.element_indices = element_indices
+        self.a_matrix = a_matrix
+        self.d_matrix = d_matrix
 
     def index_of(self, wt) -> int:
         return self.weights.index(tuple(wt))

@@ -21,7 +21,6 @@ exact only when the window proves no term was truncated away.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 from .characters import decomposition_matrix, dominant_representative, linkage_block
 from .errors import InvalidSystemError, InvariantViolation, LevelWarning, SliceCoverageError
@@ -47,15 +46,16 @@ from .rootsys import (
 from .weylaffine import GroupSlice, facet_generators, factorize_weight, is_interior_fundamental
 
 
-@dataclass
 class BlockContext:
     """One linkage block: level, alcove point, slice, and its KL table."""
 
-    rs: RootSystemData
-    l: int
-    slice: GroupSlice
-    table: KLTable
-    regular: bool
+    def __init__(self, rs: RootSystemData, l: int, slice: GroupSlice, table: KLTable,
+                 regular: bool):
+        self.rs = rs
+        self.l = l
+        self.slice = slice
+        self.table = table
+        self.regular = regular
 
     def require_regular(self):
         if not self.regular:
@@ -171,17 +171,18 @@ def ext1_weights(ctx: BlockContext, lam: Weight, nu: Weight) -> int:
     return mu(ctx.table, ctx.slice.follow(w_word), ctx.slice.follow(y_word))
 
 
-@dataclass
 class SingularReport:
     """Translation bookkeeping for an Ext^1 bound at a singular weight."""
 
-    lam: Weight
-    nu: Weight
-    stabilizer_order: int
-    kept_parities: int
-    mu_sum: int
-    bound: int  # (|stab|/2) * mu ceiling
-    terms: list[tuple[int, int]] = field(default_factory=list)  # (element, mu)
+    def __init__(self, lam: Weight, nu: Weight, stabilizer_order: int, kept_parities: int,
+                 mu_sum: int, bound: int, terms: list[tuple[int, int]] | None = None):
+        self.lam = lam
+        self.nu = nu
+        self.stabilizer_order = stabilizer_order
+        self.kept_parities = kept_parities
+        self.mu_sum = mu_sum
+        self.bound = bound  # (|stab|/2) * mu ceiling
+        self.terms = [] if terms is None else terms  # (element, mu)
 
 
 def singular_ext1_report(ctx: BlockContext, lam: Weight, nu: Weight) -> SingularReport:
@@ -241,16 +242,18 @@ def singular_ext1_report(ctx: BlockContext, lam: Weight, nu: Weight) -> Singular
 # -- projective covers ---------------------------------------------------------
 
 
-@dataclass
 class PimReport:
     """Standard-filtration data of the projective cover of a simple."""
 
-    lam0: Weight
-    l: int
-    highest_weight: Weight
-    delta_multiplicities: dict[Weight, int]
-    total_length: int
-    highest_weight_check: bool
+    def __init__(self, lam0: Weight, l: int, highest_weight: Weight,
+                 delta_multiplicities: dict[Weight, int], total_length: int,
+                 highest_weight_check: bool):
+        self.lam0 = lam0
+        self.l = l
+        self.highest_weight = highest_weight
+        self.delta_multiplicities = delta_multiplicities
+        self.total_length = total_length
+        self.highest_weight_check = highest_weight_check
 
 
 def pim_length(ctx: BlockContext, lam0: Weight, bound: Weight | None = None) -> PimReport:
@@ -308,12 +311,12 @@ def pim_length(ctx: BlockContext, lam0: Weight, bound: Weight | None = None) -> 
 # -- sums with saturation -------------------------------------------------------
 
 
-@dataclass
 class SumReport:
-    value: int
-    saturated: bool
-    window: int
-    cutoff: int
+    def __init__(self, value: int, saturated: bool, window: int, cutoff: int):
+        self.value = value
+        self.saturated = saturated
+        self.window = window
+        self.cutoff = cutoff
 
 
 def sum_ext_n(ctx: BlockContext, x: int, n: int) -> SumReport:
@@ -373,13 +376,14 @@ def fixed_prime_ext1_bound(rs: RootSystemData, p: int) -> int:
     return p**rs.num_roots * kostant_partition(rs, arg, basis="weight")
 
 
-@dataclass
 class BoundReport:
-    constant_name: str
-    formula_value: int | None
-    empirical_value: int | None
-    saturated: bool
-    provenance: str
+    def __init__(self, constant_name: str, formula_value: int | None,
+                 empirical_value: int | None, saturated: bool, provenance: str):
+        self.constant_name = constant_name
+        self.formula_value = formula_value
+        self.empirical_value = empirical_value
+        self.saturated = saturated
+        self.provenance = provenance
 
     def check(self):
         if (

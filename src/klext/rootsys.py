@@ -24,9 +24,8 @@ adjugate is checked by C adj(C) = det(C) I.
 
 from __future__ import annotations
 
-from itertools import accumulate as _accumulate
 from math import factorial, gcd as _gcd, prod
-from operator import add as _add, mul as _mul
+from operator import mul as _mul
 
 from .errors import InvalidSystemError, InvariantViolation, ResourceCapError
 
@@ -406,6 +405,25 @@ def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
     ``vec`` is interpreted in the given basis ("root" or "weight"); a
     weight-basis input must lie in the root lattice. Returns 0 whenever the
     vector is not a nonnegative combination.
+
+    The simple roots are the coordinate basis, so they complete an
+    N-combination of the non-simple positive roots with sum v <= target
+    (coordinatewise) to one of the target in exactly one way: P(target) is
+    the sum of Q(v) over the box 0 <= v <= target, where Q counts the
+    N-combinations of the non-simple roots with sum v. Q is a coin change
+    over the box with the largest coordinate of the target reordered last.
+    The points that differ only in that coordinate form a row, held as one
+    int with a ``bits``-wide slot per point, so that a root's pass adds to
+    each row, in one shifted and masked add, the row that the root's other
+    coordinates put below it.
+
+    No add carries across a slot. A root beta occurs at most
+    m_beta = min(target_i // beta_i : beta_i > 0) times in a combination of
+    the target, so P(target) <= prod(m_beta + 1) over the positive roots,
+    which is below 2**bits for bits its bit length. Adding simple roots maps
+    the combinations of v into those of the target injectively, so every
+    slot, Q(v) <= P(v), is at most P(target); so is every column sum of the
+    rows, as the column sums add up to P(target). Partial sums are smaller.
     """
     if basis == "weight":
         target = rs.wt_to_rt_int(check_vector(rs, vec))
@@ -423,40 +441,43 @@ def kostant_partition(rs: RootSystemData, vec, basis: str = "root") -> int:
     if target in rs._kostant_cache:
         return rs._kostant_cache[target]
 
-    # bounded coin-change over the coordinate box below the target, stored
-    # flat in mixed radix with the last coordinate fastest, so that one row
-    # holds the points that differ only in their last coordinate
     size = prod(t + 1 for t in target)
     if size > KOSTANT_BOX_CAP:
         raise ResourceCapError(
             f"Kostant partition of {target} needs a box of {size} points, "
             f"above the cap of {KOSTANT_BOX_CAP}"
         )
-    *lead, last = target
+    bits = prod(
+        min(t // c for t, c in zip(target, beta) if c) + 1 for beta in rs.positive_roots
+    ).bit_length()
+    order = sorted(range(rs.rank), key=target.__getitem__)
+    *lead, last = (target[i] for i in order)
     width = last + 1
-    strides = [width * prod(t + 1 for t in lead[i + 1:]) for i in range(len(lead))]
-    ways = [0] * size
-    ways[0] = 1
+    mask = (1 << width * bits) - 1
+    # rows in mixed radix over the leading coordinates, the last one fastest
+    strides = [prod(t + 1 for t in lead[i + 1:]) for i in range(len(lead))]
+    rows = [0] * (size // width)
+    rows[0] = 1
     for beta in rs.positive_roots:
-        *blead, b = beta
+        if sum(beta) == 1:
+            continue
+        *blead, b = (beta[i] for i in order)
         if not any(blead):
-            # the last simple root: a running sum along every row
-            for s in range(0, size, width):
-                ways[s:s + width] = _accumulate(ways[s:s + width])
-            continue
-        n = width - b
-        if n <= 0:
-            continue
-        # every row at or above blead takes the row off(beta) below it,
-        # shifted by b; rows ascend, so the source row already counts beta
+            raise InvariantViolation(f"non-simple root {beta} has no leading coordinate")
+        shift = b * bits
+        # every row at or above blead takes the row off below it, shifted by
+        # b slots; rows ascend, so the source row already counts beta. The
+        # mask drops the slots shifted past the row end: carries only go up,
+        # so they never reach the sum, but unmasked rows would keep growing
         off = sum(c * st for c, st in zip(blead, strides))
-        starts = [b]
+        starts = [0]
         for lo, t, st in zip(blead, lead, strides):
             starts = [s + v * st for s in starts for v in range(lo, t + 1)]
         for d in starts:
-            src = d - b - off
-            ways[d:d + n] = map(_add, ways[d:d + n], ways[src:src + n])
-    result = ways[-1]
+            rows[d] += (rows[d - off] << shift) & mask
+    total = sum(rows)
+    slot = (1 << bits) - 1
+    result = sum((total >> j * bits) & slot for j in range(width))
     rs._kostant_cache[target] = result
     return result
 

@@ -540,14 +540,14 @@ def test_level_warnings():
 
 
 def test_kl_queries_leave_character_modules_unrun(tmp_path):
-    # characters and extbounds (with the dataclasses they import) are
-    # registered by ``import klext.cli`` but run only by a command that uses
-    # them; ``loaded`` lists the ones that ran
+    # characters and extbounds are registered by ``import klext.cli`` but run
+    # only by a command that uses them; ``loaded`` lists the ones that ran.
+    # No command loads dataclasses or the inspect module it imports
     probe = (
         "import sys, types\n"
         "from klext.cli import main\n"
         "main(sys.argv[1:]) if sys.argv[1:] else None\n"
-        "names = ('klext.characters', 'klext.extbounds', 'dataclasses')\n"
+        "names = ('klext.characters', 'klext.extbounds', 'dataclasses', 'inspect')\n"
         "print('loaded', [n for n in names if type(sys.modules.get(n)) is types.ModuleType])\n"
     )
     mu = ["--cache-dir", str(tmp_path), "mu", "A", "2", "--cutoff", "6", "--x", "0", "--y", "5"]
@@ -555,9 +555,8 @@ def test_kl_queries_leave_character_modules_unrun(tmp_path):
     for argv, loaded in (
         ([], "[]"),
         (mu, "[]"),  # warm
-        (["char", "A", "2", "--weight", "1,0"], "['klext.characters', 'dataclasses']"),
-        (["bounds", "A", "2", "--p", "3"],
-         "['klext.characters', 'klext.extbounds', 'dataclasses']"),
+        (["char", "A", "2", "--weight", "1,0"], "['klext.characters']"),
+        (["bounds", "A", "2", "--p", "3"], "['klext.characters', 'klext.extbounds']"),
     ):
         res = subprocess.run([sys.executable, "-c", probe, *argv],
                              capture_output=True, text=True)

@@ -3,13 +3,15 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
+from operator import add
 
 import pytest
 
-from klext.errors import InvalidSystemError, ResourceCapError
+from klext.errors import InvalidSystemError, InvariantViolation, ResourceCapError
 from klext.rootsys import (
     KOSTANT_BOX_CAP,
+    RootSystemData,
     _int_det,
     build_root_system,
     classify_weight,
@@ -127,6 +129,42 @@ def naive_kostant(rs, target):
         return total
 
     return count(0, tuple(target))
+
+
+def box_kostant(rs, target):
+    """P(target) by a bounded coin change over every positive root.
+
+    The box below the target is stored flat in mixed radix with the last
+    coordinate fastest, so one row holds the points that differ only in
+    their last coordinate; independent of the packed rows of
+    ``kostant_partition`` and of its dropping of the simple roots.
+    """
+    *lead, last = target
+    width = last + 1
+    size = math.prod(t + 1 for t in target)
+    strides = [width * math.prod(t + 1 for t in lead[i + 1:]) for i in range(len(lead))]
+    ways = [0] * size
+    ways[0] = 1
+    for beta in rs.positive_roots:
+        *blead, b = beta
+        if not any(blead):
+            # the last simple root: a running sum along every row
+            for s in range(0, size, width):
+                ways[s:s + width] = accumulate(ways[s:s + width])
+            continue
+        n = width - b
+        if n <= 0:
+            continue
+        # every row at or above blead takes the row off(beta) below it,
+        # shifted by b; rows ascend, so the source row already counts beta
+        off = sum(c * st for c, st in zip(blead, strides))
+        starts = [b]
+        for lo, t, st in zip(blead, lead, strides):
+            starts = [s + v * st for s in starts for v in range(lo, t + 1)]
+        for d in starts:
+            src = d - b - off
+            ways[d:d + n] = map(add, ways[d:d + n], ways[src:src + n])
+    return ways[-1]
 
 
 # -- construction -------------------------------------------------------------
@@ -324,11 +362,36 @@ def test_kostant_dp_equals_naive_enumeration():
                 lab, target)
 
 
+def test_kostant_packed_rows_equal_the_box_dp():
+    rng = random.Random(20091)
+    for lab, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                      ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]:
+        rs = build_root_system(lab, rank)
+        hi = 2 * round(20_000 ** (1 / rank))
+        checked = 0
+        while checked < 10:
+            target = tuple(rng.randint(0, hi) for _ in range(rank))
+            if math.prod(t + 1 for t in target) > 20_000:
+                continue
+            assert kostant_partition(rs, target) == box_kostant(rs, target), (lab, target)
+            checked += 1
+
+
+def test_kostant_non_simple_root_without_leading_coordinate():
+    # a non-simple root supported on the last coordinate alone cannot occur in
+    # a root system; a corrupted one is refused, not miscounted
+    rs = RootSystemData("A", 2)
+    rs.positive_roots = ((1, 0), (0, 1), (0, 2))
+    with pytest.raises(InvariantViolation, match="no leading coordinate"):
+        kostant_partition(rs, (1, 3))
+
+
 def test_kostant_large_values():
     # P(k rho) in the weight basis, the argument shape of mu_bound
     for lab, rank, k, value in [("B", 3, 8, 783_435), ("B", 3, 10, 2_616_770),
                                 ("C", 3, 8, 795_591), ("C", 3, 10, 2_657_886),
-                                ("D", 4, 10, 421_414_254)]:
+                                ("D", 4, 10, 421_414_254), ("A", 4, 8, 672_363),
+                                ("G", 2, 10, 16_287)]:
         rs = build_root_system(lab, rank)
         assert kostant_partition(rs, (k,) * rank, basis="weight") == value, (lab, k)
 
