@@ -31,7 +31,7 @@ from itertools import product as _iproduct
 from math import prod
 from operator import mul as _mul
 
-from .errors import InvalidSystemError, InvariantViolation
+from .errors import InvalidSystemError, InvariantViolation, ResourceCapError
 from .klpoly import KLTable, kl_polynomial
 from .rootsys import (
     RootSystemData,
@@ -124,6 +124,11 @@ _orbit_cache: dict[RootSystemData, dict] = {}
 # -- dominant weights below a bound ---------------------------------------------
 
 
+# largest root-coordinate box below a weight that _dominant_below may walk: a
+# box point costs about 0.4 KB, so this holds the walk to about 400 MB
+DOMINANT_BOX_CAP = 1_000_000
+
+
 def _dominant_below(rs: RootSystemData, bound: Weight) -> list[tuple[RootVec, Weight]]:
     """(bound - mu in root coordinates, mu) for every dominant mu <= bound,
     in the lexicographic order of the root coordinates.
@@ -138,6 +143,12 @@ def _dominant_below(rs: RootSystemData, bound: Weight) -> list[tuple[RootVec, We
         if c < 0:
             return []
         caps.append(c // det)
+    size = prod(cap + 1 for cap in caps)
+    if size > DOMINANT_BOX_CAP:
+        raise ResourceCapError(
+            f"dominant weights below {tuple(bound)} need a box of {size} points, "
+            f"above the cap of {DOMINANT_BOX_CAP}"
+        )
     last = rs.cartan[-1]  # alpha_last in weight coordinates
     out = []
     for head in _iproduct(*(range(cap + 1) for cap in caps[:-1])):

@@ -14,14 +14,13 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii as _quote
 
-from . import __version__, klpoly, rootsys, weylaffine
+from . import __version__, characters, extbounds, klpoly, rootsys, weylaffine
 from .errors import (
     CacheFormatError,
     InvalidSystemError,
@@ -32,30 +31,6 @@ from .errors import (
 )
 
 ENV_CACHE = "KLEXT_CACHE_DIR"
-
-
-def _deferred(name: str):
-    """The submodule klext.<name>, registered like an import but executed on
-    its first attribute access, so that a command that never uses it does not
-    pay for it. Code that looks it up in ``sys.modules`` or on the package
-    finds it as after a plain import."""
-    full = f"{__package__}.{name}"
-    module = sys.modules.get(full)
-    if module is None:
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = sys.modules[full] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        setattr(sys.modules[__package__], name, module)
-    return module
-
-
-# used only by the character and Ext commands. Executing both takes about 1 ms
-# against about 12 ms for importing this module (2 vCPUs, Python 3.11), so only
-# those commands pay it; they are registered at import because bench/tracer.py
-# looks its target modules up in ``sys.modules``
-characters = _deferred("characters")
-extbounds = _deferred("extbounds")
 
 
 class UsageError(Exception):

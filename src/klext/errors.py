@@ -17,8 +17,10 @@ class ResourceCapError(RuntimeError):
     """A computation would exceed a resource cap, so it is refused up front.
 
     Raised when a slice enumeration passes its configured element-count cap
-    (``--max-elements``) and when a Kostant partition function would need a
-    coordinate box larger than ``rootsys.KOSTANT_BOX_CAP``.
+    (``--max-elements``), when a Kostant partition function would need a
+    coordinate box larger than ``rootsys.KOSTANT_BOX_CAP``, and when the
+    dominant weights below a highest weight would need a root-coordinate box
+    larger than ``characters.DOMINANT_BOX_CAP``.
     """
 
 

@@ -28,6 +28,8 @@ from .klpoly import (
     KLTable,
     kl_coefficient,
     kl_coefficient_sum,
+    kl_polynomial,
+    kl_recomputation,
     max_mu_dominant,
     max_top_coefficient,
     mu,
@@ -473,7 +475,6 @@ def run_verification(rs: RootSystemData, l: int, table: KLTable):
     Used by the CLI ``verify`` subcommand; any False entry is an invariant
     violation and should map to a nonzero exit status.
     """
-    from .klpoly import kl_polynomial, kl_recomputation
     import random
 
     results = []

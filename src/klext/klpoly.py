@@ -11,8 +11,8 @@ a pool index, and no other module reads the pool. ``coeff_convolution``
 sums products of two entries' t-coefficients (the Ext^n sum over a + b = n)
 over even degrees only, and ``kl_entries`` walks every nonzero entry with
 its mu, converting each distinct polynomial once. The table for a
-slice is filled shell by shell in the length of the upper index y; within
-a shell every entry depends only on completed shells.
+slice is filled row by row in ascending index of the upper index y; slice
+indices ascend by length, so every row depends only on rows filled before.
 
 The recursion used is the standard descent recursion: for a right descent
 s of y and y' = ys,
@@ -103,10 +103,9 @@ class KLTable:
     the nonzero P_{x,y}, and absence means the polynomial is zero (equivalently
     x is not Bruhat-below y). Pool ids are given in first appearance over
     (y, x) order, so a filled and a loaded table agree id for id.
-    ``filled`` is the largest completed length shell: -1 before ``fill``
-    and on a ``demand_table``, the slice cutoff after ``fill`` or
-    ``load_table``. Reading a row that was never computed raises
-    SliceCoverageError.
+    ``filled`` is -1 before ``fill`` and on a ``demand_table``, the slice
+    cutoff after ``fill`` or ``load_table``. Reading a row that was never
+    computed raises SliceCoverageError.
     """
 
     def __init__(self, sl: GroupSlice):
@@ -163,7 +162,7 @@ class KLTable:
     # -- fill ---------------------------------------------------------------
 
     def fill(self) -> None:
-        """Fill every row up to the slice cutoff, from the first unfilled shell:
+        """Fill every row up to the slice cutoff, in ascending index:
         the row of the lowest index y of each orbit of G (see the module
         docstring) is computed, and the rest of the orbit is reached from y by
         the generators of G, each new row g(u) being a reached row u
@@ -177,22 +176,21 @@ class KLTable:
         gens = [(inv, inv)] + [(g, sorted(range(len(g)), key=g.__getitem__))
                                for g in slice_symmetry_generators(sl)]
         rows = self.rows
-        for level in range(self.filled + 1, sl.cutoff + 1):
-            for y in sl.shell(level):
-                if rows[y] is not None:
-                    continue
-                rows[y] = self._compute_row(y, memo)
-                orbit = [y]
-                for u in orbit:  # grows while iterated
-                    row = rows[u]
-                    for g, back in gens:
-                        gu = g[u]
-                        if rows[gu] is None:
-                            xs = sorted(map(g.__getitem__, row))
-                            ids = map(row.__getitem__, map(back.__getitem__, xs))
-                            rows[gu] = dict(zip(xs, ids))
-                            orbit.append(gu)
-            self.filled = level
+        for y in range(len(sl)):  # indices ascend by length
+            if rows[y] is not None:
+                continue
+            rows[y] = self._compute_row(y, memo)
+            orbit = [y]
+            for u in orbit:  # grows while iterated
+                row = rows[u]
+                for g, back in gens:
+                    gu = g[u]
+                    if rows[gu] is None:
+                        xs = sorted(map(g.__getitem__, row))
+                        ids = map(row.__getitem__, map(back.__getitem__, xs))
+                        rows[gu] = dict(zip(xs, ids))
+                        orbit.append(gu)
+        self.filled = sl.cutoff
 
     def _missing_inputs(self, y: int) -> list[int]:
         """The rows that ``_compute_row(y)`` reads and that are not there yet:

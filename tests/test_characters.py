@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from groupmul import _matmul, generators
+from klext import characters
 from klext.characters import (
     chi_kl,
     decomposition_matrix,
@@ -17,7 +18,7 @@ from klext.characters import (
     weyl_dimension,
     weyl_orbit,
 )
-from klext.errors import InvalidSystemError, SliceCoverageError
+from klext.errors import InvalidSystemError, ResourceCapError, SliceCoverageError
 from klext.rootsys import build_root_system, dominance_leq, is_dominant, kostant_partition
 from klext.weylaffine import _matvec, enumerate_slice, identity
 
@@ -361,3 +362,25 @@ def test_tensor_equals_convolution_oracle():
             got = tensor_decompose(rs, lam, nu)
             assert list(got) == sorted(got)
             assert got == convolution_tensor(rs, lam, nu), (lab, lam, nu)
+
+
+def test_dominant_box_cap(monkeypatch):
+    # the root-coordinate box below A1's lam has lam // 2 + 1 points; a box
+    # above the cap is refused before it is walked, by every caller
+    rs = build_root_system("A", 1)
+    huge = (2 * characters.DOMINANT_BOX_CAP,)
+    for call in (lambda: weyl_character(rs, huge),
+                 lambda: dominant_weights_below(rs, huge),
+                 lambda: tensor_decompose(rs, huge, huge)):
+        with pytest.raises(ResourceCapError,
+                           match="box of 1000001 points, above the cap of 1000000"):
+            call()
+    monkeypatch.setattr(characters, "DOMINANT_BOX_CAP", 10)
+    assert weyl_character(rs, (18,)).dimension() == 19
+    assert len(dominant_weights_below(rs, (19,))) == 10
+    with pytest.raises(ResourceCapError, match="box of 11 points"):
+        dominant_weights_below(rs, (20,))
+    # A2 at (3, 3): root coordinates (3, 3), a box of 16 points
+    a2 = build_root_system("A", 2)
+    with pytest.raises(ResourceCapError, match="box of 16 points"):
+        dominant_weights_below(a2, (3, 3))

@@ -539,29 +539,42 @@ def test_level_warnings():
     ]
 
 
-def test_kl_queries_leave_character_modules_unrun(tmp_path):
-    # characters and extbounds are registered by ``import klext.cli`` but run
-    # only by a command that uses them; ``loaded`` lists the ones that ran.
-    # No command loads dataclasses or the inspect module it imports
+def test_cache_frames_alone_load_hashlib(tmp_path, monkeypatch):
+    # only reading or writing a cache file imports hashlib, so an uncached
+    # query does not pay for it; no command loads dataclasses or the inspect
+    # module it imports
     probe = (
         "import sys, types\n"
         "from klext.cli import main\n"
         "main(sys.argv[1:]) if sys.argv[1:] else None\n"
-        "names = ('klext.characters', 'klext.extbounds', 'dataclasses', 'inspect')\n"
+        "names = ('hashlib', 'dataclasses', 'inspect')\n"
         "print('loaded', [n for n in names if type(sys.modules.get(n)) is types.ModuleType])\n"
     )
-    mu = ["--cache-dir", str(tmp_path), "mu", "A", "2", "--cutoff", "6", "--x", "0", "--y", "5"]
-    assert run_cli(*mu[2:], cache=tmp_path).returncode == 0
+    monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
+    mu = ["mu", "A", "2", "--cutoff", "6", "--x", "0", "--y", "5"]
+    assert run_cli(*mu, cache=tmp_path).returncode == 0
     for argv, loaded in (
         ([], "[]"),
-        (mu, "[]"),  # warm
-        (["char", "A", "2", "--weight", "1,0"], "['klext.characters']"),
-        (["bounds", "A", "2", "--p", "3"], "['klext.characters', 'klext.extbounds']"),
+        (mu, "[]"),  # uncached
+        (["--cache-dir", str(tmp_path), *mu], "['hashlib']"),  # warm
+        (["char", "A", "2", "--weight", "1,0"], "[]"),
+        (["bounds", "A", "2", "--p", "3"], "[]"),
     ):
         res = subprocess.run([sys.executable, "-c", probe, *argv],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines()[-1] == f"loaded {loaded}"
+        assert res.stdout.splitlines()[-1] == f"loaded {loaded}", argv
+
+
+def test_weight_box_cap_exits_3():
+    for args in (("char", "A", "1", "--weight", "3000000"),
+                 ("tensor", "A", "1", "--left", "3000000", "--right", "3000000")):
+        res = run_cli(*args, timeout=30)
+        assert (res.returncode, res.stdout) == (3, ""), args
+        assert res.stderr == (
+            "resource cap: dominant weights below (3000000,) need a box of 1500001 points, "
+            "above the cap of 1000000\n"
+        )
 
 
 def test_repeated_table_index_exits_1(tmp_path):

@@ -303,7 +303,7 @@ def test_run_verification_names_witness(monkeypatch):
     # keep the detail they always had
     import random
 
-    from klext import extbounds, klpoly
+    from klext import extbounds
 
     rs = build_root_system("A", 2)
     table = KLTable(enumerate_slice(rs, 8))
@@ -319,7 +319,7 @@ def test_run_verification_names_witness(monkeypatch):
     mu_row = table.mu_row
     monkeypatch.setattr(table, "mu_row",
                         lambda y: mu_row(y) + (((0, 1),) if y == y_even else ()))
-    monkeypatch.setattr(klpoly, "kl_recomputation",
+    monkeypatch.setattr(extbounds, "kl_recomputation",
                         lambda table, rng: lambda x, y: (7,))
     doms = sl.dominant_indices()
     bad_xy, bad_ym = (doms[1], doms[0]), (doms[2], 1)

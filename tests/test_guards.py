@@ -1,6 +1,7 @@
 """Guards: invariants survive ``python -O`` (no assert statements in the
-package), the CLI import stays free of ``fractions``, only ``klpoly``
-reads a KL table's polynomial pool, and only a complete table is saved."""
+package), the CLI import stays free of ``fractions`` and ``hashlib``, only
+``klpoly`` reads a KL table's polynomial pool, and only a complete table is
+saved."""
 
 import ast
 import os
@@ -42,10 +43,17 @@ def test_optimized_run_prints_the_same():
 
 
 def test_cli_import_leaves_fractions_out():
-    # root-system arithmetic is integer-only, so the CLI never loads fractions
-    code = "import sys, klext.cli; print('fractions' in sys.modules)"
+    # root-system arithmetic is integer-only, so the CLI never loads fractions;
+    # hashlib waits for a cache file, and the modules are imported plainly.
+    # Only what ``import klext.cli`` adds counts, not what site hooks load
+    code = ("import sys; base = set(sys.modules); import klext.cli\n"
+            "print(sorted(set(sys.modules) - base))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert (res.returncode, res.stdout) == (0, "False\n"), res.stderr
+    assert res.returncode == 0, res.stderr
+    added = set(ast.literal_eval(res.stdout))
+    assert {"klext.characters", "klext.extbounds"} <= added
+    unwanted = {"fractions", "hashlib", "dataclasses", "inspect", "importlib.util"}
+    assert added & unwanted == set()
 
 
 def test_only_klpoly_reads_the_pool():
