@@ -31,25 +31,29 @@ acc - m q^k P(x,z), are memoised on ids.
 
 Two symmetries (Kazhdan-Lusztig, Invent. Math. 53 (1979)) spare most of
 that work: P(x^-1, y^-1) = P(x,y), and P(sigma x, sigma y) = P(x,y) for every
-automorphism sigma of the Coxeter graph. ``fill`` computes the row of the
-lowest index in each orbit of the group G they generate and reaches the
-rest of the orbit by the generators of G, row(g u) = {g(x): pid} in
-ascending x for a reached row u. The index maps of inversion and of a
+automorphism sigma of the Coxeter graph. The orbits of the group G they
+generate are the unit of storage (``KLTable.orbit_plan``): the
+representative of an orbit is its lowest index, and every other row y of it
+is "row u relabelled by g", row(y) = {g(x): pid} in ascending g(x), for a
+generator g of G and an orbit member u reached before y. The index maps of inversion and of a
 generating set of the graph automorphisms come from the slice's right table
-alone (``weylaffine.slice_inversion`` and ``slice_symmetry_generators``,
-each checked against the whole table) and are built by ``fill`` only, never
-by a load. Pool ids, rows and table files are byte-identical to those of a
-row-by-row fill, and ``kl_recomputation`` uses no symmetry.
+alone (``weylaffine.slice_inversion`` and ``slice_symmetry_generators``, each
+checked against the whole table). ``fill`` computes the representatives'
+rows only, a table file holds only theirs, and every other row is relabelled
+on its first read (``KLTable.rows_for``). Pool ids and rows are those of a
+row-by-row fill, whose table saves to the same bytes; ``kl_recomputation``
+uses no symmetry.
 
 A filled or loaded table is the complete table of its slice: ``fill``
-computes every row up to the slice cutoff and a table file holds every row,
-so a query may read any row of the slice. A loaded table keeps each row
-as the two arrays read from its file, range checked at load, and builds
-the row's dict on its first read (``KLTable.rows_for``), so a warm query
-decodes only the rows it reads. ``demand_table`` computes only the rows one
-query reads, for a single-pair query without a cache; its ``filled`` stays
--1, so ``save_table`` and every reader that walks the whole slice refuse it,
-and reading any other of its rows raises SliceCoverageError.
+computes every representative up to the slice cutoff and a table file holds
+every representative, so a query may read any row of the slice. A loaded
+table keeps each representative's row as the two arrays read from its file,
+range checked at load, and builds the row's dict on its first read, so a
+warm query decodes and relabels only the rows it reads. ``demand_table``
+computes only the rows one query reads, for a single-pair query without a
+cache; its ``filled`` stays -1, so ``save_table`` and every reader that walks
+the whole slice refuse it, and reading any other of its rows raises
+SliceCoverageError.
 """
 
 from __future__ import annotations
@@ -105,19 +109,57 @@ class KLTable:
     (y, x) order, so a filled and a loaded table agree id for id.
     ``filled`` is -1 before ``fill`` and on a ``demand_table``, the slice
     cutoff after ``fill`` or ``load_table``. Reading a row that was never
-    computed raises SliceCoverageError.
+    computed, nor has a computed orbit representative, raises
+    SliceCoverageError.
     """
 
     def __init__(self, sl: GroupSlice):
         self.slice = sl
         # a loaded row stays as its (element indices, pool ids) arrays
-        # until rows_for first reads it
+        # until rows_for first reads it; a row that is None and has a source
+        # in the orbit plan is relabelled on its first read
         self.rows: list[dict[int, int] | tuple[array, array] | None] = [None] * len(sl)
         self.pool: list[tuple[int, ...]] = []
         self._pool_ids: dict[tuple[int, ...], int] = {}
         self.filled = -1
         self._mu_rows: dict[int, tuple[tuple[int, int], ...]] = {}
         self._path = None  # the file a loaded table came from
+        self._plan: tuple[list[int], list] | None = None  # see orbit_plan
+
+    def orbit_plan(self) -> tuple[list[int], list]:
+        """The orbits of G on the slice (see the module docstring): the
+        representatives in ascending index, and for each row y the source
+        (u, g, back) it is relabelled from, None for a representative. Row u
+        is an orbit member reached before y, g the index map of a generator
+        of G with g[u] = y, and back the inverse of g. Built on the first
+        call: by ``fill``, ``load_table``, or ``save_table`` of a table built
+        another way."""
+        if self._plan is not None:
+            return self._plan
+        sl = self.slice
+        inv = slice_inversion(sl)
+        # sorting the relabelled indices alone and reading their ids back
+        # through the inverse map is faster than sorting (index, id) pairs
+        gens = [(inv, inv)] + [(g, sorted(range(len(g)), key=g.__getitem__))
+                               for g in slice_symmetry_generators(sl)]
+        reps: list[int] = []
+        sources: list[tuple[int, list[int], list[int]] | None] = [None] * len(sl)
+        reached = bytearray(len(sl))
+        for y in range(len(sl)):
+            if reached[y]:
+                continue
+            reached[y] = 1
+            reps.append(y)
+            orbit = [y]
+            for u in orbit:  # grows while iterated
+                for g, back in gens:
+                    gu = g[u]
+                    if not reached[gu]:
+                        reached[gu] = 1
+                        sources[gu] = (u, g, back)
+                        orbit.append(gu)
+        self._plan = reps, sources
+        return self._plan
 
     def coeff(self, pid: int, d: int) -> int:
         """Coefficient of t^d of the pool entry ``pid`` under q = t^2: 0 when
@@ -162,35 +204,17 @@ class KLTable:
     # -- fill ---------------------------------------------------------------
 
     def fill(self) -> None:
-        """Fill every row up to the slice cutoff, in ascending index:
-        the row of the lowest index y of each orbit of G (see the module
-        docstring) is computed, and the rest of the orbit is reached from y by
-        the generators of G, each new row g(u) being a reached row u
-        relabelled, {g(x): pid}, in ascending x."""
-        sl = self.slice
+        """Fill the table up to the slice cutoff: compute the row of each
+        orbit representative of G (see the module docstring), in ascending
+        index, and no other; every other row is relabelled from its orbit on
+        its first read. A row that ``_compute_row`` reads is shorter than the
+        row computed, so its representative is computed already. Rows and
+        pool ids are those of a row-by-row fill, and so are the saved bytes."""
+        reps, _ = self.orbit_plan()
         memo = _FillMemo()
-        inv = slice_inversion(sl)
-        # each generator of G with its inverse map; sorting the relabelled
-        # indices alone and reading their ids back through the inverse is
-        # faster than sorting (index, id) pairs
-        gens = [(inv, inv)] + [(g, sorted(range(len(g)), key=g.__getitem__))
-                               for g in slice_symmetry_generators(sl)]
-        rows = self.rows
-        for y in range(len(sl)):  # indices ascend by length
-            if rows[y] is not None:
-                continue
-            rows[y] = self._compute_row(y, memo)
-            orbit = [y]
-            for u in orbit:  # grows while iterated
-                row = rows[u]
-                for g, back in gens:
-                    gu = g[u]
-                    if rows[gu] is None:
-                        xs = sorted(map(g.__getitem__, row))
-                        ids = map(row.__getitem__, map(back.__getitem__, xs))
-                        rows[gu] = dict(zip(xs, ids))
-                        orbit.append(gu)
-        self.filled = sl.cutoff
+        for y in reps:  # indices ascend by length
+            self.rows[y] = self._compute_row(y, memo)
+        self.filled = self.slice.cutoff
 
     def _missing_inputs(self, y: int) -> list[int]:
         """The rows that ``_compute_row(y)`` reads and that are not there yet:
@@ -303,18 +327,39 @@ class KLTable:
 
     def rows_for(self, y: int) -> dict[int, int]:
         """Row y as a dict x -> pool id. A loaded row is held as its two
-        stored arrays until this first read, which decodes it and drops them."""
+        stored arrays until this first read, which decodes it and drops them;
+        a row that is not an orbit representative is relabelled from its
+        orbit on its first read."""
         row = self.rows[y]
         if type(row) is dict:
             return row
         if row is None:
-            raise SliceCoverageError(f"row {y} not filled; fill the table first")
+            return self._relabelled(y)
         xs, ids = row
         decoded = dict(zip(xs, ids))
         if len(decoded) != len(xs):
             raise CacheFormatError(f"{self._path}: table row {y} repeats an element index")
         self.rows[y] = decoded
         return decoded
+
+    def _relabelled(self, y: int) -> dict[int, int]:
+        """Row y built from the orbit plan's sources: the chain y <- u <- ...
+        back to a row that is there, each link relabelled in turn and kept,
+        in an explicit loop, no recursion."""
+        rows, plan = self.rows, self._plan
+        chain = []
+        v = y
+        while rows[v] is None:
+            source = plan[1][v] if plan else None
+            if source is None:
+                raise SliceCoverageError(f"row {y} not filled; fill the table first")
+            chain.append((v, source))
+            v = source[0]
+        row = self.rows_for(v)
+        for v, (_, g, back) in reversed(chain):
+            xs = sorted(map(g.__getitem__, row))
+            row = rows[v] = dict(zip(xs, map(row.__getitem__, map(back.__getitem__, xs))))
+        return row
 
     def mu_row(self, y: int) -> tuple[tuple[int, int], ...]:
         """All (z, mu(z, y)) with nonzero mu and z < y."""
@@ -547,8 +592,8 @@ def kl_recomputation(table: KLTable, rng):
 # -- persistence ----------------------------------------------------------------
 
 _TABLE_MAGIC = b"KLXTABLE"
-_TABLE_VERSION = 2
-_TABLE_HEAD = ">cHBIiII"  # type, rank, affine, cutoff, filled, pool size, rows
+_TABLE_VERSION = 3
+_TABLE_HEAD = ">cHBIiII"  # type, rank, affine, cutoff, filled, pool size, records
 
 
 def _row_codes(n_elements: int, n_pool: int) -> tuple[str, str]:
@@ -568,15 +613,17 @@ def _row_format(n_elements: int, n_pool: int, k: int) -> str:
 
 
 def save_table(table: KLTable, path) -> None:
-    """Write the pool once, then every row's x and pool-id arrays. The
-    header's ``filled`` field always equals its cutoff: a table filled to
-    another length, such as a ``demand_table``, raises InvariantViolation."""
+    """Write the pool once, then one record per orbit representative, in
+    ascending index: the row's x and pool-id arrays. The header's ``filled``
+    field always equals its cutoff: a table filled to another length, such
+    as a ``demand_table``, raises InvariantViolation."""
     sl = table.slice
     if table.filled != sl.cutoff:
         raise InvariantViolation(
             f"only a complete table is saved; this one is filled to length "
             f"{table.filled}, not its cutoff {sl.cutoff}"
         )
+    reps, _ = table.orbit_plan()
     rs = sl.rs
     parts = [
         struct.pack(
@@ -587,13 +634,13 @@ def save_table(table: KLTable, path) -> None:
             sl.cutoff,
             sl.cutoff,
             len(table.pool),
-            len(sl),
+            len(reps),
         )
     ]
     for t in table.pool:
         parts.append(struct.pack(">H", len(t)))
         parts.extend(binio.pack_bigint(v) for v in t)
-    for y in range(len(sl)):
+    for y in reps:
         row = table.rows_for(y)
         xs = sorted(row)
         parts.append(struct.pack(
@@ -605,12 +652,16 @@ def save_table(table: KLTable, path) -> None:
 
 def load_table(path, sl: GroupSlice) -> KLTable:
     """The complete table of ``sl`` stored at ``path``; a file of another
-    slice, or one whose header does not claim every row, is rejected."""
+    slice, or one whose header does not claim every row, is rejected. The
+    orbit plan is built from ``sl`` and the file read as one record per
+    representative; every other row is relabelled on its first read."""
     buf = binio.read_frame(path, _TABLE_MAGIC, _TABLE_VERSION)
-    lab, rank, aff, cutoff, filled, n_pool, n_rows = struct.unpack_from(_TABLE_HEAD, buf, 0)
     off = struct.calcsize(_TABLE_HEAD)
-    if (sl.rs.type_label, sl.rs.rank, sl.affine, sl.cutoff) != (
-        lab.decode(),
+    if len(buf) < off:
+        raise CacheFormatError(f"{path}: the table header runs past the end of the file")
+    lab, rank, aff, cutoff, filled, n_pool, n_records = struct.unpack_from(_TABLE_HEAD, buf, 0)
+    if (sl.rs.type_label.encode(), sl.rs.rank, sl.affine, sl.cutoff) != (
+        lab,
         rank,
         bool(aff),
         cutoff,
@@ -621,24 +672,29 @@ def load_table(path, sl: GroupSlice) -> KLTable:
             f"{path}: table header says filled to length {filled}, not its cutoff {cutoff}"
         )
     table = KLTable(sl)
-    for _ in range(n_pool):
-        (nterms,) = struct.unpack_from(">H", buf, off)
-        off += 2
-        coeffs = []
-        for _ in range(nterms):
-            v, off = binio.unpack_bigint(buf, off)
-            coeffs.append(v)
-        table.pool.append(tuple(coeffs))
+    try:
+        for _ in range(n_pool):
+            (nterms,) = struct.unpack_from(">H", buf, off)
+            off += 2
+            coeffs = []
+            for _ in range(nterms):
+                v, off = binio.unpack_bigint(buf, off)
+                coeffs.append(v)
+            table.pool.append(tuple(coeffs))
+    except struct.error:
+        raise CacheFormatError(f"{path}: the pool runs past the end of the file") from None
     table._pool_ids = {t: pid for pid, t in enumerate(table.pool)}
-    if len(table._pool_ids) != n_pool or n_rows != len(sl):
+    reps, _ = table.orbit_plan()
+    if len(table._pool_ids) != n_pool or n_records != len(reps):
         raise CacheFormatError(f"{path}: pool or row count does not match the slice")
     xc, ic = _row_codes(len(sl), n_pool)
     xw, iw = array(xc).itemsize, array(ic).itemsize
     swap = sys.byteorder == "little"
     # 1-byte ids are in range when deleting every valid id leaves no byte
     valid_ids = bytes(range(n_pool)) if ic == "B" else b""
-    for y in range(len(sl)):
-        (k,) = struct.unpack_from(">I", buf, off)
+    for y in reps:
+        # a record cut short in its length field still ends past the buffer
+        k = int.from_bytes(buf[off : off + 4], "big")
         mid, end = off + 4 + k * xw, off + 4 + k * (xw + iw)
         if end > len(buf):
             raise CacheFormatError(f"{path}: row {y} runs past the end of the file")

@@ -401,16 +401,19 @@ def test_workers_flag_prints_the_same(tmp_path):
 
 
 def test_v1_cache_rejected(tmp_path):
+    # and a version-2 table, which held every row, likewise
     args = ("mu", "A", "1", "--cutoff", "10", "--x", "1", "--y", "2")
     assert run_cli(*args, cache=tmp_path).returncode == 0
     table_file = next(tmp_path.glob("kl_*.klt"))
-    blob = bytearray(table_file.read_bytes()[:-32])
-    blob[8:12] = (1).to_bytes(4, "big")  # the version field of the frame
-    table_file.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
-    res = run_cli(*args, cache=tmp_path)
-    assert res.returncode == 1 and res.stdout == ""
-    assert "version 1, expected 2" in res.stderr and "delete" in res.stderr
-    assert "Traceback" not in res.stderr
+    saved = table_file.read_bytes()
+    for version in (1, 2):
+        blob = bytearray(saved[:-32])
+        blob[8:12] = version.to_bytes(4, "big")  # the version field of the frame
+        table_file.write_bytes(bytes(blob) + hashlib.sha256(blob).digest())
+        res = run_cli(*args, cache=tmp_path)
+        assert res.returncode == 1 and res.stdout == ""
+        assert f"version {version}, expected 3" in res.stderr and "delete" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_v1_slice_cache_rejected(tmp_path):
@@ -580,21 +583,24 @@ def test_weight_box_cap_exits_3():
 def test_repeated_table_index_exits_1(tmp_path):
     from klext import binio
 
-    args = ("kl", "A", "1", "--cutoff", "4", "--x", "0", "--y", "8")
+    args = ("kl", "A", "1", "--cutoff", "4", "--x", "0", "--y", "7")
     first = run_cli(*args, cache=tmp_path)
     assert first.returncode == 0 and "0: 1" in first.stdout
     table_file = next(tmp_path.glob("kl_*.klt"))
-    payload = bytearray(binio.read_frame(table_file, b"KLXTABLE", 2))
-    # the last row (y = 8) stores x = 0..6 and 8 as 2-byte indices, then
-    # 1-byte pool ids; x = 0 becomes a second x = 1
+    payload = bytearray(binio.read_frame(table_file, b"KLXTABLE", 3))
+    # the last record is row y = 7, the representative of the orbit {7, 8}:
+    # it stores x = 0..7 as 2-byte indices, then 1-byte pool ids; x = 0
+    # becomes a second x = 1
     at = len(payload) - 3 * 8
     payload[at : at + 2] = (1).to_bytes(2, "big")
-    binio.write_frame(table_file, b"KLXTABLE", 2, bytes(payload))
-    res = run_cli(*args, cache=tmp_path)
-    assert res.returncode == 1 and res.stdout == ""
-    assert "repeats an element index" in res.stderr and "Traceback" not in res.stderr
+    binio.write_frame(table_file, b"KLXTABLE", 3, bytes(payload))
+    # row 8 is relabelled from row 7, so reading either is refused
+    for y in ("7", "8"):
+        res = run_cli(*args[:-1], y, cache=tmp_path)
+        assert res.returncode == 1 and res.stdout == ""
+        assert "row 7 repeats an element index" in res.stderr and "Traceback" not in res.stderr
     # rows that are not read still answer
-    assert run_cli("kl", "A", "1", "--cutoff", "4", "--x", "0", "--y", "7",
+    assert run_cli("kl", "A", "1", "--cutoff", "4", "--x", "0", "--y", "6",
                    cache=tmp_path).returncode == 0
 
 
@@ -609,9 +615,9 @@ def test_table_header_not_filled_to_cutoff_exits_1(tmp_path):
     first = run_cli(*args, cache=tmp_path)
     assert json.loads(first.stdout)["status"] == "truncated@10"
     table_file = next(tmp_path.glob("kl_*.klt"))
-    payload = bytearray(binio.read_frame(table_file, b"KLXTABLE", 2))
+    payload = bytearray(binio.read_frame(table_file, b"KLXTABLE", 3))
     payload[8:12] = (99).to_bytes(4, "big")  # the header's filled length
-    binio.write_frame(table_file, b"KLXTABLE", 2, bytes(payload))
+    binio.write_frame(table_file, b"KLXTABLE", 3, bytes(payload))
     res = run_cli(*args, cache=tmp_path)
     assert res.returncode == 1 and res.stdout == ""
     assert res.stderr == (

@@ -3,6 +3,8 @@
 import hashlib
 import os
 import random
+import struct
+import sys
 
 import pytest
 
@@ -32,7 +34,7 @@ from klext.klpoly import (
     save_table,
 )
 from klext.rootsys import build_root_system
-from klext.weylaffine import GroupSlice, enumerate_slice
+from klext.weylaffine import GroupSlice, enumerate_slice, slice_inversion, slice_symmetries
 
 ONE = (1,)
 
@@ -276,6 +278,50 @@ def rowwise_table(sl):
     return table
 
 
+def orbit_count(sl):
+    """The number of orbits of the group that inversion and the graph
+    automorphisms generate: the components of the graph joining each y to
+    its inverse and to its image under every automorphism."""
+    maps = [slice_inversion(sl)] + slice_symmetries(sl)
+    seen, count = set(), 0
+    for y in range(len(sl)):
+        if y in seen:
+            continue
+        count += 1
+        seen.add(y)
+        stack = [y]
+        while stack:
+            u = stack.pop()
+            for g in maps:
+                if g[u] not in seen:
+                    seen.add(g[u])
+                    stack.append(g[u])
+    return count
+
+
+def record_spans(payload, n_elements):
+    """The (start, end) payload offsets of a table file's records, read by
+    the layout alone: the header, the pool, then per record its 4-byte
+    length k, k element indices and k pool ids."""
+    head = ">cHBIiII"  # type, rank, affine, cutoff, filled, pool size, records
+    *_, n_pool, n_records = struct.unpack_from(head, payload)
+    off = struct.calcsize(head)
+    for _ in range(n_pool):
+        (nterms,) = struct.unpack_from(">H", payload, off)
+        off += 2
+        for _ in range(nterms):
+            off += 2 + struct.unpack_from(">H", payload, off)[0]
+    xw = 2 if n_elements <= 1 << 16 else 4
+    iw = 1 if n_pool <= 1 << 8 else 2 if n_pool <= 1 << 16 else 4
+    spans = []
+    while off < len(payload):
+        (k,) = struct.unpack_from(">I", payload, off)
+        spans.append((off, off + 4 + k * (xw + iw)))
+        off = spans[-1][1]
+    assert off == len(payload) and len(spans) == n_records
+    return spans
+
+
 @pytest.mark.parametrize("lab, rank, cutoff, affine", [
     ("A", 1, 20, True), ("A", 2, 12, True), ("A", 3, 8, True), ("B", 2, 16, True),
     ("C", 3, 9, True), ("D", 4, 6, True), ("F", 4, 5, True), ("G", 2, 14, True),
@@ -292,6 +338,13 @@ def test_orbit_fill_matches_the_rowwise_fill(tmp_path, lab, rank, cutoff, affine
     save_table(table, tmp_path / "orbit.klt")
     save_table(oracle, tmp_path / "rowwise.klt")
     assert (tmp_path / "orbit.klt").read_bytes() == (tmp_path / "rowwise.klt").read_bytes()
+    # the file holds one record per orbit, and its load is the oracle's table
+    payload = binio.read_frame(tmp_path / "orbit.klt", b"KLXTABLE", 3)
+    assert len(record_spans(payload, len(sl))) == orbit_count(sl)
+    loaded = load_table(tmp_path / "orbit.klt", sl)
+    assert loaded.pool == oracle.pool and loaded.filled == oracle.filled
+    for y in range(len(sl)):
+        assert list(loaded.rows_for(y).items()) == list(oracle.rows_for(y).items()), y
 
 
 def test_swapped_right_entries_raise_in_fill():
@@ -349,7 +402,8 @@ def test_pool_ids_valid_and_distinct(a2_table12):
     # a second fill of the same slice gives the same ids
     again = KLTable(sl)
     again.fill()
-    assert again.pool == table.pool and again.rows == table.rows
+    assert again.pool == table.pool
+    assert all(again.rows_for(y) == table.rows_for(y) for y in range(len(sl)))
 
 
 def test_save_load_roundtrip(tmp_path, a2_table12):
@@ -368,9 +422,13 @@ def test_save_load_roundtrip(tmp_path, a2_table12):
 def test_v1_table_rejected(tmp_path, a1_table20):
     path = tmp_path / "table.klt"
     save_table(a1_table20, path)
-    payload = binio.read_frame(path, b"KLXTABLE", 2)
+    payload = binio.read_frame(path, b"KLXTABLE", 3)
     binio.write_frame(path, b"KLXTABLE", 1, payload)
-    with pytest.raises(CacheFormatError, match="version 1, expected 2.*delete"):
+    with pytest.raises(CacheFormatError, match="version 1, expected 3.*delete"):
+        load_table(path, a1_table20.slice)
+    # and a version-2 file, which held every row, is never read either
+    binio.write_frame(path, b"KLXTABLE", 2, payload)
+    with pytest.raises(CacheFormatError, match="version 2, expected 3.*delete"):
         load_table(path, a1_table20.slice)
 
 
@@ -438,9 +496,9 @@ def _reframed(tmp_path, table, edit):
     checksum is valid and only the structure checks can catch the change."""
     path = tmp_path / "table.klt"
     save_table(table, path)
-    payload = bytearray(binio.read_frame(path, b"KLXTABLE", 2))
+    payload = bytearray(binio.read_frame(path, b"KLXTABLE", 3))
     edit(payload)
-    binio.write_frame(path, b"KLXTABLE", 2, bytes(payload))
+    binio.write_frame(path, b"KLXTABLE", 3, bytes(payload))
     return path
 
 
@@ -451,14 +509,135 @@ def test_loaded_rows_read_in_any_order(tmp_path, a2_table12):
     for table in (a2_table12, a3):
         path = tmp_path / "table.klt"
         save_table(table, path)
+        oracle = rowwise_table(table.slice)
         backwards = list(range(len(table.slice)))[::-1]
+        # descending order reads the last member of an orbit first, so its
+        # whole chain of relabellings resolves at once
+        filled = KLTable(table.slice)
+        filled.fill()
+        for y in backwards:
+            assert list(filled.rows_for(y).items()) == list(oracle.rows_for(y).items())
         for order in (backwards, rng.sample(backwards, len(backwards))):
             loaded = load_table(path, table.slice)
-            assert loaded.pool == table.pool and loaded.filled == table.filled
+            assert loaded.pool == oracle.pool and loaded.filled == oracle.filled
             for y in order:
-                assert list(loaded.rows_for(y).items()) == list(table.rows_for(y).items())
+                assert list(loaded.rows_for(y).items()) == list(oracle.rows_for(y).items())
             # every row read is held as its dict alone, the arrays dropped
             assert all(type(row) is dict for row in loaded.rows)
+
+
+def test_representatives_of_a_shorter_slice_are_a_prefix():
+    # the slice of A2 to length 12 is the start of the one to length 24: its
+    # representatives, their rows and its pool are prefixes of the longer
+    # table's, though the two files differ in their headers
+    rs = build_root_system("A", 2)
+    small, big = KLTable(enumerate_slice(rs, 12)), KLTable(enumerate_slice(rs, 24))
+    small.fill()
+    big.fill()
+    reps, big_reps = small.orbit_plan()[0], big.orbit_plan()[0]
+    assert reps == big_reps[:len(reps)] and len(reps) < len(big_reps)
+    assert small.pool == big.pool[:len(small.pool)]
+    assert all(small.rows_for(y) == big.rows_for(y) for y in reps)
+
+
+def test_records_too_few_or_too_many_rejected(tmp_path, a2_table12):
+    sl = a2_table12.slice
+    path = tmp_path / "table.klt"
+    save_table(a2_table12, path)
+    spans = record_spans(binio.read_frame(path, b"KLXTABLE", 3), len(sl))
+    n = len(spans)
+    assert n == len(a2_table12.orbit_plan()[0]) == orbit_count(sl) < len(sl)
+
+    def records(count, drop=None, repeat=None):
+        """Drop or repeat one record, and write ``count`` records in the header."""
+        def edit(payload):
+            if drop is not None:
+                del payload[slice(*spans[drop])]
+            if repeat is not None:
+                start, end = spans[repeat]
+                payload[end:end] = payload[start:end]
+            payload[16:20] = count.to_bytes(4, "big")  # the header's record count
+        return edit
+
+    for edit, message in (
+        (records(n, drop=n // 2), "runs past the end of the file"),
+        (records(n, drop=n - 1), "runs past the end of the file"),
+        (records(n - 1, drop=n // 2), "row count does not match"),
+        (records(n, repeat=n - 1), "trailing bytes after the last row"),
+        (records(n + 1, repeat=n - 1), "row count does not match"),
+    ):
+        with pytest.raises(CacheFormatError, match=message):
+            load_table(_reframed(tmp_path, a2_table12, edit), sl)
+    assert load_table(_reframed(tmp_path, a2_table12, records(n)), sl).pool == a2_table12.pool
+
+
+def test_malformed_header_or_pool_rejected(tmp_path, a2_table12):
+    # a payload cut inside the 20-byte header or inside the pool, framed
+    # with a valid checksum, is a CacheFormatError, not a struct.error, and
+    # so is a type byte that is no ASCII letter, not a UnicodeDecodeError
+    sl = a2_table12.slice
+    for at, message in ((19, "header runs past"), (21, "pool runs past"), (40, "pool runs past")):
+        def cut(payload):
+            del payload[at:]
+        with pytest.raises(CacheFormatError, match=message):
+            load_table(_reframed(tmp_path, a2_table12, cut), sl)
+
+    def type_byte(payload):
+        payload[0] = 0xFF
+
+    with pytest.raises(CacheFormatError, match="does not match the provided slice"):
+        load_table(_reframed(tmp_path, a2_table12, type_byte), sl)
+
+
+def frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def call_headroom():
+    """How many nested Python calls below the caller still fit under the
+    recursion limit: the limit also counts calls that are no Python frame,
+    so frame_depth alone does not tell."""
+    def nest(n):  # n calls below the caller
+        try:
+            return nest(n + 1)
+        except RecursionError:
+            return n
+    return nest(2)
+
+
+def test_relabel_chains_need_no_recursion(tmp_path):
+    # affine D4 has the graph automorphisms of its four outer nodes, S4, and
+    # with inversion orbits of up to 48 rows, whose relabellings chain up to
+    # 7 links deep; reading them in descending index resolves each orbit's
+    # longest chains at once. The reads run with room for 6 nested calls: a
+    # read recursing once per link needs 10, the loop 3 or 4
+    sl = enumerate_slice(build_root_system("D", 4), 6)
+    table = KLTable(sl)
+    table.fill()
+    _, sources = table.orbit_plan()
+    sizes, depth = {}, 0
+    for y in range(len(sl)):
+        root, links = y, 0
+        while sources[root] is not None:
+            root, links = sources[root][0], links + 1
+        sizes[root] = sizes.get(root, 0) + 1
+        depth = max(depth, links)
+    assert (max(sizes.values()), depth) == (48, 7)
+    path = tmp_path / "d4.klt"
+    save_table(table, path)
+    oracle = rowwise_table(sl)
+    loaded = load_table(path, sl)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 50)
+    try:
+        sys.setrecursionlimit(sys.getrecursionlimit() - call_headroom() + 6)
+        rows = [loaded.rows_for(y) for y in reversed(range(len(sl)))]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rows[::-1] == [oracle.rows_for(y) for y in range(len(sl))]
 
 
 def test_partly_read_table_resaves_identically(tmp_path, a2_table12):
@@ -475,9 +654,10 @@ def test_partly_read_table_resaves_identically(tmp_path, a2_table12):
 def test_last_row_out_of_range_rejected_at_load(tmp_path, a2_table12):
     sl = a2_table12.slice
     n_pool = len(a2_table12.pool)
-    k = len(a2_table12.rows_for(len(sl) - 1))
-    # the payload ends with the last row's k element indices, 2 bytes each,
-    # then its k pool ids, 1 byte each
+    last = a2_table12.orbit_plan()[0][-1]  # the last representative
+    k = len(a2_table12.rows_for(last))
+    # the payload ends with the last stored row's k element indices, 2 bytes
+    # each, then its k pool ids, 1 byte each
     assert len(sl) <= 1 << 16 and n_pool < 1 << 8
     last_x, last_id = -3 * k + 2 * (k - 1), -1
 
@@ -491,7 +671,7 @@ def test_last_row_out_of_range_rejected_at_load(tmp_path, a2_table12):
             load_table(_reframed(tmp_path, a2_table12, edit), sl)
     # the unaltered re-framing loads
     loaded = load_table(_reframed(tmp_path, a2_table12, lambda payload: None), sl)
-    assert loaded.rows_for(len(sl) - 1) == a2_table12.rows_for(len(sl) - 1)
+    assert loaded.rows_for(last) == a2_table12.rows_for(last)
 
 
 def test_middle_row_pool_id_out_of_range_rejected_at_load(tmp_path, a2_table12):
@@ -502,14 +682,15 @@ def test_middle_row_pool_id_out_of_range_rejected_at_load(tmp_path, a2_table12):
     wide.rows = [a2_table12.rows_for(y) for y in range(len(sl))]
     wide.pool = a2_table12.pool + [(2, i) for i in range(1 << 8)]  # never a KL value
     wide.filled = a2_table12.filled
-    y = len(sl) // 2
+    reps = a2_table12.orbit_plan()[0]
+    y = reps[len(reps) // 2]  # a representative in the middle of the file
     k = len(a2_table12.rows_for(y))
     for table, width in ((a2_table12, 1), (wide, 2)):
         n_pool = len(table.pool)
         assert len(sl) <= 1 << 16 and (n_pool <= 1 << 8) == (width == 1)
-        # the rows from y on, each its 4-byte length, then 2-byte element
-        # indices and pool ids of ``width`` bytes
-        tail = sum(4 + len(table.rows_for(v)) * (2 + width) for v in range(y, len(sl)))
+        # the stored rows from y on, each its 4-byte length, then 2-byte
+        # element indices and pool ids of ``width`` bytes
+        tail = sum(4 + len(table.rows_for(v)) * (2 + width) for v in reps if v >= y)
 
         def edit(payload):
             at = len(payload) - tail + 4 + 2 * k + width * (k // 2)  # row y's middle id
@@ -524,18 +705,24 @@ def test_middle_row_pool_id_out_of_range_rejected_at_load(tmp_path, a2_table12):
 def test_repeated_row_index_rejected(tmp_path):
     table = KLTable(enumerate_slice(build_root_system("A", 1), 4))
     table.fill()
-    y = len(table.slice) - 1
+    # the two elements of length 4 are one orbit: row y is stored last, and
+    # row y + 1, the last of the slice, is relabelled from it
+    y = table.orbit_plan()[0][-1]
+    assert y == len(table.slice) - 2
     k = len(table.rows_for(y))
     assert list(table.rows_for(y))[:2] == [0, 1]
 
     def edit(payload):
-        at = len(payload) - 3 * k  # the last row's element indices
+        at = len(payload) - 3 * k  # the last stored row's element indices
         payload[at : at + 2] = (1).to_bytes(2, "big")  # x = 1 twice, x = 0 never
 
     loaded = load_table(_reframed(tmp_path, table, edit), table.slice)
     assert kl_polynomial(loaded, 0, y - 1) == ONE
     with pytest.raises(CacheFormatError, match=f"row {y} repeats an element index"):
         kl_polynomial(loaded, 0, y)
+    loaded = load_table(_reframed(tmp_path, table, edit), table.slice)
+    with pytest.raises(CacheFormatError, match=f"row {y} repeats an element index"):
+        kl_polynomial(loaded, 0, y + 1)
 
 
 def test_header_not_filled_to_cutoff_rejected(tmp_path, a2_table12):
