@@ -353,12 +353,6 @@ class DecompositionMatrix:
         j = self.index_of(nu)
         return sum(row[j] for row in self.d_matrix)
 
-    def simple_character(self, mu) -> Character:
-        """ch L(mu) expanded from column index_of(mu) of A."""
-        j = self.index_of(mu)
-        column = (row[j] for row in self.a_matrix)
-        return _weyl_combination(self.rs, zip(self.weights, column))
-
 
 def linkage_block(rs: RootSystemData, seed: Weight, l: int, bound: Weight,
                   table: KLTable):

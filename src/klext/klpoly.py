@@ -33,16 +33,16 @@ Two symmetries (Kazhdan-Lusztig, Invent. Math. 53 (1979)) spare most of
 that work: P(x^-1, y^-1) = P(x,y), and P(sigma x, sigma y) = P(x,y) for every
 automorphism sigma of the Coxeter graph. The orbits of the group G they
 generate are the unit of storage (``KLTable.orbit_plan``): the
-representative of an orbit is its lowest index, and every other row y of it
-is "row u relabelled by g", row(y) = {g(x): pid} in ascending g(x), for a
-generator g of G and an orbit member u reached before y. The index maps of inversion and of a
-generating set of the graph automorphisms come from the slice's right table
-alone (``weylaffine.slice_inversion`` and ``slice_symmetry_generators``, each
-checked against the whole table). ``fill`` computes the representatives'
-rows only, a table file holds only theirs, and every other row is relabelled
-on its first read (``KLTable.rows_for``). Pool ids and rows are those of a
-row-by-row fill, whose table saves to the same bytes; ``kl_recomputation``
-uses no symmetry.
+representative u of an orbit is its lowest index, and every other row y of
+it is row u relabelled once, row(y) = {g(x): pid}, by the element g of G
+with g(u) = y. The index maps of inversion and of every graph automorphism
+come from the slice's right table alone (``weylaffine.slice_inversion`` and
+``slice_symmetry_group``, checked against the whole table). ``fill``
+computes the representatives' rows only, a table file holds only theirs,
+and every other row is relabelled on its first read (``KLTable.rows_for``).
+A row is an unordered map: every reader that needs x order sorts. Pool ids
+and rows are those of a row-by-row fill, whose table saves to the same
+bytes; ``kl_recomputation`` uses no symmetry.
 
 A filled or loaded table is the complete table of its slice: ``fill``
 computes every representative up to the slice cutoff and a table file holds
@@ -64,7 +64,7 @@ from array import array
 
 from . import binio
 from .errors import CacheFormatError, InvalidSystemError, InvariantViolation, SliceCoverageError
-from .weylaffine import GroupSlice, slice_inversion, slice_symmetry_generators
+from .weylaffine import GroupSlice, slice_inversion, slice_symmetry_group
 
 
 def _combine(a: tuple, m: int, k: int, b: tuple) -> tuple:
@@ -104,9 +104,10 @@ class KLTable:
 
     Polynomials live once each in ``pool``, as coefficient tuples (index =
     exponent of q, no trailing zeros); rows_for(y) maps x to the pool id of
-    the nonzero P_{x,y}, and absence means the polynomial is zero (equivalently
-    x is not Bruhat-below y). Pool ids are given in first appearance over
-    (y, x) order, so a filled and a loaded table agree id for id.
+    the nonzero P_{x,y}, in no particular x order, and absence means the
+    polynomial is zero (equivalently x is not Bruhat-below y). Pool ids are
+    given in first appearance over (y, ascending x) order, so a filled and a
+    loaded table agree id for id.
     ``filled`` is -1 before ``fill`` and on a ``demand_table``, the slice
     cutoff after ``fill`` or ``load_table``. Reading a row that was never
     computed, nor has a computed orbit representative, raises
@@ -129,35 +130,30 @@ class KLTable:
     def orbit_plan(self) -> tuple[list[int], list]:
         """The orbits of G on the slice (see the module docstring): the
         representatives in ascending index, and for each row y the source
-        (u, g, back) it is relabelled from, None for a representative. Row u
-        is an orbit member reached before y, g the index map of a generator
-        of G with g[u] = y, and back the inverse of g. Built on the first
-        call: by ``fill``, ``load_table``, or ``save_table`` of a table built
-        another way."""
+        (u, g) it is relabelled from, None for a representative. Row u is
+        the representative of y's orbit and g the index map of the element
+        of G with g[u] = y: a graph automorphism, or one composed with
+        inversion. Built on the first call: by ``fill``, ``load_table``, or
+        ``save_table`` of a table built another way."""
         if self._plan is not None:
             return self._plan
         sl = self.slice
         inv = slice_inversion(sl)
-        # sorting the relabelled indices alone and reading their ids back
-        # through the inverse map is faster than sorting (index, id) pairs
-        gens = [(inv, inv)] + [(g, sorted(range(len(g)), key=g.__getitem__))
-                               for g in slice_symmetry_generators(sl)]
+        autos = slice_symmetry_group(sl)[1:]
+        group = [inv, *autos, *(list(map(inv.__getitem__, g)) for g in autos)]
         reps: list[int] = []
-        sources: list[tuple[int, list[int], list[int]] | None] = [None] * len(sl)
+        sources: list[tuple[int, list[int]] | None] = [None] * len(sl)
         reached = bytearray(len(sl))
-        for y in range(len(sl)):
-            if reached[y]:
+        for u in range(len(sl)):
+            if reached[u]:
                 continue
-            reached[y] = 1
-            reps.append(y)
-            orbit = [y]
-            for u in orbit:  # grows while iterated
-                for g, back in gens:
-                    gu = g[u]
-                    if not reached[gu]:
-                        reached[gu] = 1
-                        sources[gu] = (u, g, back)
-                        orbit.append(gu)
+            reached[u] = 1
+            reps.append(u)
+            for g in group:
+                y = g[u]
+                if not reached[y]:
+                    reached[y] = 1
+                    sources[y] = (u, g)
         self._plan = reps, sources
         return self._plan
 
@@ -206,10 +202,11 @@ class KLTable:
     def fill(self) -> None:
         """Fill the table up to the slice cutoff: compute the row of each
         orbit representative of G (see the module docstring), in ascending
-        index, and no other; every other row is relabelled from its orbit on
-        its first read. A row that ``_compute_row`` reads is shorter than the
-        row computed, so its representative is computed already. Rows and
-        pool ids are those of a row-by-row fill, and so are the saved bytes."""
+        index, and no other; every other row is relabelled from its
+        representative on its first read. A row that ``_compute_row`` reads
+        is shorter than the row computed, so its representative is computed
+        already. Rows and pool ids are those of a row-by-row fill, and so are
+        the saved bytes."""
         reps, _ = self.orbit_plan()
         memo = _FillMemo()
         for y in reps:  # indices ascend by length
@@ -292,7 +289,8 @@ class KLTable:
         return row
 
     def axioms_witness(self) -> str:
-        """The first KL axiom that a row breaks, as a detail, or "".
+        """The first KL axiom that a row breaks, in ascending y, as a detail
+        naming the smallest x that breaks it (rows are unordered), or "".
 
         P(y,y) = 1. The support of row y is the Bruhat ideal of y, checked by
         the lifting property for the last right descent s of y (the fill uses
@@ -302,10 +300,11 @@ class KLTable:
         """
         self.require_complete("the axioms check")
         sl = self.slice
-        length, right = sl.length, sl.right
+        length, right, pool = sl.length, sl.right, self.pool
+        broken_ids = {pid for pid, c in enumerate(pool) if c[:1] != (1,) or min(c) < 0}
         for y in range(len(sl)):
             row = self.rows_for(y)
-            if row.get(y) is None or self.pool[row[y]] != (1,):
+            if row.get(y) is None or pool[row[y]] != (1,):
                 return f"P(y,y) != 1 at {y}"
             if length[y] == 0:
                 ideal = {y}
@@ -317,19 +316,19 @@ class KLTable:
             diff = ideal.symmetric_difference(row)
             if diff:
                 return f"support/Bruhat mismatch at ({min(diff)},{y})"
-            for x, pid in row.items():
-                coeffs = self.pool[pid]
-                if coeffs[0] != 1 or min(coeffs) < 0:
-                    return f"coefficient axiom broken at ({x},{y})"
-                if x != y and 2 * (len(coeffs) - 1) > length[y] - length[x] - 1:
-                    return f"degree bound broken at ({x},{y})"
+            ly = length[y]
+            bad = min((x for x, pid in row.items() if pid in broken_ids
+                       or x != y and 2 * len(pool[pid]) > ly - length[x] + 1), default=None)
+            if bad is not None:
+                what = "coefficient axiom" if row[bad] in broken_ids else "degree bound"
+                return f"{what} broken at ({bad},{y})"
         return ""
 
     def rows_for(self, y: int) -> dict[int, int]:
         """Row y as a dict x -> pool id. A loaded row is held as its two
         stored arrays until this first read, which decodes it and drops them;
         a row that is not an orbit representative is relabelled from its
-        orbit on its first read."""
+        representative on its first read."""
         row = self.rows[y]
         if type(row) is dict:
             return row
@@ -343,22 +342,14 @@ class KLTable:
         return decoded
 
     def _relabelled(self, y: int) -> dict[int, int]:
-        """Row y built from the orbit plan's sources: the chain y <- u <- ...
-        back to a row that is there, each link relabelled in turn and kept,
-        in an explicit loop, no recursion."""
-        rows, plan = self.rows, self._plan
-        chain = []
-        v = y
-        while rows[v] is None:
-            source = plan[1][v] if plan else None
-            if source is None:
-                raise SliceCoverageError(f"row {y} not filled; fill the table first")
-            chain.append((v, source))
-            v = source[0]
-        row = self.rows_for(v)
-        for v, (_, g, back) in reversed(chain):
-            xs = sorted(map(g.__getitem__, row))
-            row = rows[v] = dict(zip(xs, map(row.__getitem__, map(back.__getitem__, xs))))
+        """Row y relabelled from its orbit plan source (u, g) and kept:
+        P(g(x), y) = P(x, u), so row y maps g(x) to row u's id of x."""
+        source = self._plan[1][y] if self._plan else None
+        if source is None:
+            raise SliceCoverageError(f"row {y} not filled; fill the table first")
+        u, g = source
+        row = self.rows_for(u)
+        self.rows[y] = row = dict(zip(map(g.__getitem__, row), row.values()))
         return row
 
     def mu_row(self, y: int) -> tuple[tuple[int, int], ...]:
@@ -614,9 +605,9 @@ def _row_format(n_elements: int, n_pool: int, k: int) -> str:
 
 def save_table(table: KLTable, path) -> None:
     """Write the pool once, then one record per orbit representative, in
-    ascending index: the row's x and pool-id arrays. The header's ``filled``
-    field always equals its cutoff: a table filled to another length, such
-    as a ``demand_table``, raises InvariantViolation."""
+    ascending index: the row's x in ascending order and their pool ids. The
+    header's ``filled`` field always equals its cutoff: a table filled to
+    another length, such as a ``demand_table``, raises InvariantViolation."""
     sl = table.slice
     if table.filled != sl.cutoff:
         raise InvariantViolation(

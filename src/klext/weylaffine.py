@@ -352,36 +352,29 @@ def _relabelling(right: list[list[int]], perm: tuple[int, ...]) -> list[int]:
     return sigma
 
 
-def slice_symmetries(sl: GroupSlice) -> list[list[int]]:
-    """The index maps of the slice automorphisms induced by the Coxeter-graph
-    automorphisms (identity first): each is a group automorphism that keeps
-    the generating set, so it keeps length and maps the slice onto itself.
-    Each map is checked against the whole right table (``_relabelling``)."""
+def slice_symmetry_group(sl: GroupSlice) -> list[list[int]]:
+    """The index maps of the slice automorphisms induced by every Coxeter-graph
+    automorphism, identity first: each is a group automorphism that keeps the
+    generating set, so it keeps length and maps the slice onto itself. A
+    graph automorphism that the checked ones do not generate is checked
+    against the whole right table (``_relabelling``); every other map is
+    composed from checked maps, the map of g q being g after q, and needs
+    no check."""
     perms = _graph_automorphisms(sl.rs, sl.affine)
-    return [list(range(len(sl)))] + [_relabelling(sl.right, p) for p in perms[1:]]
-
-
-def slice_symmetry_generators(sl: GroupSlice) -> list[list[int]]:
-    """The index maps of a generating set of the automorphisms that
-    ``slice_symmetries`` lists, without the identity: a graph automorphism
-    joins the set when the ones before it do not generate it, a test on the
-    generator permutations alone. Each map is checked like those of
-    ``slice_symmetries``; composites of checked maps need no check."""
-    gens: list[tuple[int, ...]] = []
-    reached: set[tuple[int, ...]] = set()
-    for p in _graph_automorphisms(sl.rs, sl.affine)[1:]:
-        if p in reached:
+    maps = {perms[0]: list(range(len(sl)))}
+    checked: list[tuple[tuple[int, ...], list[int]]] = []
+    for p in perms[1:]:
+        if p in maps:
             continue
-        gens.append(p)
-        reached = {tuple(range(len(p)))}
-        frontier = list(reached)
-        for q in frontier:  # grows while iterated: the group the gens generate
-            for g in gens:
+        checked.append((p, _relabelling(sl.right, p)))
+        frontier = list(maps)
+        for q in frontier:  # grows while iterated: the group the checked maps generate
+            for g, gmap in checked:
                 gq = tuple(g[i] for i in q)
-                if gq not in reached:
-                    reached.add(gq)
+                if gq not in maps:
+                    maps[gq] = list(map(gmap.__getitem__, maps[q]))
                     frontier.append(gq)
-    return [_relabelling(sl.right, p) for p in gens]
+    return [maps[p] for p in perms]
 
 
 def slice_inversion(sl: GroupSlice) -> list[int]:

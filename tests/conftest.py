@@ -4,7 +4,7 @@ import pytest
 
 from klext.klpoly import KLTable
 from klext.rootsys import build_root_system
-from klext.weylaffine import enumerate_slice
+from klext.weylaffine import _graph_automorphisms, _relabelling, enumerate_slice
 
 
 @functools.lru_cache(maxsize=None)
@@ -20,6 +20,15 @@ def bruhat_leq(sl, i, j):
     is_ = sl.right[i][s]
     assert is_ != -1, f"descent step from element {i} left the slice"
     return bruhat_leq(sl, min(i, is_, key=sl.length.__getitem__), sl.right[j][s])
+
+
+def slice_symmetries(sl):
+    """The index maps of the slice automorphisms induced by the Coxeter-graph
+    automorphisms (identity first), every one checked against the whole right
+    table: the tests' oracle of ``weylaffine.slice_symmetry_group``, which
+    checks a generating set only and composes the rest."""
+    perms = _graph_automorphisms(sl.rs, sl.affine)
+    return [list(range(len(sl)))] + [_relabelling(sl.right, p) for p in perms[1:]]
 
 
 def _table(lab, rank, cutoff, affine=True):

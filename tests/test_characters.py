@@ -117,6 +117,13 @@ def alternating_sum_check(rs, lam):
     return lhs == rhs
 
 
+def simple_character(dm, mu):
+    """ch L(mu) expanded from column index_of(mu) of the signed-KL matrix A."""
+    j = dm.index_of(mu)
+    column = (row[j] for row in dm.a_matrix)
+    return characters._weyl_combination(dm.rs, zip(dm.weights, column))
+
+
 def resubstitution_check(dm):
     """chi(nu) == sum_mu [Delta(nu):L(mu)] ch L(mu), fully expanded."""
     for j, nu in enumerate(dm.weights):
@@ -125,7 +132,7 @@ def resubstitution_check(dm):
             coeff = dm.d_matrix[i][j]
             if coeff == 0:
                 continue
-            for v, m in dm.simple_character(mu).dom.items():
+            for v, m in simple_character(dm, mu).dom.items():
                 s = acc.get(v, 0) + coeff * m
                 if s:
                     acc[v] = s

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import bruhat_leq
+from conftest import bruhat_leq, slice_symmetries
 from klext import binio
 from klext.errors import (
     CacheFormatError,
@@ -16,13 +16,20 @@ from klext.errors import (
     InvariantViolation,
     SliceCoverageError,
 )
-from klext.extbounds import extn_simple_costandard, extn_simple_simple, make_block_context
+from klext.characters import chi_kl, decomposition_matrix
+from klext.extbounds import (
+    extn_simple_costandard,
+    extn_simple_simple,
+    make_block_context,
+    run_verification,
+)
 from klext.klpoly import (
     KLTable,
     _combine,
     _FillMemo,
     kl_coefficient,
     kl_coefficient_sum,
+    kl_entries,
     kl_polynomial,
     kl_recomputation,
     load_table,
@@ -34,7 +41,7 @@ from klext.klpoly import (
     save_table,
 )
 from klext.rootsys import build_root_system
-from klext.weylaffine import GroupSlice, enumerate_slice, slice_inversion, slice_symmetries
+from klext.weylaffine import GroupSlice, enumerate_slice, slice_inversion
 
 ONE = (1,)
 
@@ -334,7 +341,7 @@ def test_orbit_fill_matches_the_rowwise_fill(tmp_path, lab, rank, cutoff, affine
     table.fill()
     assert table.pool == oracle.pool and table.filled == oracle.filled
     for y in range(len(sl)):
-        assert list(table.rows_for(y).items()) == list(oracle.rows_for(y).items()), y
+        assert table.rows_for(y) == oracle.rows_for(y), y
     save_table(table, tmp_path / "orbit.klt")
     save_table(oracle, tmp_path / "rowwise.klt")
     assert (tmp_path / "orbit.klt").read_bytes() == (tmp_path / "rowwise.klt").read_bytes()
@@ -344,7 +351,7 @@ def test_orbit_fill_matches_the_rowwise_fill(tmp_path, lab, rank, cutoff, affine
     loaded = load_table(tmp_path / "orbit.klt", sl)
     assert loaded.pool == oracle.pool and loaded.filled == oracle.filled
     for y in range(len(sl)):
-        assert list(loaded.rows_for(y).items()) == list(oracle.rows_for(y).items()), y
+        assert loaded.rows_for(y) == oracle.rows_for(y), y
 
 
 def test_swapped_right_entries_raise_in_fill():
@@ -512,18 +519,68 @@ def test_loaded_rows_read_in_any_order(tmp_path, a2_table12):
         oracle = rowwise_table(table.slice)
         backwards = list(range(len(table.slice)))[::-1]
         # descending order reads the last member of an orbit first, so its
-        # whole chain of relabellings resolves at once
+        # representative's row is read only to relabel it
         filled = KLTable(table.slice)
         filled.fill()
         for y in backwards:
-            assert list(filled.rows_for(y).items()) == list(oracle.rows_for(y).items())
+            assert filled.rows_for(y) == oracle.rows_for(y)
         for order in (backwards, rng.sample(backwards, len(backwards))):
             loaded = load_table(path, table.slice)
             assert loaded.pool == oracle.pool and loaded.filled == oracle.filled
             for y in order:
-                assert list(loaded.rows_for(y).items()) == list(oracle.rows_for(y).items())
+                assert loaded.rows_for(y) == oracle.rows_for(y)
             # every row read is held as its dict alone, the arrays dropped
             assert all(type(row) is dict for row in loaded.rows)
+
+
+def test_readers_do_not_depend_on_row_order(tmp_path, a2_table12):
+    # a row is an unordered map: every reader that needs x order sorts, so a
+    # table whose row dicts are all rebuilt in reversed order answers alike
+    sl, rs = a2_table12.slice, a2_table12.slice.rs
+    reordered = KLTable(sl)
+    reordered.fill()
+    rows = [reordered.rows_for(y) for y in range(len(sl))]
+    reordered.rows = [dict(reversed(row.items())) for row in rows]
+    reordered._mu_rows.clear()  # the fill's mu rows were read off the old dicts
+    assert [list(row) for row in reordered.rows] != [sorted(row) for row in rows]
+    assert list(kl_entries(reordered, tuple)) == list(kl_entries(a2_table12, tuple))
+    save_table(a2_table12, tmp_path / "sorted.klt")
+    save_table(reordered, tmp_path / "reversed.klt")
+    assert (tmp_path / "reversed.klt").read_bytes() == (tmp_path / "sorted.klt").read_bytes()
+    assert all(reordered.mu_row(y) == a2_table12.mu_row(y) for y in range(len(sl)))
+    dm, again = (decomposition_matrix(rs, (0, 0), 5, bound=(8, 8), table=t)
+                 for t in (a2_table12, reordered))
+    assert (again.weights, again.a_matrix, again.d_matrix) == (dm.weights, dm.a_matrix,
+                                                                dm.d_matrix)
+    assert len(dm.weights) > 1
+    for lam in dm.weights:
+        assert chi_kl(rs, lam, 5, reordered).terms == chi_kl(rs, lam, 5, a2_table12).terms
+    assert run_verification(rs, 5, reordered) == run_verification(rs, 5, a2_table12)
+
+
+def test_axioms_witness_names_the_smallest_x_of_a_relabelled_row():
+    # a relabelled row is unordered. In the first such row where several x
+    # share a pool id and the smallest of them does not come first, their
+    # entries point at a corrupted copy of that pool entry; the rows before
+    # it still pass, and the witness names the smallest of those x
+    table = KLTable(enumerate_slice(build_root_system("A", 2), 8))
+    table.fill()
+    _, sources = table.orbit_plan()
+
+    def unsorted_shares(y):
+        row, xs_of = table.rows_for(y), {}
+        for x, pid in row.items():
+            if x != y:  # P(y,y) = 1 has a check of its own
+                xs_of.setdefault(pid, []).append(x)
+        return [xs for xs in xs_of.values() if xs[0] != min(xs)]
+
+    y = next(y for y, source in enumerate(sources) if source and unsorted_shares(y))
+    xs = unsorted_shares(y)[0]
+    row = table.rows_for(y)
+    table.pool.append((1, -1))
+    for x in xs:
+        row[x] = len(table.pool) - 1
+    assert table.axioms_witness() == f"coefficient axiom broken at ({min(xs)},{y})"
 
 
 def test_representatives_of_a_shorter_slice_are_a_prefix():
@@ -610,22 +667,21 @@ def call_headroom():
 
 def test_relabel_chains_need_no_recursion(tmp_path):
     # affine D4 has the graph automorphisms of its four outer nodes, S4, and
-    # with inversion orbits of up to 48 rows, whose relabellings chain up to
-    # 7 links deep; reading them in descending index resolves each orbit's
-    # longest chains at once. The reads run with room for 6 nested calls: a
-    # read recursing once per link needs 10, the loop 3 or 4
+    # with inversion orbits of up to 48 rows; every other row of an orbit is
+    # relabelled from its representative in one step. Reading them in
+    # descending index reads each orbit's last member first. The reads run
+    # with room for 6 nested calls: the one hop takes 3
     sl = enumerate_slice(build_root_system("D", 4), 6)
     table = KLTable(sl)
     table.fill()
-    _, sources = table.orbit_plan()
-    sizes, depth = {}, 0
-    for y in range(len(sl)):
-        root, links = y, 0
-        while sources[root] is not None:
-            root, links = sources[root][0], links + 1
-        sizes[root] = sizes.get(root, 0) + 1
-        depth = max(depth, links)
-    assert (max(sizes.values()), depth) == (48, 7)
+    reps, sources = table.orbit_plan()
+    sizes = dict.fromkeys(reps, 1)
+    for y, source in enumerate(sources):
+        if source is not None:
+            u, g = source
+            assert sources[u] is None and g[u] == y
+            sizes[u] += 1
+    assert max(sizes.values()) == 48
     path = tmp_path / "d4.klt"
     save_table(table, path)
     oracle = rowwise_table(sl)

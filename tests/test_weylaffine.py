@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bruhat_leq
+from conftest import bruhat_leq, slice_symmetries
 from groupmul import (
     coset,
     element_length,
@@ -18,7 +18,7 @@ from groupmul import (
     reflection,
     root_action,
 )
-from klext import binio
+from klext import binio, weylaffine
 from klext.errors import (
     CacheFormatError,
     InvalidSystemError,
@@ -33,6 +33,7 @@ from klext.weylaffine import (
     AffineElement,
     GroupSlice,
     _matvec,
+    _relabelling,
     dot_action,
     factorize_weight,
     facet_generators,
@@ -40,8 +41,7 @@ from klext.weylaffine import (
     is_interior_fundamental,
     save_slice,
     slice_inversion,
-    slice_symmetries,
-    slice_symmetry_generators,
+    slice_symmetry_group,
 )
 from klext.weylaffine import enumerate_slice as _enumerate_slice
 from klext.weylaffine import load_slice as _load_slice
@@ -870,19 +870,23 @@ def test_slice_symmetries_match_brute_force(lab, rank, cutoff, affine, order):
 
 
 @pytest.mark.parametrize("lab, rank, cutoff, affine, order", SYMMETRIC_SLICES)
-def test_symmetry_generators_generate_every_symmetry(lab, rank, cutoff, affine, order):
+def test_symmetry_generators_generate_every_symmetry(monkeypatch, lab, rank, cutoff, affine,
+                                                     order):
+    # slice_symmetry_group checks the maps of a generating set only and
+    # composes the rest, yet lists every symmetry, in the oracle's order
     sl = _enumerate_slice(build_root_system(lab, rank), cutoff, affine)
-    gens = slice_symmetry_generators(sl)
-    assert len(gens) <= 3  # of up to order - 1 = 23 maps (D4 affine: three transpositions)
-    group = {tuple(range(len(sl)))}
-    frontier = list(group)
-    for q in frontier:
-        for g in gens:
-            gq = tuple(g[i] for i in q)
-            if gq not in group:
-                group.add(gq)
-                frontier.append(gq)
-    assert group == set(map(tuple, slice_symmetries(sl))) and len(group) == order
+    oracle = slice_symmetries(sl)
+    checked = []
+
+    def counted(right, perm):
+        checked.append(perm)
+        return _relabelling(right, perm)
+
+    monkeypatch.setattr(weylaffine, "_relabelling", counted)
+    group = slice_symmetry_group(sl)
+    assert len(checked) <= 3  # of up to order - 1 = 23 maps (D4 affine: three transpositions)
+    assert group == oracle and len(group) == order
+    assert set(map(tuple, group)) == brute_symmetries(sl)
 
 
 def test_slice_inversion_is_the_group_inverse():
@@ -905,4 +909,4 @@ def test_inconsistent_right_table_rejected():
     with pytest.raises(InvariantViolation, match="does not relabel"):
         slice_symmetries(broken)
     with pytest.raises(InvariantViolation, match="does not relabel"):
-        slice_symmetry_generators(broken)
+        slice_symmetry_group(broken)
