@@ -221,19 +221,18 @@ def cmd_enumerate(args):
     }
 
 
-def _table_for(args, reads=None):
+def _table_for(args, few_rows=False):
     """The root system and the KL table of the command's slice.
 
-    ``reads``, given by a query that reads a few rows, takes the slice and
-    returns the rows the query reads (``demand_table`` checks them).
-    Without a cache directory only those rows are computed
-    (``klpoly.demand_table``), once the slice is enumerated under the
-    element cap; with one, the complete table is loaded or built and saved
-    by ``ensure_table`` as ever."""
+    ``few_rows`` is set by a query that reads a few rows. Without a cache
+    directory its table is the enumerated slice's (under the element cap)
+    with no row filled, so it computes only the rows the query reads, on
+    their first read; with one, and for every other query, the complete
+    table is loaded or built and saved by ``ensure_table`` as ever."""
     rs = rootsys.build_root_system(args.type, args.rank)
-    if reads is not None and not args.cache_dir:
+    if few_rows and not args.cache_dir:
         sl = weylaffine.enumerate_slice(rs, args.cutoff, True, args.max_elements)
-        return rs, klpoly.demand_table(sl, reads(sl))
+        return rs, klpoly.KLTable(sl)
     table = ensure_table(
         rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
     )
@@ -282,11 +281,7 @@ def cmd_kl(args):
 
 
 def cmd_mu(args):
-    def reads(sl):  # the longer index's row, y on a tie; both checked before length
-        sl.check_index(args.x, args.y)
-        return [args.x if sl.length[args.x] > sl.length[args.y] else args.y]
-
-    rs, table = _table_for(args, reads)
+    rs, table = _table_for(args, few_rows=True)
     return {"x": args.x, "y": args.y, "mu": klpoly.mu(table, args.x, args.y)}
 
 
@@ -302,7 +297,7 @@ def cmd_mu_sum(args):
 
 
 def cmd_klsum(args):
-    rs, table = _table_for(args, lambda sl: [args.y])  # demand_table checks y
+    rs, table = _table_for(args, few_rows=True)
     return {
         "y": args.y,
         "m": args.m,

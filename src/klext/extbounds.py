@@ -332,7 +332,6 @@ def sum_ext_n(ctx: BlockContext, x: int, n: int) -> SumReport:
         raise InvalidSystemError("n must be nonnegative")
     ctx.require_regular()
     ctx.require_dominant(x)
-    ctx.table.require_complete("sum_ext_n")
     sl = ctx.slice
     if n == 0:
         return SumReport(1, True, 0, sl.cutoff)

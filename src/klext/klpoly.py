@@ -44,16 +44,15 @@ A row is an unordered map: every reader that needs x order sorts. Pool ids
 and rows are those of a row-by-row fill, whose table saves to the same
 bytes; ``kl_recomputation`` uses no symmetry.
 
-A filled or loaded table is the complete table of its slice: ``fill``
-computes every representative up to the slice cutoff and a table file holds
-every representative, so a query may read any row of the slice. A loaded
+Any row of any table may be read. ``fill`` computes every representative
+up to the slice cutoff and a table file holds every representative. A loaded
 table keeps each representative's row as the two arrays read from its file,
 range checked at load, and builds the row's dict on its first read, so a
-warm query decodes and relabels only the rows it reads. ``demand_table``
-computes only the rows one query reads, for a single-pair query without a
-cache; its ``filled`` stays -1, so ``save_table`` and every reader that walks
-the whole slice refuse it, and reading any other of its rows raises
-SliceCoverageError.
+warm query decodes and relabels only the rows it reads. A table that was
+never filled computes and keeps each row on its first read, with the rows
+that row's computation reads and no other, so a single-pair query without a
+cache computes only the rows it reads; its ``filled`` stays -1, and only
+``save_table`` refuses it.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ import sys
 from array import array
 
 from . import binio
-from .errors import CacheFormatError, InvalidSystemError, InvariantViolation, SliceCoverageError
+from .errors import CacheFormatError, InvalidSystemError, InvariantViolation
 from .weylaffine import GroupSlice, slice_inversion, slice_symmetry_group
 
 
@@ -108,17 +107,16 @@ class KLTable:
     polynomial is zero (equivalently x is not Bruhat-below y). Pool ids are
     given in first appearance over (y, ascending x) order, so a filled and a
     loaded table agree id for id.
-    ``filled`` is -1 before ``fill`` and on a ``demand_table``, the slice
-    cutoff after ``fill`` or ``load_table``. Reading a row that was never
-    computed, nor has a computed orbit representative, raises
-    SliceCoverageError.
+    ``filled`` is -1 before ``fill``, the slice cutoff after ``fill`` or
+    ``load_table``; a row that is not there yet is made on its first read
+    (``rows_for``), whatever ``filled`` says.
     """
 
     def __init__(self, sl: GroupSlice):
         self.slice = sl
         # a loaded row stays as its (element indices, pool ids) arrays
-        # until rows_for first reads it; a row that is None and has a source
-        # in the orbit plan is relabelled on its first read
+        # until rows_for first reads it; a row that is None is relabelled or
+        # computed on its first read
         self.rows: list[dict[int, int] | tuple[array, array] | None] = [None] * len(sl)
         self.pool: list[tuple[int, ...]] = []
         self._pool_ids: dict[tuple[int, ...], int] = {}
@@ -188,15 +186,6 @@ class KLTable:
             self.pool.append(t)
         return pid
 
-    def require_complete(self, reader: str) -> None:
-        """Raise SliceCoverageError unless every row of the slice is there:
-        ``reader`` walks the whole slice, and a missing row is no zero."""
-        if self.filled != self.slice.cutoff:
-            raise SliceCoverageError(
-                f"{reader} reads the whole slice, but the table is filled to length "
-                f"{self.filled}, not its cutoff {self.slice.cutoff}"
-            )
-
     # -- fill ---------------------------------------------------------------
 
     def fill(self) -> None:
@@ -206,8 +195,11 @@ class KLTable:
         representative on its first read. A row that ``_compute_row`` reads
         is shorter than the row computed, so its representative is computed
         already. Rows and pool ids are those of a row-by-row fill, and so are
-        the saved bytes."""
+        the saved bytes, also after rows were read from the table unfilled:
+        those rows and their pool go first."""
         reps, _ = self.orbit_plan()
+        self.rows = [None] * len(self.slice)
+        self.pool, self._pool_ids = [], {}
         memo = _FillMemo()
         for y in reps:  # indices ascend by length
             self.rows[y] = self._compute_row(y, memo)
@@ -298,7 +290,6 @@ class KLTable:
         Every stored entry has constant term 1, no negative coefficient and
         degree below (l(y) - l(x))/2.
         """
-        self.require_complete("the axioms check")
         sl = self.slice
         length, right, pool = sl.length, sl.right, self.pool
         broken_ids = {pid for pid, c in enumerate(pool) if c[:1] != (1,) or min(c) < 0}
@@ -325,15 +316,24 @@ class KLTable:
         return ""
 
     def rows_for(self, y: int) -> dict[int, int]:
-        """Row y as a dict x -> pool id. A loaded row is held as its two
-        stored arrays until this first read, which decodes it and drops them;
-        a row that is not an orbit representative is relabelled from its
-        representative on its first read."""
+        """Row y as a dict x -> pool id, kept once read. A loaded row is held
+        as its two stored arrays until this first read, which decodes it and
+        drops them; a row with a source in the orbit plan is relabelled from
+        its representative, and any other missing row is computed
+        (``_compute_missing``)."""
         row = self.rows[y]
         if type(row) is dict:
             return row
         if row is None:
-            return self._relabelled(y)
+            source = self._plan[1][y] if self._plan else None
+            if source is None:
+                self._compute_missing(y)
+                return self.rows[y]
+            # P(g(x), y) = P(x, u), so row y maps g(x) to row u's id of x
+            u, g = source
+            row = self.rows_for(u)
+            self.rows[y] = row = dict(zip(map(g.__getitem__, row), row.values()))
+            return row
         xs, ids = row
         decoded = dict(zip(xs, ids))
         if len(decoded) != len(xs):
@@ -341,16 +341,27 @@ class KLTable:
         self.rows[y] = decoded
         return decoded
 
-    def _relabelled(self, y: int) -> dict[int, int]:
-        """Row y relabelled from its orbit plan source (u, g) and kept:
-        P(g(x), y) = P(x, u), so row y maps g(x) to row u's id of x."""
-        source = self._plan[1][y] if self._plan else None
-        if source is None:
-            raise SliceCoverageError(f"row {y} not filled; fill the table first")
-        u, g = source
-        row = self.rows_for(u)
-        self.rows[y] = row = dict(zip(map(g.__getitem__, row), row.values()))
-        return row
+    def _compute_missing(self, y: int) -> None:
+        """Compute row y and every missing row its computation reads, and no
+        other, by an explicit work stack, no recursion. The rows that row y
+        reads are known only once row y' = ys is there (they are the rows z
+        with mu(z, y') != 0 and zs < z), so a row stays on the stack until
+        every row it reads is there; each of those is shorter than y. Rows
+        equal those of ``fill`` as polynomials; pool ids follow the order in
+        which rows are computed, so on a table that was never filled they may
+        differ from a full table's."""
+        rows, memo, stack = self.rows, _FillMemo(), [y]
+        while stack:
+            y = stack[-1]
+            if rows[y] is not None:
+                stack.pop()
+                continue
+            missing = self._missing_inputs(y)
+            if missing:
+                stack.extend(missing)
+            else:
+                rows[y] = self._compute_row(y, memo)
+                stack.pop()
 
     def mu_row(self, y: int) -> tuple[tuple[int, int], ...]:
         """All (z, mu(z, y)) with nonzero mu and z < y."""
@@ -363,38 +374,6 @@ class KLTable:
                 if (top := coeff(pid, ly - length[z] - 1))
             ))
         return cached
-
-
-def demand_table(sl: GroupSlice, wanted) -> KLTable:
-    """A table of ``sl`` that holds the rows ``wanted`` and the rows their
-    computation reads, and no other: for one query that reads only those
-    rows, without a cache. Its ``filled`` stays -1, so it is never saved
-    and no reader of the whole slice takes it (``require_complete``);
-    reading a row outside it raises SliceCoverageError.
-
-    An explicit work stack, no recursion, finds and computes that closure.
-    The rows that row y reads are known only once row y' = ys is there (they
-    are the rows z with mu(z, y') != 0 and zs < z), so a row stays on the stack
-    until every row it reads is computed; each of those is shorter than y.
-    Rows equal those of ``fill`` as polynomials; pool ids follow the order
-    in which rows are computed, so they may differ from a full table's."""
-    table = KLTable(sl)
-    memo = _FillMemo()
-    rows = table.rows
-    stack = list(wanted)
-    sl.check_index(*stack)
-    while stack:
-        y = stack[-1]
-        if rows[y] is not None:
-            stack.pop()
-            continue
-        missing = table._missing_inputs(y)
-        if missing:
-            stack.extend(missing)
-        else:
-            rows[y] = table._compute_row(y, memo)
-            stack.pop()
-    return table
 
 
 # -- queries -------------------------------------------------------------------
@@ -431,15 +410,14 @@ def kl_entries(table: KLTable, per_polynomial):
     in (y, sorted x) order, P being its q-coefficient tuple. ``per_polynomial``
     runs once per distinct polynomial, so entries with equal P share its
     value; mu is the coefficient of t^(l(y)-l(x)-1), 0 on the diagonal."""
-    table.require_complete("kl_entries")
     length, coeff = table.slice.length, table.coeff
-    made = [None] * len(table.pool)
+    made = {}  # pool id -> per_polynomial of it; the pool may grow as rows are read
     for y in range(len(length)):
         ly = length[y]
         row = table.rows_for(y)
         for x in sorted(row):
             pid = row[x]
-            value = made[pid]
+            value = made.get(pid)
             if value is None:
                 value = made[pid] = per_polynomial(table.pool[pid])
             yield x, y, value, coeff(pid, ly - length[x] - 1)
@@ -471,7 +449,6 @@ def mu_row_sum(table: KLTable, x: int) -> tuple[int, bool]:
     with mu(x,y) != 0 lies inside the slice, i.e. the sum is exact rather
     than a truncated lower bound.
     """
-    table.require_complete("mu_row_sum")
     sl = table.slice
     sl.check_index(x)
     if not sl.dominant[x]:
@@ -504,7 +481,6 @@ def kl_coefficient_sum(table: KLTable, y: int, m: int) -> int:
 
 def max_mu_dominant(table: KLTable) -> int:
     """Largest mu over dominant pairs of the slice."""
-    table.require_complete("max_mu_dominant")
     sl = table.slice
     best = 0
     for y in sl.dominant_indices():
@@ -516,7 +492,6 @@ def max_mu_dominant(table: KLTable) -> int:
 
 def max_top_coefficient(table: KLTable, m: int) -> int:
     """Largest coefficient c[len(y)-len(x)-m] over dominant pairs x <= y."""
-    table.require_complete("max_top_coefficient")
     return max((c for y in table.slice.dominant_indices()
                 for c in _dominant_column(table, y, m)), default=0)
 
@@ -606,8 +581,9 @@ def _row_format(n_elements: int, n_pool: int, k: int) -> str:
 def save_table(table: KLTable, path) -> None:
     """Write the pool once, then one record per orbit representative, in
     ascending index: the row's x in ascending order and their pool ids. The
-    header's ``filled`` field always equals its cutoff: a table filled to
-    another length, such as a ``demand_table``, raises InvariantViolation."""
+    header's ``filled`` field always equals its cutoff: a table that was
+    never filled, whose pool ids follow the order its rows were read in,
+    raises InvariantViolation."""
     sl = table.slice
     if table.filled != sl.cutoff:
         raise InvariantViolation(
@@ -674,6 +650,9 @@ def load_table(path, sl: GroupSlice) -> KLTable:
             table.pool.append(tuple(coeffs))
     except struct.error:
         raise CacheFormatError(f"{path}: the pool runs past the end of the file") from None
+    for pid, t in enumerate(table.pool):  # the shape _store guarantees
+        if not t or t[0] != 1 or t[-1] == 0 or min(t) < 0:
+            raise CacheFormatError(f"{path}: pool entry {pid} is not a KL polynomial")
     table._pool_ids = {t: pid for pid, t in enumerate(table.pool)}
     reps, _ = table.orbit_plan()
     if len(table._pool_ids) != n_pool or n_records != len(reps):

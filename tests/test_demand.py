@@ -1,8 +1,10 @@
-"""Rows on demand: without a cache, ``mu`` and ``klsum`` compute only the KL
-rows they read (``klpoly.demand_table``). Demand rows are checked against
-the full table as polynomial tuples and mu, never as pool ids, which follow
-the order rows are computed in. A demand table is refused by every reader
-of the whole slice, and the CLI prints without a cache exactly what it
+"""Rows on first read: a table that was never filled computes a KL row the
+first time it is read, with the rows that row's computation reads and no
+other, so without a cache ``mu`` and ``klsum`` compute only the rows they
+read. Such rows are checked against the full table as polynomial tuples and
+mu, never as pool ids, which follow the order rows are computed in. Every
+reader of the whole slice answers on such a table as on the filled one, only
+``save_table`` refuses it, and the CLI prints without a cache exactly what it
 prints with a cold one, for ``kl --x --y`` (which keeps the full table) too."""
 
 import os
@@ -13,11 +15,10 @@ import sys
 import pytest
 
 from klext import cli, klpoly
-from klext.errors import SliceCoverageError
+from klext.errors import InvariantViolation
 from klext.extbounds import bound_constants, make_block_context, run_verification, sum_ext_n
 from klext.klpoly import (
     KLTable,
-    demand_table,
     kl_coefficient_sum,
     kl_entries,
     kl_polynomial,
@@ -25,6 +26,7 @@ from klext.klpoly import (
     max_top_coefficient,
     mu,
     mu_row_sum,
+    save_table,
 )
 from klext.rootsys import build_root_system
 from klext.weylaffine import enumerate_slice
@@ -45,6 +47,14 @@ def computed(table):
     return [y for y, row in enumerate(table.rows) if row is not None]
 
 
+def read_rows(sl, wanted):
+    """A never-filled table of ``sl`` after reading the rows ``wanted``."""
+    table = KLTable(sl)
+    for y in wanted:
+        table.rows_for(y)
+    return table
+
+
 @pytest.mark.parametrize("lab, rank, cutoff", [
     ("A", 1, 20), ("A", 2, 12), ("B", 2, 10), ("G", 2, 14),
 ])
@@ -52,7 +62,7 @@ def test_demand_rows_match_the_full_table_on_every_pair(lab, rank, cutoff):
     full = full_table(lab, rank, cutoff)
     sl = full.slice
     for y in range(len(sl)):
-        table = demand_table(sl, [y])
+        table = read_rows(sl, [y])
         assert table.filled == -1
         for z in computed(table):  # row y and every row its computation read
             assert polynomials(table, z) == polynomials(full, z), (y, z)
@@ -72,7 +82,7 @@ def test_demand_rows_match_the_full_table_on_random_pairs(lab, rank, cutoff):
     for _ in range(200):
         x, y = rng.randrange(len(sl)), rng.randrange(len(sl))
         longer = x if sl.length[x] > sl.length[y] else y
-        table = demand_table(sl, [y, longer])  # the rows kl_polynomial and mu read
+        table = read_rows(sl, [y, longer])  # the rows kl_polynomial and mu read
         assert kl_polynomial(table, x, y) == kl_polynomial(full, x, y), (x, y)
         assert mu(table, x, y) == mu(full, x, y), (x, y)
         assert [kl_coefficient_sum(table, y, m) for m in range(3)] == [
@@ -83,7 +93,7 @@ def test_demand_rows_match_the_full_table_on_random_pairs(lab, rank, cutoff):
 def test_demand_table_computes_a_small_part_of_the_slice():
     sl = enumerate_slice(build_root_system("A", 3), 12)
     y = sl.shell(11)[0]
-    assert len(computed(demand_table(sl, [y]))) < len(sl) // 10
+    assert len(computed(read_rows(sl, [y]))) < len(sl) // 10
 
 
 def frame_depth():
@@ -102,7 +112,7 @@ def test_demand_table_needs_no_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(frame_depth() + 50)
     try:
-        table = demand_table(sl, [y])
+        table = read_rows(sl, [y])
     finally:
         sys.setrecursionlimit(limit)
     assert len(computed(table)) > 120
@@ -111,40 +121,47 @@ def test_demand_table_needs_no_recursion():
     assert polynomials(table, y) == polynomials(full, y)
 
 
-def test_rows_outside_the_closure_raise():
+def test_rows_outside_the_closure_are_computed_on_first_read():
     sl = enumerate_slice(build_root_system("A", 2), 12)
+    full = full_table("A", 2, 12)
     y = sl.shell(12)[0]
-    table = demand_table(sl, [y])
+    table = read_rows(sl, [y])
     outside = [z for z in range(len(sl)) if table.rows[z] is None]
     assert outside
     for z in outside:
-        with pytest.raises(SliceCoverageError, match=f"row {z} not filled"):
-            table.rows_for(z)
-        with pytest.raises(SliceCoverageError):
-            kl_polynomial(table, 0, z)
-        with pytest.raises(SliceCoverageError):
-            mu(table, 0, z)
+        assert kl_polynomial(table, 0, z) == kl_polynomial(full, 0, z), z
+        assert table.rows[z] is not None
+        assert mu(table, 0, z) == mu(full, 0, z), z
+        assert polynomials(table, z) == polynomials(full, z), z
+    assert table.filled == -1
 
 
-def test_whole_slice_readers_refuse_a_demand_table():
-    # even a demand table that holds every row: its filled stays -1
+def test_whole_slice_readers_answer_on_a_never_filled_table(tmp_path):
+    # each whole-slice reader on its own never-filled table, which computes
+    # every row it reads, answers exactly as on the filled table
     rs = build_root_system("A", 2)
     sl = enumerate_slice(rs, 8)
-    table = demand_table(sl, range(len(sl)))
-    assert not [y for y, row in enumerate(table.rows) if row is None]
+    full = KLTable(sl)
+    full.fill()
     x = sl.dominant_indices()[0]
     l = 5  # odd and above h = 3, so no LevelWarning
-    ctx = make_block_context(rs, l, table)
-    for read in (lambda: list(kl_entries(table, tuple)),
-                 lambda: mu_row_sum(table, x),
-                 lambda: max_mu_dominant(table),
-                 lambda: max_top_coefficient(table, 0),
-                 table.axioms_witness,
-                 lambda: run_verification(rs, l, table),
-                 lambda: bound_constants(rs, 2, table=table),
-                 lambda: sum_ext_n(ctx, x, 1)):
-        with pytest.raises(SliceCoverageError, match="whole slice.* filled to length -1,"):
-            read()
+    readers = (
+        lambda t: list(kl_entries(t, tuple)),
+        lambda t: mu_row_sum(t, x),
+        max_mu_dominant,
+        lambda t: max_top_coefficient(t, 0),
+        lambda t: t.axioms_witness(),
+        lambda t: run_verification(rs, l, t),
+        lambda t: [vars(r) for r in bound_constants(rs, 2, table=t)],
+        lambda t: vars(sum_ext_n(make_block_context(rs, l, t), x, 1)),
+    )
+    for read in readers:
+        table = KLTable(sl)
+        assert read(table) == read(full)
+        assert table.filled == -1 and computed(table)
+        with pytest.raises(InvariantViolation, match="filled to length -1, not its cutoff 8"):
+            save_table(table, tmp_path / "t.klt")
+    assert not list(tmp_path.iterdir())
 
 
 # -- the CLI ---------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import klext
 from klext.errors import InvariantViolation
-from klext.klpoly import KLTable, demand_table, save_table
+from klext.klpoly import KLTable, save_table
 from klext.rootsys import build_root_system
 from klext.weylaffine import enumerate_slice
 
@@ -70,11 +70,14 @@ def test_only_klpoly_reads_the_pool():
 
 
 def test_only_a_complete_table_is_saved(tmp_path):
-    # a demand-built table never becomes a cache file, not even one that
-    # holds every row, nor does a table that was never filled
+    # a table that was never filled never becomes a cache file: not bare,
+    # not after reading one row, not even after reading every row
     sl = enumerate_slice(build_root_system("A", 2), 6)
-    for table in (KLTable(sl), demand_table(sl, [sl.shell(6)[0]]),
-                  demand_table(sl, range(len(sl)))):
+    one, every = KLTable(sl), KLTable(sl)
+    one.rows_for(sl.shell(6)[0])
+    for y in range(len(sl)):
+        every.rows_for(y)
+    for table in (KLTable(sl), one, every):
         with pytest.raises(InvariantViolation, match="filled to length -1, not its cutoff 6"):
             save_table(table, tmp_path / "t.klt")
     assert not list(tmp_path.iterdir())

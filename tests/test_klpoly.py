@@ -14,7 +14,6 @@ from klext.errors import (
     CacheFormatError,
     InvalidSystemError,
     InvariantViolation,
-    SliceCoverageError,
 )
 from klext.characters import chi_kl, decomposition_matrix
 from klext.extbounds import (
@@ -259,16 +258,26 @@ def test_kl_coefficient_sum_m0(a2_table12):
         assert kl_coefficient_sum(table, y, 0) == 1
 
 
-def test_fill_guard_and_coverage():
-    rs = build_root_system("A", 1)
+def test_fill_guard_and_coverage(tmp_path):
+    rs = build_root_system("B", 2)
     sl = enumerate_slice(rs, 6)
+    full = KLTable(sl)
+    full.fill()
     table = KLTable(sl)
-    # a row of a table that was never filled is never read as zero
-    with pytest.raises(SliceCoverageError, match="not filled"):
-        table.rows_for(sl.shell(5)[0])
+    # a row of a table that was never filled is computed on its first read,
+    # never read as zero; this one meets its polynomials in another order
+    # than the fill does
+    y = 50  # of length 6
+    assert {x: kl_polynomial(table, x, y) for x in table.rows_for(y)} == {
+        x: kl_polynomial(full, x, y) for x in full.rows_for(y)}
+    assert table.filled == -1 and table.pool != full.pool[:len(table.pool)]
+    # a fill after such reads starts afresh: its pool ids, and so its file,
+    # are those of a fresh fill
     table.fill()
-    assert table.filled == sl.cutoff
-    assert kl_polynomial(table, 0, sl.shell(3)[0]) == ONE
+    assert table.filled == sl.cutoff and table.pool == full.pool
+    save_table(table, tmp_path / "read.klt")
+    save_table(full, tmp_path / "fresh.klt")
+    assert (tmp_path / "read.klt").read_bytes() == (tmp_path / "fresh.klt").read_bytes()
 
 
 # -- one row per symmetry orbit ----------------------------------------------------
@@ -646,6 +655,37 @@ def test_malformed_header_or_pool_rejected(tmp_path, a2_table12):
         load_table(_reframed(tmp_path, a2_table12, type_byte), sl)
 
 
+def test_pool_entry_that_is_no_kl_polynomial_rejected(tmp_path):
+    # a pool entry cut to 0 terms would read as the zero polynomial wherever
+    # it is used; every entry must have the shape the fill stores: constant
+    # term 1, no negative coefficient and no trailing zero
+    table = KLTable(enumerate_slice(build_root_system("A", 2), 8))
+    table.fill()
+    sl, pid = table.slice, table.pool.index((1, 1))
+    assert kl_polynomial(table, 0, 19) == (1, 1)
+
+    def replaced_by(coeffs):
+        """Pool entry ``pid`` replaced by ``coeffs``, the rest kept."""
+        def edit(payload):
+            start = 20  # the pool follows the 20-byte header
+            for i in range(pid + 1):
+                (nterms,) = struct.unpack_from(">H", payload, start)
+                end = start + 2
+                for _ in range(nterms):
+                    _, end = binio.unpack_bigint(payload, end)
+                if i < pid:
+                    start = end
+            payload[start:end] = struct.pack(">H", len(coeffs)) + b"".join(
+                binio.pack_bigint(v) for v in coeffs)
+        return edit
+
+    for coeffs in ((), (1, 0), (0, 1), (2, 1), (1, -1)):
+        with pytest.raises(CacheFormatError, match=f"pool entry {pid} is not a KL polynomial"):
+            load_table(_reframed(tmp_path, table, replaced_by(coeffs)), sl)
+    loaded = load_table(_reframed(tmp_path, table, replaced_by((1, 1))), sl)
+    assert kl_polynomial(loaded, 0, 19) == (1, 1)
+
+
 def frame_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -736,7 +776,7 @@ def test_middle_row_pool_id_out_of_range_rejected_at_load(tmp_path, a2_table12):
     sl = a2_table12.slice
     wide = KLTable(sl)
     wide.rows = [a2_table12.rows_for(y) for y in range(len(sl))]
-    wide.pool = a2_table12.pool + [(2, i) for i in range(1 << 8)]  # never a KL value
+    wide.pool = a2_table12.pool + [(1, 1000 + i) for i in range(1 << 8)]  # never in this table
     wide.filled = a2_table12.filled
     reps = a2_table12.orbit_plan()[0]
     y = reps[len(reps) // 2]  # a representative in the middle of the file
@@ -804,7 +844,7 @@ def test_wide_pool_ids_roundtrip(tmp_path, a2_table12):
     for extra in (1 << 8, 1 << 16):
         wide = KLTable(sl)
         wide.rows = [a2_table12.rows_for(y) for y in range(len(sl))]
-        wide.pool = a2_table12.pool + [(2, i) for i in range(extra)]  # never a KL value
+        wide.pool = a2_table12.pool + [(1, 1000 + i) for i in range(extra)]  # never in this table
         wide.filled = a2_table12.filled
         save_table(wide, path)
         loaded = load_table(path, sl)
