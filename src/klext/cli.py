@@ -221,22 +221,26 @@ def cmd_enumerate(args):
     }
 
 
-def _table_for(args, few_rows=False):
+def _table_for(args, rows="all"):
     """The root system and the KL table of the command's slice.
 
-    ``few_rows`` is set by a query that reads a few rows. Without a cache
-    directory its table is the enumerated slice's (under the element cap)
-    with no row filled, so it computes only the rows the query reads, on
-    their first read; with one, and for every other query, the complete
-    table is loaded or built and saved by ``ensure_table`` as ever."""
+    ``rows`` is "all" for the complete table, loaded or built and saved by
+    ``ensure_table``. A query that reads a few rows passes "few": without a
+    cache directory its table is the enumerated slice's with no row filled,
+    so it computes only the rows the query reads, on their first read; with
+    one, it gets the complete table. A query that reads dominant pairs only
+    passes "dominant" and gets the slice's ``klpoly.spherical_table``, which
+    reads and writes no cache file. Every table enumerates the slice under
+    the element cap, and every path creates the cache directory."""
     rs = rootsys.build_root_system(args.type, args.rank)
-    if few_rows and not args.cache_dir:
-        sl = weylaffine.enumerate_slice(rs, args.cutoff, True, args.max_elements)
-        return rs, klpoly.KLTable(sl)
-    table = ensure_table(
-        rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
-    )
-    return rs, table
+    if rows == "all" or (rows == "few" and args.cache_dir):
+        return rs, ensure_table(
+            rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
+        )
+    if args.cache_dir:  # an unusable path fails here, as in ensure_table
+        os.makedirs(args.cache_dir, exist_ok=True)
+    sl = weylaffine.enumerate_slice(rs, args.cutoff, True, args.max_elements)
+    return rs, klpoly.spherical_table(sl) if rows == "dominant" else klpoly.KLTable(sl)
 
 
 def _coeff_dict(coeffs):
@@ -281,12 +285,12 @@ def cmd_kl(args):
 
 
 def cmd_mu(args):
-    rs, table = _table_for(args, few_rows=True)
+    rs, table = _table_for(args, "few")
     return {"x": args.x, "y": args.y, "mu": klpoly.mu(table, args.x, args.y)}
 
 
 def cmd_mu_sum(args):
-    rs, table = _table_for(args)
+    rs, table = _table_for(args, "dominant")
     total, saturated = klpoly.mu_row_sum(table, args.x)
     return {
         "x": args.x,
@@ -297,7 +301,7 @@ def cmd_mu_sum(args):
 
 
 def cmd_klsum(args):
-    rs, table = _table_for(args, few_rows=True)
+    rs, table = _table_for(args, "few")
     return {
         "y": args.y,
         "m": args.m,
@@ -371,8 +375,8 @@ def cmd_tensor(args):
     }
 
 
-def _context_for(args):
-    rs, table = _table_for(args)
+def _context_for(args, rows="all"):
+    rs, table = _table_for(args, rows)
     ctx = extbounds.make_block_context(rs, args.l, table)
     return rs, ctx
 
@@ -404,7 +408,7 @@ def cmd_ext1(args):
 
 
 def cmd_extn(args):
-    rs, ctx = _context_for(args)
+    rs, ctx = _context_for(args, "dominant")
     return {
         "x": args.x,
         "y": args.y,
@@ -414,7 +418,7 @@ def cmd_extn(args):
 
 
 def cmd_extsum(args):
-    rs, ctx = _context_for(args)
+    rs, ctx = _context_for(args, "dominant")
     rep = extbounds.sum_ext_n(ctx, args.x, args.n)
     return {
         "x": args.x,
@@ -443,7 +447,7 @@ def cmd_pim(args):
 
 def cmd_bounds(args):
     if args.empirical:
-        rs, table = _table_for(args)
+        rs, table = _table_for(args, "dominant")
     else:
         rs, table = rootsys.build_root_system(args.type, args.rank), None
     reports = extbounds.bound_constants(rs, args.p, ns=tuple(args.n), table=table)

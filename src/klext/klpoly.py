@@ -53,6 +53,11 @@ never filled computes and keeps each row on its first read, with the rows
 that row's computation reads and no other, so a single-pair query without a
 cache computes only the rows it reads; its ``filled`` stays -1, and only
 ``save_table`` refuses it.
+
+The one exception is ``spherical_table``: it holds the rows of the dominant
+y only, each with its dominant x only, computed by a recursion of their own
+over dominant elements alone, and refuses every other row. Ext^1, Ext^n
+and the bound constants between simples read no other entry.
 """
 
 from __future__ import annotations
@@ -223,10 +228,8 @@ class KLTable:
     def _compute_row(self, y: int, memo: _FillMemo) -> dict[int, int]:
         sl = self.slice
         length, right = sl.length, sl.right
-        pool = self.pool
-        work, pairs, steps, to_pool = memo.work, memo.pairs, memo.steps, memo.to_pool
-        ly = length[y]
-        if ly == 0:
+        pool, pairs = self.pool, memo.pairs
+        if length[y] == 0:
             return {y: self._store((1,), y, y)}
         s = sl.right_descents(y)[0]  # the descent _missing_inputs follows
         yp = right[y][s]
@@ -250,8 +253,18 @@ class KLTable:
                 b = pool[key[1]] if key[1] >= 0 else ()
                 w = pairs[key] = memo.intern(_combine(a, 1, 1, b))
             acc[z] = acc[zs] = w
+        return self._finish_row(y, s, acc, memo)
+
+    def _finish_row(self, y: int, s: int, acc: dict[int, int], memo: _FillMemo) -> dict[int, int]:
+        """Row y from ``acc``, x -> the work id of the first step's sum: the
+        mu corrections of y' = ys subtracted, every entry stored, P(y,y) = 1."""
+        sl = self.slice
+        length, right = sl.length, sl.right
+        pool = self.pool
+        work, steps, to_pool = memo.work, memo.steps, memo.to_pool
+        ly = length[y]
         acc.pop(y, None)  # the pair {y', y}: P(y,y) = 1 is set below
-        for z, m in self.mu_row(yp):
+        for z, m in self.mu_row(right[y][s]):
             if length[right[z][s]] >= length[z]:
                 continue
             k = (ly - length[z]) // 2
@@ -374,6 +387,101 @@ class KLTable:
                 if (top := coeff(pid, ly - length[z] - 1))
             ))
         return cached
+
+
+class _SphericalTable(KLTable):
+    """The table that ``spherical_table`` returns: every dominant row is
+    computed together, on the first read of any of them, and no other row
+    ever is."""
+
+    def rows_for(self, y: int) -> dict[int, int]:
+        row = self.rows[y]
+        if row is not None:
+            return row
+        if not self.slice.dominant[y]:
+            raise InvalidSystemError(
+                f"row {y} is not dominant: a spherical table holds the dominant rows only"
+            )
+        self._fill_dominant()
+        return self.rows[y]
+
+    def _fill_dominant(self) -> None:
+        """Every dominant row in ascending index. A row reads row y' = ys and
+        the rows z of mu(z, y'), all of them dominant and shorter, so
+        computed already."""
+        sl = self.slice
+        right, dominant = sl.right, sl.dominant
+        memo = _FillMemo()
+        first, *rest = sl.dominant_indices()
+        self.rows[first] = {first: self._store((1,), first, first)}
+        for y in rest:
+            s = next((t for t in sl.right_descents(y) if dominant[right[y][t]]), None)
+            if s is None:
+                raise InvariantViolation(f"dominant element {y} has no dominant right descent")
+            self.rows[y] = self._spherical_row(y, s, memo)
+
+    def _spherical_row(self, y: int, s: int, memo: _FillMemo) -> dict[int, int]:
+        """Row y from row y' = ys (see ``spherical_table``): the pair {x, xs}
+        when xs is dominant, as in ``_compute_row``; otherwise xs = tx < x
+        for a finite simple t, a left descent of y', so P(xs, y') = P(x, y')
+        and x alone gets P(x, y') + q P(x, y')."""
+        sl = self.slice
+        length, right, dominant = sl.length, sl.right, sl.dominant
+        pool, pairs = self.pool, memo.pairs
+        row_yp = self.rows[right[y][s]]
+        acc: dict[int, int] = {}
+        for x, p in row_yp.items():
+            if x in acc:
+                continue
+            xs = right[x][s]
+            if xs == -1:
+                raise InvariantViolation(f"descent neighbor of {x} left the slice")
+            if dominant[xs]:
+                lo, hi = (xs, x) if length[xs] < length[x] else (x, xs)
+                key = (row_yp.get(lo, -1), row_yp.get(hi, -1))
+            elif length[xs] < length[x]:
+                key = (p, p)
+            else:
+                raise InvariantViolation(f"dominant {x} goes up by {s} to non-dominant {xs}")
+            w = pairs.get(key)
+            if w is None:
+                a = pool[key[0]] if key[0] >= 0 else ()
+                b = pool[key[1]] if key[1] >= 0 else ()
+                w = pairs[key] = memo.intern(_combine(a, 1, 1, b))
+            acc[x] = w
+            if dominant[xs]:
+                acc[xs] = w
+        return self._finish_row(y, s, acc, memo)
+
+
+def spherical_table(sl: GroupSlice) -> KLTable:
+    """The KL table of ``sl`` restricted to dominant pairs: row y for each
+    dominant y, holding P(x, y) for dominant x only, with the pool, row
+    format and readers of ``KLTable``. Dominant elements are the longest of
+    their W_f-cosets, and these polynomials span the spherical module, the
+    one induced from the trivial representation of the finite Hecke algebra
+    (Soergel, Represent. Theory 1 (1997), section 3; Deodhar, J. Algebra 111
+    (1987)). So mu, mu_row_sum, kl_coefficient_sum, max_mu_dominant,
+    max_top_coefficient and the Ext sums of ``extbounds`` answer on it as on
+    the full table, from far fewer rows.
+
+    Its rows are computed by a recursion of their own. The row of the
+    shortest dominant element y is {y: 1}. Any other dominant y has a right
+    descent s with y' = ys dominant; for each x in row y', with p = P(x, y'):
+    if xs is dominant and longer, p goes to P(x, y) and P(xs, y); if xs is
+    dominant and shorter, q p goes to both; if xs is not dominant it is
+    shorter, and (1 + q) p goes to P(x, y). Then mu(z, y') q^((l(y)-l(z))/2)
+    P(x, z) is subtracted for every dominant z with zs < z. No non-dominant z
+    contributes: every finite simple t is a left descent of y', so mu(z, y')
+    != 0 with tz > z forces z = ty' (Kazhdan-Lusztig 1979), and then zs > z.
+
+    The rows are computed together on the first read of a dominant row, so
+    a query that rejects its arguments first computes none. Reading a
+    non-dominant row raises InvalidSystemError and computes nothing; the
+    KL-axiom checks of ``_compute_row`` hold, and a dominant y with no
+    dominant right descent raises InvariantViolation. ``save_table``
+    refuses the table."""
+    return _SphericalTable(sl)
 
 
 # -- queries -------------------------------------------------------------------
@@ -583,8 +691,10 @@ def save_table(table: KLTable, path) -> None:
     ascending index: the row's x in ascending order and their pool ids. The
     header's ``filled`` field always equals its cutoff: a table that was
     never filled, whose pool ids follow the order its rows were read in,
-    raises InvariantViolation."""
+    raises InvariantViolation, and so does a spherical table."""
     sl = table.slice
+    if isinstance(table, _SphericalTable):
+        raise InvariantViolation("a spherical table holds the dominant rows only and is never saved")
     if table.filled != sl.cutoff:
         raise InvariantViolation(
             f"only a complete table is saved; this one is filled to length "

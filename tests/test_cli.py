@@ -606,14 +606,12 @@ def test_repeated_table_index_exits_1(tmp_path):
 
 def test_table_header_not_filled_to_cutoff_exits_1(tmp_path):
     # a table file always holds every row of its slice; one whose header
-    # claims another length is rejected, not read as a longer table that
-    # would turn a truncated sum into an exact one
+    # claims another length is rejected, never read as a table of that length
     from klext import binio
 
-    args = ("--format", "json", "extsum", "A", "1", "--cutoff", "10", "--l", "3",
-            "--x", "20", "--n", "1")
+    args = ("--format", "json", "kl", "A", "1", "--cutoff", "10", "--x", "0", "--y", "20")
     first = run_cli(*args, cache=tmp_path)
-    assert json.loads(first.stdout)["status"] == "truncated@10"
+    assert json.loads(first.stdout)["polynomial_coeffs"] == {"0": 1}
     table_file = next(tmp_path.glob("kl_*.klt"))
     payload = bytearray(binio.read_frame(table_file, b"KLXTABLE", 3))
     payload[8:12] = (99).to_bytes(4, "big")  # the header's filled length

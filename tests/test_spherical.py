@@ -1,0 +1,227 @@
+"""The spherical table: P(x, y) for dominant x and y only, computed by its
+own recursion. Its rows are checked against the full table's dominant
+entries as polynomials (pool ids follow their own order), every reader of
+dominant pairs answers on it as on the full table, it never computes or
+serves a non-dominant row and is never saved, and the CLI commands that read
+dominant pairs only (``mu-sum``, ``extn``, ``extsum``, ``bounds
+--empirical``) run on it without touching a cache file."""
+
+import pytest
+
+from klext import cli, klpoly
+from klext.errors import InvalidSystemError, InvariantViolation
+from klext.extbounds import bound_constants, extn_simple_simple, make_block_context, sum_ext_n
+from klext.klpoly import KLTable, kl_polynomial, mu_row_sum, save_table, spherical_table
+from klext.rootsys import build_root_system
+from klext.weylaffine import GroupSlice, enumerate_slice
+
+
+def tables(lab, rank, cutoff, affine=True):
+    """The full table and the spherical table of one slice."""
+    sl = enumerate_slice(build_root_system(lab, rank), cutoff, affine=affine)
+    full = KLTable(sl)
+    full.fill()
+    return full, spherical_table(sl)
+
+
+def dominant_polynomials(table, y):
+    """Row y's dominant entries as x -> P(x, y), coefficient tuples."""
+    return {x: kl_polynomial(table, x, y) for x in table.rows_for(y)
+            if table.slice.dominant[x]}
+
+
+@pytest.mark.parametrize("lab, rank, cutoff, affine", [
+    ("A", 1, 20, True), ("A", 2, 12, True), ("A", 2, 24, True), ("B", 2, 16, True),
+    ("B", 2, 24, True), ("G", 2, 14, True), ("G", 2, 24, True), ("A", 3, 12, True),
+    ("B", 3, 9, True), ("C", 3, 10, True), ("D", 4, 10, True),  # D4@10: no dominant element
+    ("B", 3, 9, False),  # finite: w0 alone is dominant
+])
+def test_spherical_rows_are_the_dominant_entries_of_the_full_table(lab, rank, cutoff, affine):
+    full, sph = tables(lab, rank, cutoff, affine)
+    sl = full.slice
+    for y in sl.dominant_indices():
+        assert dominant_polynomials(sph, y) == dominant_polynomials(full, y), y
+        assert all(sl.dominant[x] for x in sph.rows_for(y)), y
+    # no non-dominant row was computed, and the table is never complete
+    assert all((row is not None) == sl.dominant[y] for y, row in enumerate(sph.rows))
+    assert sph.filled == -1
+
+
+def test_non_dominant_row_is_refused_and_never_computed():
+    sl = enumerate_slice(build_root_system("A", 2), 8)
+    sph = spherical_table(sl)
+    y = next(i for i in range(len(sl)) if not sl.dominant[i] and sl.length[i] == 6)
+    with pytest.raises(InvalidSystemError, match=f"^row {y} is not dominant"):
+        sph.rows_for(y)
+    assert not any(sph.rows)  # the refusal computed no row, dominant or not
+    x = sl.dominant_indices()[-1]
+    assert sph.rows_for(x)
+    for bad in (0, y):
+        with pytest.raises(InvalidSystemError, match=f"^row {bad} is not dominant"):
+            kl_polynomial(sph, 0, bad)
+    assert sph.rows[0] is None and sph.rows[y] is None
+
+
+def test_spherical_table_is_never_saved(tmp_path):
+    sl = enumerate_slice(build_root_system("A", 2), 8)
+    sph = spherical_table(sl)
+    for _ in range(2):  # before and after its rows are computed
+        with pytest.raises(InvariantViolation, match="spherical table .* never saved"):
+            save_table(sph, tmp_path / "t.klt")
+        mu_row_sum(sph, sl.dominant_indices()[0])
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda t: tuple(-v for v in t),  # the pool shape: constant term 1, no negative
+    lambda t: t + (0,) * 9 + (1,) if t else t,  # the degree bound
+])
+def test_corrupted_entries_raise(monkeypatch, corrupt):
+    combine = klpoly._combine
+    monkeypatch.setattr(klpoly, "_combine", lambda *args: corrupt(combine(*args)))
+    sl = enumerate_slice(build_root_system("A", 2), 10)
+    with pytest.raises(InvariantViolation, match="KL axioms broken"):
+        spherical_table(sl).rows_for(sl.dominant_indices()[-1])
+
+
+def test_dominant_element_without_dominant_descent_raises():
+    # the identity marked dominant becomes the shortest dominant element, so
+    # w0 finds no dominant element one step below it
+    sl = enumerate_slice(build_root_system("A", 2), 8)
+    w0 = sl.dominant_indices()[0]
+    bad = GroupSlice(sl.rs, sl.cutoff, sl.affine, sl.elements, sl.right,
+                     [True] + sl.dominant[1:])
+    with pytest.raises(InvariantViolation, match=f"dominant element {w0} has no dominant"):
+        spherical_table(bad).rows_for(w0)
+
+
+# -- the readers of dominant pairs -------------------------------------------------
+
+# (type, rank, cutoff, l): l odd, above h and, on G2, prime to 3
+READER_SLICES = [("A", 2, 12, 5), ("B", 2, 10, 5), ("G", 2, 14, 7), ("A", 3, 12, 5)]
+
+
+@pytest.mark.parametrize("lab, rank, cutoff, l", READER_SLICES)
+def test_readers_answer_on_the_spherical_table_as_on_the_full_one(lab, rank, cutoff, l):
+    full, sph = tables(lab, rank, cutoff)
+    rs, doms = full.slice.rs, full.slice.dominant_indices()
+    ctx_full, ctx_sph = make_block_context(rs, l, full), make_block_context(rs, l, sph)
+    assert ctx_sph.regular
+    for x in doms:
+        assert mu_row_sum(sph, x) == mu_row_sum(full, x), x
+        for n in (1, 2):
+            assert vars(sum_ext_n(ctx_sph, x, n)) == vars(sum_ext_n(ctx_full, x, n)), (x, n)
+        for y in doms:
+            for n in (0, 1, 2):
+                assert (extn_simple_simple(ctx_sph, x, y, n)
+                        == extn_simple_simple(ctx_full, x, y, n)), (x, y, n)
+    for p in (2, 5):
+        assert ([vars(r) for r in bound_constants(rs, p, ns=(1, 2), table=sph)]
+                == [vars(r) for r in bound_constants(rs, p, ns=(1, 2), table=full)])
+
+
+# -- the CLI -------------------------------------------------------------------------
+
+
+def routed(x, y):
+    """One run of each command on the spherical table, on affine A2@10."""
+    base = ("A", "2", "--cutoff", "10")
+    return [
+        ["mu-sum", *base, "--x", str(x)],
+        ["extn", *base, "--x", str(x), "--y", str(y), "--n", "1"],
+        ["extsum", *base, "--x", str(x), "--n", "2"],
+        ["bounds", "A", "2", "--p", "3", "--empirical", "--cutoff", "10"],
+    ]
+
+
+def run(argv, capsys):
+    rc = cli.main(argv)
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+@pytest.fixture
+def a2_10():
+    return enumerate_slice(build_root_system("A", 2), 10)
+
+
+@pytest.fixture
+def no_cache_files(monkeypatch):
+    """Fail any read or write of a cache file."""
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+
+    def refuse(*_):
+        raise AssertionError("a cache file was opened")
+
+    for name in ("read_frame", "write_frame"):
+        monkeypatch.setattr(klpoly.binio, name, refuse)
+
+
+def test_routed_commands_touch_no_cache_file(tmp_path, a2_10, capsys, no_cache_files):
+    doms = a2_10.dominant_indices()
+    cache = tmp_path / "new" / "cache"
+    for argv in routed(doms[3], doms[5]):
+        for fmt in ("text", "json", "csv"):
+            free = run(["--format", fmt, *argv], capsys)
+            cached = run(["--cache-dir", str(cache), "--format", fmt, *argv], capsys)
+            assert free == cached and free[0] == 0 and free[2] == "", argv
+    # the cache directory is created, as for every table command, and left empty
+    assert cache.is_dir() and not list(cache.iterdir())
+
+
+def test_routed_commands_ignore_a_corrupted_cache(tmp_path, a2_10, capsys, monkeypatch):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    doms = a2_10.dominant_indices()
+    kl = ["kl", "A", "2", "--cutoff", "10", "--x", "0", "--y", "100"]
+    assert run(["--cache-dir", str(tmp_path), *kl], capsys)[0] == 0
+    for path in tmp_path.iterdir():  # the table file and its slice file
+        blob = bytearray(path.read_bytes())
+        blob[40] ^= 0xFF
+        path.write_bytes(bytes(blob))
+    assert run(["--cache-dir", str(tmp_path), *kl], capsys)[0] == 1
+    for argv in routed(doms[2], doms[7]):
+        free = run(argv, capsys)
+        assert run(["--cache-dir", str(tmp_path), *argv], capsys) == free, argv
+        assert free[0] == 0, argv
+
+
+def test_routed_commands_refuse_a_cache_dir_that_is_a_file(tmp_path, a2_10, capsys,
+                                                           no_cache_files):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    x = a2_10.dominant_indices()[0]
+    for cache in (blocker, blocker / "sub"):
+        for argv in routed(x, x):
+            rc, out, err = run(["--cache-dir", str(cache), *argv], capsys)
+            assert rc == 2 and out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_routed_commands_keep_the_element_cap(tmp_path, a2_10, capsys, no_cache_files):
+    x = a2_10.dominant_indices()[0]
+    for argv in routed(x, x):
+        for cache in ([], ["--cache-dir", str(tmp_path)]):
+            rc, out, err = run([*cache, "--max-elements", "30", *argv], capsys)
+            assert (rc, out) == (3, ""), argv
+            assert err == (
+                "resource cap: slice exceeded the configured cap of 30 elements at length 4\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_routed_commands_check_indices_before_any_row(a2_10, capsys, monkeypatch,
+                                                      no_cache_files):
+    def no_row(*_):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(klpoly._SphericalTable, "_fill_dominant", no_row)
+    monkeypatch.setattr(KLTable, "_compute_row", no_row)
+    n = len(a2_10)
+    x = a2_10.dominant_indices()[0]
+    non_dominant = next(i for i in range(n) if not a2_10.dominant[i])
+    for bad in (-1, n):
+        message = f"error: element index {bad} out of range: the slice has indices 0..{n - 1}\n"
+        for argv in routed(bad, x)[:3] + routed(x, bad)[1:2]:
+            assert run(argv, capsys) == (2, "", message), argv
+    message = f"error: element {non_dominant} is not dominant\n"
+    for argv in routed(non_dominant, x)[:3] + routed(x, non_dominant)[1:2]:
+        assert run(argv, capsys) == (2, "", message), argv
