@@ -115,6 +115,12 @@ class KLTable:
     ``filled`` is -1 before ``fill``, the slice cutoff after ``fill`` or
     ``load_table``; a row that is not there yet is made on its first read
     (``rows_for``), whatever ``filled`` says.
+
+    On a table built as ``KLTable(sl)`` and never filled, each missing row
+    is computed on its first read without symmetry, so a caller about to
+    read every row calls ``fill()`` first: reading all 901 rows of such an
+    A2@24 table took 0.24-0.34 s, against 0.08 s for ``fill`` and the same
+    reads.
     """
 
     def __init__(self, sl: GroupSlice):
@@ -517,7 +523,9 @@ def kl_entries(table: KLTable, per_polynomial):
     """Every nonzero P_{x,y} of the table as (x, y, per_polynomial(P), mu(x, y)),
     in (y, sorted x) order, P being its q-coefficient tuple. ``per_polynomial``
     runs once per distinct polynomial, so entries with equal P share its
-    value; mu is the coefficient of t^(l(y)-l(x)-1), 0 on the diagonal."""
+    value; mu is the coefficient of t^(l(y)-l(x)-1), 0 on the diagonal.
+    This reads every row: call ``table.fill()`` first on a table that was
+    never filled (see ``KLTable``)."""
     length, coeff = table.slice.length, table.coeff
     made = {}  # pool id -> per_polynomial of it; the pool may grow as rows are read
     for y in range(len(length)):

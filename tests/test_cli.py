@@ -681,13 +681,16 @@ def test_every_json_output_is_json_dumps(monkeypatch, capsys):
 
 
 _TEXT = 'ab "\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u4e2d\U0001f600'
+_KEY_TEXT = 'k%"{\u2028'
 
 
 def _random_json(rng, depth=0):
     """A nested payload of the kinds json.dumps takes, with string keys as
     every command's payload has."""
     kinds = ["int", "constant", "float", "str"]
-    kind = rng.choice(kinds + ["list", "tuple", "dict"] * 2 if depth < 4 else kinds)
+    if depth < 4:
+        kinds += ["list", "tuple", "dict"] * 2 + ["records"] * (depth < 2)
+    kind = rng.choice(kinds)
     if kind == "int":
         return rng.choice([0, -1, 2 ** 64, -(3 ** 90), 10 ** 40 + 7, rng.randrange(-999, 999)])
     if kind == "constant":
@@ -696,6 +699,8 @@ def _random_json(rng, depth=0):
         return rng.choice([0.5, -1e300, 3.0, float("inf"), float("nan")])
     if kind == "str":
         return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6)))
+    if kind == "records":
+        return _random_records(rng)
     items = [_random_json(rng, depth + 1) for _ in range(rng.choice([0, 1, 2, 5]))]
     if kind == "list":
         return items
@@ -704,16 +709,97 @@ def _random_json(rng, depth=0):
     return {"".join(rng.choice(_TEXT) for _ in range(rng.randrange(4))): x for x in items}
 
 
+def _random_records(rng, shared=None):
+    """A list of 2 to 40 dicts with one key set, some of whose values are
+    one shared sub-dict or sub-list, as ``kl --all`` records share their
+    coefficient dicts; or a list of scalar rows, some empty, as its
+    ``csv_rows``. Some lists break the shape at a later item: a record with
+    a key more or less, a record with the same keys inserted in another
+    order (which the text format keeps), or an item that is no dict. A
+    top-level call's records may hold a list of records that shares the
+    same objects one level deeper."""
+    n = rng.randrange(2, 41)
+    if rng.random() < 0.25:
+        return [[_random_json(rng, 4) for _ in range(rng.choice([0, 1, 3, 6]))]
+                for _ in range(n)]
+    keys = list(dict.fromkeys("".join(rng.choice(_KEY_TEXT) for _ in range(rng.randrange(1, 4)))
+                              for _ in range(rng.randrange(1, 6))))
+    top = shared is None
+    if top:
+        shared = [{"0": 1, "%s": 10 ** 40}, [True, None, 0.5, {"{": []}]]
+
+    def value():
+        r = rng.random()
+        if r < 0.3:
+            return rng.choice(shared)
+        return _random_records(rng, shared) if top and r < 0.33 else _random_json(rng, 3)
+
+    records = [{k: value() for k in keys} for _ in range(n)]
+    i = rng.randrange(1, n)
+    broken = rng.choice(["none", "extra", "missing", "order", "item"])
+    if broken == "extra":
+        records[i]["%d extra"] = None
+    elif broken == "missing":
+        del records[i][keys[0]]
+    elif broken == "order":
+        records[i] = dict(reversed(records[i].items()))
+    elif broken == "item":
+        records[i] = rng.choice([shared[1], 7, "k", ()])
+    return records
+
+
 def test_json_renderer_matches_json_dumps():
     from klext.cli import _render
 
     rng = random.Random(1)
     for _ in range(3000):
         payload = _random_json(rng)
-        assert _render(payload, "json") == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert "".join(_render(payload, "json")) == want
     for bad in ({1: 0}, {"a": 1, 2: 0}, {"a": object()}):  # never a payload
         with pytest.raises(TypeError):
-            _render(bad, "json")
+            "".join(_render(bad, "json"))
+
+
+def test_json_export_is_written_without_a_copy_of_the_whole_output(monkeypatch):
+    # the A2@12 kl --all payload is 3.95 MB as JSON; written into a sink
+    # that keeps nothing, its rendering may hold a few pieces at a time only
+    import os
+    import tracemalloc
+
+    from klext import cli
+
+    monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
+    payload = cli.cmd_kl(cli.build_parser().parse_args(
+        ["kl", "A", "2", "--cutoff", "12", "--all"]))
+    with open(os.devnull, "w") as sink:
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cli._write(cli._render(payload, "json"), sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak - start < 1 << 20
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_reader_that_stops_early_gets_one_error_line(unbuffered):
+    # the 1.9 MB export outgrows any pipe buffer, so a write fails: exit 2
+    # with one error line, and no traceback or failed flush at exit, with
+    # stdout buffered or not
+    import os
+
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    env.pop("KLEXT_CACHE_DIR", None)
+    argv = [sys.executable, "-m", "klext.cli", "--format", "json", "kl", "A", "2",
+            "--cutoff", "10", "--all"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2 and err == b"error: [Errno 32] Broken pipe\n"
 
 
 def line_render_text(payload, indent=0) -> str:
@@ -757,7 +843,7 @@ def test_text_renderer_matches_the_line_renderer():
     rng = random.Random(2)
     for _ in range(3000):
         payload = _random_json(rng)
-        assert _render(payload, "text") == line_render_text(payload)
+        assert "".join(_render(payload, "text")) == line_render_text(payload)
 
 
 @pytest.mark.parametrize("lab", ["A", "B"])
