@@ -88,7 +88,8 @@ def ensure_table(rs, cutoff, *, affine=True, cache_dir=None, workers=1,
 
 
 # JSON output is written in pieces joined to about this many characters, so
-# that no copy of the whole output exists. On the 3.95 MB A2@12 ``kl --all``
+# that no copy of the whole output exists, and no write of any format is
+# longer (see ``_write``). On the 3.95 MB A2@12 ``kl --all``
 # export (median of 16 alternating runs into /dev/null, 2 vCPUs, with
 # PYTHONUNBUFFERED=1, which makes each write a system call): a write per
 # piece took 233 ms against 182 ms at 64 KiB, and one write of the whole
@@ -112,22 +113,31 @@ def _render(payload, fmt: str):
 
 
 def _write(pieces, out) -> None:
-    """Write ``pieces`` to ``out`` joined into writes of about CHUNK_CHARS.
+    """Write ``pieces`` to ``out`` joined to about CHUNK_CHARS, each joined
+    buffer in writes of at most CHUNK_CHARS.
 
-    A reader that closes the pipe early makes a write raise BrokenPipeError,
-    but the tail of the write before it that filled the pipe can still wait
-    in ``out``'s buffer, whose flush at exit would fail again. So ``out``'s
-    descriptor then points at os.devnull, and the error goes on to ``main``."""
+    A reader that closes the pipe early makes a write raise BrokenPipeError.
+    An unbuffered ``out`` (PYTHONUNBUFFERED=1) passes each write to the
+    descriptor once and drops what a short write left over, so one write of
+    a whole text output would end silently; with bounded writes the next
+    one raises. The tail of the write before it that filled the pipe can
+    still wait in a buffered ``out``, whose flush at exit would fail again.
+    So ``out``'s descriptor then points at os.devnull, and the error goes on
+    to ``main``."""
+
+    def send(text):
+        for at in range(0, len(text), CHUNK_CHARS):
+            out.write(text[at : at + CHUNK_CHARS])
+
     buf, size = [], 0
     try:
         for piece in pieces:
             buf.append(piece)
             size += len(piece)
             if size >= CHUNK_CHARS:
-                out.write("".join(buf))
+                send("".join(buf))
                 buf, size = [], 0
-        if buf:
-            out.write("".join(buf))
+        send("".join(buf))
     except BrokenPipeError:
         null = os.open(os.devnull, os.O_WRONLY)
         os.dup2(null, out.fileno())

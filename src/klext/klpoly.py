@@ -45,14 +45,13 @@ and rows are those of a row-by-row fill, whose table saves to the same
 bytes; ``kl_recomputation`` uses no symmetry.
 
 Any row of any table may be read. ``fill`` computes every representative
-up to the slice cutoff and a table file holds every representative. A loaded
-table keeps each representative's row as the two arrays read from its file,
-range checked at load, and builds the row's dict on its first read, so a
-warm query decodes and relabels only the rows it reads. A table that was
-never filled computes and keeps each row on its first read, with the rows
-that row's computation reads and no other, so a single-pair query without a
-cache computes only the rows it reads; its ``filled`` stays -1, and only
-``save_table`` refuses it.
+up to the slice cutoff and a table file holds every representative. A load
+decodes and checks every stored row, so a file with one bad record is
+refused whole; a warm query relabels only the rows it reads. A table that
+was never filled computes and keeps each row on its first read, with the
+rows that row's computation reads and no other, so a single-pair query
+without a cache computes only the rows it reads; its ``filled`` stays -1,
+and only ``save_table`` refuses it.
 
 The one exception is ``spherical_table``: it holds the rows of the dominant
 y only, each with its dominant x only, computed by a recursion of their own
@@ -63,8 +62,6 @@ and the bound constants between simples read no other entry.
 from __future__ import annotations
 
 import struct
-import sys
-from array import array
 
 from . import binio
 from .errors import CacheFormatError, InvalidSystemError, InvariantViolation
@@ -113,8 +110,8 @@ class KLTable:
     given in first appearance over (y, ascending x) order, so a filled and a
     loaded table agree id for id.
     ``filled`` is -1 before ``fill``, the slice cutoff after ``fill`` or
-    ``load_table``; a row that is not there yet is made on its first read
-    (``rows_for``), whatever ``filled`` says.
+    ``load_table``; a row that is not there yet, relabelled or computed, is
+    made on its first read (``rows_for``), whatever ``filled`` says.
 
     On a table built as ``KLTable(sl)`` and never filled, each missing row
     is computed on its first read without symmetry, so a caller about to
@@ -125,15 +122,12 @@ class KLTable:
 
     def __init__(self, sl: GroupSlice):
         self.slice = sl
-        # a loaded row stays as its (element indices, pool ids) arrays
-        # until rows_for first reads it; a row that is None is relabelled or
-        # computed on its first read
-        self.rows: list[dict[int, int] | tuple[array, array] | None] = [None] * len(sl)
+        # a row that is None is relabelled or computed on its first read
+        self.rows: list[dict[int, int] | None] = [None] * len(sl)
         self.pool: list[tuple[int, ...]] = []
         self._pool_ids: dict[tuple[int, ...], int] = {}
         self.filled = -1
         self._mu_rows: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._path = None  # the file a loaded table came from
         self._plan: tuple[list[int], list] | None = None  # see orbit_plan
 
     def orbit_plan(self) -> tuple[list[int], list]:
@@ -335,30 +329,21 @@ class KLTable:
         return ""
 
     def rows_for(self, y: int) -> dict[int, int]:
-        """Row y as a dict x -> pool id, kept once read. A loaded row is held
-        as its two stored arrays until this first read, which decodes it and
-        drops them; a row with a source in the orbit plan is relabelled from
-        its representative, and any other missing row is computed
-        (``_compute_missing``)."""
+        """Row y as a dict x -> pool id, kept once read. A missing row with a
+        source in the orbit plan is relabelled from its representative, and
+        any other missing row is computed (``_compute_missing``)."""
         row = self.rows[y]
-        if type(row) is dict:
+        if row is not None:
             return row
-        if row is None:
-            source = self._plan[1][y] if self._plan else None
-            if source is None:
-                self._compute_missing(y)
-                return self.rows[y]
-            # P(g(x), y) = P(x, u), so row y maps g(x) to row u's id of x
-            u, g = source
-            row = self.rows_for(u)
-            self.rows[y] = row = dict(zip(map(g.__getitem__, row), row.values()))
-            return row
-        xs, ids = row
-        decoded = dict(zip(xs, ids))
-        if len(decoded) != len(xs):
-            raise CacheFormatError(f"{self._path}: table row {y} repeats an element index")
-        self.rows[y] = decoded
-        return decoded
+        source = self._plan[1][y] if self._plan else None
+        if source is None:
+            self._compute_missing(y)
+            return self.rows[y]
+        # P(g(x), y) = P(x, u), so row y maps g(x) to row u's id of x
+        u, g = source
+        row = self.rows_for(u)
+        self.rows[y] = row = dict(zip(map(g.__getitem__, row), row.values()))
+        return row
 
     def _compute_missing(self, y: int) -> None:
         """Compute row y and every missing row its computation reads, and no
@@ -398,18 +383,15 @@ class KLTable:
 class _SphericalTable(KLTable):
     """The table that ``spherical_table`` returns: every dominant row is
     computed together, on the first read of any of them, and no other row
-    ever is."""
+    ever is. It has no orbit plan, so ``rows_for`` passes every missing row
+    to ``_compute_missing``."""
 
-    def rows_for(self, y: int) -> dict[int, int]:
-        row = self.rows[y]
-        if row is not None:
-            return row
+    def _compute_missing(self, y: int) -> None:
         if not self.slice.dominant[y]:
             raise InvalidSystemError(
                 f"row {y} is not dominant: a spherical table holds the dominant rows only"
             )
         self._fill_dominant()
-        return self.rows[y]
 
     def _fill_dominant(self) -> None:
         """Every dominant row in ascending index. A row reads row y' = ys and
@@ -678,19 +660,12 @@ _TABLE_VERSION = 3
 _TABLE_HEAD = ">cHBIiII"  # type, rank, affine, cutoff, filled, pool size, records
 
 
-def _row_codes(n_elements: int, n_pool: int) -> tuple[str, str]:
-    """The codes of a row's element indices and pool ids, the narrowest
-    unsigned width that holds every value; both struct and array codes
-    (an array "I" of another width than 4 bytes fails the load's size
-    checks, never silently)."""
+def _row_format(n_elements: int, n_pool: int, k: int) -> str:
+    """One record, as ``save_table`` packs it and ``load_table`` unpacks it:
+    the row length k, then k element indices, then k pool ids, each in the
+    narrowest unsigned width that holds every value."""
     xc = "H" if n_elements <= 1 << 16 else "I"
     ic = "B" if n_pool <= 1 << 8 else "H" if n_pool <= 1 << 16 else "I"
-    return xc, ic
-
-
-def _row_format(n_elements: int, n_pool: int, k: int) -> str:
-    """One row: its length k, then k element indices, then k pool ids."""
-    xc, ic = _row_codes(n_elements, n_pool)
     return f">I{k}{xc}{k}{ic}"
 
 
@@ -739,7 +714,9 @@ def load_table(path, sl: GroupSlice) -> KLTable:
     """The complete table of ``sl`` stored at ``path``; a file of another
     slice, or one whose header does not claim every row, is rejected. The
     orbit plan is built from ``sl`` and the file read as one record per
-    representative; every other row is relabelled on its first read."""
+    representative, each decoded into its row and checked here, so a file
+    with one bad record never loads; every other row is relabelled on its
+    first read."""
     buf = binio.read_frame(path, _TABLE_MAGIC, _TABLE_VERSION)
     off = struct.calcsize(_TABLE_HEAD)
     if len(buf) < off:
@@ -775,31 +752,23 @@ def load_table(path, sl: GroupSlice) -> KLTable:
     reps, _ = table.orbit_plan()
     if len(table._pool_ids) != n_pool or n_records != len(reps):
         raise CacheFormatError(f"{path}: pool or row count does not match the slice")
-    xc, ic = _row_codes(len(sl), n_pool)
-    xw, iw = array(xc).itemsize, array(ic).itemsize
-    swap = sys.byteorder == "little"
-    # 1-byte ids are in range when deleting every valid id leaves no byte
-    valid_ids = bytes(range(n_pool)) if ic == "B" else b""
     for y in reps:
-        # a record cut short in its length field still ends past the buffer
-        k = int.from_bytes(buf[off : off + 4], "big")
-        mid, end = off + 4 + k * xw, off + 4 + k * (xw + iw)
-        if end > len(buf):
-            raise CacheFormatError(f"{path}: row {y} runs past the end of the file")
-        xs, ids = array(xc), array(ic)
-        raw_ids = buf[mid:end]
-        xs.frombytes(buf[off + 4 : mid])
-        ids.frombytes(raw_ids)
-        if swap:
-            xs.byteswap()
-            ids.byteswap()
-        if k and (max(xs) >= len(sl) or (raw_ids.translate(None, valid_ids) if ic == "B"
-                                         else max(ids) >= n_pool)):
+        # unpack_from checks the record's size against the buffer before it
+        # builds anything, so a forged length allocates nothing
+        try:
+            (k,) = struct.unpack_from(">I", buf, off)
+            fmt = struct.Struct(_row_format(len(sl), n_pool, k))
+            record = fmt.unpack_from(buf, off)
+        except struct.error:
+            raise CacheFormatError(f"{path}: row {y} runs past the end of the file") from None
+        xs, ids = record[1 : k + 1], record[k + 1 :]
+        if k and (max(xs) >= len(sl) or max(ids) >= n_pool):
             raise CacheFormatError(f"{path}: entry index out of range")
-        table.rows[y] = (xs, ids)
-        off = end
+        table.rows[y] = row = dict(zip(xs, ids))
+        if len(row) != k:
+            raise CacheFormatError(f"{path}: row {y} repeats an element index")
+        off += fmt.size
     if off != len(buf):
         raise CacheFormatError(f"{path}: trailing bytes after the last row")
-    table._path = path
     table.filled = cutoff
     return table

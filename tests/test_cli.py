@@ -594,14 +594,13 @@ def test_repeated_table_index_exits_1(tmp_path):
     at = len(payload) - 3 * 8
     payload[at : at + 2] = (1).to_bytes(2, "big")
     binio.write_frame(table_file, b"KLXTABLE", 3, bytes(payload))
-    # row 8 is relabelled from row 7, so reading either is refused
-    for y in ("7", "8"):
+    # the load decodes every stored row, so every query is refused: row 7
+    # itself, row 8 relabelled from it, and row 6, which reads neither
+    for y in ("7", "8", "6"):
         res = run_cli(*args[:-1], y, cache=tmp_path)
         assert res.returncode == 1 and res.stdout == ""
         assert "row 7 repeats an element index" in res.stderr and "Traceback" not in res.stderr
-    # rows that are not read still answer
-    assert run_cli("kl", "A", "1", "--cutoff", "4", "--x", "0", "--y", "6",
-                   cache=tmp_path).returncode == 0
+        assert res.stderr.count("\n") == 1
 
 
 def test_table_header_not_filled_to_cutoff_exits_1(tmp_path):
@@ -783,20 +782,26 @@ def test_json_export_is_written_without_a_copy_of_the_whole_output(monkeypatch):
     assert peak - start < 1 << 20
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_reader_that_stops_early_gets_one_error_line(unbuffered):
-    # the 1.9 MB export outgrows any pipe buffer, so a write fails: exit 2
-    # with one error line, and no traceback or failed flush at exit, with
-    # stdout buffered or not
+# ids: the PYTHONUNBUFFERED value, after the format unless it is json
+@pytest.mark.parametrize("unbuffered,fmt,start", [
+    pytest.param(unbuffered, fmt, start,
+                 id=unbuffered if fmt == "json" else "-".join(filter(None, (fmt, unbuffered))))
+    for fmt, start in (("json", b"{"), ("text", b"csv_rows:"), ("csv", b"x,y,"))
+    for unbuffered in ("", "1")
+])
+def test_reader_that_stops_early_gets_one_error_line(unbuffered, fmt, start):
+    # the export (1.9 MB of JSON, 1.1 MB of text, 232 kB of csv) outgrows
+    # any pipe buffer, so a write fails: exit 2 with one error line, and no
+    # traceback or failed flush at exit, with stdout buffered or not
     import os
 
     env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
     env.pop("KLEXT_CACHE_DIR", None)
-    argv = [sys.executable, "-m", "klext.cli", "--format", "json", "kl", "A", "2",
+    argv = [sys.executable, "-m", "klext.cli", "--format", fmt, "kl", "A", "2",
             "--cutoff", "10", "--all"]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env=env) as proc:
-        assert proc.stdout.read(100).startswith(b"{")
+        assert proc.stdout.read(100).startswith(start)
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 2 and err == b"error: [Errno 32] Broken pipe\n"
