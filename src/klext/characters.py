@@ -15,7 +15,11 @@ in the root lattice, and (wt, root) pairings are integral. The inner sums
 are the string sums S(mu, a) = sum_{k>=1} m_{mu+ka} (mu+ka, a), taken by
 the recursion S(mu, a) = S(mu+a, a) + m_{mu+a} (mu+a, a) of Moody and
 Patera: the string is climbed only up to the next dominant weight, whose
-S was stored when its own multiplicity was computed. The tests keep the
+S was stored when its own multiplicity was computed. Each climb step adds
+the root to the whole weight tuple and moves (mu+ka, a) by the constant
+(a, a); the per-root constants and Weyl's denominator are built once per
+root system, and the walk that lists the dominant weights below lam steps
+its weights by subtracting simple roots. The tests keep the
 classical alternating-sum definition (Weyl's quotient) as an independent
 oracle: cross-multiplied, chi(lam) * A(rho) = A(lam+rho), plus the
 per-weight alternating Kostant count.
@@ -23,13 +27,14 @@ per-weight alternating Kostant count.
 Tensor products are decomposed by the Brauer-Klimyk rule, which needs the
 weights of one factor only: L(lam) (x) L(nu) = sum over the weights mu of
 L(lam) of m_mu * sign(w) * L(w(mu+nu+rho) - rho), terms on a wall dropped.
+Each term reflects the tuple mu+nu+rho into the dominant chamber and is
+summed under that shifted weight; rho is subtracted once per component.
 """
 
 from __future__ import annotations
 
-from itertools import product as _iproduct
 from math import prod
-from operator import mul as _mul
+from operator import add as _add, mul as _mul, sub as _sub
 
 from .errors import InvalidSystemError, InvariantViolation, ResourceCapError
 from .klpoly import KLTable, kl_polynomial
@@ -71,28 +76,23 @@ def dominant_representative(rs: RootSystemData, wt: Weight) -> Weight:
     got = cache.get(wt)
     if got is not None:
         return got
-    v = list(wt)
-    _reflect_to_dominant(rs, v)
-    out = cache[wt] = tuple(v)
+    out = cache[wt] = _reflect_to_dominant(rs, check_vector(rs, wt))[0]
     return out
 
 
-def _reflect_to_dominant(rs: RootSystemData, v: list[int]) -> int:
-    """Move v into the dominant chamber in place by simple reflections.
-
-    Returns the number of reflections, the length of the Weyl group element.
-    """
+def _reflect_to_dominant(rs: RootSystemData, v: Weight) -> tuple[Weight, int]:
+    """Move v into the dominant chamber by simple reflections, each at the
+    first negative coordinate: the dominant weight and the number of
+    reflections, the length of the Weyl group element."""
+    cartan = rs.cartan
     steps = 0
-    while True:
-        for i in range(rs.rank):
-            if v[i] < 0:
-                coeff = v[i]
-                for j in range(rs.rank):
-                    v[j] -= coeff * rs.cartan[i][j]
-                steps += 1
+    while min(v) < 0:
+        for i, c in enumerate(v):
+            if c < 0:
                 break
-        else:
-            return steps
+        v = tuple([a - c * b for a, b in zip(v, cartan[i])])
+        steps += 1
+    return v, steps
 
 
 def weyl_orbit(rs: RootSystemData, wt: Weight) -> frozenset:
@@ -105,11 +105,9 @@ def weyl_orbit(rs: RootSystemData, wt: Weight) -> frozenset:
     stack = [wt]
     while stack:
         v = stack.pop()
-        for i in range(rs.rank):
-            if v[i] != 0:
-                img = tuple(
-                    v[j] - v[i] * rs.cartan[i][j] for j in range(rs.rank)
-                )
+        for c, alpha in zip(v, rs.cartan):
+            if c != 0:
+                img = tuple([a - c * b for a, b in zip(v, alpha)])
                 if img not in seen:
                     seen.add(img)
                     stack.append(img)
@@ -129,13 +127,16 @@ _orbit_cache: dict[RootSystemData, dict] = {}
 DOMINANT_BOX_CAP = 1_000_000
 
 
-def _dominant_below(rs: RootSystemData, bound: Weight) -> list[tuple[RootVec, Weight]]:
-    """(bound - mu in root coordinates, mu) for every dominant mu <= bound,
-    in the lexicographic order of the root coordinates.
+def _dominant_below(rs: RootSystemData, bound: Weight) -> list[tuple[int, Weight, RootVec]]:
+    """(height, mu, bound - mu in root coordinates) for every dominant
+    mu <= bound, the height being the sum of the root coordinates, in the
+    lexicographic order of the root coordinates.
 
-    The walk runs over all but the last root coordinate; along the last one,
-    mu = base - k alpha_last moves every coordinate linearly in k, so its
-    dominant stretch is one range of k, read off the signs of alpha_last.
+    The walk runs over all but the last root coordinate, stepping the weight
+    by subtracting alpha_i; along the last one, mu = base - k alpha_last
+    moves every coordinate linearly in k, so its dominant stretch is one
+    range of k, read off the signs of alpha_last, and is walked by
+    subtracting alpha_last once per step.
     """
     det = rs.cartan_det
     caps = []
@@ -149,10 +150,18 @@ def _dominant_below(rs: RootSystemData, bound: Weight) -> list[tuple[RootVec, We
             f"dominant weights below {tuple(bound)} need a box of {size} points, "
             f"above the cap of {DOMINANT_BOX_CAP}"
         )
-    last = rs.cartan[-1]  # alpha_last in weight coordinates
+    # (root coordinates but the last, bound minus their weight)
+    heads = [((), tuple(bound))]
+    for cap, alpha in zip(caps[:-1], rs.cartan):  # row i of cartan is alpha_i
+        walked = []
+        for head, base in heads:
+            for c in range(cap + 1):
+                walked.append((head + (c,), base))
+                base = tuple(map(_sub, base, alpha))
+        heads = walked
+    last = rs.cartan[-1]
     out = []
-    for head in _iproduct(*(range(cap + 1) for cap in caps[:-1])):
-        base = tuple(b - r for b, r in zip(bound, rs.rt_to_wt(head + (0,))))
+    for head, base in heads:
         lo, hi = 0, caps[-1]
         for b, a in zip(base, last):
             if a > 0:
@@ -161,8 +170,13 @@ def _dominant_below(rs: RootSystemData, bound: Weight) -> list[tuple[RootVec, We
                 lo = max(lo, -(b // -a))
             elif b < 0:
                 hi = -1
+        if lo > hi:
+            continue
+        height = sum(head)
+        mu = tuple([b - lo * a for b, a in zip(base, last)])
         for k in range(lo, hi + 1):
-            out.append((head + (k,), tuple(b - k * a for b, a in zip(base, last))))
+            out.append((height + k, mu, head + (k,)))
+            mu = tuple(map(_sub, mu, last))
     return out
 
 
@@ -170,15 +184,28 @@ def dominant_weights_below(rs: RootSystemData, bound: Weight) -> list[Weight]:
     """All dominant mu <= bound (integral dominance order)."""
     if not is_dominant(bound):
         raise InvalidSystemError("bound weight must be dominant")
-    return sorted(wt for _, wt in _dominant_below(rs, bound))
+    return sorted(wt for _, wt, _ in _dominant_below(rs, bound))
 
 
 # -- Weyl characters -------------------------------------------------------------
 
 
-def _pair_wt_rt(rs: RootSystemData, wt, rt) -> int:
-    """Integral bilinear form value (wt, sum_j rt_j alpha_j)."""
-    return sum(rt[j] * rs.symmetrizers[j] * wt[j] for j in range(rs.rank))
+_root_data_cache: dict[RootSystemData, tuple] = {}
+
+
+def _root_data(rs: RootSystemData) -> tuple:
+    """Per positive root alpha: its weight coordinates, the coefficients of
+    (wt, alpha) in wt, and the step (alpha, alpha) of the arithmetic
+    progression (mu + k*alpha, alpha); then the product of the (rho, alpha),
+    Weyl's denominator. Built on first use, once per root system."""
+    got = _root_data_cache.get(rs)
+    if got is None:
+        roots = tuple(
+            (rs.pos_roots_wt[a], tuple(map(_mul, rt, rs.symmetrizers)), 2 * rs._half_norms[a])
+            for a, rt in enumerate(rs.positive_roots)
+        )
+        got = _root_data_cache[rs] = (roots, prod(sum(form) for _, form, _ in roots))
+    return got
 
 
 _char_cache: dict[tuple, Character] = {}
@@ -194,23 +221,19 @@ def weyl_character(rs: RootSystemData, lam: Weight) -> Character:
     if got is not None:
         return got
 
-    # order by distance below lam, the height of lam - mu
+    # order by (height of lam - mu, mu): lam comes first
     candidates = _dominant_below(rs, lam)
-    candidates.sort(key=lambda c: (sum(c[0]), c[1]))
+    candidates.sort()
     mults: dict[Weight, int] = {lam: 1}
-    # per positive root alpha: its weight coordinates, the coefficients of
-    # (wt, alpha) in wt, the step (alpha, alpha) of the arithmetic progression
-    # (mu + k*alpha, alpha), and sums[mu] = S(mu, alpha) of each dominant mu done
-    root_steps = [
-        (rs.pos_roots_wt[a], tuple(map(_mul, rt, rs.symmetrizers)),
-         2 * rs._half_norms[a], {lam: 0})
-        for a, rt in enumerate(rs.positive_roots)
-    ]
-    domrep = dominant_representative
-    for diff_rt, mu in candidates:
-        if mu == lam:
-            continue
-        denom = _pair_wt_rt(rs, tuple(a + b + 2 for a, b in zip(lam, mu)), diff_rt)
+    # per positive root, sums[mu] = S(mu, alpha) of each dominant mu done
+    roots, _ = _root_data(rs)
+    root_steps = [(root_wt, form, step, {lam: 0}) for root_wt, form, step in roots]
+    sym = rs.symmetrizers
+    lam2 = tuple([x + 2 for x in lam])  # lam + 2 rho
+    domreps = _domrep_cache.setdefault(rs, {})
+    for _, mu, diff_rt in candidates[1:]:
+        # (lam + mu + 2 rho, lam - mu) with lam - mu = diff_rt in root coordinates
+        denom = sum(map(_mul, diff_rt, map(_mul, sym, map(_add, lam2, mu))))
         acc = 0
         for root_wt, form, step, sums in root_steps:
             # S(mu, a) = S(mu + a, a) + m(mu + a) (mu + a, a): climb the string
@@ -219,15 +242,15 @@ def weyl_character(rs: RootSystemData, lam: Weight) -> Character:
             cur = mu
             s = 0
             while True:
-                cur = tuple(c + r for c, r in zip(cur, root_wt))
+                cur = tuple(map(_add, cur, root_wt))
                 val += step
                 m = mults.get(cur)
                 if m is not None:
                     s += m * val + sums[cur]
                     break
-                if all(c >= 0 for c in cur):
+                if min(cur) >= 0:
                     break  # dominant and not below lam: past the end
-                m = mults.get(domrep(rs, cur))
+                m = mults.get(domreps.get(cur) or dominant_representative(rs, cur))
                 if m is None:
                     break
                 s += m * val
@@ -247,9 +270,9 @@ def weyl_character(rs: RootSystemData, lam: Weight) -> Character:
 
 def weyl_dimension(rs: RootSystemData, lam: Weight) -> int:
     """dim of the irreducible with highest weight lam (Weyl's product formula)."""
-    lam_rho = tuple(x + 1 for x in lam)
-    num = prod(_pair_wt_rt(rs, lam_rho, rt) for rt in rs.positive_roots)
-    den = prod(_pair_wt_rt(rs, rs.rho, rt) for rt in rs.positive_roots)
+    roots, den = _root_data(rs)
+    lam_rho = tuple([lam[j] + 1 for j in range(rs.rank)])
+    num = prod(sum(map(_mul, form, lam_rho)) for _, form, _ in roots)
     dim, rem = divmod(num, den)
     if rem:
         raise InvariantViolation(f"Weyl dimension of {lam} is not an integer: {num}/{den}")
@@ -431,15 +454,16 @@ def tensor_decompose(rs: RootSystemData, lam: Weight, nu: Weight) -> dict[Weight
         raise InvalidSystemError(f"highest weights must be dominant, got {lam}, {nu}")
     if weyl_dimension(rs, lam) > weyl_dimension(rs, nu):
         lam, nu = nu, lam
+    nu_rho = tuple([x + 1 for x in nu])
+    # keyed by tau + rho, the dominant w(mu + nu + rho), until the end
     out: dict[Weight, int] = {}
     for wt, m in weyl_character(rs, lam).dom.items():
         for mu in weyl_orbit(rs, wt):
-            x = [a + b + 1 for a, b in zip(mu, nu)]
-            length = _reflect_to_dominant(rs, x)
+            x, length = _reflect_to_dominant(rs, tuple(map(_add, mu, nu_rho)))
             if 0 in x:
                 continue
-            tau = tuple(c - 1 for c in x)
-            out[tau] = out.get(tau, 0) + (-m if length % 2 else m)
+            out[x] = out.get(x, 0) + (-m if length % 2 else m)
     if any(v < 0 for v in out.values()):
         raise InvariantViolation(f"negative tensor multiplicity in {lam} (x) {nu}")
-    return dict(sorted((tau, v) for tau, v in out.items() if v))
+    rho = rs.rho
+    return dict(sorted((tuple(map(_sub, x, rho)), v) for x, v in out.items() if v))

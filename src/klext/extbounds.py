@@ -124,8 +124,11 @@ def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
     ctx.require_regular()
     ctx.require_dominant(x, y)
     sl = ctx.slice
-    convolve = ctx.table.coeff_convolution
     length = sl.length
+    # each term's dp + dr - n is l(x) + l(y) - n - 2 l(z): all vanish when it is odd
+    if (length[x] + length[y] - n) % 2:
+        return 0
+    convolve = ctx.table.coeff_convolution
     row_x = ctx.table.rows_for(x)
     row_y = ctx.table.rows_for(y)
     return sum(convolve(row_x[z], length[x] - length[z], row_y[z], length[y] - length[z], n)

@@ -198,6 +198,33 @@ def test_freudenthal_g2_against_both_oracles():
             assert c.dom.get(mu, 0) == kostant_multiplicity(g2, lam, mu), (lam, mu)
 
 
+def test_freudenthal_at_benchmark_sizes():
+    # the largest characters of the weights benchmark: A1 up to 961, A2 at
+    # (37, 0) and (12, 6), B2 at (0, 10) and the largest G2 weight of
+    # dimension <= 1000 in the 45-box; each against Weyl's product and
+    # quotient, and its dominant weights in (height of lam - mu, mu) order
+    # from a scan of every point of the root-coordinate box below lam
+    g2 = build_root_system("G", 2)
+    g2_top = max((wt for wt in product(range(45), repeat=2) if weyl_dimension(g2, wt) <= 1000),
+                 key=lambda wt: (weyl_dimension(g2, wt), wt))
+    assert (g2_top, weyl_dimension(g2, g2_top)) == ((4, 1), 924)
+    for lab, rank, lam, dim in [("A", 1, (961,), 962), ("A", 2, (37, 0), 741),
+                                ("A", 2, (12, 6), 910), ("B", 2, (0, 10), 286),
+                                ("G", 2, g2_top, 924)]:
+        rs = build_root_system(lab, rank)
+        c = weyl_character(rs, lam)
+        assert weyl_dimension(rs, lam) == c.dimension() == dim
+        assert alternating_sum_check(rs, lam), (lab, lam)
+        caps = [x // rs.cartan_det for x in rs.wt_to_rt_scaled(lam)]
+        below = []
+        for rt in product(*(range(cap + 1) for cap in caps)):
+            mu = tuple(a - b for a, b in zip(lam, rs.rt_to_wt(rt)))
+            if is_dominant(mu):
+                below.append((sum(rt), mu))
+        assert list(c.dom) == [mu for _, mu in sorted(below)], (lab, lam)
+        assert list(c.dom)[0] == lam and min(c.dom.values()) > 0
+
+
 def test_alternating_sum_identity_small():
     for lab, rank in [("A", 1), ("A", 2), ("B", 2)]:
         rs = build_root_system(lab, rank)
@@ -225,6 +252,11 @@ def test_malformed_weights_rejected():
         tensor_decompose(a2, (1, 0), (0.5, 1))
     with pytest.raises(InvalidSystemError, match="dominant"):
         tensor_decompose(a2, (1, 0), (-1, 1))
+    c = weyl_character(a2, (1, 0))
+    for bad in [(-1,), (1, 0, -1)]:
+        for call in (lambda: c.multiplicity(bad), lambda: weyl_orbit(a2, bad)):
+            with pytest.raises(InvalidSystemError, match="coordinates"):
+                call()
 
 
 # -- chi_KL ----------------------------------------------------------------------
