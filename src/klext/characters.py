@@ -182,6 +182,7 @@ def _dominant_below(rs: RootSystemData, bound: Weight) -> list[tuple[int, Weight
 
 def dominant_weights_below(rs: RootSystemData, bound: Weight) -> list[Weight]:
     """All dominant mu <= bound (integral dominance order)."""
+    bound = check_vector(rs, bound)
     if not is_dominant(bound):
         raise InvalidSystemError("bound weight must be dominant")
     return sorted(wt for _, wt, _ in _dominant_below(rs, bound))
@@ -271,7 +272,7 @@ def weyl_character(rs: RootSystemData, lam: Weight) -> Character:
 def weyl_dimension(rs: RootSystemData, lam: Weight) -> int:
     """dim of the irreducible with highest weight lam (Weyl's product formula)."""
     roots, den = _root_data(rs)
-    lam_rho = tuple([lam[j] + 1 for j in range(rs.rank)])
+    lam_rho = tuple([c + 1 for c in check_vector(rs, lam)])
     num = prod(sum(map(_mul, form, lam_rho)) for _, form, _ in roots)
     dim, rem = divmod(num, den)
     if rem:

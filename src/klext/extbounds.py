@@ -33,7 +33,6 @@ from .klpoly import (
     max_mu_dominant,
     max_top_coefficient,
     mu,
-    mu_row_sum,
     mu_support_window,
 )
 from .rootsys import (
@@ -435,12 +434,20 @@ def bound_constants(rs: RootSystemData, p: int, ns=(1,),
     if table is not None:
         sl = table.slice
         window = mu_support_window(rs)
-        best_sum = 0
-        best_sat = False
-        for x in sl.dominant_indices():
-            s, sat = mu_row_sum(table, x)
+        # mu_row_sum of every dominant x in one pass over the dominant mu
+        # rows: mu(z, y) goes to the sums of both z and y; the first x with
+        # the largest nonzero sum supplies the saturation flag
+        dominant = sl.dominant
+        sums = dict.fromkeys(sl.dominant_indices(), 0)
+        for y in sums:
+            for z, m in table.mu_row(y):
+                if dominant[z]:
+                    sums[z] += m
+                    sums[y] += m
+        best_sum, best_sat = 0, False
+        for x, s in sums.items():
             if s > best_sum:
-                best_sum, best_sat = s, sat
+                best_sum, best_sat = s, sl.length[x] + window <= sl.cutoff
         reports.append(
             BoundReport(
                 "mu_row_sum_max", None, best_sum, best_sat,

@@ -54,9 +54,10 @@ without a cache computes only the rows it reads; its ``filled`` stays -1,
 and only ``save_table`` refuses it.
 
 The one exception is ``spherical_table``: it holds the rows of the dominant
-y only, each with its dominant x only, computed by a recursion of their own
-over dominant elements alone, and refuses every other row. Ext^1, Ext^n
-and the bound constants between simples read no other entry.
+y only, each with its dominant x only, and refuses every other row. They
+are computed by the same recursion restricted to dominant x, with s the
+first right descent of y whose ys is dominant (``KLTable._descent``). Ext^1,
+Ext^n and the bound constants between simples read no other entry.
 """
 
 from __future__ import annotations
@@ -119,6 +120,9 @@ class KLTable:
     A2@24 table took 0.24-0.34 s, against 0.08 s for ``fill`` and the same
     reads.
     """
+
+    # the x that a computed row keeps: None for all, or a flag per element
+    _kept: list[bool] | None = None
 
     def __init__(self, sl: GroupSlice):
         self.slice = sl
@@ -210,15 +214,29 @@ class KLTable:
             self.rows[y] = self._compute_row(y, memo)
         self.filled = self.slice.cutoff
 
+    def _descent(self, y: int) -> int | None:
+        """The right descent s of y that row y is computed from, by way of
+        row ys: the first right descent, on a spherical table the first with
+        ys dominant. None for the shortest row, the identity or the first
+        dominant element, whose row is {y: 1}."""
+        sl, kept = self.slice, self._kept
+        right = sl.right[y]
+        for s in sl.right_descents(y):
+            if kept is None or kept[right[s]]:
+                return s
+        if sl.length[y] == 0 or kept is not None and y == kept.index(True):
+            return None
+        raise InvariantViolation(f"dominant element {y} has no dominant right descent")
+
     def _missing_inputs(self, y: int) -> list[int]:
         """The rows that ``_compute_row(y)`` reads and that are not there yet:
         row y' = ys, and once it is there, the rows z with mu(z, y') != 0 and
-        zs < z, for the first right descent s of y. Each is shorter than y."""
-        sl = self.slice
-        if sl.length[y] == 0:
+        zs < z, for s = ``_descent(y)``. Each is shorter than y."""
+        s = self._descent(y)
+        if s is None:
             return []
+        sl = self.slice
         length, right, rows = sl.length, sl.right, self.rows
-        s = sl.right_descents(y)[0]
         yp = right[y][s]
         if rows[yp] is None:
             return [yp]
@@ -226,12 +244,13 @@ class KLTable:
                 if rows[z] is None and length[right[z][s]] < length[z]]
 
     def _compute_row(self, y: int, memo: _FillMemo) -> dict[int, int]:
-        sl = self.slice
+        s = self._descent(y)
+        if s is None:
+            return {y: self._store((1,), y, y)}
+        sl, kept = self.slice, self._kept
         length, right = sl.length, sl.right
         pool, pairs = self.pool, memo.pairs
-        if length[y] == 0:
-            return {y: self._store((1,), y, y)}
-        s = sl.right_descents(y)[0]  # the descent _missing_inputs follows
+        work, steps, to_pool = memo.work, memo.steps, memo.to_pool
         yp = right[y][s]
         row_yp = self.rows_for(yp)
         # Candidates: x <= y implies x <= y' or xs <= y' (lifting property),
@@ -239,32 +258,30 @@ class KLTable:
         # The first step q^(1-c) P(xs,y') + q^c P(x,y') is the same for x and
         # xs: P(lower, y') + q*P(upper, y') of the pair {x, xs}.
         acc: dict[int, int] = {}
-        for z in row_yp:
-            zs = right[z][s]
-            if zs == -1:
-                raise InvariantViolation(f"descent neighbor of {z} left the slice")
-            if z in acc:
+        for x, p in row_yp.items():
+            if x in acc:
                 continue
-            lo, hi = (zs, z) if length[zs] < length[z] else (z, zs)
-            key = (row_yp.get(lo, -1), row_yp.get(hi, -1))
+            xs = right[x][s]
+            if xs == -1:
+                raise InvariantViolation(f"descent neighbor of {x} left the slice")
+            if kept is None or kept[xs]:
+                lo, hi = (xs, x) if length[xs] < length[x] else (x, xs)
+                key = (row_yp.get(lo, -1), row_yp.get(hi, -1))
+            elif length[xs] < length[x]:
+                # on a spherical table: xs = tx < x for a finite simple t, a
+                # left descent of y', so P(xs, y') = P(x, y') and x is alone
+                key, xs = (p, p), x
+            else:
+                raise InvariantViolation(f"dominant {x} goes up by {s} to non-dominant {xs}")
             w = pairs.get(key)
             if w is None:
                 a = pool[key[0]] if key[0] >= 0 else ()
                 b = pool[key[1]] if key[1] >= 0 else ()
                 w = pairs[key] = memo.intern(_combine(a, 1, 1, b))
-            acc[z] = acc[zs] = w
-        return self._finish_row(y, s, acc, memo)
-
-    def _finish_row(self, y: int, s: int, acc: dict[int, int], memo: _FillMemo) -> dict[int, int]:
-        """Row y from ``acc``, x -> the work id of the first step's sum: the
-        mu corrections of y' = ys subtracted, every entry stored, P(y,y) = 1."""
-        sl = self.slice
-        length, right = sl.length, sl.right
-        pool = self.pool
-        work, steps, to_pool = memo.work, memo.steps, memo.to_pool
+            acc[x] = acc[xs] = w
         ly = length[y]
         acc.pop(y, None)  # the pair {y', y}: P(y,y) = 1 is set below
-        for z, m in self.mu_row(right[y][s]):
+        for z, m in self.mu_row(yp):
             if length[right[z][s]] >= length[z]:
                 continue
             k = (ly - length[z]) // 2
@@ -381,10 +398,15 @@ class KLTable:
 
 
 class _SphericalTable(KLTable):
-    """The table that ``spherical_table`` returns: every dominant row is
-    computed together, on the first read of any of them, and no other row
-    ever is. It has no orbit plan, so ``rows_for`` passes every missing row
-    to ``_compute_missing``."""
+    """The table that ``spherical_table`` returns: ``_compute_row`` keeps
+    the dominant x only (``_kept``), every dominant row is computed together
+    on the first read of any of them, and no other row ever is. It has no
+    orbit plan, so ``rows_for`` passes every missing row to
+    ``_compute_missing``."""
+
+    def __init__(self, sl: GroupSlice):
+        super().__init__(sl)
+        self._kept = sl.dominant
 
     def _compute_missing(self, y: int) -> None:
         if not self.slice.dominant[y]:
@@ -397,49 +419,9 @@ class _SphericalTable(KLTable):
         """Every dominant row in ascending index. A row reads row y' = ys and
         the rows z of mu(z, y'), all of them dominant and shorter, so
         computed already."""
-        sl = self.slice
-        right, dominant = sl.right, sl.dominant
         memo = _FillMemo()
-        first, *rest = sl.dominant_indices()
-        self.rows[first] = {first: self._store((1,), first, first)}
-        for y in rest:
-            s = next((t for t in sl.right_descents(y) if dominant[right[y][t]]), None)
-            if s is None:
-                raise InvariantViolation(f"dominant element {y} has no dominant right descent")
-            self.rows[y] = self._spherical_row(y, s, memo)
-
-    def _spherical_row(self, y: int, s: int, memo: _FillMemo) -> dict[int, int]:
-        """Row y from row y' = ys (see ``spherical_table``): the pair {x, xs}
-        when xs is dominant, as in ``_compute_row``; otherwise xs = tx < x
-        for a finite simple t, a left descent of y', so P(xs, y') = P(x, y')
-        and x alone gets P(x, y') + q P(x, y')."""
-        sl = self.slice
-        length, right, dominant = sl.length, sl.right, sl.dominant
-        pool, pairs = self.pool, memo.pairs
-        row_yp = self.rows[right[y][s]]
-        acc: dict[int, int] = {}
-        for x, p in row_yp.items():
-            if x in acc:
-                continue
-            xs = right[x][s]
-            if xs == -1:
-                raise InvariantViolation(f"descent neighbor of {x} left the slice")
-            if dominant[xs]:
-                lo, hi = (xs, x) if length[xs] < length[x] else (x, xs)
-                key = (row_yp.get(lo, -1), row_yp.get(hi, -1))
-            elif length[xs] < length[x]:
-                key = (p, p)
-            else:
-                raise InvariantViolation(f"dominant {x} goes up by {s} to non-dominant {xs}")
-            w = pairs.get(key)
-            if w is None:
-                a = pool[key[0]] if key[0] >= 0 else ()
-                b = pool[key[1]] if key[1] >= 0 else ()
-                w = pairs[key] = memo.intern(_combine(a, 1, 1, b))
-            acc[x] = w
-            if dominant[xs]:
-                acc[xs] = w
-        return self._finish_row(y, s, acc, memo)
+        for y in self.slice.dominant_indices():
+            self.rows[y] = self._compute_row(y, memo)
 
 
 def spherical_table(sl: GroupSlice) -> KLTable:
@@ -453,15 +435,16 @@ def spherical_table(sl: GroupSlice) -> KLTable:
     max_top_coefficient and the Ext sums of ``extbounds`` answer on it as on
     the full table, from far fewer rows.
 
-    Its rows are computed by a recursion of their own. The row of the
-    shortest dominant element y is {y: 1}. Any other dominant y has a right
-    descent s with y' = ys dominant; for each x in row y', with p = P(x, y'):
-    if xs is dominant and longer, p goes to P(x, y) and P(xs, y); if xs is
-    dominant and shorter, q p goes to both; if xs is not dominant it is
-    shorter, and (1 + q) p goes to P(x, y). Then mu(z, y') q^((l(y)-l(z))/2)
-    P(x, z) is subtracted for every dominant z with zs < z. No non-dominant z
-    contributes: every finite simple t is a left descent of y', so mu(z, y')
-    != 0 with tz > z forces z = ty' (Kazhdan-Lusztig 1979), and then zs > z.
+    Its rows are computed by the full table's recursion (``_compute_row``)
+    restricted to dominant x. The row of the shortest dominant element y is
+    {y: 1}. Any other dominant y has a right descent s with y' = ys
+    dominant, and the first one is taken; for each x in row y', with p =
+    P(x, y'): if xs is dominant, the pair {x, xs} gets its first step as on
+    the full table; if xs is not dominant it is shorter, and (1 + q) p goes
+    to P(x, y). Then mu(z, y') q^((l(y)-l(z))/2) P(x, z) is subtracted for
+    every dominant z with zs < z. No non-dominant z contributes: every finite
+    simple t is a left descent of y', so mu(z, y') != 0 with tz > z forces
+    z = ty' (Kazhdan-Lusztig 1979), and then zs > z.
 
     The rows are computed together on the first read of a dominant row, so
     a query that rejects its arguments first computes none. Reading a

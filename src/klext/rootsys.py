@@ -364,7 +364,7 @@ def dominance_leq(rs: RootSystemData, lam, nu, variant: str = "integral") -> boo
     """nu - lam is a nonnegative integral (or rational) combination of simple roots."""
     if variant not in ("integral", "rational"):
         raise InvalidSystemError(f"unknown dominance variant {variant!r}")
-    diff = tuple(b - a for a, b in zip(lam, nu))
+    diff = tuple(b - a for a, b in zip(check_vector(rs, lam), check_vector(rs, nu)))
     if variant == "integral":
         coords = rs.wt_to_rt_int(diff)
         return coords is not None and all(c >= 0 for c in coords)
@@ -495,6 +495,7 @@ def classify_weight(rs: RootSystemData, lam, l: int, e: int = 1) -> dict:
     """
     if l < 1:
         raise InvalidSystemError("l must be a positive integer")
+    lam = check_vector(rs, lam)
     shifted = tuple(x + 1 for x in lam)
     regular = True
     for row in rs.avee_wt:

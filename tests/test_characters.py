@@ -19,7 +19,13 @@ from klext.characters import (
     weyl_orbit,
 )
 from klext.errors import InvalidSystemError, ResourceCapError, SliceCoverageError
-from klext.rootsys import build_root_system, dominance_leq, is_dominant, kostant_partition
+from klext.rootsys import (
+    build_root_system,
+    classify_weight,
+    dominance_leq,
+    is_dominant,
+    kostant_partition,
+)
 from klext.weylaffine import _matvec, enumerate_slice, identity
 
 
@@ -257,6 +263,24 @@ def test_malformed_weights_rejected():
         for call in (lambda: c.multiplicity(bad), lambda: weyl_orbit(a2, bad)):
             with pytest.raises(InvalidSystemError, match="coordinates"):
                 call()
+
+
+A2 = build_root_system("A", 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weyl_dimension(A2, (1, 1, 5)),  # the extra coordinate was ignored
+    lambda: weyl_dimension(A2, (1,)),  # an IndexError
+    lambda: dominant_weights_below(A2, (3,)),  # rank-1 weights
+    lambda: dominant_weights_below(A2, (3, 0, 4)),
+    lambda: classify_weight(A2, (1,), 5),
+    lambda: dominance_leq(A2, (0, 0), (1, 1, 1)),
+    lambda: dominance_leq(A2, (1,), (1, 1), "rational"),
+], ids=["dim-long", "dim-short", "below-short", "below-long", "classify-short",
+        "leq-long", "leq-short-rational"])
+def test_weight_readers_refuse_a_wrong_length(call):
+    with pytest.raises(InvalidSystemError, match="coordinates, A2 needs 2"):
+        call()
 
 
 # -- chi_KL ----------------------------------------------------------------------

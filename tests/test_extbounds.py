@@ -260,6 +260,15 @@ def test_bound_reports(a1_table20, a2_table12, b2_table10):
         emp = by_name["mu_bound"][0].empirical_value
         assert emp is not None and emp <= mu_bound(rs)
         assert len(by_name["frobenius_shift"]) == 2
+        # the one-pass row-sum maximum against mu_row_sum of each dominant x:
+        # the first x with the largest sum gives the flag, (0, False) if none
+        best = (0, False)
+        for x in table.slice.dominant_indices():
+            got = mu_row_sum(table, x)
+            if got[0] > best[0]:
+                best = got
+        (row_sum,) = by_name["mu_row_sum_max"]
+        assert (row_sum.empirical_value, row_sum.saturated) == best
         for r in reports:
             r.check()
 

@@ -1,10 +1,15 @@
-"""The spherical table: P(x, y) for dominant x and y only, computed by its
-own recursion. Its rows are checked against the full table's dominant
-entries as polynomials (pool ids follow their own order), every reader of
+"""The spherical table: P(x, y) for dominant x and y only, computed by the
+full table's recursion restricted to dominant x, from the first right
+descent s of y with ys dominant. Its rows are checked against the full
+table's dominant entries as polynomials (pool ids follow their own order)
+and, on the elements maximal in their W_f double cosets, against the
+Kostka-Foulkes polynomials of Lusztig and Kato, every reader of
 dominant pairs answers on it as on the full table, it never computes or
 serves a non-dominant row and is never saved, and the CLI commands that read
 dominant pairs only (``mu-sum``, ``extn``, ``extsum``, ``bounds
 --empirical``) run on it without touching a cache file."""
+
+import functools
 
 import pytest
 
@@ -13,7 +18,7 @@ from klext.errors import InvalidSystemError, InvariantViolation
 from klext.extbounds import bound_constants, extn_simple_simple, make_block_context, sum_ext_n
 from klext.klpoly import KLTable, kl_polynomial, mu_row_sum, save_table, spherical_table
 from klext.rootsys import build_root_system
-from klext.weylaffine import GroupSlice, enumerate_slice
+from klext.weylaffine import GroupSlice, enumerate_slice, slice_inversion
 
 
 def tables(lab, rank, cutoff, affine=True):
@@ -93,6 +98,105 @@ def test_dominant_element_without_dominant_descent_raises():
                      [True] + sl.dominant[1:])
     with pytest.raises(InvariantViolation, match=f"dominant element {w0} has no dominant"):
         spherical_table(bad).rows_for(w0)
+
+
+# -- the Lusztig-Kato oracle ----------------------------------------------------------
+
+
+def q_kostant(rs):
+    """v (root coordinates) -> sum_n p_n(v) q^n as a coefficient tuple, p_n(v)
+    the number of ways to write v as a sum of n positive roots; memoised on
+    (v, the first root still allowed)."""
+    roots = rs.positive_roots
+
+    @functools.cache
+    def count(v, i):
+        if min(v) < 0:
+            return ()
+        if not any(v):
+            return (1,)
+        if i == len(roots):
+            return ()
+        skip = count(v, i + 1)
+        take = count(tuple(a - b for a, b in zip(v, roots[i])), i)
+        out = list(skip) + [0] * (len(take) + 1 - len(skip))
+        for e, c in enumerate(take, 1):
+            out[e] += c
+        return tuple(out)
+
+    return lambda v: count(v, 0)
+
+
+def kostka_foulkes(rs, weyl_group):
+    """(lam, mu) -> K_{lam,mu}(q) as a coefficient list: the alternating sum
+    over w in W_f of (-1)^l(w) times the q-Kostant function of w(lam + rho) -
+    (mu + rho), lam and mu dominant weights of the root lattice."""
+    kostant = q_kostant(rs)
+
+    def k(lam, mu):
+        out = []
+        for w in weyl_group:
+            image = [sum(a * (c + 1) for a, c in zip(row, lam)) for row in w.wmat]
+            v = rs.wt_to_rt_int(tuple(a - c - 1 for a, c in zip(image, mu)))
+            sign = -1 if w.length % 2 else 1
+            terms = kostant(v)
+            out.extend([0] * (len(terms) - len(out)))
+            for e, c in enumerate(terms):
+                out[e] += sign * c
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    return k
+
+
+@pytest.mark.parametrize("lab, rank, cutoff, full", [
+    ("A", 2, 24, True), ("B", 2, 24, True), ("G", 2, 36, True), ("A", 2, 48, False),
+])
+def test_double_coset_maxima_give_kostka_foulkes_polynomials(lab, rank, cutoff, full):
+    """Lusztig (Asterisque 101-102, 1983) and Kato (Invent. Math. 66, 1982):
+    for x and y maximal in their W_f double cosets, with lam_x the dominant
+    conjugate of x's translation, P(x, y) = q^ht(lam_y - lam_x) K(q^-1) for
+    the Kostka-Foulkes polynomial K = K_{lam_y, lam_x}, and 0 unless
+    lam_x <= lam_y. It derives every P from root data alone, a second path
+    next to the full table's rows."""
+    rs = build_root_system(lab, rank)
+    sl = enumerate_slice(rs, cutoff)
+    weyl_group = enumerate_slice(rs, rs.num_positive, affine=False).elements
+    inv = slice_inversion(sl)
+    finite = range(rank)
+    maxima = [x for x in range(len(sl))
+              if all(t in sl.right_descents(x) and t in sl.right_descents(inv[x])
+                     for t in finite)]
+    assert len(maxima) >= 8 and all(sl.dominant[x] for x in maxima)
+
+    def dominant_conjugate(wt):
+        return next(img for w in weyl_group
+                    if min(img := tuple(sum(a * c for a, c in zip(row, wt))
+                                        for row in w.wmat)) >= 0)
+
+    lam = {x: dominant_conjugate(rs.rt_to_wt(sl.elements[x].mu)) for x in maxima}
+    assert len(set(lam.values())) == len(maxima)
+    k = kostka_foulkes(rs, weyl_group)
+    expected = {}
+    for x in maxima:
+        for y in maxima:
+            gap = rs.wt_to_rt_int(tuple(a - b for a, b in zip(lam[y], lam[x])))
+            kf = k(lam[y], lam[x]) if min(gap) >= 0 else []
+            # P[i] = K[ht - i]: K has degree ht at most, and no constant term
+            # unless lam_x = lam_y
+            p = [0] * (sum(gap) + 1 - len(kf)) + kf[::-1]
+            while p and p[-1] == 0:
+                p.pop()
+            expected[x, y] = tuple(p)
+    assert sum(map(bool, expected.values())) > len(maxima)  # pairs x < y too
+    tables = [spherical_table(sl)]
+    if full:
+        tables.append(KLTable(sl))
+        tables[-1].fill()
+    for table in tables:
+        got = {(x, y): kl_polynomial(table, x, y) for x in maxima for y in maxima}
+        assert got == expected
 
 
 # -- the readers of dominant pairs -------------------------------------------------
