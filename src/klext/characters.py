@@ -422,10 +422,14 @@ def decomposition_matrix(rs: RootSystemData, seed: Weight, l: int,
         for i in range(j - 1, -1, -1):
             s = sum(a[i][k] * d[k][j] for k in range(i + 1, j + 1))
             d[i][j] = -s
-    # exactness and positivity are hard guarantees; fail loudly
+    # exactness and positivity are hard guarantees; fail loudly. D is upper
+    # unitriangular by construction, so once A is too, (A*D)[i][j] is 0 for
+    # i > j and sums over k in [i, j] only
+    if any(a[i][i] != 1 or any(a[i][:i]) for i in range(n)):
+        raise InvariantViolation("A*D != I in decomposition matrix")
     for i in range(n):
-        for j in range(n):
-            chk = sum(a[i][k] * d[k][j] for k in range(n))
+        for j in range(i, n):
+            chk = sum(a[i][k] * d[k][j] for k in range(i, j + 1))
             if chk != int(i == j):
                 raise InvariantViolation("A*D != I in decomposition matrix")
             if d[i][j] < 0:

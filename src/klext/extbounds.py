@@ -72,9 +72,20 @@ class BlockContext:
                 raise InvalidSystemError(f"element {i} is not dominant")
 
 
+def _check_table_system(rs: RootSystemData, table: KLTable) -> None:
+    """InvalidSystemError unless ``table`` is a table of a slice of ``rs``."""
+    other = table.slice.rs
+    if other != rs:
+        raise InvalidSystemError(
+            f"the KL table is of {other.type_label}{other.rank}, "
+            f"not of {rs.type_label}{rs.rank}"
+        )
+
+
 def make_block_context(rs: RootSystemData, l: int, table: KLTable) -> BlockContext:
     """The block seeded at -2rho, interior of the fundamental alcove exactly
-    when l >= h."""
+    when l >= h. The table must be of ``rs`` (InvalidSystemError)."""
+    _check_table_system(rs, table)
     if l < 1:
         raise InvalidSystemError("l must be a positive integer")
     regular = is_interior_fundamental(rs, (-2,) * rs.rank, l)
@@ -406,8 +417,10 @@ def bound_constants(rs: RootSystemData, p: int, ns=(1,),
 
     Empirical rows are slice-dependent lower bounds / witnesses; the
     invariant empirical <= formula is enforced loudly wherever both sides
-    exist.
+    exist. A table must be of ``rs`` (InvalidSystemError).
     """
+    if table is not None:
+        _check_table_system(rs, table)
     reports = []
     e_val = mu_bound(rs)
     prov = f"{rs.type_label}{rs.rank}; {MU_BOUND_READING}"
@@ -486,6 +499,7 @@ def run_verification(rs: RootSystemData, l: int, table: KLTable):
     """
     import random
 
+    _check_table_system(rs, table)
     results = []
 
     def record(name, ok, detail=""):

@@ -583,20 +583,33 @@ def kl_recomputation(table: KLTable, rng):
 
     It keeps its own memo of rows (never the table's or its pool), shared
     by all of its calls, so each row is derived once; a row sweeps every
-    shorter x, not the lifting candidates. The result is an independent
+    shorter x, not the lifting candidates. As in the fill, its rows hold ids
+    of polynomials it interns itself (0 is the zero polynomial), and both
+    combine steps are memoised on those ids. The result is an independent
     derivation, which the descent-choice independence of the recursion
     makes equal to the stored polynomial.
     """
     sl = table.slice
     length, right = sl.length, sl.right
-    memo: dict[int, dict[int, tuple[int, ...]]] = {}
+    polys: list[tuple[int, ...]] = [(), (1,)]
+    ids: dict[tuple[int, ...], int] = {(): 0, (1,): 1}
+    pairs: dict[tuple[int, int], int] = {}
+    steps: dict[tuple[int, int, int, int], int] = {}
+    memo: dict[int, dict[int, int]] = {}
 
-    def row_of(yy: int) -> dict[int, tuple[int, ...]]:
+    def intern(t: tuple[int, ...]) -> int:
+        i = ids.get(t)
+        if i is None:
+            i = ids[t] = len(polys)
+            polys.append(t)
+        return i
+
+    def row_of(yy: int) -> dict[int, int]:
         got = memo.get(yy)
         if got is not None:
             return got
         if length[yy] == 0:
-            memo[yy] = {yy: (1,)}
+            memo[yy] = {yy: 1}
             return memo[yy]
         s = rng.choice(sl.right_descents(yy))
         yp = right[yy][s]
@@ -604,34 +617,39 @@ def kl_recomputation(table: KLTable, rng):
         lyp, lyy = length[yp], length[yy]
         # the mu(z, y') q^k P(x, z) terms: z below y' at odd gap with zs < z
         corrections = []
-        for z, pol in row_yp.items():
+        for z, i in row_yp.items():
             gap = lyp - length[z]
+            pol = polys[i]
             if gap > 0 and gap % 2 and length[right[z][s]] < length[z]:
                 top = pol[(gap - 1) // 2] if gap < 2 * len(pol) else 0
                 if top:
-                    corrections.append((row_of(z), top, (lyy - length[z]) // 2))
-        row: dict[int, tuple[int, ...]] = {yy: (1,)}
+                    corrections.append((row_of(z), -top, (lyy - length[z]) // 2))
+        row: dict[int, int] = {yy: 1}
         for xx in range(len(sl)):
             if length[xx] >= lyy:
                 continue
             xs = right[xx][s]
-            p_xs = row_yp.get(xs, ())
-            p_x = row_yp.get(xx, ())
-            if length[xs] < length[xx]:
-                acc = _combine(p_xs, 1, 1, p_x)
-            else:
-                acc = _combine(p_x, 1, 1, p_xs)
+            key = (row_yp.get(xs, 0), row_yp.get(xx, 0))
+            if length[xs] >= length[xx]:
+                key = key[::-1]
+            acc = pairs.get(key)
+            if acc is None:
+                acc = pairs[key] = intern(_combine(polys[key[0]], 1, 1, polys[key[1]]))
             for row_z, m, k in corrections:
                 p_xz = row_z.get(xx)
                 if p_xz is not None:
-                    acc = _combine(acc, -m, k, p_xz)
+                    step = (acc, m, k, p_xz)
+                    w = steps.get(step)
+                    if w is None:
+                        w = steps[step] = intern(_combine(polys[acc], m, k, polys[p_xz]))
+                    acc = w
             if acc:
                 row[xx] = acc
         memo[yy] = row
         return row
 
     def polynomial(x: int, y: int) -> tuple[int, ...]:
-        return row_of(y).get(x, ())
+        return polys[row_of(y).get(x, 0)]
 
     return polynomial
 

@@ -18,7 +18,12 @@ from klext.characters import (
     weyl_dimension,
     weyl_orbit,
 )
-from klext.errors import InvalidSystemError, ResourceCapError, SliceCoverageError
+from klext.errors import (
+    InvalidSystemError,
+    InvariantViolation,
+    ResourceCapError,
+    SliceCoverageError,
+)
 from klext.rootsys import (
     build_root_system,
     classify_weight,
@@ -357,6 +362,26 @@ def test_decomposition_blocks_various(a1_table20, a2_table12, b2_table10):
                 if dm.a_matrix[i][j] != 0 and i != j:
                     assert dominance_leq(dm.rs, dm.weights[i], dm.weights[j])
         assert resubstitution_check(dm)
+
+
+@pytest.mark.parametrize("broken", ["below_diagonal", "diagonal"])
+def test_decomposition_rejects_a_signed_kl_matrix_that_is_not_unitriangular(
+        broken, a2_table12, monkeypatch):
+    # the check of A*D = I sums over the upper triangle only, so A's lower
+    # triangle and diagonal are checked on their own
+    a2 = build_root_system("A", 2)
+    real = characters.kl_polynomial
+
+    def kl_polynomial(table, x, y):
+        if broken == "below_diagonal" and x > y:
+            return (1,)
+        if broken == "diagonal" and x == y:
+            return (2,)
+        return real(table, x, y)
+
+    monkeypatch.setattr(characters, "kl_polynomial", kl_polynomial)
+    with pytest.raises(InvariantViolation, match=r"^A\*D != I in decomposition matrix$"):
+        decomposition_matrix(a2, (0, 0), 5, bound=(8, 8), table=a2_table12)
 
 
 def test_decomposition_requires_regular_seed(a1_table20):

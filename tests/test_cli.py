@@ -807,6 +807,68 @@ def test_reader_that_stops_early_gets_one_error_line(unbuffered, fmt, start):
     assert proc.returncode == 2 and err == b"error: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [
+    pytest.param(("info", "A", "2"), id="small"),
+    pytest.param(("--format", "json", "kl", "A", "2", "--cutoff", "10", "--all"), id="export"),
+])
+def test_reader_closed_before_start_gets_one_error_line(args, unbuffered):
+    # info's output fits in stdout's buffer, so only the flush meets the
+    # closed pipe; Python's flush at teardown used to fail there, exit 120
+    import os
+
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+    env.pop("KLEXT_CACHE_DIR", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run([sys.executable, "-m", "klext.cli", *args], stdout=write_end,
+                             stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert res.returncode == 2 and res.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+# the program: main() reads sys.argv and ends the process itself, unless a
+# tracer or profiler watches it
+PROGRAM = ("import sys; from klext.cli import main; {hook}sys.argv = ['klext', *sys.argv[1:]]; "
+           "status = main(); print('returned', status)")
+
+
+@pytest.mark.parametrize("args,status", [
+    (("--format", "json", "info", "A", "2"), 0),
+    (("mu", "A", "2", "--cutoff", "8", "--x", "1", "--y", "5"), 0),
+    (("info", "Z", "2"), 2),
+    (("--max-elements", "30", "enumerate", "A", "2", "--cutoff", "10"), 3),
+])
+def test_program_ends_the_process_and_main_argv_returns(args, status, capsys):
+    from klext import cli
+
+    module = subprocess.run([sys.executable, "-m", "klext.cli", *args],
+                            capture_output=True, timeout=60)
+    program = subprocess.run([sys.executable, "-c", PROGRAM.format(hook=""), *args],
+                             capture_output=True, timeout=60)
+    assert module.returncode == program.returncode == status
+    assert program.stdout == module.stdout and program.stderr == module.stderr
+    assert b"returned" not in program.stdout
+    # under a tracer or a profiler main returns, after the same output
+    for hook in ("sys.settrace(lambda *a: None); ", "sys.setprofile(lambda *a: None); "):
+        watched = subprocess.run([sys.executable, "-c", PROGRAM.format(hook=hook), *args],
+                                 capture_output=True, timeout=60)
+        assert watched.returncode == 0, watched.stderr
+        assert watched.stdout == module.stdout + f"returned {status}\n".encode()
+    # main(argv) in this process returns the status
+    assert cli.main(list(args)) == status
+    assert capsys.readouterr().out.encode() == module.stdout
+
+
+def test_help_exits_0_with_its_usage():
+    res = subprocess.run([sys.executable, "-c", PROGRAM.format(hook=""), "--help"],
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and res.stdout.startswith("usage: klext")
+    assert "returned" not in res.stdout
+
+
 def line_render_text(payload, indent=0) -> str:
     """The text format as a line list per container, every line filtered
     before one join: the reference for ``cli._render_text``."""

@@ -24,7 +24,7 @@ from klext.extbounds import (
     singular_ext1_report,
     sum_ext_n,
 )
-from klext.klpoly import KLTable, mu, mu_row_sum
+from klext.klpoly import KLTable, mu, mu_row_sum, spherical_table
 from klext.rootsys import build_root_system
 from klext.weylaffine import enumerate_slice
 
@@ -69,6 +69,17 @@ def test_block_context_rejects_a_level_below_1(a1_table20):
     for l in (0, -2):
         with pytest.raises(InvalidSystemError, match="^l must be a positive integer$"):
             ctx_for(a1_table20, l)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rs, table: make_block_context(rs, 5, table),
+    lambda rs, table: bound_constants(rs, 3, table=table),
+    lambda rs, table: bound_constants(rs, 3, table=spherical_table(table.slice)),
+    lambda rs, table: run_verification(rs, 5, table),
+], ids=["block_context", "bound_constants", "bound_constants_spherical", "run_verification"])
+def test_table_of_another_system_is_rejected(call, g2_table14):
+    with pytest.raises(InvalidSystemError, match="^the KL table is of G2, not of A2$"):
+        call(build_root_system("A", 2), g2_table14)
 
 
 def test_extn_costandard_base_cases(a2_table12):
@@ -349,6 +360,17 @@ def test_run_verification_names_witness(monkeypatch):
     assert got["coefficient_sum_dual_path"] == (
         False, f"KL and Ext coefficient sums differ for (y,m) at {bad_ym}")
     assert got["kl_axioms"] == (True, "")
+
+
+def test_run_verification_recomputes_without_the_tables_pool():
+    # the recomputation interns its own polynomials, so one altered pool
+    # coefficient makes the stored polynomials differ from it
+    rs = build_root_system("A", 2)
+    table = KLTable(enumerate_slice(rs, 8))
+    table.fill()
+    table.pool[table.pool.index((1,))] = (2,)
+    got = {name: ok for name, ok, _ in run_verification(rs, 5, table=table)}
+    assert got["descent_independence"] is False
 
 
 def test_run_verification_names_support_witness():
