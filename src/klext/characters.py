@@ -329,9 +329,7 @@ def chi_kl(rs: RootSystemData, lam: Weight, l: int, table: KLTable) -> KLCharact
     w = sl.follow(word)
     lw = sl.length[w]
     terms = []
-    for y in sorted(table.rows_for(w)):
-        if not sl.dominant[y]:
-            continue
+    for y in sorted(table.dominant_row(w)):
         sign = 1 if (lw - sl.length[y]) % 2 == 0 else -1
         wt = dot_action(rs, sl.elements[y], lam_minus, l)
         if not is_dominant(wt):

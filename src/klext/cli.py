@@ -913,6 +913,8 @@ def _run(argv) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = show
         try:
+            if sys.stdout is None:  # its descriptor was closed at startup
+                raise OSError("standard output is closed")
             if args.config is not None:
                 _apply_config(args, parser)
                 args = parser.parse_args(argv)

@@ -26,7 +26,6 @@ from .characters import decomposition_matrix, dominant_representative, linkage_b
 from .errors import InvalidSystemError, InvariantViolation, LevelWarning, SliceCoverageError
 from .klpoly import (
     KLTable,
-    kl_coefficient,
     kl_coefficient_sum,
     kl_polynomial,
     kl_recomputation,
@@ -123,8 +122,9 @@ def extn_simple_costandard(ctx: BlockContext, x: int, z: int, n: int) -> int:
     coefficient of t^(l(x)-l(z)-n), pinned by the n=1 <-> mu cross-checks."""
     ctx.require_regular()
     ctx.require_dominant(x, z)
-    sl = ctx.slice
-    return kl_coefficient(ctx.table, z, x, sl.length[x] - sl.length[z] - n)
+    length, table = ctx.slice.length, ctx.table
+    pid = table.dominant_row(x).get(z)
+    return 0 if pid is None else table.coeff(pid, length[x] - length[z] - n)
 
 
 def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
@@ -133,16 +133,7 @@ def extn_simple_simple(ctx: BlockContext, x: int, y: int, n: int) -> int:
         raise InvalidSystemError("n must be nonnegative")
     ctx.require_regular()
     ctx.require_dominant(x, y)
-    sl = ctx.slice
-    length = sl.length
-    # each term's dp + dr - n is l(x) + l(y) - n - 2 l(z): all vanish when it is odd
-    if (length[x] + length[y] - n) % 2:
-        return 0
-    convolve = ctx.table.coeff_convolution
-    row_x = ctx.table.rows_for(x)
-    row_y = ctx.table.rows_for(y)
-    return sum(convolve(row_x[z], length[x] - length[z], row_y[z], length[y] - length[z], n)
-               for z in row_x.keys() & row_y.keys() if sl.dominant[z])
+    return ctx.table.dominant_convolution(x, y, n)
 
 
 # -- weight-level routing -----------------------------------------------------

@@ -7,12 +7,13 @@ hundreds of thousands of entries), and each row maps x to a pool id;
 ``kl_polynomial`` returns those coefficient tuples, () for zero. Every other
 reader takes a t-degree: ``KLTable.coeff(pid, d)`` is the coefficient of
 t^d, 0 for odd, negative or too large d, so no caller turns a t-degree into
-a pool index, and no other module reads the pool. ``coeff_convolution``
-sums products of two entries' t-coefficients (the Ext^n sum over a + b = n)
-over even degrees only, and ``kl_entries`` walks every nonzero entry with
-its mu, converting each distinct polynomial once. The table for a
-slice is filled row by row in ascending index of the upper index y; slice
-indices ascend by length, so every row depends only on rows filled before.
+a pool index, and no other module reads the pool. ``dominant_row`` is a
+row's dominant part, and ``dominant_convolution`` the whole Ext^n sum
+between simples over two dominant rows (over z and a + b = n, even degrees
+only); ``kl_entries`` walks every nonzero entry with its mu, converting
+each distinct polynomial once. The table for a slice is filled row by row
+in ascending index of the upper index y; slice indices ascend by length, so
+every row depends only on rows filled before.
 
 The recursion used is the standard descent recursion: for a right descent
 s of y and y' = ys,
@@ -132,6 +133,7 @@ class KLTable:
         self._pool_ids: dict[tuple[int, ...], int] = {}
         self.filled = -1
         self._mu_rows: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._dominant_rows: dict[int, dict[int, int]] = {}
         self._plan: tuple[list[int], list] | None = None  # see orbit_plan
 
     def orbit_plan(self) -> tuple[list[int], list]:
@@ -170,19 +172,37 @@ class KLTable:
         t = self.pool[pid]
         return t[d // 2] if d % 2 == 0 and 0 <= d < 2 * len(t) else 0
 
-    def coeff_convolution(self, p: int, dp: int, r: int, dr: int, n: int) -> int:
-        """The sum over a + b = n, a and b >= 0, of coeff(p, dp - a) *
-        coeff(r, dr - b). Both t-degrees must be even, so it is 0 when
-        dp + dr - n is odd; otherwise it convolves the two q-coefficient tuples
-        at q-degree h = (dp + dr - n) / 2, a = dp - 2i stepping by 2."""
-        if (dp + dr - n) % 2:
+    def dominant_convolution(self, x: int, y: int, n: int) -> int:
+        """The sum over dominant z below both x and y, and over a + b = n with
+        a, b >= 0, of c_zx(l(x) - l(z) - a) * c_zy(l(y) - l(z) - b), c_zx(d)
+        being the coefficient of t^d in P(z, x): dim Ext^n between the simples
+        of x and y (``extbounds.extn_simple_simple``). Only even t-degrees
+        occur, so it is 0 when l(x) + l(y) - n is odd; otherwise each z
+        convolves the two q-coefficient tuples at q-degree h = (l(x) + l(y) -
+        n) / 2 - l(z), the t-degree of the x factor stepping by 2."""
+        length, pool = self.slice.length, self.pool
+        lx, ly = length[x], length[y]
+        if (lx + ly - n) % 2:
             return 0
-        h = (dp + dr - n) // 2
-        tp, tr = self.pool[p], self.pool[r]
-        # i and h - i index tp and tr, and 0 <= a = dp - 2i <= n
-        lo = max(0, h - len(tr) + 1, (dp - n + 1) // 2)
-        hi = min(len(tp) - 1, h, dp // 2)
-        return sum(tp[i] * tr[h - i] for i in range(lo, hi + 1))
+        half = (lx + ly - n) // 2
+        row_x, row_y = self.dominant_row(x), self.dominant_row(y)
+        total = 0
+        for z, p in row_x.items():
+            tp = pool[p]
+            dp = lx - length[z]
+            # i indexes tp and 0 <= a = dp - 2i <= n: none when tp stops short
+            if dp - n + 1 >= 2 * len(tp):
+                continue
+            r = row_y.get(z)
+            if r is None:
+                continue
+            tr = pool[r]
+            h = half - length[z]
+            # h - i indexes tr
+            for i in range(max(0, h - len(tr) + 1, (dp - n + 1) // 2),
+                           min(len(tp) - 1, h, dp // 2) + 1):
+                total += tp[i] * tr[h - i]
+        return total
 
     def _store(self, t: tuple[int, ...], x: int, y: int) -> int:
         """Pool id of the final value P(x,y), checking its shape once per
@@ -384,6 +404,16 @@ class KLTable:
                 rows[y] = self._compute_row(y, memo)
                 stack.pop()
 
+    def dominant_row(self, y: int) -> dict[int, int]:
+        """Row y restricted to dominant x, kept once read; a caller must not
+        change it, since on a spherical table it is row y itself."""
+        row = self._dominant_rows.get(y)
+        if row is None:
+            dominant = self.slice.dominant
+            row = self._dominant_rows[y] = {
+                x: pid for x, pid in self.rows_for(y).items() if dominant[x]}
+        return row
+
     def mu_row(self, y: int) -> tuple[tuple[int, int], ...]:
         """All (z, mu(z, y)) with nonzero mu and z < y."""
         cached = self._mu_rows.get(y)
@@ -414,6 +444,9 @@ class _SphericalTable(KLTable):
                 f"row {y} is not dominant: a spherical table holds the dominant rows only"
             )
         self._fill_dominant()
+
+    def dominant_row(self, y: int) -> dict[int, int]:
+        return self.rows_for(y)  # it holds the dominant x only
 
     def _fill_dominant(self) -> None:
         """Every dominant row in ascending index. A row reads row y' = ys and
@@ -544,10 +577,9 @@ def mu_row_sum(table: KLTable, x: int) -> tuple[int, bool]:
 
 def _dominant_column(table: KLTable, y: int, m: int):
     """The t-coefficients c[len(y)-len(x)-m] of P_{x,y} over dominant x <= y."""
-    sl = table.slice
-    ly = sl.length[y]
-    return (table.coeff(pid, ly - sl.length[x] - m)
-            for x, pid in table.rows_for(y).items() if sl.dominant[x])
+    length, coeff = table.slice.length, table.coeff
+    ly = length[y]
+    return (coeff(pid, ly - length[x] - m) for x, pid in table.dominant_row(y).items())
 
 
 def kl_coefficient_sum(table: KLTable, y: int, m: int) -> int:
@@ -582,12 +614,14 @@ def kl_recomputation(table: KLTable, rng):
     randomized descent choice per row.
 
     It keeps its own memo of rows (never the table's or its pool), shared
-    by all of its calls, so each row is derived once; a row sweeps every
-    shorter x, not the lifting candidates. As in the fill, its rows hold ids
-    of polynomials it interns itself (0 is the zero polynomial), and both
-    combine steps are memoised on those ids. The result is an independent
-    derivation, which the descent-choice independence of the recursion
-    makes equal to the stored polynomial.
+    by all of its calls, so each row is derived once; a row's first step
+    sweeps every shorter x, not the lifting candidates: the indices below
+    the first of length l(y). Each mu(z, y') q^k P(x, z) term then goes to
+    the x of row z, where P(x, z) is nonzero. As in the fill, its rows hold
+    ids of polynomials it interns itself (0 is the zero polynomial), and
+    both combine steps are memoised on those ids. The result is an
+    independent derivation, which the descent-choice independence of the
+    recursion makes equal to the stored polynomial.
     """
     sl = table.slice
     length, right = sl.length, sl.right
@@ -625,9 +659,7 @@ def kl_recomputation(table: KLTable, rng):
                 if top:
                     corrections.append((row_of(z), -top, (lyy - length[z]) // 2))
         row: dict[int, int] = {yy: 1}
-        for xx in range(len(sl)):
-            if length[xx] >= lyy:
-                continue
+        for xx in range(length.index(lyy)):  # indices ascend by length
             xs = right[xx][s]
             key = (row_yp.get(xs, 0), row_yp.get(xx, 0))
             if length[xs] >= length[xx]:
@@ -635,16 +667,21 @@ def kl_recomputation(table: KLTable, rng):
             acc = pairs.get(key)
             if acc is None:
                 acc = pairs[key] = intern(_combine(polys[key[0]], 1, 1, polys[key[1]]))
-            for row_z, m, k in corrections:
-                p_xz = row_z.get(xx)
-                if p_xz is not None:
-                    step = (acc, m, k, p_xz)
-                    w = steps.get(step)
-                    if w is None:
-                        w = steps[step] = intern(_combine(polys[acc], m, k, polys[p_xz]))
-                    acc = w
             if acc:
                 row[xx] = acc
+        # each x gets its corrections in the same order as in a sweep that
+        # applied them x by x; P(x, z) = 0 outside row z, and every x of row
+        # z is shorter than y
+        for row_z, m, k in corrections:
+            for xx, p_xz in row_z.items():
+                step = (row.get(xx, 0), m, k, p_xz)
+                w = steps.get(step)
+                if w is None:
+                    w = steps[step] = intern(_combine(polys[step[0]], m, k, polys[p_xz]))
+                if w:
+                    row[xx] = w
+                else:
+                    row.pop(xx, None)
         memo[yy] = row
         return row
 

@@ -28,7 +28,7 @@ GroupSlice is reusable for every l.
 from __future__ import annotations
 
 import struct
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from . import binio
 from .errors import (
@@ -187,8 +187,12 @@ class _SignWalk:
             self.roots.append(rs.pos_roots_wt[a0])
         self.affine = affine
         self.origin = (-1,) * r
-        # per generator: finite part -> (finite part times s, translation step)
-        self._steps: list[dict] = [{} for _ in self.roots]
+        # finite parts, interned: id -> matrix, the identity first
+        self.mats: list[IntMatrix] = [_identity_matrix(r)]
+        self._mat_ids: dict[IntMatrix, int] = {self.mats[0]: 0}
+        # per generator: finite part id -> (id of the finite part times s,
+        # translation step, W r)
+        self._steps: list[dict[int, tuple]] = [{} for _ in self.roots]
 
     def values(self, q) -> list[int]:
         """The wall value of every generator at q, positive where it goes up."""
@@ -203,23 +207,27 @@ class _SignWalk:
         """s_t(q), given the wall value v of t at q."""
         return tuple([a - v * b for a, b in zip(q, self.roots[t])])
 
-    def up(self, g: AffineElement, pt, t: int) -> tuple[AffineElement, tuple[int, ...]]:
-        """g s_t and its point h g s_t(p), given pt = h g(p), for a generator
-        that goes up from g: finite part W - (W r) c^T, translation g.mu minus
-        w(theta) in root coordinates for the affine generator (w(theta) = W r
-        is a root), length g.length + 1, point pt - W r. All three steps
-        depend on W alone and are memoised on it."""
+    def up(self, f: int, t: int) -> tuple[int, tuple[int, ...] | None, tuple[int, ...]]:
+        """For a generator t that goes up from an element g with finite part
+        id f: the id of the finite part of g s_t, W - (W r) c^T; the step
+        that g s_t's translation is g.mu minus, w(theta) in root coordinates
+        (w(theta) = W r is a root), for the affine generator and None for a
+        simple reflection; and W r, the step that its point h g s_t(p) is
+        h g(p) minus. All three depend on W alone and are memoised on f."""
         steps = self._steps[t]
-        got = steps.get(g.wmat)
+        got = steps.get(f)
         if got is None:
-            wr = _matvec(g.wmat, self.roots[t])
+            w = self.mats[f]
+            wr = _matvec(w, self.roots[t])
             wmat = tuple(tuple(x - y * c for x, c in zip(row, self.coroots[t]))
-                         for row, y in zip(g.wmat, wr))
+                         for row, y in zip(w, wr))
+            g = self._mat_ids.get(wmat)
+            if g is None:
+                g = self._mat_ids[wmat] = len(self.mats)
+                self.mats.append(wmat)
             shift = self.rs.wt_to_rt_int(wr) if t == self.rs.rank else None
-            got = steps[g.wmat] = (wmat, shift, wr)
-        wmat, shift, wr = got
-        mu = g.mu if shift is None else tuple(map(sub, g.mu, shift))
-        return AffineElement(wmat, mu, g.length + 1), tuple(map(sub, pt, wr))
+            got = steps[f] = (g, shift, wr)
+        return got
 
 
 def _dominant(pt) -> bool:
@@ -238,8 +246,9 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
     q(w) decides the direction of ws. A downward product is the element
     below that went up by s to w, already recorded in the table. An upward
     one is new or met before under its q: the distinct ones, sorted by
-    normal form, make shell n+1, each normal form computed once by
-    ``_SignWalk.up``; upward products of the top shell are -1.
+    normal form, make shell n+1, each built once after the walk of shell n
+    from its first product, by ``_SignWalk.up`` on the interned finite part
+    of the element below; upward products of the top shell are -1.
     Raises ResourceCapError (never truncates silently) if the configured
     element cap is exceeded.
     """
@@ -250,6 +259,7 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
     walk = _SignWalk(rs, affine)
     k = len(walk.roots)
     elements = [identity(rs)]
+    fids = [0]  # finite part ids of the walk's interning
     qs = [walk.origin]
     pts = [walk.origin]  # h w(p): p = -rho/h, so also (-1, ..., -1) at e
     right: list[list] = [[None] * k]
@@ -260,7 +270,7 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
             raise ResourceCapError(
                 f"slice exceeded the configured cap of {max_elements} elements "
                 f"at length {level}")
-        grown: dict[tuple[int, ...], tuple[AffineElement, tuple[int, ...], list]] = {}
+        grown: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # q -> its (w, s)
         for i in shell:
             q, row = qs[i], right[i]
             for t, v in enumerate(walk.values(q)):
@@ -272,20 +282,31 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
                     row[t] = -1
                 else:
                     q_up = walk.reflect(q, v, t)
-                    up = grown.get(q_up)
-                    if up is None:
-                        up = grown[q_up] = (*walk.up(elements[i], pts[i], t), [])
-                    up[2].append((i, t))
+                    below = grown.get(q_up)
+                    if below is None:
+                        grown[q_up] = [(i, t)]
+                    else:
+                        below.append((i, t))
         shell = []
         if level < cutoff:
             level += 1
-            for q_up, (g, pt, below) in sorted(grown.items(), key=lambda kv: kv[1][0].key()):
+            born = []  # (finite part, translation, id, q, point, below) per new element
+            for q_up, below in grown.items():
+                i, t = below[0]
+                f, shift, wr = walk.up(fids[i], t)
+                mu = elements[i].mu
+                if shift is not None:
+                    mu = tuple(map(sub, mu, shift))
+                born.append((walk.mats[f], mu, f, q_up, tuple(map(sub, pts[i], wr)), below))
+            born.sort(key=itemgetter(0, 1))  # the normal form, AffineElement.key
+            for wmat, mu, f, q_up, pt, below in born:
                 j = len(elements)
                 row = [None] * k
                 for i, t in below:
                     right[i][t] = j
                     row[t] = i
-                elements.append(g)
+                elements.append(AffineElement(wmat, mu, level))
+                fids.append(f)
                 qs.append(q_up)
                 pts.append(pt)
                 right.append(row)

@@ -542,15 +542,17 @@ def test_level_warnings():
     ]
 
 
-def test_cache_frames_alone_load_hashlib(tmp_path, monkeypatch):
-    # only reading or writing a cache file imports hashlib, so an uncached
-    # query does not pay for it; no command loads dataclasses or the inspect
-    # module it imports
+def test_cache_frames_alone_load_sha256(tmp_path, monkeypatch):
+    # no command imports hashlib, which loads OpenSSL: a cache file's digest
+    # comes from CPython's own SHA-256 module, which only reading or writing
+    # a cache file imports, so an uncached query pays for neither; no
+    # command loads dataclasses or the inspect module it imports
+    sha = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
     probe = (
         "import sys, types\n"
         "from klext.cli import main\n"
         "main(sys.argv[1:]) if sys.argv[1:] else None\n"
-        "names = ('hashlib', 'dataclasses', 'inspect')\n"
+        "names = ('hashlib', '_sha2', '_sha256', 'dataclasses', 'inspect')\n"
         "print('loaded', [n for n in names if type(sys.modules.get(n)) is types.ModuleType])\n"
     )
     monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
@@ -559,7 +561,8 @@ def test_cache_frames_alone_load_hashlib(tmp_path, monkeypatch):
     for argv, loaded in (
         ([], "[]"),
         (mu, "[]"),  # uncached
-        (["--cache-dir", str(tmp_path), *mu], "['hashlib']"),  # warm
+        (["--cache-dir", str(tmp_path), *mu], f"['{sha}']"),  # warm: reads frames
+        (["--cache-dir", str(tmp_path / "cold"), *mu], f"['{sha}']"),  # cold: writes them
         (["char", "A", "2", "--weight", "1,0"], "[]"),
         (["bounds", "A", "2", "--p", "3"], "[]"),
     ):
@@ -827,6 +830,26 @@ def test_reader_closed_before_start_gets_one_error_line(args, unbuffered):
     finally:
         os.close(write_end)
     assert res.returncode == 2 and res.stderr == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_closed_stdout_exits_2_and_computes_nothing(tmp_path):
+    # with stdout's descriptor closed at startup sys.stdout is None: one
+    # error line and exit 2, as for any unusable output, before the command
+    # computes anything or creates its cache directory, through the module
+    # and through main() without argv, which ends the process itself
+    import os
+
+    cache = tmp_path / "cache"
+    program = "import sys; from klext.cli import main; main()"
+    for args in (("info", "A", "2"),
+                 ("--cache-dir", str(cache), "mu", "A", "2", "--cutoff", "6", "--x", "0",
+                  "--y", "5")):
+        for run in (["-m", "klext.cli"], ["-c", program]):
+            res = subprocess.run([sys.executable, *run, *args], stderr=subprocess.PIPE,
+                                 preexec_fn=lambda: os.close(1), timeout=60)
+            assert (res.returncode, res.stderr) == (
+                2, b"error: standard output is closed\n"), (args, run)
+    assert not cache.exists()
 
 
 # the program: main() reads sys.argv and ends the process itself, unless a

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from conftest import bruhat_leq
+from conftest import _table, bruhat_leq
 from klext.characters import chi_kl
 from klext.errors import InvalidSystemError, SliceCoverageError
 from klext.extbounds import (
@@ -316,6 +316,17 @@ def test_empirical_values_monotone_in_cutoff():
 def test_run_verification_passes(a2_table12):
     results = run_verification(build_root_system("A", 2), 5, table=a2_table12)
     assert results and all(ok for _, ok, _ in results)
+
+
+@pytest.mark.parametrize("lab, rank, cutoff, l", [("B", 2, 10, 5), ("G", 2, 14, 7),
+                                                  ("A", 3, 8, 5)])
+def test_run_verification_passes_beyond_a2(lab, rank, cutoff, l):
+    # every check, the Ext checks of the regular block included, on the
+    # other rank-2 types and on rank 3
+    results = run_verification(build_root_system(lab, rank), l, table=_table(lab, rank, cutoff))
+    assert [name for name, ok, _ in results if not ok] == []
+    assert {"ext_n0_kronecker", "ext_n1_equals_mu", "coefficient_sum_dual_path"} <= {
+        name for name, _, _ in results}
 
 
 def test_run_verification_names_witness(monkeypatch):

@@ -1,7 +1,7 @@
 """Guards: invariants survive ``python -O`` (no assert statements in the
-package), the CLI import stays free of ``fractions`` and ``hashlib``, only
-``klpoly`` reads a KL table's polynomial pool, and only a complete table is
-saved."""
+package), the CLI import stays free of ``fractions`` and of every SHA-256
+module, only ``klpoly`` reads a KL table's polynomial pool, and only a
+complete table is saved."""
 
 import ast
 import os
@@ -44,7 +44,8 @@ def test_optimized_run_prints_the_same():
 
 def test_cli_import_leaves_fractions_out():
     # root-system arithmetic is integer-only, so the CLI never loads fractions;
-    # hashlib waits for a cache file, and the modules are imported plainly.
+    # a SHA-256 module waits for a cache file, and the modules are imported
+    # plainly.
     # Only what ``import klext.cli`` adds counts, not what site hooks load
     code = ("import sys; base = set(sys.modules); import klext.cli\n"
             "print(sorted(set(sys.modules) - base))")
@@ -52,7 +53,8 @@ def test_cli_import_leaves_fractions_out():
     assert res.returncode == 0, res.stderr
     added = set(ast.literal_eval(res.stdout))
     assert {"klext.characters", "klext.extbounds"} <= added
-    unwanted = {"fractions", "hashlib", "dataclasses", "inspect", "importlib.util"}
+    unwanted = {"fractions", "hashlib", "_sha2", "_sha256", "dataclasses", "inspect",
+                "importlib.util"}
     assert added & unwanted == set()
 
 

@@ -176,8 +176,8 @@ def test_t_degree_readers_match_the_tuple_formulas():
 
 
 def test_ext_convolution_matches_the_degree_loop():
-    # the dim Ext^n sum over z and a + b = n, as extn_simple_simple summed it
-    # with one t-degree read per factor, on every dominant pair
+    # the dim Ext^n sum over z and a + b = n, with one t-degree read per
+    # factor of each z, on every dominant pair
     for lab in ("A", "B"):
         rs = build_root_system(lab, 2)
         table = KLTable(enumerate_slice(rs, 8))
@@ -194,28 +194,28 @@ def test_ext_convolution_matches_the_degree_loop():
                         if not (px and py):
                             continue
                         gx, gy = length[x] - length[z], length[y] - length[z]
-                        term = sum(_q_coeff(px, gx - a) * _q_coeff(py, gy - n + a)
-                                   for a in range(max(0, n - gy), min(n, gx) + 1))
-                        got = table.coeff_convolution(
-                            table.rows_for(x)[z], gx, table.rows_for(y)[z], gy, n)
-                        assert got == term, (lab, x, y, z, n)
-                        want += term
+                        want += sum(_q_coeff(px, gx - a) * _q_coeff(py, gy - n + a)
+                                    for a in range(max(0, n - gy), min(n, gx) + 1))
+                    assert table.dominant_convolution(x, y, n) == want, (lab, x, y, n)
                     assert extn_simple_simple(ctx, x, y, n) == want, (lab, x, y, n)
 
 
-def test_coeff_convolution_bounds(b2_table10):
-    # every pool pair at degrees and n beyond both tuples, against the sum
-    # of t-degree reads over all a
+def test_dominant_convolution_bounds(b2_table10):
+    # every dominant pair up to length 6, at n beyond both polynomials'
+    # degrees and below 0, against the sum of t-degree reads over all a
     table = b2_table10
-    pids = range(len(table.pool))
-    for p in pids:
-        for r in pids:
-            for dp in (0, 1, 3, 6):
-                for dr in (0, 1, 2, 5):
-                    for n in range(-1, dp + dr + 2):
-                        want = sum(table.coeff(p, dp - a) * table.coeff(r, dr - n + a)
-                                   for a in range(0, n + 1))
-                        assert table.coeff_convolution(p, dp, r, dr, n) == want
+    sl = table.slice
+    length = sl.length
+    doms = [x for x in sl.dominant_indices() if length[x] <= 6]
+    for x in doms:
+        for y in doms:
+            row_x, row_y = table.rows_for(x), table.rows_for(y)
+            common = [z for z in doms if z in row_x and z in row_y]
+            for n in range(-1, length[x] + length[y] + 2):
+                want = sum(table.coeff(row_x[z], length[x] - length[z] - a)
+                           * table.coeff(row_y[z], length[y] - length[z] - n + a)
+                           for z in common for a in range(0, n + 1))
+                assert table.dominant_convolution(x, y, n) == want, (x, y, n)
 
 
 def test_descent_choice_independence(a2_table12):
@@ -464,6 +464,24 @@ def test_interrupted_write_keeps_old_file(tmp_path, a1_table20, a2_table12, monk
     assert path.read_bytes() == before
     assert load_table(path, a1_table20.slice).filled == a1_table20.filled
     assert os.listdir(tmp_path) == ["table.klt"]
+
+
+def test_frames_without_cpythons_sha_module(tmp_path, a2_table12, monkeypatch):
+    # a build without CPython's own SHA-256 module (_sha2 on 3.12+, _sha256
+    # before) digests with hashlib: the same frame bytes, read back the same
+    own, fallback = tmp_path / "own.klt", tmp_path / "fallback.klt"
+    save_table(a2_table12, own)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert binio._sha256() is hashlib.sha256
+    save_table(a2_table12, fallback)
+    blob = fallback.read_bytes()
+    assert blob == own.read_bytes()
+    assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+    for path in (own, fallback):
+        table = load_table(path, a2_table12.slice)
+        assert table.pool == a2_table12.pool
+        assert all(table.rows_for(y) == a2_table12.rows_for(y) for y in range(len(table.slice)))
 
 
 def test_corrupted_table_detected(tmp_path, a1_table20):

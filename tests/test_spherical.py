@@ -52,6 +52,40 @@ def test_spherical_rows_are_the_dominant_entries_of_the_full_table(lab, rank, cu
     assert sph.filled == -1
 
 
+@pytest.mark.parametrize("lab, rank, cutoff", [("A", 2, 12), ("B", 2, 12), ("G", 2, 14)])
+def test_dominant_row_is_the_dominant_part_of_the_row(lab, rank, cutoff):
+    # on the full table, row y filtered by dominance and kept; on the
+    # spherical table, row y itself, which holds the dominant x only
+    full, sph = tables(lab, rank, cutoff)
+    sl = full.slice
+    for y in sl.dominant_indices():
+        want = {x: pid for x, pid in full.rows_for(y).items() if sl.dominant[x]}
+        assert full.dominant_row(y) == want, y
+        assert full.dominant_row(y) is full.dominant_row(y), y
+        assert sph.dominant_row(y) is sph.rows_for(y), y
+
+
+@pytest.mark.parametrize("lab, rank, cutoff, l", [("A", 2, 12, 5), ("B", 2, 12, 5),
+                                                  ("G", 2, 14, 7)])
+def test_extn_simple_simple_matches_the_coefficient_reference(lab, rank, cutoff, l):
+    # dim Ext^n for every dominant pair and n = 0..3, on both tables, against
+    # the sum over dominant z <= x, y and a + b = n of KLTable.coeff reads
+    for table in tables(lab, rank, cutoff):
+        sl = table.slice
+        length, doms = sl.length, sl.dominant_indices()
+        ctx = make_block_context(sl.rs, l, table)
+        for x in doms:
+            row_x = table.rows_for(x)
+            for y in doms:
+                row_y = table.rows_for(y)
+                common = [z for z in row_x if z in row_y and sl.dominant[z]]
+                for n in range(4):
+                    want = sum(table.coeff(row_x[z], length[x] - length[z] - a)
+                               * table.coeff(row_y[z], length[y] - length[z] - n + a)
+                               for z in common for a in range(n + 1))
+                    assert extn_simple_simple(ctx, x, y, n) == want, (x, y, n)
+
+
 def test_non_dominant_row_is_refused_and_never_computed():
     sl = enumerate_slice(build_root_system("A", 2), 8)
     sph = spherical_table(sl)
