@@ -353,15 +353,16 @@ def _table_for(args, rows="all"):
     """The root system and the KL table of the command's slice.
 
     ``rows`` is "all" for the complete table, loaded or built and saved by
-    ``ensure_table``. A query that reads a few rows passes "few": without a
-    cache directory its table is the enumerated slice's with no row filled,
-    so it computes only the rows the query reads, on their first read; with
-    one, it gets the complete table. A query that reads dominant pairs only
-    passes "dominant" and gets the slice's ``klpoly.spherical_table``, which
-    reads and writes no cache file. Every table enumerates the slice under
-    the element cap, and every path creates the cache directory."""
+    ``ensure_table``. A query that reads a few rows passes "few" and gets
+    the enumerated slice's table with no row filled, so it computes only the
+    rows the query reads, on their first read. A query that reads dominant
+    pairs only passes "dominant" and gets the slice's
+    ``klpoly.spherical_table``. Neither of those two reads or writes a cache
+    file, with or without a cache directory. Every table enumerates the
+    slice under the element cap, and every path creates the cache
+    directory."""
     rs = rootsys.build_root_system(args.type, args.rank)
-    if rows == "all" or (rows == "few" and args.cache_dir):
+    if rows == "all":
         return rs, ensure_table(
             rs, args.cutoff, cache_dir=args.cache_dir, max_elements=args.max_elements
         )

@@ -28,7 +28,7 @@ ideal of y, so ``verify`` checks it row by row by the same property:
 ideal(y) = ideal(ys) + ideal(ys)s for a right descent s of y (the tests
 cross-check it against a subword oracle of the Bruhat order). Both combine
 steps, P(lower, y') + q P(upper, y') for the pair {x, xs} and
-acc - m q^k P(x,z), are memoised on ids.
+acc - m q^k P(x,z), are memoised on ids, in one memo per table.
 
 Two symmetries (Kazhdan-Lusztig, Invent. Math. 53 (1979)) spare most of
 that work: P(x^-1, y^-1) = P(x,y), and P(sigma x, sigma y) = P(x,y) for every
@@ -45,20 +45,21 @@ A row is an unordered map: every reader that needs x order sorts. Pool ids
 and rows are those of a row-by-row fill, whose table saves to the same
 bytes; ``kl_recomputation`` uses no symmetry.
 
-Any row of any table may be read. ``fill`` computes every representative
-up to the slice cutoff and a table file holds every representative. A load
-decodes and checks every stored row, so a file with one bad record is
-refused whole; a warm query relabels only the rows it reads. A table that
-was never filled computes and keeps each row on its first read, with the
-rows that row's computation reads and no other, so a single-pair query
-without a cache computes only the rows it reads; its ``filled`` stays -1,
-and only ``save_table`` refuses it.
+Any row of any table may be read, and every row is made on its first read
+by ``rows_for``: relabelled from its orbit representative, or computed by
+one work stack with the missing rows it reads and no other. ``fill`` reads
+every representative in ascending index, and a table file holds them all.
+A load decodes and checks every stored row, so a file with one bad record
+is refused whole; a warm query relabels only the rows it reads. A table
+that was never filled computes only the rows that its queries read; its
+``filled`` stays -1, and only ``save_table`` refuses it.
 
 The one exception is ``spherical_table``: it holds the rows of the dominant
-y only, each with its dominant x only, and refuses every other row. They
-are computed by the same recursion restricted to dominant x, with s the
-first right descent of y whose ys is dominant (``KLTable._descent``). Ext^1,
-Ext^n and the bound constants between simples read no other entry.
+y only, each with its dominant x only, and refuses every other row. The
+same stack computes them by the same recursion restricted to dominant x,
+with s the first right descent of y whose ys is dominant
+(``KLTable._descent``). Ext^1, Ext^n and the bound constants between
+simples read no other entry.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ def _combine(a: tuple, m: int, k: int, b: tuple) -> tuple:
 
 
 class _FillMemo:
-    """Fill-only state. Intermediate polynomials get work ids (0 is the zero
-    polynomial) and stay out of the pool; both combine steps are memoised:
-    ``pairs`` on (pool id, pool id), ``steps`` on (work id, m, k, pool id)."""
+    """A table's memo of the recursion, reset with its pool. Intermediate
+    polynomials get work ids (0 is the zero polynomial) and stay out of the
+    pool; both combine steps are memoised: ``pairs`` on (pool id, pool id),
+    ``steps`` on (work id, m, k, pool id)."""
 
     def __init__(self):
         self.work: list[tuple[int, ...]] = [()]
@@ -135,6 +137,7 @@ class KLTable:
         self._mu_rows: dict[int, tuple[tuple[int, int], ...]] = {}
         self._dominant_rows: dict[int, dict[int, int]] = {}
         self._plan: tuple[list[int], list] | None = None  # see orbit_plan
+        self._memo = _FillMemo()  # of _compute_row; its ids map into the pool
 
     def orbit_plan(self) -> tuple[list[int], list]:
         """The orbits of G on the slice (see the module docstring): the
@@ -218,20 +221,19 @@ class KLTable:
     # -- fill ---------------------------------------------------------------
 
     def fill(self) -> None:
-        """Fill the table up to the slice cutoff: compute the row of each
-        orbit representative of G (see the module docstring), in ascending
-        index, and no other; every other row is relabelled from its
-        representative on its first read. A row that ``_compute_row`` reads
-        is shorter than the row computed, so its representative is computed
-        already. Rows and pool ids are those of a row-by-row fill, and so are
-        the saved bytes, also after rows were read from the table unfilled:
-        those rows and their pool go first."""
+        """Fill the table up to the slice cutoff: reset the rows, the pool and
+        the memo, then read the row of each orbit representative of G in
+        ascending index. A row that ``_compute_row`` reads is shorter, so it
+        is there already or relabelled from a representative that is, and no
+        other row is computed. Rows and pool ids are those of a row-by-row
+        fill, and so are the saved bytes, also after rows were read from the
+        table unfilled."""
         reps, _ = self.orbit_plan()
         self.rows = [None] * len(self.slice)
-        self.pool, self._pool_ids = [], {}
-        memo = _FillMemo()
-        for y in reps:  # indices ascend by length
-            self.rows[y] = self._compute_row(y, memo)
+        self.pool, self._pool_ids, self._memo = [], {}, _FillMemo()
+        self._dominant_rows = {}  # they hold pool ids
+        for u in reps:  # indices ascend by length
+            self.rows_for(u)
         self.filled = self.slice.cutoff
 
     def _descent(self, y: int) -> int | None:
@@ -251,23 +253,24 @@ class KLTable:
     def _missing_inputs(self, y: int) -> list[int]:
         """The rows that ``_compute_row(y)`` reads and that are not there yet:
         row y' = ys, and once it is there, the rows z with mu(z, y') != 0 and
-        zs < z, for s = ``_descent(y)``. Each is shorter than y."""
+        zs < z, for s = ``_descent(y)``. Each is shorter than y. A row with a
+        source in the orbit plan is there: ``rows_for`` relabels it."""
         s = self._descent(y)
         if s is None:
             return []
         sl = self.slice
-        length, right, rows = sl.length, sl.right, self.rows
+        length, right, rows, plan = sl.length, sl.right, self.rows, self._plan
         yp = right[y][s]
-        if rows[yp] is None:
+        if rows[yp] is None and not (plan and plan[1][yp]):
             return [yp]
-        return [z for z, _ in self.mu_row(yp)
-                if rows[z] is None and length[right[z][s]] < length[z]]
+        return [z for z, _ in self.mu_row(yp) if rows[z] is None
+                and not (plan and plan[1][z]) and length[right[z][s]] < length[z]]
 
-    def _compute_row(self, y: int, memo: _FillMemo) -> dict[int, int]:
+    def _compute_row(self, y: int) -> dict[int, int]:
         s = self._descent(y)
         if s is None:
             return {y: self._store((1,), y, y)}
-        sl, kept = self.slice, self._kept
+        sl, kept, memo = self.slice, self._kept, self._memo
         length, right = sl.length, sl.right
         pool, pairs = self.pool, memo.pairs
         work, steps, to_pool = memo.work, memo.steps, memo.to_pool
@@ -391,7 +394,7 @@ class KLTable:
         equal those of ``fill`` as polynomials; pool ids follow the order in
         which rows are computed, so on a table that was never filled they may
         differ from a full table's."""
-        rows, memo, stack = self.rows, _FillMemo(), [y]
+        rows, stack = self.rows, [y]
         while stack:
             y = stack[-1]
             if rows[y] is not None:
@@ -401,7 +404,7 @@ class KLTable:
             if missing:
                 stack.extend(missing)
             else:
-                rows[y] = self._compute_row(y, memo)
+                rows[y] = self._compute_row(y)
                 stack.pop()
 
     def dominant_row(self, y: int) -> dict[int, int]:
@@ -429,8 +432,8 @@ class KLTable:
 
 class _SphericalTable(KLTable):
     """The table that ``spherical_table`` returns: ``_compute_row`` keeps
-    the dominant x only (``_kept``), every dominant row is computed together
-    on the first read of any of them, and no other row ever is. It has no
+    the dominant x only (``_kept``), and ``_compute_missing`` refuses a
+    non-dominant row before the work stack computes anything. It has no
     orbit plan, so ``rows_for`` passes every missing row to
     ``_compute_missing``."""
 
@@ -443,18 +446,10 @@ class _SphericalTable(KLTable):
             raise InvalidSystemError(
                 f"row {y} is not dominant: a spherical table holds the dominant rows only"
             )
-        self._fill_dominant()
+        super()._compute_missing(y)
 
     def dominant_row(self, y: int) -> dict[int, int]:
         return self.rows_for(y)  # it holds the dominant x only
-
-    def _fill_dominant(self) -> None:
-        """Every dominant row in ascending index. A row reads row y' = ys and
-        the rows z of mu(z, y'), all of them dominant and shorter, so
-        computed already."""
-        memo = _FillMemo()
-        for y in self.slice.dominant_indices():
-            self.rows[y] = self._compute_row(y, memo)
 
 
 def spherical_table(sl: GroupSlice) -> KLTable:
@@ -479,8 +474,9 @@ def spherical_table(sl: GroupSlice) -> KLTable:
     simple t is a left descent of y', so mu(z, y') != 0 with tz > z forces
     z = ty' (Kazhdan-Lusztig 1979), and then zs > z.
 
-    The rows are computed together on the first read of a dominant row, so
-    a query that rejects its arguments first computes none. Reading a
+    A dominant row is computed on its first read, with the dominant rows
+    it reads and no other, so a query that rejects its arguments first
+    computes none. Reading a
     non-dominant row raises InvalidSystemError and computes nothing; the
     KL-axiom checks of ``_compute_row`` hold, and a dominant y with no
     dominant right descent raises InvariantViolation. ``save_table``

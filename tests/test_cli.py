@@ -175,7 +175,7 @@ def test_cold_warm_determinism(tmp_path):
 
 
 def test_corrupted_cache_detected(tmp_path):
-    args = ("--format", "json", "mu", "A", "1", "--cutoff", "10", "--x", "1", "--y", "2")
+    args = ("--format", "json", "kl", "A", "1", "--cutoff", "10", "--x", "1", "--y", "2")
     first = run_cli(*args, cache=tmp_path)
     assert first.returncode == 0
     table_file = next(tmp_path.glob("kl_*.klt"))
@@ -402,7 +402,7 @@ def test_workers_flag_prints_the_same(tmp_path):
 
 def test_v1_cache_rejected(tmp_path):
     # and a version-2 table, which held every row, likewise
-    args = ("mu", "A", "1", "--cutoff", "10", "--x", "1", "--y", "2")
+    args = ("kl", "A", "1", "--cutoff", "10", "--x", "1", "--y", "2")
     assert run_cli(*args, cache=tmp_path).returncode == 0
     table_file = next(tmp_path.glob("kl_*.klt"))
     saved = table_file.read_bytes()
@@ -417,7 +417,7 @@ def test_v1_cache_rejected(tmp_path):
 
 
 def test_v1_slice_cache_rejected(tmp_path):
-    args = ("mu", "A", "1", "--cutoff", "10", "--x", "1", "--y", "2")
+    args = ("kl", "A", "1", "--cutoff", "10", "--x", "1", "--y", "2")
     first = run_cli(*args, cache=tmp_path)
     assert first.returncode == 0
     slice_file = next(tmp_path.glob("slice_*.slc"))
@@ -439,30 +439,31 @@ def test_v1_slice_cache_rejected(tmp_path):
 def test_mismatched_table_cache_rejected(tmp_path):
     # an A2 table under the B2 name with no slice file beside it must not
     # answer B2 queries: mu(1, 7) is 1 on B2 and 0 on A2
-    assert run_cli("mu", "A", "2", "--cutoff", "6", "--x", "1", "--y", "7",
+    assert run_cli("kl", "A", "2", "--cutoff", "6", "--x", "1", "--y", "7",
                    cache=tmp_path).returncode == 0
     (tmp_path / "kl_A2_aff_L6.klt").rename(tmp_path / "kl_B2_aff_L6.klt")
     for path in tmp_path.glob("slice_*.slc"):
         path.unlink()
     for y in ("7", "60"):
-        res = run_cli("mu", "B", "2", "--cutoff", "6", "--x", "1", "--y", y, cache=tmp_path)
+        res = run_cli("kl", "B", "2", "--cutoff", "6", "--x", "1", "--y", y, cache=tmp_path)
         assert res.returncode == 1 and res.stdout == "", res.stderr
         assert "does not match" in res.stderr and "Traceback" not in res.stderr
     # so must a matching pair of another cutoff under this cutoff's names
     other = tmp_path / "other"
-    assert run_cli("mu", "B", "2", "--cutoff", "5", "--x", "1", "--y", "7",
+    assert run_cli("kl", "B", "2", "--cutoff", "5", "--x", "1", "--y", "7",
                    cache=other).returncode == 0
     for path in other.iterdir():
         path.rename(other / path.name.replace("_L5.", "_L6."))
-    res = run_cli("mu", "B", "2", "--cutoff", "6", "--x", "1", "--y", "7", cache=other)
+    res = run_cli("kl", "B", "2", "--cutoff", "6", "--x", "1", "--y", "7", cache=other)
     assert res.returncode == 1 and "does not match" in res.stderr
     # the rightful table answers as a cache-free run does; B2@6 has 57 elements
     good = tmp_path / "good"
-    free = run_cli("mu", "B", "2", "--cutoff", "6", "--x", "1", "--y", "7")
+    free = run_cli("kl", "B", "2", "--cutoff", "6", "--x", "1", "--y", "7")
     for _ in range(2):
-        res = run_cli("mu", "B", "2", "--cutoff", "6", "--x", "1", "--y", "7", cache=good)
-        assert res.returncode == 0 and res.stdout == free.stdout == "mu: 1\nx: 1\ny: 7\n"
-    res = run_cli("mu", "B", "2", "--cutoff", "6", "--x", "1", "--y", "60", cache=good)
+        res = run_cli("kl", "B", "2", "--cutoff", "6", "--x", "1", "--y", "7", cache=good)
+        assert res.returncode == 0 and res.stdout == free.stdout == (
+            "length_x: 1\nlength_y: 2\nmu: 1\npolynomial_coeffs:\n  0: 1\nx: 1\ny: 7\n")
+    res = run_cli("kl", "B", "2", "--cutoff", "6", "--x", "1", "--y", "60", cache=good)
     assert res.returncode == 2 and "0..56" in res.stderr
 
 
@@ -479,14 +480,15 @@ def test_unusable_paths_exit_2(tmp_path):
         run_cli(*mu, cache=blocker / "sub"),  # --cache-dir lies under one
         run_cli("enumerate", "A", "1", "--cutoff", "4",
                 "--export-json", str(tmp_path / "missing" / "slice.json")),
-        run_cli(*mu, cache=entry),  # a cache entry is a directory
+        run_cli("kl", "A", "1", "--cutoff", "4", "--x", "0", "--y", "1",
+                cache=entry),  # a cache entry is a directory
     ):
         assert res.returncode == 2 and res.stdout == "", res.stderr
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
 def test_element_cap_on_every_path(tmp_path):
-    args = ("mu", "A", "2", "--cutoff", "10", "--x", "0", "--y", "5")
+    args = ("kl", "A", "2", "--cutoff", "10", "--x", "0", "--y", "5")
     capped = ("--max-elements", "30", *args)
     cold = run_cli(*capped, cache=tmp_path)
     assert cold.returncode == 3 and not list(tmp_path.iterdir())
@@ -557,12 +559,14 @@ def test_cache_frames_alone_load_sha256(tmp_path, monkeypatch):
     )
     monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
     mu = ["mu", "A", "2", "--cutoff", "6", "--x", "0", "--y", "5"]
-    assert run_cli(*mu, cache=tmp_path).returncode == 0
+    kl = ["kl", *mu[1:]]
+    assert run_cli(*kl, cache=tmp_path).returncode == 0
     for argv, loaded in (
         ([], "[]"),
         (mu, "[]"),  # uncached
-        (["--cache-dir", str(tmp_path), *mu], f"['{sha}']"),  # warm: reads frames
-        (["--cache-dir", str(tmp_path / "cold"), *mu], f"['{sha}']"),  # cold: writes them
+        (["--cache-dir", str(tmp_path), *mu], "[]"),  # mu reads no cache file
+        (["--cache-dir", str(tmp_path), *kl], f"['{sha}']"),  # warm: reads frames
+        (["--cache-dir", str(tmp_path / "cold"), *kl], f"['{sha}']"),  # cold: writes them
         (["char", "A", "2", "--weight", "1,0"], "[]"),
         (["bounds", "A", "2", "--p", "3"], "[]"),
     ):

@@ -1,11 +1,12 @@
 """Rows on first read: a table that was never filled computes a KL row the
 first time it is read, with the rows that row's computation reads and no
-other, so without a cache ``mu`` and ``klsum`` compute only the rows they
-read. Such rows are checked against the full table as polynomial tuples and
-mu, never as pool ids, which follow the order rows are computed in. Every
-reader of the whole slice answers on such a table as on the filled one, only
-``save_table`` refuses it, and the CLI prints without a cache exactly what it
-prints with a cold one, for ``kl --x --y`` (which keeps the full table) too."""
+other, so ``mu`` and ``klsum`` compute only the rows they read and touch no
+cache file, with or without a cache directory. Such rows are checked against
+the full table as polynomial tuples and mu, never as pool ids, which follow
+the order rows are computed in. Every reader of the whole slice answers on
+such a table as on the filled one, only ``save_table`` refuses it, and the
+CLI prints without a cache exactly what it prints with a cold one, for
+``kl --x --y`` (which keeps the full table) too."""
 
 import os
 import random
@@ -199,6 +200,33 @@ def test_uncached_queries_print_what_a_cold_cache_prints(tmp_path, fmt):
         assert cold.returncode == free.returncode == 0, (args, free.stderr)
         assert free.stdout == cold.stdout and free.stderr == cold.stderr == "", args
     assert not list(work.iterdir())  # the uncached runs wrote nothing
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_point_queries_read_and_write_no_cache_file(tmp_path, fmt, monkeypatch, capsys):
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+
+    def run(argv):
+        rc = cli.main(argv)
+        return (rc, *capsys.readouterr())
+
+    cache = tmp_path / "cache"
+    queries = [["--format", fmt, q[0], "A", "2", "--cutoff", "10", *q[1:]]
+               for q in QUERIES if q[0] != "kl"]
+    free = [run(q) for q in queries]
+    assert all(rc == 0 and err == "" for rc, _, err in free)
+    # the same bytes as without a cache, and the directory is made and left empty
+    assert [run(["--cache-dir", str(cache), *q]) for q in queries] == free
+    assert cache.is_dir() and not list(cache.iterdir())
+    # a corrupted table file of their slice, which kl --x --y refuses, goes unread
+    kl = ["--cache-dir", str(cache), "kl", "A", "2", "--cutoff", "10", "--x", "3", "--y", "100"]
+    assert run(kl)[0] == 0
+    table_file = next(cache.glob("kl_*.klt"))
+    blob = bytearray(table_file.read_bytes())
+    blob[40] ^= 0xFF
+    table_file.write_bytes(bytes(blob))
+    assert run(kl)[0] == 1
+    assert [run(["--cache-dir", str(cache), *q]) for q in queries] == free
 
 
 def test_uncached_queries_check_indices_before_any_row(tmp_path, monkeypatch, capsys):

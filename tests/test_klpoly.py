@@ -25,7 +25,6 @@ from klext.extbounds import (
 from klext.klpoly import (
     KLTable,
     _combine,
-    _FillMemo,
     kl_coefficient,
     kl_coefficient_sum,
     kl_entries,
@@ -280,16 +279,28 @@ def test_fill_guard_and_coverage(tmp_path):
     assert (tmp_path / "read.klt").read_bytes() == (tmp_path / "fresh.klt").read_bytes()
 
 
+def test_fill_after_reads_drops_the_dominant_rows_read(a2_table12):
+    # dominant rows hold pool ids, so the fill's fresh pool drops them too
+    sl = a2_table12.slice
+    table = KLTable(sl)
+    table.rows_for(len(sl) - 1)  # meets its polynomials in another order than the fill
+    doms = sl.dominant_indices()
+    for d in doms:
+        table.dominant_row(d)
+    table.fill()
+    assert all(table.dominant_row(d) == a2_table12.dominant_row(d) for d in doms)
+
+
 # -- one row per symmetry orbit ----------------------------------------------------
 
 
 def rowwise_table(sl):
-    """The reference fill: ``_compute_row`` on every row in index order (so
-    shell by shell), using no symmetry of the slice."""
+    """The reference fill: every row read through ``rows_for`` in index
+    order (so shell by shell) on a table with no orbit plan, so each row is
+    computed, using no symmetry of the slice."""
     table = KLTable(sl)
-    memo = _FillMemo()
     for y in range(len(sl)):
-        table.rows[y] = table._compute_row(y, memo)
+        table.rows_for(y)
     table.filled = sl.cutoff
     return table
 

@@ -307,6 +307,30 @@ def test_routed_commands_touch_no_cache_file(tmp_path, a2_10, capsys, no_cache_f
     assert cache.is_dir() and not list(cache.iterdir())
 
 
+def test_one_extn_computes_only_the_dominant_rows_it_reads(monkeypatch, capsys,
+                                                          no_cache_files):
+    # a dominant row is computed on its first read, with the dominant rows
+    # its computation reads: never a row longer than the longer index
+    made = []
+
+    def recording(sl):
+        made.append(spherical_table(sl))
+        return made[-1]
+
+    monkeypatch.setattr(klpoly, "spherical_table", recording)
+    sl = enumerate_slice(build_root_system("A", 2), 24)
+    doms = sl.dominant_indices()
+    x, y = doms[len(doms) // 4], doms[len(doms) // 2]
+    argv = ["extn", "A", "2", "--cutoff", "24", "--x", str(x), "--y", str(y), "--n", "1"]
+    rc, out, err = run(argv, capsys)
+    assert rc == 0 and err == "" and len(made) == 1
+    computed = [z for z, row in enumerate(made[0].rows) if row is not None]
+    longest = max(sl.length[x], sl.length[y])
+    assert x in computed and y in computed
+    assert all(sl.dominant[z] and sl.length[z] <= longest for z in computed)
+    assert any(sl.length[z] > longest for z in doms)
+
+
 def test_routed_commands_ignore_a_corrupted_cache(tmp_path, a2_10, capsys, monkeypatch):
     monkeypatch.delenv(cli.ENV_CACHE, raising=False)
     doms = a2_10.dominant_indices()
@@ -351,7 +375,6 @@ def test_routed_commands_check_indices_before_any_row(a2_10, capsys, monkeypatch
     def no_row(*_):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(klpoly._SphericalTable, "_fill_dominant", no_row)
     monkeypatch.setattr(KLTable, "_compute_row", no_row)
     n = len(a2_10)
     x = a2_10.dominant_indices()[0]
