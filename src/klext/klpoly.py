@@ -460,8 +460,9 @@ def spherical_table(sl: GroupSlice) -> KLTable:
     one induced from the trivial representation of the finite Hecke algebra
     (Soergel, Represent. Theory 1 (1997), section 3; Deodhar, J. Algebra 111
     (1987)). So mu, mu_row_sum, kl_coefficient_sum, max_mu_dominant,
-    max_top_coefficient and the Ext sums of ``extbounds`` answer on it as on
-    the full table, from far fewer rows.
+    max_top_coefficient, the Ext sums, Ext^1 values and PIM lengths of
+    ``extbounds`` and ``characters.chi_kl`` answer on it as on the full
+    table, from far fewer rows.
 
     Its rows are computed by the full table's recursion (``_compute_row``)
     restricted to dominant x. The row of the shortest dominant element y is

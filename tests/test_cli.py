@@ -960,3 +960,64 @@ def test_kl_all_prints_the_per_pair_records(lab, monkeypatch, capsys):
     for fmt, text in want.items():
         assert cli.main(["--format", fmt, "kl", lab, "2", "--cutoff", "8", "--all"]) == 0
         assert capsys.readouterr().out == text, fmt
+
+
+def _outcome(argv, capsys):
+    """(exit status, stdout, stderr) of ``cli.main(argv)`` in process."""
+    from klext import cli
+
+    try:
+        status = cli.main(list(argv))
+    except SystemExit as ex:  # argparse's --help, --version and usage errors
+        status = ex.code
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+# (command line, the build_parser calls it makes): None builds the full
+# parser, which prints the main help and every usage error
+MU = ["A", "2", "--cutoff", "4", "--x", "1", "--y", "2"]
+PARSER_CASES = [
+    (["--help"], [None]),
+    *(([name, "--help"], [name]) for name in dict.fromkeys(a[0] for a in EVERY_COMMAND)),
+    (["--version"], [None]),
+    ([], [None]),
+    (["bogus", "A", "2"], [None]),
+    (["-h", "mu", "A", "2"], [None]),
+    (["--he", "mu", "A", "2"], [None]),
+    (["--format", "xml", "mu", *MU], ["mu", None]),
+    (["mu", "A", "2", "--x", "1"], ["mu", None]),
+    (["--cache", "cache", "mu", *MU], ["mu"]),
+    (["--cache-dir", "mu", "mu", *MU], ["mu"]),
+    (["--config", "verify", "mu", *MU], ["verify", None]),
+    (["--config", "mu", "kl", *MU], ["mu", None]),
+    (["--config", "conf.json", "mu", "A", "2", "--x", "1", "--y", "2"], ["mu"]),
+    (["--config", "conf.json", "--format", "json", "extsum", "A", "1", "--x", "4", "--n", "1"],
+     ["extsum"]),
+    (["mu", *MU, "--version"], ["mu", None]),
+]
+
+
+@pytest.mark.parametrize("argv, calls", PARSER_CASES, ids=[" ".join(a) for a, _ in PARSER_CASES])
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, calls, tmp_path, capsys,
+                                                               monkeypatch):
+    # a process parses with its command's subparser alone, and falls back to
+    # the full parser wherever that one would print or exit differently
+    from klext import cli
+
+    monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conf.json").write_text(json.dumps({"cutoff": 4, "l": 3}))
+    full = cli.build_parser
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return full(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    got = _outcome(argv, capsys)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == _outcome(argv, capsys)
+    assert got[0] in (0, 2) and got[1] + got[2]
+    assert built == calls

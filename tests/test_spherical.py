@@ -6,10 +6,14 @@ and, on the elements maximal in their W_f double cosets, against the
 Kostka-Foulkes polynomials of Lusztig and Kato, every reader of
 dominant pairs answers on it as on the full table, it never computes or
 serves a non-dominant row and is never saved, and the CLI commands that read
-dominant pairs only (``mu-sum``, ``extn``, ``extsum``, ``bounds
---empirical``) run on it without touching a cache file."""
+dominant pairs only (``ext1``, ``chikl``, ``pim``, ``mu-sum``, ``extn``,
+``extsum``, ``bounds --empirical``) run on it without touching a cache file
+and print what they print on the complete table."""
 
 import functools
+import itertools
+import json
+import random
 
 import pytest
 
@@ -17,8 +21,8 @@ from klext import cli, klpoly
 from klext.errors import InvalidSystemError, InvariantViolation
 from klext.extbounds import bound_constants, extn_simple_simple, make_block_context, sum_ext_n
 from klext.klpoly import KLTable, kl_polynomial, mu_row_sum, save_table, spherical_table
-from klext.rootsys import build_root_system
-from klext.weylaffine import GroupSlice, enumerate_slice, slice_inversion
+from klext.rootsys import build_root_system, classify_weight
+from klext.weylaffine import GroupSlice, enumerate_slice, factorize_weight, slice_inversion
 
 
 def tables(lab, rank, cutoff, affine=True):
@@ -386,3 +390,96 @@ def test_routed_commands_check_indices_before_any_row(a2_10, capsys, monkeypatch
     message = f"error: element {non_dominant} is not dominant\n"
     for argv in routed(non_dominant, x)[:3] + routed(x, non_dominant)[1:2]:
         assert run(argv, capsys) == (2, "", message), argv
+
+
+# (type, rank, cutoff, l): each slice has weights above its cutoff among the
+# candidates of ``weight_commands``
+WEIGHT_SLICES = [("A", 1, 4, 3), ("A", 2, 16, 5), ("B", 2, 16, 5), ("G", 2, 24, 7)]
+
+
+def weight_commands(seed):
+    """A seeded corpus of ``ext1``, ``chikl`` and ``pim`` runs on WEIGHT_SLICES:
+    ext1 at regular weights linked to a shorter element at an odd length gap
+    (where mu can be nonzero), at singular weights, and at a weight above the
+    cutoff; chikl at regular, singular and above-cutoff weights; pim at
+    restricted weights. Candidates have every coordinate below 5l."""
+    rng = random.Random(seed)
+    out = []
+    for lab, rank, cutoff, l in WEIGHT_SLICES:
+        rs = build_root_system(lab, rank)
+        base = [lab, str(rank), "--cutoff", str(cutoff), "--l", str(l)]
+        kinds, place = {}, {}  # (regular, inside the slice) -> weights; weight -> (lm, length)
+        for wt in itertools.product(range(5 * l), repeat=rank):
+            word, lm = factorize_weight(rs, wt, l)
+            place[wt] = lm, len(word)
+            key = classify_weight(rs, wt, l)["regular_l"], len(word) <= cutoff
+            kinds.setdefault(key, []).append(wt)
+
+        def text(wt):
+            return ",".join(map(str, wt))
+
+        def below(wt):
+            lm, n = place[wt]
+            return rng.choice([v for v in kinds[True, True] if place[v][0] == lm
+                               and (n - place[v][1]) % 2 == 1] or [wt])
+
+        for regular, inside, k in ((True, True, 5), (False, True, 3), (True, False, 1)):
+            for lam in rng.sample(kinds[regular, inside], k):
+                nu = below(lam) if regular else rng.choice(kinds[True, True])
+                out.append(["ext1", *base, "--lam", text(lam), "--nu", text(nu)])
+        for regular, inside, k in ((True, True, 3), (False, True, 1), (True, False, 1)):
+            for wt in rng.sample(kinds[regular, inside], k):
+                out.append(["chikl", *base, "--weight", text(wt)])
+        for wt in rng.sample(list(itertools.product(range(l), repeat=rank)), 3):
+            out.append(["pim", *base, "--lambda0", text(wt)])
+    return out
+
+
+def test_weight_commands_print_what_the_complete_table_prints(tmp_path, capsys, monkeypatch):
+    # ext1, chikl and pim read dominant pairs only: on the spherical table
+    # they print the bytes and exit codes they print on the complete table,
+    # leave a primed cache directory as it was and an empty one empty
+    monkeypatch.delenv(cli.ENV_CACHE, raising=False)
+    corpus = weight_commands(1)
+    primed, empty = tmp_path / "primed", tmp_path / "empty"
+    for lab, rank, cutoff, _ in WEIGHT_SLICES:
+        kl = ["kl", lab, str(rank), "--cutoff", str(cutoff), "--x", "0", "--y", "0"]
+        assert run(["--cache-dir", str(primed), *kl], capsys)[0] == 0
+    listing = {p.name: (p.stat().st_mtime_ns, p.stat().st_size) for p in primed.iterdir()}
+    assert len(listing) == 2 * len(WEIGHT_SLICES)
+    for name in ("read_frame", "write_frame"):
+        monkeypatch.setattr(klpoly.binio, name, lambda *_: pytest.fail("a cache file was opened"))
+
+    spherical = {}
+    for argv in corpus:
+        for fmt in ("text", "json", "csv"):
+            spherical[fmt, *argv] = got = run(["--format", fmt, *argv], capsys)
+            if fmt == "json":
+                for cache in (primed, empty):
+                    assert run(["--cache-dir", str(cache), "--format", fmt, *argv],
+                               capsys) == got, (cache.name, argv)
+    assert {p.name: (p.stat().st_mtime_ns, p.stat().st_size)
+            for p in primed.iterdir()} == listing
+    assert empty.is_dir() and not list(empty.iterdir())
+
+    complete = {}
+
+    def complete_table(sl):
+        key = sl.rs.type_label, sl.rs.rank, sl.cutoff
+        if key not in complete:
+            complete[key] = KLTable(sl)
+            complete[key].fill()
+        return complete[key]
+
+    monkeypatch.setattr(klpoly, "spherical_table", complete_table)
+    for (fmt, *argv), got in spherical.items():
+        assert run(["--format", fmt, *argv], capsys) == got, (fmt, argv)
+    assert len(complete) == len(WEIGHT_SLICES)
+
+    # the corpus reaches every outcome it was drawn for
+    payloads = [(argv[0], json.loads(out) if rc == 0 else rc)
+                for (fmt, *argv), (rc, out, _) in spherical.items() if fmt == "json"]
+    assert {(cmd, 0 if type(p) is dict else p) for cmd, p in payloads} >= {
+        ("ext1", 0), ("ext1", 1), ("chikl", 0), ("chikl", 1), ("chikl", 2), ("pim", 0)}
+    assert any(cmd == "ext1" and type(p) is dict and p.get("value") for cmd, p in payloads)
+    assert any(cmd == "ext1" and type(p) is dict and p.get("mu_sum") for cmd, p in payloads)
