@@ -14,11 +14,16 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
-from json.encoder import encode_basestring_ascii as _quote
+
+# JSON's C string quoter, the one json.encoder itself uses; json itself is
+# imported only where an output or input needs it (see ``_dumps``)
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__, characters, extbounds, klpoly, rootsys, weylaffine
 from .errors import (
@@ -201,7 +206,31 @@ def _json(v, pad: str, memo: dict):
                 sep = "," + inner
         yield pad + "]"
     else:
-        yield json.dumps(v)
+        yield _scalar(v)
+
+
+def _scalar(v) -> str:
+    """A leaf that is neither a str, an int nor a container, as
+    ``json.dumps`` spells it: None, True and False inline, a float through
+    json."""
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    return _dumps(v)
+
+
+def _dumps(v) -> str:
+    """``json.dumps(v)``, with json imported on the first call, as float
+    leaves, list leaves of text and csv, and ``--config`` errors need it
+    (``enumerate --export-json`` and ``_read_config`` import it too). No KL
+    query does: ``import json`` took 1.5-2.5 ms of every process, against
+    0.3 ms for ``_json``'s quoter alone (2 vCPUs, Python 3.11.7)."""
+    import json
+
+    return json.dumps(v)
 
 
 def _template(v, pad: str):
@@ -236,7 +265,7 @@ def _leaf(v, pad: str, memo: dict) -> str:
     record of one polynomial the same coefficient dict. The payload keeps
     every such container alive, so no ``id`` is reused during the call."""
     if not isinstance(v, (dict, list, tuple)):
-        return json.dumps(v)
+        return _scalar(v)
     key = (id(v), pad)
     s = memo.get(key)
     if s is None:
@@ -264,7 +293,7 @@ def _flatten_rows(payload, prefix=""):
         for k in sorted(payload):
             rows.extend(_flatten_rows(payload[k], f"{prefix}{k}." if prefix else f"{k}."))
     elif isinstance(payload, (list, tuple)):
-        rows.append([prefix.rstrip("."), json.dumps(payload)])
+        rows.append([prefix.rstrip("."), _dumps(payload)])
     else:
         rows.append([prefix.rstrip("."), payload])
     return rows
@@ -292,7 +321,7 @@ def _text(v, pad: str, top: bool) -> str:
         return "\n".join([
             f"{pad}{k}: {x}" if not isinstance(x, (dict, list))
             else f"{pad}{k}:\n{_text(x, inner, False)}" if x and not _is_scalar_list(x)
-            else f"{pad}{k}: {json.dumps(x) if isinstance(x, list) else x}"
+            else f"{pad}{k}: {_dumps(x) if isinstance(x, list) else x}"
             for k, x in (sorted(v.items()) if top else v.items())
         ])
     if isinstance(v, list):
@@ -336,6 +365,8 @@ def cmd_enumerate(args):
         path, _ = _cache_paths(args.cache_dir, rs, args.cutoff, not args.finite)
         weylaffine.save_slice(sl, path)
     if args.export_json:
+        import json
+
         with open(args.export_json, "w") as fh:
             json.dump(weylaffine.slice_to_json(sl), fh, sort_keys=True, indent=1)
     return {
@@ -384,9 +415,10 @@ def _coeff_dict(coeffs):
 
 
 def _coeff_fields(coeffs):
-    """The record's coefficient dict and the csv column's JSON of it."""
+    """The record's coefficient dict and the csv column's JSON of it, as
+    ``json.dumps`` writes it: the keys are digit strings, the values ints."""
     d = _coeff_dict(coeffs)
-    return d, json.dumps(d)
+    return d, "{" + ", ".join([f'"{e}": {v}' for e, v in d.items()]) + "}"
 
 
 def _kl_record(table, x, y):
@@ -815,6 +847,8 @@ def _parse(argv):
 
 def _read_config(path) -> dict:
     """The JSON object in the ``--config`` file at ``path``."""
+    import json
+
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -848,10 +882,10 @@ def _apply_config(args, parser):
         kind = bool if action.nargs == 0 else action.type or str
         if type(value) is not kind:  # type(True) is bool, not int
             what = {bool: "true or false", int: "an integer", str: "a string"}[kind]
-            raise UsageError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
+            raise UsageError(f"config key {key!r} must be {what}, not {_dumps(value)}")
         if action.choices is not None and value not in action.choices:
             raise UsageError(f"config key {key!r} must be one of {', '.join(action.choices)}, "
-                             f"not {json.dumps(value)}")
+                             f"not {_dumps(value)}")
         append = isinstance(action, argparse._AppendAction)
         owner.set_defaults(**{attr: [value] if append else value})
 

@@ -6,8 +6,8 @@ w.x = w(x+rho) - rho becomes linear). The finite part w is stored as its
 integer matrix on fundamental-weight coordinates.
 
 Bounded-length slices are enumerated shell by shell by descent signs
-(``_SignWalk``): one pairing per element and generator decides whether the
-product goes up or down, and only the upward products are computed. They
+(``_SignWalk``): one wall value per element and generator decides whether
+the product goes up or down, and only the upward products are computed. They
 give both the next shell and the right-multiplication table. ``GroupSlice``
 is the plain record of that walk; the slice file (format version 2) stores
 it whole, table included. The file is a function of the request, so loading
@@ -28,7 +28,7 @@ GroupSlice is reusable for every l.
 from __future__ import annotations
 
 import struct
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 
 from . import binio
 from .errors import (
@@ -48,7 +48,7 @@ def _identity_matrix(n: int) -> IntMatrix:
 
 
 def _matvec(m: IntMatrix, v) -> tuple[int, ...]:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 class AffineElement:
@@ -159,21 +159,26 @@ class GroupSlice:
 class _SignWalk:
     """The generators of one group as walls, for the walk by descent signs.
 
-    The walk carries, for each element w, the integer vector q(w) = h w^-1(p)
-    for the alcove interior point p = -rho/h, so q(e) = (-1, ..., -1) and
-    q(ws) = s(q(w)). Generator t acts on h-scaled points as
-    s_t(u) = u - ((u, c) + e) r with (c, e, r) = (-alpha_t^vee, 0, -alpha_t)
-    for a simple reflection and (theta^vee, h, theta) for s_{theta,-1}, c
-    read as a pairing on weight coordinates; its finite part is I - r c^T.
-    The wall value (q, c) + e is positive on the fundamental alcove's side,
-    and l(ws) = l(w) + 1 exactly when it is positive at q(w): then w^-1(p)
-    and p lie on one side of the wall of s (Humphreys, Reflection Groups and
-    Coxeter Groups, 1990, 4.5).
+    For each element w, let q(w) = h w^-1(p) for the alcove interior point
+    p = -rho/h, so q(e) = (-1, ..., -1) and q(ws) = s(q(w)). Generator t acts
+    on h-scaled points as s_t(u) = u - ((u, c) + e) r with (c, e, r) =
+    (-alpha_t^vee, 0, -alpha_t) for a simple reflection and (theta^vee, h,
+    theta) for s_{theta,-1}, c read as a pairing on weight coordinates; its
+    finite part is I - r c^T. The wall value (q, c) + e is positive on the
+    fundamental alcove's side, and l(ws) = l(w) + 1 exactly when it is
+    positive at q(w): then w^-1(p) and p lie on one side of the wall of s
+    (Humphreys, Reflection Groups and Coxeter Groups, 1990, 4.5).
+
+    Wall values move linearly: with v_j the value of generator j at q(w),
+    the value of j at q(ws_t) is v_j - v_t (r_t, c_j). So the walk carries
+    the values alone, starting from ``start`` (every value is 1 at e), and
+    steps them by the pairings ``pairings[t][j]`` = (r_t, c_j); q(w) is minus
+    the simple values.
 
     It also carries the point h w(p) = h mu - W rho (weight coordinates):
     (-1, ..., -1) at e, and h ws(p) = h w(p) - W r for either kind of
     generator. w maps the alcove into the dominant cone exactly when every
-    coordinate of h w(p) is positive (``_dominant``).
+    coordinate of h w(p) is positive.
     """
 
     def __init__(self, rs: RootSystemData, affine: bool):
@@ -181,31 +186,17 @@ class _SignWalk:
         self.rs = rs
         self.coroots = [tuple(-int(j == t) for j in range(r)) for t in range(r)]
         self.roots = [tuple(-x for x in rs.cartan[t]) for t in range(r)]
+        offsets = [0] * r
         if affine:
             a0 = rs._max_short_index
             self.coroots.append(rs.avee_wt[a0])
             self.roots.append(rs.pos_roots_wt[a0])
-        self.affine = affine
-        self.origin = (-1,) * r
+            offsets.append(rs.coxeter_number)
+        self.pairings = [tuple(sum(map(mul, rt, c)) for c in self.coroots) for rt in self.roots]
+        self.start = tuple(e - sum(c) for c, e in zip(self.coroots, offsets))
         # finite parts, interned: id -> matrix, the identity first
         self.mats: list[IntMatrix] = [_identity_matrix(r)]
         self._mat_ids: dict[IntMatrix, int] = {self.mats[0]: 0}
-        # per generator: finite part id -> (id of the finite part times s,
-        # translation step, W r)
-        self._steps: list[dict[int, tuple]] = [{} for _ in self.roots]
-
-    def values(self, q) -> list[int]:
-        """The wall value of every generator at q, positive where it goes up."""
-        vals = [-x for x in q]
-        if self.affine:
-            vals.append(sum(map(mul, self.coroots[-1], q)) + self.rs.coxeter_number)
-        if 0 in vals:
-            raise InvariantViolation("alcove interior point landed on a hyperplane")
-        return vals
-
-    def reflect(self, q, v: int, t: int) -> tuple[int, ...]:
-        """s_t(q), given the wall value v of t at q."""
-        return tuple([a - v * b for a, b in zip(q, self.roots[t])])
 
     def up(self, f: int, t: int) -> tuple[int, tuple[int, ...] | None, tuple[int, ...]]:
         """For a generator t that goes up from an element g with finite part
@@ -213,56 +204,85 @@ class _SignWalk:
         that g s_t's translation is g.mu minus, w(theta) in root coordinates
         (w(theta) = W r is a root), for the affine generator and None for a
         simple reflection; and W r, the step that its point h g s_t(p) is
-        h g(p) minus. All three depend on W alone and are memoised on f."""
-        steps = self._steps[t]
-        got = steps.get(f)
-        if got is None:
-            w = self.mats[f]
-            wr = _matvec(w, self.roots[t])
-            wmat = tuple(tuple(x - y * c for x, c in zip(row, self.coroots[t]))
-                         for row, y in zip(w, wr))
-            g = self._mat_ids.get(wmat)
-            if g is None:
-                g = self._mat_ids[wmat] = len(self.mats)
-                self.mats.append(wmat)
-            shift = self.rs.wt_to_rt_int(wr) if t == self.rs.rank else None
-            got = steps[f] = (g, shift, wr)
-        return got
+        h g(p) minus. All three depend on W alone."""
+        w = self.mats[f]
+        wr = _matvec(w, self.roots[t])
+        c = self.coroots[t]
+        wmat = tuple([tuple([x - y * ci for x, ci in zip(row, c)]) for row, y in zip(w, wr)])
+        g = self._mat_ids.get(wmat)
+        if g is None:
+            g = self._mat_ids[wmat] = len(self.mats)
+            self.mats.append(wmat)
+        shift = self.rs.wt_to_rt_int(wr) if t == self.rs.rank else None
+        return g, shift, wr
 
 
-def _dominant(pt) -> bool:
-    """Whether the element w with point pt = h w(p) (see ``_SignWalk``) maps
-    the alcove into the dominant cone."""
-    if 0 in pt:
-        raise InvariantViolation("alcove interior point on a chamber wall")
-    return min(pt) > 0
+def _wall_bound(rs: RootSystemData, cutoff: int) -> int:
+    """A bound on |wall value| (see ``_SignWalk``) at every element of length
+    at most ``cutoff``: h (cutoff + 1) - 1.
+
+    Proof. The value of generator t at q(w) is h a(x) for x = w^-1(p) and
+    the affine function a = -(., alpha_t^vee) of a simple wall, or
+    a = (., theta^vee) + 1 of the affine one. x lies inside the alcove
+    w^-1 A, and p inside A, where -1 < (u, beta^vee) < 0 for every positive
+    root beta. Let n - 1 < (x, beta^vee) < n. The hyperplanes
+    (u, beta^vee) = k with k from 0 to n - 1 (if n > 0) or from n to -1 (if
+    n < 0) separate the two alcoves, and at most l(w^-1) = l(w) hyperplanes
+    do (Humphreys, 4.5), so -l(w) - 1 < (x, beta^vee) < l(w). Both kinds of
+    value then lie strictly between -h l(w) and h (l(w) + 1). In the finite
+    walk |(x, alpha^vee)| <= (rho, theta^vee) / h < 1, which the same bound
+    covers."""
+    return rs.coxeter_number * (cutoff + 1) - 1
 
 
 def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
                     max_elements: int | None = None) -> GroupSlice:
     """Shell-by-shell enumeration up to the length cutoff, by descent signs.
 
-    For each element w of shell n and each generator s, the wall value at
-    q(w) decides the direction of ws. A downward product is the element
+    For each element w of shell n and each generator s, the wall value of s
+    at w decides the direction of ws. A downward product is the element
     below that went up by s to w, already recorded in the table. An upward
-    one is new or met before under its q: the distinct ones, sorted by
-    normal form, make shell n+1, each built once after the walk of shell n
-    from its first product, by ``_SignWalk.up`` on the interned finite part
-    of the element below; upward products of the top shell are -1.
-    Raises ResourceCapError (never truncates silently) if the configured
+    one is new or met before under its wall values: the distinct ones,
+    sorted by normal form, make shell n+1, each built once after the walk of
+    shell n from its first product, by ``_SignWalk.up`` on the interned
+    finite part of the element below; upward products of the top shell are
+    -1. Raises ResourceCapError (never truncates silently) if the configured
     element cap is exceeded.
-    """
+
+    Each element's wall values are one int, generator t's value v_t in the
+    ``width`` bits from t * width as v_t + bias, and the point h w(p) is
+    packed the same way, so a product is one multiply-subtract and the
+    values are the key of ``grown``. A slot holds exactly what it encodes
+    while |value| < bias. Every value read is checked against B =
+    ``_wall_bound``, and InvariantViolation is raised past it, before any
+    product of that element is recorded. With every |v_j| <= B at w, each
+    slot of ws_t is within B (1 + M) of the bias, M the largest |pairing|.
+    Each point coordinate moves by an entry of a root W r per step, so it
+    stays within 1 + R cutoff, R the largest |entry| of a root. ``width``
+    leaves room for both."""
     if cutoff < 0:
         raise InvalidSystemError("length cutoff must be nonnegative")
     if max_elements is not None and max_elements < 0:
         raise InvalidSystemError("element cap must be nonnegative")
     walk = _SignWalk(rs, affine)
     k = len(walk.roots)
+    bound = _wall_bound(rs, cutoff)
+    reach = max(bound * (1 + max(abs(a) for row in walk.pairings for a in row)),
+                1 + cutoff * max(abs(x) for root in rs.pos_roots_wt for x in root))
+    width = reach.bit_length() + 1
+    bias, mask = 1 << (width - 1), (1 << width) - 1
+
+    def pack(vec, offset=0):
+        return sum((x + offset) << (j * width) for j, x in enumerate(vec))
+
+    gens = [(t, t * width, pack(a)) for t, a in enumerate(walk.pairings)]
+    steps: list[dict[int, tuple]] = [{} for _ in gens]  # per generator: walk.up, packed
     elements = [identity(rs)]
     fids = [0]  # finite part ids of the walk's interning
-    qs = [walk.origin]
-    pts = [walk.origin]  # h w(p): p = -rho/h, so also (-1, ..., -1) at e
+    vals = [pack(walk.start, bias)]
+    pts = [pack((-1,) * rs.rank, bias)]  # h w(p): p = -rho/h, so (-1, ..., -1) at e
     right: list[list] = [[None] * k]
+    rank: list[int] = []  # of each interned finite part, in matrix order
     shell = [0]
     level = 0
     while shell:
@@ -270,48 +290,81 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
             raise ResourceCapError(
                 f"slice exceeded the configured cap of {max_elements} elements "
                 f"at length {level}")
-        grown: dict[tuple[int, ...], list[tuple[int, int]]] = {}  # q -> its (w, s)
+        grown: dict[int, list[tuple[int, int]]] = {}  # wall values -> their (w, s)
         for i in shell:
-            q, row = qs[i], right[i]
-            for t, v in enumerate(walk.values(q)):
-                if v < 0:
+            vw, row = vals[i], right[i]
+            for t, at, jump in gens:
+                v = ((vw >> at) & mask) - bias
+                if 0 < v <= bound:
+                    if level == cutoff:
+                        row[t] = -1
+                        continue
+                    key = vw - v * jump
+                    below = grown.get(key)
+                    if below is None:
+                        grown[key] = [(i, t)]
+                    else:
+                        below.append((i, t))
+                elif -bound <= v < 0:
                     if row[t] is None:
                         raise InvariantViolation(
                             f"descent {t} of element {i} has no recorded product")
-                elif level == cutoff:
-                    row[t] = -1
+                elif v:
+                    raise InvariantViolation(
+                        f"wall value {v} of element {i} is past the bound {bound}")
                 else:
-                    q_up = walk.reflect(q, v, t)
-                    below = grown.get(q_up)
-                    if below is None:
-                        grown[q_up] = [(i, t)]
-                    else:
-                        below.append((i, t))
+                    raise InvariantViolation("alcove interior point landed on a hyperplane")
         shell = []
         if level < cutoff:
             level += 1
-            born = []  # (finite part, translation, id, q, point, below) per new element
-            for q_up, below in grown.items():
+            born = []  # (finite part id, translation, values, point, below) per new element
+            for key, below in grown.items():
                 i, t = below[0]
-                f, shift, wr = walk.up(fids[i], t)
+                f = fids[i]
+                got = steps[t].get(f)
+                if got is None:
+                    g, shift, wr = walk.up(f, t)
+                    got = steps[t][f] = (g, shift, pack(wr))
+                g, shift, step = got
                 mu = elements[i].mu
                 if shift is not None:
                     mu = tuple(map(sub, mu, shift))
-                born.append((walk.mats[f], mu, f, q_up, tuple(map(sub, pts[i], wr)), below))
-            born.sort(key=itemgetter(0, 1))  # the normal form, AffineElement.key
-            for wmat, mu, f, q_up, pt, below in born:
+                born.append((g, mu, key, pts[i] - step, below))
+            if len(rank) < len(walk.mats):
+                rank = [0] * len(walk.mats)
+                for n, f in enumerate(sorted(range(len(rank)), key=walk.mats.__getitem__)):
+                    rank[f] = n
+            born.sort(key=lambda b: (rank[b[0]], b[1]))  # the normal form, AffineElement.key
+            for f, mu, vw, pt, below in born:
                 j = len(elements)
                 row = [None] * k
                 for i, t in below:
                     right[i][t] = j
                     row[t] = i
-                elements.append(AffineElement(wmat, mu, level))
+                elements.append(AffineElement(walk.mats[f], mu, level))
                 fids.append(f)
-                qs.append(q_up)
+                vals.append(vw)
                 pts.append(pt)
                 right.append(row)
                 shell.append(j)
-    return GroupSlice(rs, cutoff, affine, elements, right, [_dominant(pt) for pt in pts])
+    dominant = _dominant(pts, pack((0,) * rs.rank, bias), pack((1,) * rs.rank))
+    return GroupSlice(rs, cutoff, affine, elements, right, dominant)
+
+
+def _dominant(pts: list[int], top: int, ones: int) -> list[bool]:
+    """Whether each element maps the alcove into the dominant cone, from its
+    packed point h w(p) (``enumerate_slice``): every coordinate positive.
+    ``top`` holds the bias, the top bit, in every slot and ``ones`` a 1. A
+    coordinate is 0 exactly when its slot equals the bias, that is when
+    that slot of z = pt ^ top is 0; some slot of z is 0 exactly when
+    (z - ones) & ~z & top is not 0 (the lowest zero slot borrows, and no
+    slot below it does). Otherwise a coordinate is positive exactly when
+    its slot has the top bit."""
+    for pt in pts:
+        z = pt ^ top
+        if (z - ones) & ~z & top:
+            raise InvariantViolation("alcove interior point on a chamber wall")
+    return [pt & top == top for pt in pts]
 
 
 # -- symmetries ----------------------------------------------------------------
@@ -322,11 +375,9 @@ def _graph_automorphisms(rs: RootSystemData, affine: bool) -> list[tuple[int, ..
     identity first. The walls of ``_SignWalk`` give n_ij = (r_i, c_j)(r_j, c_i),
     which is 0, 1, 2, 3 for m_ij = 2, 3, 4, 6 and 4 for m_ij infinite (and 4 on
     the diagonal), so a permutation keeps m exactly when it keeps n."""
-    walk = _SignWalk(rs, affine)
-    r, c = walk.roots, walk.coroots
-    k = len(r)
-    n = [[sum(map(mul, r[i], c[j])) * sum(map(mul, r[j], c[i])) for j in range(k)]
-         for i in range(k)]
+    a = _SignWalk(rs, affine).pairings
+    k = len(a)
+    n = [[a[i][j] * a[j][i] for j in range(k)] for i in range(k)]
     found = []
 
     def extend(perm):
@@ -489,13 +540,15 @@ def factorize_weight(rs: RootSystemData, lam, l: int):
     fixing = facet_generators(rs, lam_minus, l)
     if fixing:
         walk = _SignWalk(rs, True)
-        q = walk.origin
+        vals = walk.start
         while True:
-            vals = walk.values(q)
             t = next((t for t in fixing if vals[t] > 0), None)
             if t is None:
                 break
-            q = walk.reflect(q, vals[t], t)
+            v = vals[t]
+            vals = [a - v * b for a, b in zip(vals, walk.pairings[t])]
+            if 0 in vals:
+                raise InvariantViolation("alcove interior point landed on a hyperplane")
             word.append(t)
     return word, lam_minus
 

@@ -199,6 +199,16 @@ def test_resource_cap_exit_3():
         assert "cap" in res.stderr and "Traceback" not in res.stderr
 
 
+def test_rank_cap_exits_3_at_once():
+    # info A 50 took 11.7 s and info A 99999 did not finish
+    for args in (("info", "A", "99999"), ("--format", "json", "char", "D", "17", "--weight",
+                                          ",".join(["0"] * 17))):
+        res = run_cli(*args, timeout=20)
+        assert res.returncode == 3, (args, res.stderr)
+        assert res.stderr.startswith("resource cap: rank ") and res.stderr.count("\n") == 1
+        assert res.stdout == ""
+
+
 def test_negative_element_cap_exits_2(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text('{"max_elements": -1}')
@@ -765,6 +775,81 @@ def test_json_renderer_matches_json_dumps():
     for bad in ({1: 0}, {"a": 1, 2: 0}, {"a": object()}):  # never a payload
         with pytest.raises(TypeError):
             "".join(_render(bad, "json"))
+
+
+def test_inline_json_leaves_equal_json_dumps():
+    # None, True and False are spelled inline, and the csv column of a
+    # coefficient dict is written directly; json.dumps is the reference
+    from klext.cli import _coeff_fields, _json, _scalar
+
+    for v in (None, True, False, 0.5, float("nan")):
+        assert _scalar(v) == json.dumps(v)
+    payload = {"a": [None, True, False], "b": {"c": None, "d": True}, "e": False}
+    assert "".join(_json(payload, "\n", {})) == json.dumps(payload, sort_keys=True, indent=2)
+    for coeffs in ((), (0,), (1,), (1, 0, 2), (0, 10 ** 40, 0, 3, -(2 ** 70)),
+                   tuple(range(12))):
+        d, text = _coeff_fields(coeffs)
+        assert text == json.dumps(d), coeffs
+        assert json.loads(text) == {str(e): c for e, c in enumerate(coeffs) if c}
+
+
+# one command line of each kind that the benchmark runs, on small slices
+BENCH_KINDS = [
+    ["mu", "A", "2", "--cutoff", "8", "--x", "3", "--y", "40"],
+    ["--format", "csv", "mu-sum", "A", "2", "--cutoff", "8", "--x", "15"],
+    ["--format", "json", "ext1", "A", "2", "--cutoff", "8", "--lam", "1,1", "--nu", "1,1"],
+    ["extn", "A", "2", "--cutoff", "8", "--x", "15", "--y", "30", "--n", "1"],
+    ["--format", "json", "extsum", "A", "2", "--cutoff", "8", "--x", "15", "--n", "1"],
+    ["--format", "csv", "decomp", "A", "2", "--cutoff", "8", "--seed", "1,1", "--bound", "4,1"],
+    ["--format", "json", "pim", "A", "2", "--cutoff", "8", "--lambda0", "1,1"],
+    ["--format", "json", "chikl", "A", "2", "--cutoff", "8", "--weight", "1,1"],
+    ["--format", "json", "bounds", "A", "2", "--p", "2", "--empirical", "--cutoff", "8"],
+    ["--format", "json", "verify", "--type", "A", "--rank", "1", "--cutoff", "8"],
+    ["--format", "json", "kl", "A", "2", "--cutoff", "8", "--x", "3", "--y", "40"],
+    ["--format", "json", "kl", "A", "2", "--cutoff", "6", "--all"],
+]
+
+
+def test_bench_commands_load_no_json(tmp_path):
+    # json is imported only where an output needs it: no command of the
+    # benchmark's kinds loads it, with no cache, a cold cache or a warm one
+    runs = [argv for argv in BENCH_KINDS for argv in
+            (argv, ["--cache-dir", str(tmp_path), *argv], ["--cache-dir", str(tmp_path), *argv])]
+    code = ("import contextlib, io, sys\n"
+            "from klext import cli\n"
+            "found = []\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = cli.main(argv)\n"
+            "    found.append((status, sorted(m for m in sys.modules if 'json' in m)))\n"
+            "print(found)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert eval(res.stdout) == [(0, ["_json"])] * len(runs)
+
+
+def test_every_format_prints_the_same_without_the_c_quoter():
+    # without _json, the quoter is json.encoder's pure-Python one: every
+    # command prints the same bytes in every format
+    code = ("import contextlib, hashlib, io, sys\n"
+            "if sys.argv[1] == 'blocked':\n"
+            "    sys.modules['_json'] = None\n"
+            "from klext import cli\n"
+            "for argv in %r:\n"
+            "    for fmt in ('text', 'json', 'csv'):\n"
+            "        out = io.StringIO()\n"
+            "        with contextlib.redirect_stdout(out):\n"
+            "            status = cli.main(['--format', fmt, *argv])\n"
+            "        print(status, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+            "print(cli._quote.__module__)\n") % (EVERY_COMMAND,)
+    outs = []
+    for mode in ("plain", "blocked"):
+        res = subprocess.run([sys.executable, "-c", code, mode], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout.splitlines())
+    (*plain, plain_quoter), (*blocked, blocked_quoter) = outs
+    assert (plain_quoter, blocked_quoter) == ("_json", "json.encoder")
+    assert len(plain) == 3 * len(EVERY_COMMAND) and plain == blocked
 
 
 def test_json_export_is_written_without_a_copy_of_the_whole_output(monkeypatch):

@@ -44,8 +44,8 @@ def test_optimized_run_prints_the_same():
 
 def test_cli_import_leaves_fractions_out():
     # root-system arithmetic is integer-only, so the CLI never loads fractions;
-    # a SHA-256 module waits for a cache file, and the modules are imported
-    # plainly.
+    # a SHA-256 module waits for a cache file, json for an output that needs
+    # it, and the modules are imported plainly.
     # Only what ``import klext.cli`` adds counts, not what site hooks load
     code = ("import sys; base = set(sys.modules); import klext.cli\n"
             "print(sorted(set(sys.modules) - base))")
@@ -54,7 +54,7 @@ def test_cli_import_leaves_fractions_out():
     added = set(ast.literal_eval(res.stdout))
     assert {"klext.characters", "klext.extbounds"} <= added
     unwanted = {"fractions", "hashlib", "_sha2", "_sha256", "dataclasses", "inspect",
-                "importlib.util"}
+                "importlib.util", "json"}
     assert added & unwanted == set()
 
 

@@ -205,6 +205,25 @@ def test_invalid_pairs_rejected():
         assert "type" in str(exc.value) or "rank" in str(exc.value)
 
 
+def test_rank_cap_refuses_before_building(monkeypatch):
+    # the build grows about as rank^5: a rank above RANK_CAP is refused
+    # before any of it, an invalid rank is still invalid, and the cap is
+    # checked by RootSystemData itself, so no other path builds past it
+    from klext import rootsys
+
+    cap = rootsys.RANK_CAP
+    assert cap >= 8  # every rank that the tests and the README use
+    built = build_root_system("D", cap)
+    assert built.rank == cap and built.num_positive == cap * (cap - 1)
+    monkeypatch.setattr(rootsys, "_cartan_matrix", None)  # building anything fails
+    for lab in "ABCD":
+        for rank in (cap + 1, 99999):
+            with pytest.raises(ResourceCapError, match=f"rank {rank} is above the cap of {cap}"):
+                rootsys.RootSystemData(lab, rank)
+    with pytest.raises(InvalidSystemError):
+        build_root_system("E", 9)
+
+
 def test_cartan_matrix_shape():
     for lab, rank in ALL_SMALL:
         rs = build_root_system(lab, rank)

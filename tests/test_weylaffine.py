@@ -1,5 +1,6 @@
 """Affine Weyl group: normal forms, lengths, Bruhat order, alcove geometry."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -286,9 +287,10 @@ def enumerate_by_multiply(rs, cutoff, affine=True):
 
 
 SIGN_WALK_CASES = [("A", 2, 12, True), ("A", 3, 8, True), ("B", 3, 6, True),
-                   ("C", 3, 6, True), ("G", 2, 14, True), ("D", 4, 5, True),
-                   ("A", 1, 20, True), ("A", 3, None, False), ("B", 3, None, False),
-                   ("C", 3, None, False), ("D", 4, None, False), ("G", 2, None, False)]
+                   ("C", 3, 8, True), ("G", 2, 14, True), ("D", 4, 6, True),
+                   ("A", 1, 400, True), ("A", 3, None, False), ("B", 3, None, False),
+                   ("C", 3, None, False), ("D", 4, None, False), ("G", 2, None, False),
+                   ("F", 4, None, False)]
 
 
 def test_sign_walk_matches_multiplication():
@@ -305,6 +307,67 @@ def test_sign_walk_matches_multiplication():
         assert all(g.length == element_length(rs, g.wmat, g.mu) for g in sl.elements)
         if not affine:
             assert len(sl) == rs.weyl_order
+
+
+# the benchmark's slices: size, dominant count and the SHA-256 of the slice
+# file payload, which the walk must reproduce byte for byte
+BENCH_SLICES = {
+    ("A", 2, 24): (901, 132, "516a4bc73921a77d6674e0166bbc423d9ab1fa74808e956e34a2e5fdab3defcb"),
+    ("A", 3, 12): (1325, 23, "7ab76f71623d0642b387a6e79258a97a744e25922d3b5cf58a8329a64a7a9dd5"),
+    ("B", 3, 9): (479, 1, "6c419d728f19c79be0eb9929470aa141dd13032ea307cbd53e9db945f2a2a45b"),
+    ("G", 2, 14): (253, 13, "a344db0d3a64676ff99bdc8eccb49b89105e1d1e5934da2ca3e69509f11edb4b"),
+}
+
+
+def test_bench_slices_keep_their_bytes():
+    for (lab, rank, cutoff), (n, dominant, digest) in BENCH_SLICES.items():
+        sl = enumerate_slice(build_root_system(lab, rank), cutoff)  # dominance checked
+        assert (len(sl), sum(sl.dominant)) == (n, dominant)
+        assert hashlib.sha256(weylaffine._slice_payload(sl)).hexdigest() == digest
+
+
+def test_too_narrow_slots_raise_never_another_slice(monkeypatch):
+    # the slot width follows _wall_bound; under any smaller bound the walk
+    # either meets no wall value past it and gives the same slice, or raises
+    for lab, rank, cutoff, affine in [("A", 2, 10, True), ("G", 2, 8, True),
+                                      ("A", 1, 16, True), ("B", 3, 4, True),
+                                      ("C", 3, 9, False)]:
+        rs = build_root_system(lab, rank)
+        want = _enumerate_slice(rs, cutoff, affine)
+        payload = weylaffine._slice_payload(want)
+        bound = weylaffine._wall_bound(rs, cutoff)
+        raised = 0
+        for b in range(bound):
+            monkeypatch.setattr(weylaffine, "_wall_bound", lambda rs, cutoff, b=b: b)
+            try:
+                sl = _enumerate_slice(rs, cutoff, affine)
+            except InvariantViolation as ex:
+                assert f"is past the bound {b}" in str(ex)
+                raised += 1
+            else:
+                assert weylaffine._slice_payload(sl) == payload and sl.dominant == want.dominant
+            monkeypatch.undo()
+        assert raised, (lab, rank, cutoff)
+
+
+def test_wall_bound_holds_on_the_slices():
+    # _wall_bound's proof, checked: the largest |wall value| over each slice,
+    # recomputed from q(w) = h w^-1(p), stays within it
+    for lab, rank, cutoff, affine in SIGN_WALK_CASES[:7]:
+        rs = build_root_system(lab, rank)
+        sl = enumerate_slice(rs, cutoff, affine)
+        h = rs.coxeter_number
+        inv = slice_inversion(sl)
+        top = 0
+        for i in range(len(sl)):
+            w = sl.elements[inv[i]]  # q(g) = h g^-1(p), g^-1 applied to -rho in h-scale
+            q = [h * m - x for m, x in zip(rs.rt_to_wt(w.mu), (sum(row) for row in w.wmat))]
+            vals = [-x for x in q[:rank]]
+            if affine:
+                vals.append(sum(map(int.__mul__, rs.avee_wt[rs._max_short_index], q)) + h)
+            assert 0 not in vals
+            top = max(top, *map(abs, vals))
+        assert top <= weylaffine._wall_bound(rs, cutoff), (lab, rank, cutoff)
 
 
 def test_altered_elements_rejected(tmp_path):
