@@ -92,23 +92,26 @@ def ensure_table(rs, cutoff, *, affine=True, cache_dir=None, workers=1,
 # -- output rendering ---------------------------------------------------------
 
 
-# JSON output is written in pieces joined to about this many characters, so
-# that no copy of the whole output exists, and no write of any format is
-# longer (see ``_write``). On the 3.95 MB A2@12 ``kl --all``
-# export (median of 16 alternating runs into /dev/null, 2 vCPUs, with
+# Output is written in pieces joined to about this many characters, so that
+# no copy of a large output exists, and no write of any format is longer
+# (see ``_write``). On the 3.95 MB A2@12 ``--format json kl --all`` export
+# (median of 20 alternating runs into /dev/null, 2 vCPUs, with
 # PYTHONUNBUFFERED=1, which makes each write a system call): a write per
-# piece took 233 ms against 182 ms at 64 KiB, and one write of the whole
-# string 212 ms and 39.1 MB max RSS against 25.7 MB; 4 to 256 KiB were alike
-# in time, and 256 KiB held 1 MB more.
+# piece took 103 ms against 78 ms at 64 KiB, and one write of the whole
+# string 85 ms and 29.5 MB max RSS against 16.6 MB; 4 to 256 KiB were alike
+# in time, and 256 KiB held 0.6 MB more.
 CHUNK_CHARS = 1 << 16
 
 
 def _render(payload, fmt: str):
     """The output of ``payload`` in ``fmt`` as str pieces for ``_write``:
     JSON as many, none longer than one list item, text and csv as one
-    each. ``main`` builds the whole payload first, so an error found while
-    computing it never follows partial output."""
-    if fmt == "json":
+    each; a payload that is a function (``kl --all``) yields its own pieces
+    in ``fmt``. ``main`` builds the whole payload first, so an error found
+    while computing it never follows partial output."""
+    if callable(payload):
+        yield from payload(fmt)
+    elif fmt == "json":
         yield from _json(payload, "\n", {})
         yield "\n"
     elif fmt == "csv":
@@ -260,10 +263,10 @@ def _cells(values, pad: str, memo: dict) -> list:
 
 def _leaf(v, pad: str, memo: dict) -> str:
     """A field or cell that is neither a str nor an int, as one string. A
-    container renders once per call of ``_render``: ``memo`` keeps its
-    string under its ``id`` and ``pad``, since ``kl --all`` gives every
-    record of one polynomial the same coefficient dict. The payload keeps
-    every such container alive, so no ``id`` is reused during the call."""
+    container that several fields or cells share renders once per call of
+    ``_render``: ``memo`` keeps its string under its ``id`` and ``pad``. The
+    payload keeps every such container alive, so no ``id`` is reused during
+    the call."""
     if not isinstance(v, (dict, list, tuple)):
         return _scalar(v)
     key = (id(v), pad)
@@ -312,10 +315,8 @@ def _text(v, pad: str, top: bool) -> str:
     writes a scalar item as "- item" and a container item as its own lines at
     the list's indentation, trailing newlines stripped, closed by a "-" line.
 
-    Text stays one string: yielded in pieces of one line or list item, the
-    A2@12 ``kl --all`` text output took 274 ms instead of 252 ms (median of 20
-    alternating runs, 2 vCPUs) for 5 MB less max RSS, and no benchmark op
-    prints a large text output."""
+    Text stays one string: ``kl --all`` writes its own pieces, and no other
+    command's payload is large."""
     if isinstance(v, dict):
         inner = pad + "  "
         return "\n".join([
@@ -435,21 +436,75 @@ def _kl_record(table, x, y):
 
 
 def cmd_kl(args):
+    # a usage error comes before the slice is enumerated or a cache file made
+    if args.all:
+        _require(args.x is None and args.y is None, "kl --all takes no --x or --y")
+    else:
+        _require(args.x is not None and args.y is not None, "kl needs --x and --y (or --all)")
     # the complete table, also without a cache: bench/reference.py primes
     # the kl-warm B3@9 table only through this command's ensure_table call
     rs, table = _table_for(args)
     if args.all:
-        length = table.slice.length
-        records = []
-        csv_rows = [["x", "y", "length_x", "length_y", "polynomial", "mu"]]
-        # the keys in _kl_record's order, which the text format keeps
-        for x, y, (coeffs, coeffs_json), m in klpoly.kl_entries(table, _coeff_fields):
-            records.append({"x": x, "y": y, "length_x": length[x], "length_y": length[y],
-                            "polynomial_coeffs": coeffs, "mu": m})
-            csv_rows.append([x, y, length[x], length[y], coeffs_json, m])
-        return {"records": records, "csv_rows": csv_rows}
-    _require(args.x is not None and args.y is not None, "kl needs --x and --y (or --all)")
+        return _kl_export(table)
     return _kl_record(table, args.x, args.y)
+
+
+def _kl_export(table):
+    """The ``kl --all`` output, as the function of the format that yields
+    its pieces: every entry's ``_kl_record`` under "records" and its csv row
+    under "csv_rows", as ``_render`` would write that payload.
+
+    Every row is read here, before any output. An entry keeps (x, y, the
+    number of its polynomial, mu); each distinct polynomial's pieces are
+    rendered once by the generic renderers, and each entry is written
+    through one ``%`` template per section and format."""
+    length = table.slice.length
+    # the columns, in the order of the csv header and of a text record
+    columns = ["x", "y", "length_x", "length_y", "polynomial", "mu"]
+    polys = []  # (coefficient dict, its JSON) of each distinct polynomial
+
+    def number(coeffs):
+        polys.append(_coeff_fields(coeffs))
+        return len(polys) - 1
+
+    entries = list(klpoly.kl_entries(table, number))
+
+    def rows(template, cells):
+        for x, y, i, m in entries:
+            yield template % (x, y, length[x], length[y], cells[i], m)
+
+    def records(blocks):
+        # a JSON record's fields in sorted key order; the first takes no comma
+        for x, y, i, m in entries:
+            yield (',\n    {\n      "length_x": %s,\n      "length_y": %s,\n      "mu": %s,'
+                   '\n      "polynomial_coeffs": %s,\n      "x": %s,\n      "y": %s\n    }'
+                   % (length[x], length[y], m, blocks[i], x, y))
+
+    def pieces(fmt):
+        if fmt == "json":
+            yield '{\n  "csv_rows": [\n    ' + "".join(_json(columns, "\n    ", {}))
+            yield from rows(",\n    [" + ",".join(["\n      %s"] * 6) + "\n    ]",
+                            [_quote(text) for _, text in polys])
+            rest = records(["".join(_json(d, "\n      ", {})) for d, _ in polys])
+            yield '\n  ],\n  "records": [' + next(rest)[1:]
+            yield from rest
+            yield "\n  ]\n}\n"
+        elif fmt == "csv":
+            # the header line, then each polynomial's quoted column
+            header, *cells = _render_csv(
+                {"csv_rows": [columns, *([text] for _, text in polys)]}).splitlines()
+            yield header + "\n"
+            yield from rows("%s,%s,%s,%s,%s,%s\n", cells)
+        else:
+            yield "csv_rows:\n" + _text([columns], "  ", False)
+            yield from rows("\n  - %s" * 6 + "\n  -", [text for _, text in polys])
+            yield "\nrecords:"
+            yield from rows("\n  x: %s\n  y: %s\n  length_x: %s\n  length_y: %s"
+                            "\n  polynomial_coeffs:\n%s\n  mu: %s\n  -",
+                            [_text(d, "    ", False) for d, _ in polys])
+            yield "\n"
+
+    return pieces
 
 
 def cmd_mu(args):
@@ -969,7 +1024,7 @@ def _run(argv) -> int:
             payload = args.func(args)
             _write(_render(payload, args.format), sys.stdout)
             # verify reports a failed check, in every format, by exit status 1
-            return 0 if payload.get("all_passed", True) else 1
+            return 0 if callable(payload) or payload.get("all_passed", True) else 1
         except (UsageError, InvalidSystemError, OSError) as ex:
             # OSError: an unusable --cache-dir, cache entry or output path
             print(f"error: {ex}", file=sys.stderr)

@@ -727,13 +727,13 @@ def _random_json(rng, depth=0):
 
 def _random_records(rng, shared=None):
     """A list of 2 to 40 dicts with one key set, some of whose values are
-    one shared sub-dict or sub-list, as ``kl --all`` records share their
-    coefficient dicts; or a list of scalar rows, some empty, as its
-    ``csv_rows``. Some lists break the shape at a later item: a record with
-    a key more or less, a record with the same keys inserted in another
-    order (which the text format keeps), or an item that is no dict. A
-    top-level call's records may hold a list of records that shares the
-    same objects one level deeper."""
+    one shared sub-dict or sub-list, which ``_leaf`` renders once; or a
+    list of scalar rows, some empty, as a ``csv_rows``. Some lists break
+    the shape at a later item: a record with a key more or less, a record
+    with the same keys inserted in another order (which the text format
+    keeps), or an item that is no dict. A top-level call's records may
+    hold a list of records that shares the same objects one level
+    deeper."""
     n = rng.randrange(2, 41)
     if rng.random() < 0.25:
         return [[_random_json(rng, 4) for _ in range(rng.choice([0, 1, 3, 6]))]
@@ -853,8 +853,9 @@ def test_every_format_prints_the_same_without_the_c_quoter():
 
 
 def test_json_export_is_written_without_a_copy_of_the_whole_output(monkeypatch):
-    # the A2@12 kl --all payload is 3.95 MB as JSON; written into a sink
-    # that keeps nothing, its rendering may hold a few pieces at a time only
+    # the A2@12 kl --all payload is 3.95 MB as JSON, 2.3 MB as text and
+    # 0.5 MB as csv; written into a sink that keeps nothing, its rendering
+    # may hold a few pieces at a time only, in every format
     import os
     import tracemalloc
 
@@ -863,15 +864,16 @@ def test_json_export_is_written_without_a_copy_of_the_whole_output(monkeypatch):
     monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
     payload = cli.cmd_kl(cli.build_parser().parse_args(
         ["kl", "A", "2", "--cutoff", "12", "--all"]))
-    with open(os.devnull, "w") as sink:
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            cli._write(cli._render(payload, "json"), sink)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak - start < 1 << 20
+    for fmt in ("json", "text", "csv"):
+        with open(os.devnull, "w") as sink:
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                cli._write(cli._render(payload, fmt), sink)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - start < 1 << 20, fmt
 
 
 # ids: the PYTHONUNBUFFERED value, after the format unless it is json
@@ -1025,14 +1027,20 @@ def test_text_renderer_matches_the_line_renderer():
         assert "".join(_render(payload, "text")) == line_render_text(payload)
 
 
-@pytest.mark.parametrize("lab", ["A", "B"])
-def test_kl_all_prints_the_per_pair_records(lab, monkeypatch, capsys):
+# G2@18 has coefficients up to 14 and 3-digit indices, C3@6 is rank 3
+@pytest.mark.parametrize("lab,rank,cutoff", [
+    pytest.param("A", 2, 8, id="A"),
+    pytest.param("B", 2, 8, id="B"),
+    pytest.param("G", 2, 18, id="G"),
+    pytest.param("C", 3, 6, id="C"),
+])
+def test_kl_all_prints_the_per_pair_records(lab, rank, cutoff, monkeypatch, capsys):
     # the row walk against one index-checked record per pair, in every format
     from klext import cli
     from klext.rootsys import build_root_system
 
     monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
-    table = cli.ensure_table(build_root_system(lab, 2), 8)
+    table = cli.ensure_table(build_root_system(lab, rank), cutoff)
     records = [cli._kl_record(table, x, y)
                for y in range(len(table.slice)) for x in sorted(table.rows_for(y))]
     payload = {"records": records, "csv_rows": [
@@ -1043,8 +1051,34 @@ def test_kl_all_prints_the_per_pair_records(lab, monkeypatch, capsys):
     want = {"json": json.dumps(payload, sort_keys=True, indent=2) + "\n",
             "csv": cli._render_csv(payload), "text": line_render_text(payload)}
     for fmt, text in want.items():
-        assert cli.main(["--format", fmt, "kl", lab, "2", "--cutoff", "8", "--all"]) == 0
+        assert cli.main(["--format", fmt, "kl", lab, str(rank), "--cutoff", str(cutoff),
+                         "--all"]) == 0
         assert capsys.readouterr().out == text, fmt
+
+
+ALL_TAKES_NO_XY = "error: kl --all takes no --x or --y\n"
+
+
+@pytest.mark.parametrize("flags,err", [
+    (["--all", "--x", "99"], ALL_TAKES_NO_XY),
+    (["--all", "--y", "1"], ALL_TAKES_NO_XY),
+    (["--all", "--x", "99", "--y", "1"], ALL_TAKES_NO_XY),
+    (["--x", "3"], "error: kl needs --x and --y (or --all)\n"),
+], ids=["all-x", "all-y", "all-x-y", "x-only"])
+def test_kl_usage_errors_come_before_the_slice(flags, err, tmp_path, monkeypatch, capsys):
+    # --all prints the whole table, so an --x or --y beside it is a usage
+    # error, and a pair needs both; each is found before the slice is
+    # enumerated or the cache directory made
+    from klext import cli
+
+    def never(*args):
+        raise AssertionError("the slice was enumerated")
+
+    monkeypatch.setattr(cli.weylaffine, "enumerate_slice", never)
+    cache = tmp_path / "cache"
+    status = cli.main(["--cache-dir", str(cache), "kl", "A", "2", "--cutoff", "3", *flags])
+    assert (status, *capsys.readouterr()) == (2, "", err)
+    assert not cache.exists()
 
 
 def _outcome(argv, capsys):
