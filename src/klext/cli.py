@@ -13,10 +13,10 @@ cap exceeded.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import warnings
+from types import SimpleNamespace
 
 # JSON's C string quoter, the one json.encoder itself uses; json itself is
 # imported only where an output or input needs it (see ``_dumps``)
@@ -112,7 +112,7 @@ def _render(payload, fmt: str):
     if callable(payload):
         yield from payload(fmt)
     elif fmt == "json":
-        yield from _json(payload, "\n", {})
+        yield from _json(payload, "\n")
         yield "\n"
     elif fmt == "csv":
         yield _render_csv(payload)
@@ -158,7 +158,7 @@ def _write(pieces, out) -> None:
         raise
 
 
-def _json(v, pad: str, memo: dict):
+def _json(v, pad: str):
     """The pieces of ``v`` as ``json.dumps(v, sort_keys=True, indent=2)``
     writes it, ``pad`` being a newline and the indentation of the line that
     ``v`` starts on. Every payload's keys are strings; any other key is a
@@ -183,7 +183,7 @@ def _json(v, pad: str, memo: dict):
         sep = "{" + inner
         for k in sorted(v):
             yield sep + _quote(k) + ": "
-            yield from _json(v[k], inner, memo)
+            yield from _json(v[k], inner)
             sep = "," + inner
         yield pad + "}"
     elif isinstance(v, (list, tuple)):
@@ -196,16 +196,16 @@ def _json(v, pad: str, memo: dict):
         if template is not None:
             fmt, keys = template
             for x in v:
-                yield sep + fmt % tuple(_cells(map(x.__getitem__, keys), cell, memo))
+                yield sep + fmt % tuple(_cells(map(x.__getitem__, keys), cell))
                 sep = "," + inner
         else:
             for x in v:
                 if type(x) in (list, tuple):
-                    yield sep + ("[" + cell + ("," + cell).join(_cells(x, cell, memo))
+                    yield sep + ("[" + cell + ("," + cell).join(_cells(x, cell))
                                  + inner + "]" if x else "[]")
                 else:
                     yield sep
-                    yield from _json(x, inner, memo)
+                    yield from _json(x, inner)
                 sep = "," + inner
         yield pad + "]"
     else:
@@ -254,26 +254,18 @@ def _template(v, pad: str):
     return "{" + inner + fields + pad + "}", ordered
 
 
-def _cells(values, pad: str, memo: dict) -> list:
+def _cells(values, pad: str) -> list:
     """The template fields or row cells ``values`` at indentation ``pad``,
     each as one string: a str or int inline, any other value by ``_leaf``."""
     return [int.__repr__(y) if type(y) is int else _quote(y) if type(y) is str
-            else _leaf(y, pad, memo) for y in values]
+            else _leaf(y, pad) for y in values]
 
 
-def _leaf(v, pad: str, memo: dict) -> str:
-    """A field or cell that is neither a str nor an int, as one string. A
-    container that several fields or cells share renders once per call of
-    ``_render``: ``memo`` keeps its string under its ``id`` and ``pad``. The
-    payload keeps every such container alive, so no ``id`` is reused during
-    the call."""
+def _leaf(v, pad: str) -> str:
+    """A field or cell that is neither a str nor an int, as one string."""
     if not isinstance(v, (dict, list, tuple)):
         return _scalar(v)
-    key = (id(v), pad)
-    s = memo.get(key)
-    if s is None:
-        s = memo[key] = "".join(_json(v, pad, memo))
-    return s
+    return "".join(_json(v, pad))
 
 
 def _render_csv(payload) -> str:
@@ -482,10 +474,10 @@ def _kl_export(table):
 
     def pieces(fmt):
         if fmt == "json":
-            yield '{\n  "csv_rows": [\n    ' + "".join(_json(columns, "\n    ", {}))
+            yield '{\n  "csv_rows": [\n    ' + "".join(_json(columns, "\n    "))
             yield from rows(",\n    [" + ",".join(["\n      %s"] * 6) + "\n    ]",
                             [_quote(text) for _, text in polys])
-            rest = records(["".join(_json(d, "\n      ", {})) for d, _ in polys])
+            rest = records(["".join(_json(d, "\n      ")) for d, _ in polys])
             yield '\n  ],\n  "records": [' + next(rest)[1:]
             yield from rest
             yield "\n  ]\n}\n"
@@ -743,6 +735,20 @@ def _require(cond, message):
 
 
 # -- argument wiring ---------------------------------------------------------------
+#
+# Each adder declares arguments by add_argument calls: on an argparse parser
+# in build_parser, and on a _Declared record in _fast_parse.
+
+
+def _global_args(p):
+    p.add_argument("--version", action="version", version=f"klext {__version__}")
+    p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--cache-dir", default=None, help=f"cache directory (or ${ENV_CACHE})")
+    p.add_argument("--format", choices=("json", "text", "csv"), default="text")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the table fill is sequential")
+    p.add_argument("--max-elements", type=int, default=None,
+                   help="hard cap on enumerated elements")
 
 
 def _system(sub):
@@ -834,70 +840,132 @@ COMMANDS = {
 }
 
 
-class _Refused(UsageError):
-    """A one-command parser met a usage error; ``_parse`` asks the full
-    parser, which reports it. (The second parse after ``--config`` meets
-    none that the first did not, since the file sets defaults only.)"""
+class _Declared:
+    """The arguments that an adder declares, for ``_fast_parse``: each
+    positional's (dest, spec) in order, and each option's (dest, spec) under
+    its flag, a spec being the keywords of its ``add_argument`` call and a
+    dest the attribute that argparse sets."""
+
+    def __init__(self, add):
+        self.positionals, self.options = [], {}
+        add(self)
+
+    def add_argument(self, name, **spec):
+        if name.startswith("-"):
+            self.options[name] = (name[2:].replace("-", "_"), spec)
+        else:
+            self.positionals.append((name, spec))
 
 
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Refused(message)
+# the option actions that _fast_parse takes, each with argparse's default
+_PLAIN_ACTIONS = {None: None, "store_true": False, "append": None}
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The klext parser, with every subcommand of COMMANDS; or, given a
-    command name, the parser with that subcommand alone, whose usage errors
-    raise ``_Refused`` instead of exiting. ``--help``, the tests and
-    ``_parse``'s fallback use the full parser. In a fresh process, building
-    and parsing a ``mu`` command line took 9.2 ms with the full parser and
-    3.8 ms with the ``mu`` parser alone (median of 7, 2 vCPUs, Python
-    3.11.7).
+def _fast_parse(argv):
+    """The namespace that ``build_parser().parse_args(argv)`` returns, made
+    without argparse, for a plain command line; None for any other line.
 
-    It knows nothing of the ``--config`` file: ``main`` parses the command
+    A plain line holds global options, the command name, the command's
+    positionals and then its options. Each option is spelled exactly as
+    declared (no abbreviation, no ``--opt=value``) and given once, except a
+    repeatable one (``bounds --n``); a switch stands alone, and any other
+    option takes the next token. No value starts with "-". ``type`` and
+    ``choices`` apply as argparse applies them, and every required option
+    is there. On such a line argparse reads every token the same way, so
+    both parses agree. Every other line declines: -h, --help, --version,
+    usage errors, abbreviations, negative values, and any ``--config``
+    line, which the full parser parses before and after the file sets its
+    defaults."""
+    if "--config" in argv:
+        return None
+    values = {}
+
+    def value(spec, token):
+        # ValueError: the full parser reports or reads the token
+        if token.startswith("-"):
+            raise ValueError(token)
+        convert, choices = spec.get("type"), spec.get("choices")
+        v = token if convert is None else convert(token)
+        if choices is not None and v not in choices:
+            raise ValueError(token)
+        return v
+
+    def options(at, declared):
+        # the options from argv[at] up to the first token that is not one
+        while at < len(argv) and argv[at].startswith("-"):
+            flag = argv[at]
+            dest, spec = declared.options.get(flag, (None, None))
+            if spec is None or spec.get("action") not in _PLAIN_ACTIONS:
+                raise ValueError(flag)
+            action = spec.get("action")
+            if action == "store_true":
+                v, at = True, at + 1
+            elif at + 1 < len(argv):
+                v, at = value(spec, argv[at + 1]), at + 2
+            else:
+                raise ValueError(flag)
+            if action == "append":
+                v = [*values.get(dest, ()), v]
+            elif dest in values:
+                raise ValueError(flag)
+            values[dest] = v
+        return at
+
+    top = _Declared(_global_args)
+    try:
+        at = options(0, top)
+        if at == len(argv) or argv[at] not in COMMANDS:
+            return None
+        name = argv[at]
+        _, handler, add = COMMANDS[name]
+        command = _Declared(add)
+        at += 1
+        if len(argv) < at + len(command.positionals):
+            return None
+        for dest, spec in command.positionals:
+            values[dest] = value(spec, argv[at])
+            at += 1
+        if options(at, command) != len(argv):
+            return None
+    except ValueError:
+        return None
+    for declared in (top, command):
+        for dest, spec in declared.options.values():
+            action = spec.get("action")
+            if action in _PLAIN_ACTIONS and dest not in values:
+                if spec.get("required"):
+                    return None
+                values[dest] = spec.get("default", _PLAIN_ACTIONS[action])
+    return SimpleNamespace(**values, command=name, func=handler)
+
+
+def build_parser():
+    """The klext argparse parser, with every subcommand of COMMANDS. It
+    parses the lines that ``_fast_parse`` declines, and prints --help,
+    --version and every usage error.
+
+    It knows nothing of the ``--config`` file: ``_run`` parses the command
     line, lets ``_apply_config`` make the file's values defaults of their
-    options, and parses the command line again."""
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
-        prog="klext",
-        description=__doc__.splitlines()[0],
-    )
-    parser.add_argument("--version", action="version", version=f"klext {__version__}")
-    parser.add_argument("--config", help="JSON config file; flags override it")
-    parser.add_argument("--cache-dir", default=None,
-                        help=f"cache directory (or ${ENV_CACHE})")
-    parser.add_argument("--format", choices=("json", "text", "csv"), default="text")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted for compatibility; the table fill is sequential")
-    parser.add_argument("--max-elements", type=int, default=None,
-                        help="hard cap on enumerated elements")
+    options on a fresh parser, and parses the command line again there."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="klext", description=__doc__.splitlines()[0])
+    _global_args(parser)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (text, handler, add) in COMMANDS.items():
-        if command in (None, name):
-            sub = subs.add_parser(name, help=text)
-            add(sub)
-            sub.set_defaults(func=handler)
+        sub = subs.add_parser(name, help=text)
+        add(sub)
+        sub.set_defaults(func=handler)
     return parser
 
 
 def _parse(argv):
-    """The parser of the command line ``argv`` and its parse: the parser of
-    the first token that names a command, or the full parser where that one
-    would print otherwise. That is on a usage error, whose message names
-    the full parser's choices, and on a -h or --h... token before the
-    command, where the main help lists every command; the full parser then
-    prints its help or its usage error and exits. A parse that succeeds took
-    that token's name for the command, the one name its parser knows, so
-    the full parser would make the same parse, even where the token itself
-    was an option's value (``--cache-dir mu mu ...``)."""
-    at = next((i for i, token in enumerate(argv) if token in COMMANDS), None)
-    if at is not None and not any(t.startswith(("-h", "--h")) for t in argv[:at]):
-        parser = build_parser(argv[at])
-        try:
-            return parser, parser.parse_args(argv)
-        except _Refused:
-            pass
-    parser = build_parser()
-    return parser, parser.parse_args(argv)
+    """The parse of the command line ``argv``: ``_fast_parse``'s, or, on a
+    line that it declines, the full parser's, which exits where it prints
+    help, the version or a usage error. Only those lines import argparse
+    (and through it gettext, and locale on its first message)."""
+    args = _fast_parse(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def _read_config(path) -> dict:
@@ -924,6 +992,8 @@ def _apply_config(args, parser):
     --config. An int option takes a JSON integer (not a bool), a string
     option a string, a switch a bool, and ``choices`` hold. The repeatable
     ``bounds --n`` takes one integer too, which its flags add to."""
+    import argparse  # loaded already: ``parser`` is an argparse parser
+
     subs = next(a for a in parser._actions if a.dest == "command")
     owners = {a.dest: (p, a) for p in (parser, subs.choices[args.command]) for a in p._actions}
     for key, value in _read_config(args.config).items():
@@ -1005,7 +1075,7 @@ def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the command line first: --help, --version and its usage errors never
     # read the config file
-    parser, args = _parse(argv)
+    args = _parse(argv)
 
     def show(message, category, *_):
         # one line per warning; none about the l = h the CLI chose itself
@@ -1018,6 +1088,7 @@ def _run(argv) -> int:
             if sys.stdout is None:  # its descriptor was closed at startup
                 raise OSError("standard output is closed")
             if args.config is not None:
+                parser = build_parser()
                 _apply_config(args, parser)
                 args = parser.parse_args(argv)
             _check_args(args)

@@ -207,8 +207,12 @@ class _SignWalk:
         h g(p) minus. All three depend on W alone."""
         w = self.mats[f]
         wr = _matvec(w, self.roots[t])
-        c = self.coroots[t]
-        wmat = tuple([tuple([x - y * ci for x, ci in zip(row, c)]) for row, y in zip(w, wr)])
+        if t < self.rs.rank:  # c = -e_t: only column t changes, by + W r
+            wmat = tuple([(*row[:t], row[t] + y, *row[t + 1:]) for row, y in zip(w, wr)])
+        else:
+            c = self.coroots[t]
+            wmat = tuple([tuple([x - y * ci for x, ci in zip(row, c)])
+                          for row, y in zip(w, wr)])
         g = self._mat_ids.get(wmat)
         if g is None:
             g = self._mat_ids[wmat] = len(self.mats)

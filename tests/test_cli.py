@@ -638,23 +638,28 @@ def test_table_header_not_filled_to_cutoff_exits_1(tmp_path):
         f"error: {table_file}: table header says filled to length 99, not its cutoff 10\n")
 
 
-def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
-    # every command of README's CLI block, in process, run in tmp_path so
-    # that its .cache lands there
+def readme_commands():
+    """The klext arguments of each command of README's CLI block."""
     import pathlib
     import shlex
-
-    from klext import cli
 
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line, comments=True) for line in block.splitlines()]
-    commands = [c for c in commands if c and c[0] == "klext"]
+    return [c[1:] for c in commands if c and c[0] == "klext"]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every command of README's CLI block, in process, run in tmp_path so
+    # that its .cache lands there
+    from klext import cli
+
+    commands = readme_commands()
     assert commands
     monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
     monkeypatch.chdir(tmp_path)
     for argv in commands:
-        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
         assert capsys.readouterr().out
 
 
@@ -727,7 +732,7 @@ def _random_json(rng, depth=0):
 
 def _random_records(rng, shared=None):
     """A list of 2 to 40 dicts with one key set, some of whose values are
-    one shared sub-dict or sub-list, which ``_leaf`` renders once; or a
+    one shared sub-dict or sub-list; or a
     list of scalar rows, some empty, as a ``csv_rows``. Some lists break
     the shape at a later item: a record with a key more or less, a record
     with the same keys inserted in another order (which the text format
@@ -785,7 +790,7 @@ def test_inline_json_leaves_equal_json_dumps():
     for v in (None, True, False, 0.5, float("nan")):
         assert _scalar(v) == json.dumps(v)
     payload = {"a": [None, True, False], "b": {"c": None, "d": True}, "e": False}
-    assert "".join(_json(payload, "\n", {})) == json.dumps(payload, sort_keys=True, indent=2)
+    assert "".join(_json(payload, "\n")) == json.dumps(payload, sort_keys=True, indent=2)
     for coeffs in ((), (0,), (1,), (1, 0, 2), (0, 10 ** 40, 0, 3, -(2 ** 70)),
                    tuple(range(12))):
         d, text = _coeff_fields(coeffs)
@@ -816,6 +821,7 @@ def test_bench_commands_load_no_json(tmp_path):
     runs = [argv for argv in BENCH_KINDS for argv in
             (argv, ["--cache-dir", str(tmp_path), *argv], ["--cache-dir", str(tmp_path), *argv])]
     code = ("import contextlib, io, sys\n"
+            "base = set(sys.modules)\n"
             "from klext import cli\n"
             "found = []\n"
             f"for argv in {runs!r}:\n"
@@ -1093,35 +1099,36 @@ def _outcome(argv, capsys):
     return status, out, err
 
 
-# (command line, the build_parser calls it makes): None builds the full
-# parser, which prints the main help and every usage error
+# (command line, the full parsers it builds): a plain line builds none; any
+# other line builds one, which prints its help or its usage error or parses
+# it; a --config line builds a second, on which the file sets defaults
 MU = ["A", "2", "--cutoff", "4", "--x", "1", "--y", "2"]
 PARSER_CASES = [
-    (["--help"], [None]),
-    *(([name, "--help"], [name]) for name in dict.fromkeys(a[0] for a in EVERY_COMMAND)),
-    (["--version"], [None]),
-    ([], [None]),
-    (["bogus", "A", "2"], [None]),
-    (["-h", "mu", "A", "2"], [None]),
-    (["--he", "mu", "A", "2"], [None]),
-    (["--format", "xml", "mu", *MU], ["mu", None]),
-    (["mu", "A", "2", "--x", "1"], ["mu", None]),
-    (["--cache", "cache", "mu", *MU], ["mu"]),
-    (["--cache-dir", "mu", "mu", *MU], ["mu"]),
-    (["--config", "verify", "mu", *MU], ["verify", None]),
-    (["--config", "mu", "kl", *MU], ["mu", None]),
-    (["--config", "conf.json", "mu", "A", "2", "--x", "1", "--y", "2"], ["mu"]),
+    (["--help"], 1),
+    *(([name, "--help"], 1) for name in dict.fromkeys(a[0] for a in EVERY_COMMAND)),
+    (["--version"], 1),
+    ([], 1),
+    (["bogus", "A", "2"], 1),
+    (["-h", "mu", "A", "2"], 1),
+    (["--he", "mu", "A", "2"], 1),
+    (["--format", "xml", "mu", *MU], 1),
+    (["mu", "A", "2", "--x", "1"], 1),
+    (["--cache", "cache", "mu", *MU], 1),
+    (["--cache-dir", "mu", "mu", *MU], 0),
+    (["--config", "verify", "mu", *MU], 2),
+    (["--config", "mu", "kl", *MU], 2),
+    (["--config", "conf.json", "mu", "A", "2", "--x", "1", "--y", "2"], 2),
     (["--config", "conf.json", "--format", "json", "extsum", "A", "1", "--x", "4", "--n", "1"],
-     ["extsum"]),
-    (["mu", *MU, "--version"], ["mu", None]),
+     2),
+    (["mu", *MU, "--version"], 1),
 ]
 
 
-@pytest.mark.parametrize("argv, calls", PARSER_CASES, ids=[" ".join(a) for a, _ in PARSER_CASES])
-def test_one_command_parser_prints_what_the_full_parser_prints(argv, calls, tmp_path, capsys,
+@pytest.mark.parametrize("argv, builds", PARSER_CASES, ids=[" ".join(a) for a, _ in PARSER_CASES])
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, builds, tmp_path, capsys,
                                                                monkeypatch):
-    # a process parses with its command's subparser alone, and falls back to
-    # the full parser wherever that one would print or exit differently
+    # a plain line is parsed without argparse and prints what the full
+    # parser's parse of it prints; every other line builds the full parser
     from klext import cli
 
     monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
@@ -1130,13 +1137,135 @@ def test_one_command_parser_prints_what_the_full_parser_prints(argv, calls, tmp_
     full = cli.build_parser
     built = []
 
-    def spy(command=None):
-        built.append(command)
-        return full(command)
+    def spy():
+        built.append(argv)
+        return full()
 
     monkeypatch.setattr(cli, "build_parser", spy)
     got = _outcome(argv, capsys)
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert len(built) == builds
+    monkeypatch.setattr(cli, "_fast_parse", lambda argv: None)
     assert got == _outcome(argv, capsys)
     assert got[0] in (0, 2) and got[1] + got[2]
-    assert built == calls
+
+
+_COMMAND_NAMES = {argv[0] for argv in EVERY_COMMAND}
+
+
+def _perturbed(rng, argv):
+    """``argv`` with one change that argparse may take or refuse: options
+    reordered, an abbreviation, an ``=`` form, a negative value, a repeated
+    or a dropped option, an extra token, a help flag anywhere, or a global
+    option after the command."""
+    argv = list(argv)
+    flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+    kind = rng.choice(["reorder", "abbrev", "equals", "negative", "repeat", "drop", "extra",
+                       "help", "global"])
+    at = rng.choice(flags) if flags else None
+    valued = at is not None and at + 1 < len(argv) and not argv[at + 1].startswith("-")
+    if kind == "reorder":  # the options after the command, in another order
+        command = next((i for i, token in enumerate(argv) if token in _COMMAND_NAMES), len(argv))
+        starts = [i for i in flags if i > command] + [len(argv)]
+        groups = [argv[a:b] for a, b in zip(starts, starts[1:])]
+        rng.shuffle(groups)
+        argv = argv[:starts[0]] + [token for group in groups for token in group]
+    elif kind == "abbrev" and at is not None:
+        argv[at] = argv[at][:rng.randrange(3, max(4, len(argv[at])))]
+    elif kind == "equals" and valued:
+        argv[at:at + 2] = [f"{argv[at]}={argv[at + 1]}"]
+    elif kind == "negative" and valued:
+        argv[at + 1] = rng.choice(["-1", "-3", "-0", "-1,0"])
+    elif kind == "repeat" and at is not None:
+        argv += argv[at:at + 1 + valued]
+    elif kind == "drop" and at is not None:
+        del argv[at:at + 1 + valued]
+    elif kind == "extra":
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["5", "A", "extra", "--bogus", "-",
+                                                              "--", ""]))
+    elif kind == "help":
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(["-h", "--help", "--version"]))
+    elif kind == "global":
+        argv += rng.choice([["--format", "json"], ["--workers", "2"], ["--cache-dir", "c"]])
+    return argv
+
+
+def test_plain_parse_agrees_with_argparse():
+    # on every line, _fast_parse either declines or returns argparse's
+    # namespace; it declines every line that argparse refuses or answers by
+    # printing (help, version)
+    import contextlib
+    import io
+
+    from klext import cli
+
+    base = [*EVERY_COMMAND, *BENCH_KINDS, *readme_commands(), *(a for a, _ in PARSER_CASES),
+            ["--workers", "2", "--max-elements", "500", "--cache-dir", "c", *EVERY_COMMAND[2]],
+            ["bounds", "A", "2", "--p", "3", "--n", "1", "--n", "2"]]
+    rng = random.Random(35)
+    lines = [*base, *(_perturbed(rng, rng.choice(base)) for _ in range(1500))]
+    parser = cli.build_parser()
+    taken = declined = refused = 0
+    for argv in lines:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                want = vars(parser.parse_args(argv))
+        except SystemExit:
+            want = None
+        got = cli._fast_parse(argv)
+        if want is None:
+            assert got is None, argv
+            refused += 1
+        elif got is None:
+            declined += 1
+        else:
+            assert vars(got) == want, argv
+            taken += 1
+    # the corpus reaches all three outcomes in numbers
+    assert min(taken, declined, refused) > 100, (taken, declined, refused)
+
+
+def test_plain_lines_take_the_plain_parse(tmp_path):
+    # the lines of the tests and of the benchmark's kinds never build the
+    # full parser, also with the global options the benchmark adds
+    from klext import cli
+
+    for argv in (*EVERY_COMMAND, *BENCH_KINDS, *readme_commands()):
+        assert cli._fast_parse(argv) is not None, argv
+        for flag, value in (("--cache-dir", str(tmp_path)), ("--format", "json")):
+            if flag not in argv:
+                assert cli._fast_parse([flag, value, *argv]) is not None, (flag, argv)
+
+
+def test_plain_lines_load_no_argparse(tmp_path):
+    # an uncached mu, a warm kl --x --y (after a cold one), a JSON ext1 and
+    # a repeated bounds --n finish with neither argparse nor gettext nor
+    # locale loaded; mu --help loads argparse
+    import os
+
+    cache = str(tmp_path)
+    runs = [["mu", "A", "2", "--cutoff", "8", "--x", "3", "--y", "40"],
+            ["--cache-dir", cache, "kl", "A", "2", "--cutoff", "8", "--x", "3", "--y", "40"],
+            ["--cache-dir", cache, "kl", "A", "2", "--cutoff", "8", "--x", "3", "--y", "40"],
+            ["--format", "json", "ext1", "A", "2", "--cutoff", "8", "--lam", "1,1", "--nu", "1,1"],
+            ["bounds", "A", "2", "--p", "3", "--n", "1", "--n", "2"],
+            ["mu", "--help"]]
+    code = ("import contextlib, io, sys\n"
+            "base = set(sys.modules)\n"
+            "from klext import cli\n"
+            "found = []\n"
+            f"for argv in {runs!r}:\n"
+            "    try:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            status = cli.main(argv)\n"
+            "    except SystemExit as ex:\n"
+            "        status = ex.code\n"
+            "    found.append((status, [m for m in ('argparse', 'gettext', 'locale')\n"
+            "                           if m in set(sys.modules) - base]))\n"
+            "print(found)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    found = eval(res.stdout)
+    assert found[:-1] == [(0, [])] * (len(runs) - 1)
+    assert found[-1][0] == 0 and "argparse" in found[-1][1]
+    assert any(name.startswith("kl_") for name in os.listdir(cache))

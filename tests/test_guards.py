@@ -1,6 +1,6 @@
 """Guards: invariants survive ``python -O`` (no assert statements in the
-package), the CLI import stays free of ``fractions`` and of every SHA-256
-module, only ``klpoly`` reads a KL table's polynomial pool, and only a
+package), the CLI import stays free of ``fractions``, of every SHA-256
+module and of argparse, only ``klpoly`` reads a KL table's polynomial pool, and only a
 complete table is saved."""
 
 import ast
@@ -45,7 +45,8 @@ def test_optimized_run_prints_the_same():
 def test_cli_import_leaves_fractions_out():
     # root-system arithmetic is integer-only, so the CLI never loads fractions;
     # a SHA-256 module waits for a cache file, json for an output that needs
-    # it, and the modules are imported plainly.
+    # it, argparse (with gettext and locale) for a line that the plain parse
+    # declines, and the modules are imported plainly.
     # Only what ``import klext.cli`` adds counts, not what site hooks load
     code = ("import sys; base = set(sys.modules); import klext.cli\n"
             "print(sorted(set(sys.modules) - base))")
@@ -54,7 +55,7 @@ def test_cli_import_leaves_fractions_out():
     added = set(ast.literal_eval(res.stdout))
     assert {"klext.characters", "klext.extbounds"} <= added
     unwanted = {"fractions", "hashlib", "_sha2", "_sha256", "dataclasses", "inspect",
-                "importlib.util", "json"}
+                "importlib.util", "json", "argparse", "gettext", "locale"}
     assert added & unwanted == set()
 
 
