@@ -166,10 +166,8 @@ def _json(v, pad: str):
 
     ``indent`` sends ``json.dumps`` to its pure-Python encoder; this hands a
     str or int leaf to the encoder's C string quoter or to ``int.__repr__``
-    and yields one piece per list item. A list of dicts that share one key
-    set renders each dict through one ``%`` template of the sorted quoted
-    keys, and a list item that is a list renders as one row; the fields and
-    cells of both go through ``_cells``."""
+    and yields one piece per list item. A list item that is a list, such as
+    a matrix row, renders as one piece, its cells through ``_cells``."""
     t = type(v)
     if t is str:
         yield _quote(v)
@@ -192,21 +190,14 @@ def _json(v, pad: str):
             return
         inner = pad + "  "
         sep, cell = "[" + inner, inner + "  "
-        template = _template(v, inner)
-        if template is not None:
-            fmt, keys = template
-            for x in v:
-                yield sep + fmt % tuple(_cells(map(x.__getitem__, keys), cell))
-                sep = "," + inner
-        else:
-            for x in v:
-                if type(x) in (list, tuple):
-                    yield sep + ("[" + cell + ("," + cell).join(_cells(x, cell))
-                                 + inner + "]" if x else "[]")
-                else:
-                    yield sep
-                    yield from _json(x, inner)
-                sep = "," + inner
+        for x in v:
+            if type(x) in (list, tuple):
+                yield sep + ("[" + cell + ("," + cell).join(_cells(x, cell))
+                             + inner + "]" if x else "[]")
+            else:
+                yield sep
+                yield from _json(x, inner)
+            sep = "," + inner
         yield pad + "]"
     else:
         yield _scalar(v)
@@ -236,33 +227,15 @@ def _dumps(v) -> str:
     return json.dumps(v)
 
 
-def _template(v, pad: str):
-    """The ``%`` template of a dict item of the list ``v`` at indentation
-    ``pad``, and its sorted keys, if every item is a dict with the first
-    one's non-empty key set; else None. Key order does not matter: the keys
-    are written sorted."""
-    first = v[0]
-    if type(first) is not dict or not first:
-        return None
-    keys = first.keys()
-    for x in v:
-        if type(x) is not dict or x.keys() != keys:
-            return None
-    ordered = sorted(first)
-    inner = pad + "  "
-    fields = ("," + inner).join([_quote(k).replace("%", "%%") + ": %s" for k in ordered])
-    return "{" + inner + fields + pad + "}", ordered
-
-
 def _cells(values, pad: str) -> list:
-    """The template fields or row cells ``values`` at indentation ``pad``,
-    each as one string: a str or int inline, any other value by ``_leaf``."""
+    """The row cells ``values`` at indentation ``pad``, each as one string:
+    a str or int inline, any other value by ``_leaf``."""
     return [int.__repr__(y) if type(y) is int else _quote(y) if type(y) is str
             else _leaf(y, pad) for y in values]
 
 
 def _leaf(v, pad: str) -> str:
-    """A field or cell that is neither a str nor an int, as one string."""
+    """A cell that is neither a str nor an int, as one string."""
     if not isinstance(v, (dict, list, tuple)):
         return _scalar(v)
     return "".join(_json(v, pad))
@@ -737,7 +710,7 @@ def _require(cond, message):
 # -- argument wiring ---------------------------------------------------------------
 #
 # Each adder declares arguments by add_argument calls: on an argparse parser
-# in build_parser, and on a _Declared record in _fast_parse.
+# in build_parser, and on a _Declared record in _fast_parse and _config.
 
 
 def _global_args(p):
@@ -841,10 +814,10 @@ COMMANDS = {
 
 
 class _Declared:
-    """The arguments that an adder declares, for ``_fast_parse``: each
-    positional's (dest, spec) in order, and each option's (dest, spec) under
-    its flag, a spec being the keywords of its ``add_argument`` call and a
-    dest the attribute that argparse sets."""
+    """The arguments that an adder declares, for ``_fast_parse`` and
+    ``_config``: each positional's (dest, spec) in order, and each option's
+    (dest, spec) under its flag, a spec being the keywords of its
+    ``add_argument`` call and a dest the attribute that argparse sets."""
 
     def __init__(self, add):
         self.positionals, self.options = [], {}
@@ -861,9 +834,11 @@ class _Declared:
 _PLAIN_ACTIONS = {None: None, "store_true": False, "append": None}
 
 
-def _fast_parse(argv):
-    """The namespace that ``build_parser().parse_args(argv)`` returns, made
-    without argparse, for a plain command line; None for any other line.
+def _fast_parse(argv, config=None):
+    """The namespace that ``build_parser(config).parse_args(argv)`` returns,
+    made without argparse, for a plain command line; None for any other
+    line. ``config`` holds ``_config``'s defaults: a flag on the line wins
+    over one, and a repeated option's flags add to its list.
 
     A plain line holds global options, the command name, the command's
     positionals and then its options. Each option is spelled exactly as
@@ -873,11 +848,8 @@ def _fast_parse(argv):
     ``choices`` apply as argparse applies them, and every required option
     is there. On such a line argparse reads every token the same way, so
     both parses agree. Every other line declines: -h, --help, --version,
-    usage errors, abbreviations, negative values, and any ``--config``
-    line, which the full parser parses before and after the file sets its
-    defaults."""
-    if "--config" in argv:
-        return None
+    usage errors, abbreviations, ``--opt=value`` and negative values."""
+    config = config or {}
     values = {}
 
     def value(spec, token):
@@ -905,7 +877,7 @@ def _fast_parse(argv):
             else:
                 raise ValueError(flag)
             if action == "append":
-                v = [*values.get(dest, ()), v]
+                v = [*values.get(dest, config.get(dest, ())), v]
             elif dest in values:
                 raise ValueError(flag)
             values[dest] = v
@@ -935,37 +907,44 @@ def _fast_parse(argv):
             if action in _PLAIN_ACTIONS and dest not in values:
                 if spec.get("required"):
                     return None
-                values[dest] = spec.get("default", _PLAIN_ACTIONS[action])
+                values[dest] = config.get(dest, spec.get("default", _PLAIN_ACTIONS[action]))
     return SimpleNamespace(**values, command=name, func=handler)
 
 
-def build_parser():
+def build_parser(config=None):
     """The klext argparse parser, with every subcommand of COMMANDS. It
     parses the lines that ``_fast_parse`` declines, and prints --help,
     --version and every usage error.
 
-    It knows nothing of the ``--config`` file: ``_run`` parses the command
-    line, lets ``_apply_config`` make the file's values defaults of their
-    options on a fresh parser, and parses the command line again there."""
+    ``config`` holds ``_config``'s defaults. A global option's default goes
+    on the main parser, since the running subcommand's defaults overwrite
+    what the main parser read, a --format before the command name included.
+    Any other default goes on every subcommand: only the running one parses,
+    and ``_config`` takes only keys that it declares."""
     import argparse
 
+    config = config or {}
+    top = {dest for dest, _ in _Declared(_global_args).options.values()}
     parser = argparse.ArgumentParser(prog="klext", description=__doc__.splitlines()[0])
     _global_args(parser)
+    parser.set_defaults(**{dest: v for dest, v in config.items() if dest in top})
+    rest = {dest: v for dest, v in config.items() if dest not in top}
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (text, handler, add) in COMMANDS.items():
         sub = subs.add_parser(name, help=text)
         add(sub)
-        sub.set_defaults(func=handler)
+        sub.set_defaults(func=handler, **rest)
     return parser
 
 
-def _parse(argv):
-    """The parse of the command line ``argv``: ``_fast_parse``'s, or, on a
-    line that it declines, the full parser's, which exits where it prints
-    help, the version or a usage error. Only those lines import argparse
-    (and through it gettext, and locale on its first message)."""
-    args = _fast_parse(argv)
-    return args if args is not None else build_parser().parse_args(argv)
+def _parse(argv, config=None):
+    """The parse of the command line ``argv`` with ``_config``'s defaults
+    ``config``: ``_fast_parse``'s, or, on a line that it declines, the full
+    parser's, which exits where it prints help, the version or a usage
+    error. Only those lines import argparse (and through it gettext, and
+    locale on its first message)."""
+    args = _fast_parse(argv, config)
+    return args if args is not None else build_parser(config).parse_args(argv)
 
 
 def _read_config(path) -> dict:
@@ -982,37 +961,38 @@ def _read_config(path) -> dict:
     return config
 
 
-def _apply_config(args, parser):
-    """Make each value of the ``--config`` file the default of its option on
-    ``parser`` or on the subcommand that runs, so that parsing the command
-    line again takes the value and a flag given there still wins.
+def _config(args) -> dict:
+    """The values of the ``--config`` file by dest, as defaults for parsing
+    the command line again.
 
-    Each key is looked up once, on those two parsers. It must name an
-    optional flag that is not required, and not --help, --version or
-    --config. An int option takes a JSON integer (not a bool), a string
-    option a string, a switch a bool, and ``choices`` hold. The repeatable
-    ``bounds --n`` takes one integer too, which its flags add to."""
-    import argparse  # loaded already: ``parser`` is an argparse parser
-
-    subs = next(a for a in parser._actions if a.dest == "command")
-    owners = {a.dest: (p, a) for p in (parser, subs.choices[args.command]) for a in p._actions}
+    Each key names an option of the global options or of the command that
+    runs, one that is not required, and not --help, --version or --config.
+    An int option takes a JSON integer (not a bool), a string option a
+    string, a switch a bool, and ``choices`` hold. The repeatable ``bounds
+    --n`` takes one integer too, which its flags add to."""
+    command = _Declared(COMMANDS[args.command][2])
+    specs = {dest: spec for declared in (_Declared(_global_args), command)
+             for dest, spec in declared.options.values()}
+    # the dests that the parse sets from no option, which only the line gives
+    fixed = {"help", "command", *(dest for dest, _ in command.positionals)}
+    values = {}
     for key, value in _read_config(args.config).items():
-        attr = key.replace("-", "_")
-        if attr not in owners:  # neither the main parser nor the subcommand has it
+        dest = key.replace("-", "_")
+        spec = specs.get(dest)
+        if spec is None and dest not in fixed:
             raise UsageError(f"unknown config key {key!r}")
-        owner, action = owners[attr]
-        if (not action.option_strings or action.required
-                or attr in ("help", "version", "config")):
+        if spec is None or spec.get("required") or dest in ("version", "config"):
             raise UsageError(f"config key {key!r} can only be given on the command line")
-        kind = bool if action.nargs == 0 else action.type or str
+        action, choices = spec.get("action"), spec.get("choices")
+        kind = bool if action == "store_true" else spec.get("type") or str
         if type(value) is not kind:  # type(True) is bool, not int
             what = {bool: "true or false", int: "an integer", str: "a string"}[kind]
             raise UsageError(f"config key {key!r} must be {what}, not {_dumps(value)}")
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(f"config key {key!r} must be one of {', '.join(action.choices)}, "
+        if choices is not None and value not in choices:
+            raise UsageError(f"config key {key!r} must be one of {', '.join(choices)}, "
                              f"not {_dumps(value)}")
-        append = isinstance(action, argparse._AppendAction)
-        owner.set_defaults(**{attr: [value] if append else value})
+        values[dest] = [value] if action == "append" else value
+    return values
 
 
 def _check_args(args):
@@ -1088,9 +1068,7 @@ def _run(argv) -> int:
             if sys.stdout is None:  # its descriptor was closed at startup
                 raise OSError("standard output is closed")
             if args.config is not None:
-                parser = build_parser()
-                _apply_config(args, parser)
-                args = parser.parse_args(argv)
+                args = _parse(argv, _config(args))
             _check_args(args)
             payload = args.func(args)
             _write(_render(payload, args.format), sys.stdout)

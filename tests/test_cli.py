@@ -1099,9 +1099,10 @@ def _outcome(argv, capsys):
     return status, out, err
 
 
-# (command line, the full parsers it builds): a plain line builds none; any
-# other line builds one, which prints its help or its usage error or parses
-# it; a --config line builds a second, on which the file sets defaults
+# (command line, the full parsers it builds): a plain line builds none, with
+# or without --config; any other line builds one, which prints its help or
+# its usage error or parses it; a declined --config line builds a second, on
+# which the file sets defaults
 MU = ["A", "2", "--cutoff", "4", "--x", "1", "--y", "2"]
 PARSER_CASES = [
     (["--help"], 1),
@@ -1115,11 +1116,12 @@ PARSER_CASES = [
     (["mu", "A", "2", "--x", "1"], 1),
     (["--cache", "cache", "mu", *MU], 1),
     (["--cache-dir", "mu", "mu", *MU], 0),
-    (["--config", "verify", "mu", *MU], 2),
-    (["--config", "mu", "kl", *MU], 2),
-    (["--config", "conf.json", "mu", "A", "2", "--x", "1", "--y", "2"], 2),
+    (["--config", "verify", "mu", *MU], 0),
+    (["--config", "mu", "kl", *MU], 0),
+    (["--config", "conf.json", "mu", "A", "2", "--x", "1", "--y", "2"], 0),
     (["--config", "conf.json", "--format", "json", "extsum", "A", "1", "--x", "4", "--n", "1"],
-     2),
+     0),
+    (["--config", "conf.json", "mu", "A", "2", "--x=1", "--y", "2"], 2),
     (["mu", *MU, "--version"], 1),
 ]
 
@@ -1137,14 +1139,14 @@ def test_one_command_parser_prints_what_the_full_parser_prints(argv, builds, tmp
     full = cli.build_parser
     built = []
 
-    def spy():
+    def spy(config=None):
         built.append(argv)
-        return full()
+        return full(config)
 
     monkeypatch.setattr(cli, "build_parser", spy)
     got = _outcome(argv, capsys)
     assert len(built) == builds
-    monkeypatch.setattr(cli, "_fast_parse", lambda argv: None)
+    monkeypatch.setattr(cli, "_fast_parse", lambda argv, config=None: None)
     assert got == _outcome(argv, capsys)
     assert got[0] in (0, 2) and got[1] + got[2]
 
@@ -1189,29 +1191,38 @@ def _perturbed(rng, argv):
     return argv
 
 
-def test_plain_parse_agrees_with_argparse():
-    # on every line, _fast_parse either declines or returns argparse's
-    # namespace; it declines every line that argparse refuses or answers by
-    # printing (help, version)
-    import contextlib
-    import io
-
-    from klext import cli
-
+def _parse_corpus():
+    """The command lines of the parse tests: every line that the tests, the
+    benchmark and the README run, and 1500 seeded perturbations of them."""
     base = [*EVERY_COMMAND, *BENCH_KINDS, *readme_commands(), *(a for a, _ in PARSER_CASES),
             ["--workers", "2", "--max-elements", "500", "--cache-dir", "c", *EVERY_COMMAND[2]],
             ["bounds", "A", "2", "--p", "3", "--n", "1", "--n", "2"]]
     rng = random.Random(35)
-    lines = [*base, *(_perturbed(rng, rng.choice(base)) for _ in range(1500))]
+    return [*base, *(_perturbed(rng, rng.choice(base)) for _ in range(1500))]
+
+
+def _argparse_vars(parser, argv):
+    """``vars(parser.parse_args(argv))``, or None where argparse exits."""
+    import contextlib
+    import io
+
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_plain_parse_agrees_with_argparse():
+    # on every line, _fast_parse either declines or returns argparse's
+    # namespace; it declines every line that argparse refuses or answers by
+    # printing (help, version)
+    from klext import cli
+
     parser = cli.build_parser()
     taken = declined = refused = 0
-    for argv in lines:
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                want = vars(parser.parse_args(argv))
-        except SystemExit:
-            want = None
+    for argv in _parse_corpus():
+        want = _argparse_vars(parser, argv)
         got = cli._fast_parse(argv)
         if want is None:
             assert got is None, argv
@@ -1223,6 +1234,50 @@ def test_plain_parse_agrees_with_argparse():
             taken += 1
     # the corpus reaches all three outcomes in numbers
     assert min(taken, declined, refused) > 100, (taken, declined, refused)
+
+
+# config defaults as _config returns them: global options, a repeatable
+# option's list, switches, and options that one command requires (enumerate
+# --cutoff, mu --x) and another takes from a file
+PARSE_CONFIGS = [
+    {"n": [2], "cutoff": 6},
+    {"format": "json", "l": 5},
+    {"finite": True, "all": True, "empirical": True, "cutoff": 3},
+    {"format": "csv", "n": [4], "workers": 3, "cache_dir": "d"},
+    {"max_elements": 50, "l": 2, "x": 1, "bound": "2,2"},
+]
+
+
+def test_plain_parse_with_config_agrees_with_argparse():
+    # with a config file's defaults, _fast_parse either declines or returns
+    # the namespace of the full parser that has those defaults; each config
+    # keeps the keys that the parsed command takes from a file
+    from klext import cli
+
+    plain_parser = cli.build_parser()
+    global_dests = {dest for dest, _ in cli._Declared(cli._global_args).options.values()}
+    parsers = {}
+    taken = declined = 0
+    for argv in _parse_corpus():
+        plain = _argparse_vars(plain_parser, argv)
+        for i, config in enumerate(PARSE_CONFIGS):
+            if plain is None:  # defaults never make a refused line valid
+                assert cli._fast_parse(argv, config) is None, (argv, config)
+                continue
+            command = cli._Declared(cli.COMMANDS[plain["command"]][2])
+            takes = global_dests | {dest for dest, spec in command.options.values()
+                                    if not spec.get("required")}
+            config = {dest: v for dest, v in config.items() if dest in takes}
+            key = (i, *sorted(config))
+            if key not in parsers:
+                parsers[key] = cli.build_parser(config)
+            got = cli._fast_parse(argv, config)
+            if got is None:
+                declined += 1
+            else:
+                assert vars(got) == _argparse_vars(parsers[key], argv), (argv, config)
+                taken += 1
+    assert min(taken, declined) > 500, (taken, declined)
 
 
 def test_plain_lines_take_the_plain_parse(tmp_path):
@@ -1238,17 +1293,21 @@ def test_plain_lines_take_the_plain_parse(tmp_path):
 
 
 def test_plain_lines_load_no_argparse(tmp_path):
-    # an uncached mu, a warm kl --x --y (after a cold one), a JSON ext1 and
-    # a repeated bounds --n finish with neither argparse nor gettext nor
-    # locale loaded; mu --help loads argparse
+    # an uncached mu, a warm kl --x --y (after a cold one), a JSON ext1, a
+    # repeated bounds --n and a --config line finish with neither argparse
+    # nor gettext nor locale loaded; mu --help loads argparse
     import os
 
     cache = str(tmp_path)
+    conf = str(tmp_path / "conf.json")
+    with open(conf, "w") as fh:
+        json.dump({"n": 2, "format": "csv", "cutoff": 4}, fh)
     runs = [["mu", "A", "2", "--cutoff", "8", "--x", "3", "--y", "40"],
             ["--cache-dir", cache, "kl", "A", "2", "--cutoff", "8", "--x", "3", "--y", "40"],
             ["--cache-dir", cache, "kl", "A", "2", "--cutoff", "8", "--x", "3", "--y", "40"],
             ["--format", "json", "ext1", "A", "2", "--cutoff", "8", "--lam", "1,1", "--nu", "1,1"],
             ["bounds", "A", "2", "--p", "3", "--n", "1", "--n", "2"],
+            ["--config", conf, "--format", "json", "bounds", "A", "2", "--p", "3", "--n", "5"],
             ["mu", "--help"]]
     code = ("import contextlib, io, sys\n"
             "base = set(sys.modules)\n"
