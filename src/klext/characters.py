@@ -331,7 +331,7 @@ def chi_kl(rs: RootSystemData, lam: Weight, l: int, table: KLTable) -> KLCharact
     terms = []
     for y in sorted(table.dominant_row(w)):
         sign = 1 if (lw - sl.length[y]) % 2 == 0 else -1
-        wt = dot_action(rs, sl.elements[y], lam_minus, l)
+        wt = dot_action(rs, (sl.parts[sl.part[y]], sl.mu[y]), lam_minus, l)
         if not is_dominant(wt):
             raise InvariantViolation(f"dominant element {y} gave non-dominant weight {wt}")
         terms.append((wt, sign * sum(kl_polynomial(table, y, w))))

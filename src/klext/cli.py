@@ -229,16 +229,9 @@ def _dumps(v) -> str:
 
 def _cells(values, pad: str) -> list:
     """The row cells ``values`` at indentation ``pad``, each as one string:
-    a str or int inline, any other value by ``_leaf``."""
+    a str or int inline, any other value by ``_json``."""
     return [int.__repr__(y) if type(y) is int else _quote(y) if type(y) is str
-            else _leaf(y, pad) for y in values]
-
-
-def _leaf(v, pad: str) -> str:
-    """A cell that is neither a str nor an int, as one string."""
-    if not isinstance(v, (dict, list, tuple)):
-        return _scalar(v)
-    return "".join(_json(v, pad))
+            else "".join(_json(y, pad)) for y in values]
 
 
 def _render_csv(payload) -> str:
@@ -522,7 +515,7 @@ def cmd_chikl(args):
         "terms": [
             {"weight": list(wt), "coefficient": c} for wt, c in ck.terms
         ],
-        "dimension": ck.expand().dimension(),
+        "dimension": sum(c * characters.weyl_dimension(rs, wt) for wt, c in ck.terms),
     }
 
 

@@ -18,9 +18,11 @@ class ResourceCapError(RuntimeError):
 
     Raised when a slice enumeration passes its configured element-count cap
     (``--max-elements``), when a Kostant partition function would need a
-    coordinate box larger than ``rootsys.KOSTANT_BOX_CAP``, and when the
+    coordinate box larger than ``rootsys.KOSTANT_BOX_CAP``, when the
     dominant weights below a highest weight would need a root-coordinate box
-    larger than ``characters.DOMINANT_BOX_CAP``.
+    larger than ``characters.DOMINANT_BOX_CAP``, when a root system's rank
+    is above ``rootsys.RANK_CAP``, and when a weight's reduced word would
+    have more than ``weylaffine.WORD_CAP`` letters.
     """
 
 

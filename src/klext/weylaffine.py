@@ -9,10 +9,11 @@ Bounded-length slices are enumerated shell by shell by descent signs
 (``_SignWalk``): one wall value per element and generator decides whether
 the product goes up or down, and only the upward products are computed. They
 give both the next shell and the right-multiplication table. ``GroupSlice``
-is the plain record of that walk; the slice file (format version 2) stores
-it whole, table included. The file is a function of the request, so loading
-checks it by regenerating it: the slice is enumerated again and the file must
-equal its payload byte for byte.
+is the plain record of that walk, held as its columns (per element a finite
+part id, a translation and a length; no per-element object is kept); the
+slice file (format version 2) stores it whole, table included. The file is a
+function of the request, so loading checks it by regenerating it: the slice
+is enumerated again and the file must equal its payload byte for byte.
 
 A weight factorizes through the closed fundamental alcove as a reduced word
 in the generators (``factorize_weight``), by weight arithmetic alone;
@@ -28,6 +29,7 @@ GroupSlice is reusable for every l.
 from __future__ import annotations
 
 import struct
+from functools import cached_property
 from operator import mul, sub
 
 from . import binio
@@ -43,52 +45,29 @@ from .rootsys import RootSystemData
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-def _identity_matrix(n: int) -> IntMatrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
 def _matvec(m: IntMatrix, v) -> tuple[int, ...]:
     return tuple([sum(map(mul, row, v)) for row in m])
 
 
-class AffineElement:
-    """Normal form (finite part, root-lattice translation) with cached length."""
-
-    __slots__ = ("wmat", "mu", "length")
-
-    def __init__(self, wmat: IntMatrix, mu: tuple[int, ...], length: int):
-        self.wmat = wmat
-        self.mu = mu
-        self.length = length
-
-    def key(self):
-        """Canonical sort/identity key: the normal form itself."""
-        return (self.wmat, self.mu)
-
-    def __repr__(self):
-        return f"AffineElement(mu={self.mu}, len={self.length})"
-
-
-def identity(rs: RootSystemData) -> AffineElement:
-    return AffineElement(_identity_matrix(rs.rank), (0,) * rs.rank, 0)
-
-
-def dot_action(rs: RootSystemData, g: AffineElement, x, l: int = 1) -> tuple[int, ...]:
-    """g . x at level l: scale s_{alpha,n} to s_{alpha,nl}, then w(x+rho)-rho."""
+def dot_action(rs: RootSystemData, g, x, l: int = 1) -> tuple[int, ...]:
+    """g . x at level l for g = (finite part, translation): scale s_{alpha,n}
+    to s_{alpha,nl}, then w(x+rho)-rho."""
     if l < 1:
         raise InvalidSystemError("level l must be a positive integer")
-    shifted = tuple(xi + 1 for xi in x)
-    img = _matvec(g.wmat, shifted)
-    mu_wt = rs.rt_to_wt(g.mu)
-    return tuple(img[i] + l * mu_wt[i] - 1 for i in range(rs.rank))
+    wmat, mu = g
+    img = _matvec(wmat, [xi + 1 for xi in x])
+    return tuple([a + l * b - 1 for a, b in zip(img, rs.rt_to_wt(mu))])
 
 
 # -- bounded-length enumeration ---------------------------------------------
 
 
 class GroupSlice:
-    """All elements of length <= cutoff, indexed deterministically.
+    """All elements of length <= cutoff, indexed deterministically, as columns.
 
+    Element i is the pair (``parts[part[i]]``, ``mu[i]``) of finite-part
+    matrix and root-lattice translation, of length ``length[i]``; ``parts``
+    lists the distinct finite parts in order of first use by element index.
     Index order is by length shell, then by the lexicographic normal form
     (finite-part matrix, translation); index 0 is the identity. The
     right-multiplication table ``right`` maps (element, generator) -> index,
@@ -103,22 +82,30 @@ class GroupSlice:
     """
 
     def __init__(self, rs: RootSystemData, cutoff: int, affine: bool,
-                 elements: list[AffineElement], right: list[list[int]],
-                 dominant: list[bool]):
+                 parts: list[IntMatrix], part: list[int], mu: list[tuple[int, ...]],
+                 length: list[int], right: list[list[int]], dominant: list[bool]):
         self.rs = rs
         self.cutoff = cutoff
         self.affine = affine
-        self.elements = elements
-        self.length = [g.length for g in elements]
+        self.parts = parts
+        self.part = part
+        self.mu = mu
+        self.length = length
         self.right = right
         self.dominant = dominant
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.length)
+
+    @cached_property
+    def elements(self) -> list[tuple[IntMatrix, tuple[int, ...]]]:
+        """Every element as its pair (finite part, translation), the form
+        ``dot_action`` takes, built on first use from the columns."""
+        return list(zip(map(self.parts.__getitem__, self.part), self.mu))
 
     def check_index(self, *indices) -> None:
         """Reject caller-given element indices outside 0..N-1 (no wrapping)."""
-        n = len(self.elements)
+        n = len(self.length)
         for i in indices:
             if not (isinstance(i, int) and 0 <= i < n):
                 raise InvalidSystemError(
@@ -143,11 +130,8 @@ class GroupSlice:
         return [i for i, ln in enumerate(self.length) if ln == n]
 
     def right_descents(self, i: int) -> list[int]:
-        out = []
-        for t, j in enumerate(self.right[i]):
-            if j != -1 and self.length[j] < self.length[i]:
-                out.append(t)
-        return out
+        ln = self.length
+        return [t for t, j in enumerate(self.right[i]) if j != -1 and ln[j] < ln[i]]
 
     def dominant_indices(self) -> list[int]:
         return [i for i, f in enumerate(self.dominant) if f]
@@ -195,7 +179,7 @@ class _SignWalk:
         self.pairings = [tuple(sum(map(mul, rt, c)) for c in self.coroots) for rt in self.roots]
         self.start = tuple(e - sum(c) for c, e in zip(self.coroots, offsets))
         # finite parts, interned: id -> matrix, the identity first
-        self.mats: list[IntMatrix] = [_identity_matrix(r)]
+        self.mats = [tuple(tuple(int(i == j) for j in range(r)) for i in range(r))]
         self._mat_ids: dict[IntMatrix, int] = {self.mats[0]: 0}
 
     def up(self, f: int, t: int) -> tuple[int, tuple[int, ...] | None, tuple[int, ...]]:
@@ -281,8 +265,9 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
 
     gens = [(t, t * width, pack(a)) for t, a in enumerate(walk.pairings)]
     steps: list[dict[int, tuple]] = [{} for _ in gens]  # per generator: walk.up, packed
-    elements = [identity(rs)]
     fids = [0]  # finite part ids of the walk's interning
+    mus = [(0,) * rs.rank]
+    length = [0]
     vals = [pack(walk.start, bias)]
     pts = [pack((-1,) * rs.rank, bias)]  # h w(p): p = -rho/h, so (-1, ..., -1) at e
     right: list[list] = [[None] * k]
@@ -290,7 +275,7 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
     shell = [0]
     level = 0
     while shell:
-        if max_elements is not None and len(elements) > max_elements:
+        if max_elements is not None and len(fids) > max_elements:
             raise ResourceCapError(
                 f"slice exceeded the configured cap of {max_elements} elements "
                 f"at length {level}")
@@ -330,7 +315,7 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
                     g, shift, wr = walk.up(f, t)
                     got = steps[t][f] = (g, shift, pack(wr))
                 g, shift, step = got
-                mu = elements[i].mu
+                mu = mus[i]
                 if shift is not None:
                     mu = tuple(map(sub, mu, shift))
                 born.append((g, mu, key, pts[i] - step, below))
@@ -338,21 +323,25 @@ def enumerate_slice(rs: RootSystemData, cutoff: int, affine: bool = True,
                 rank = [0] * len(walk.mats)
                 for n, f in enumerate(sorted(range(len(rank)), key=walk.mats.__getitem__)):
                     rank[f] = n
-            born.sort(key=lambda b: (rank[b[0]], b[1]))  # the normal form, AffineElement.key
+            born.sort(key=lambda b: (rank[b[0]], b[1]))  # the normal form
             for f, mu, vw, pt, below in born:
-                j = len(elements)
+                j = len(fids)
                 row = [None] * k
                 for i, t in below:
                     right[i][t] = j
                     row[t] = i
-                elements.append(AffineElement(walk.mats[f], mu, level))
                 fids.append(f)
+                mus.append(mu)
+                length.append(level)
                 vals.append(vw)
                 pts.append(pt)
                 right.append(row)
                 shell.append(j)
     dominant = _dominant(pts, pack((0,) * rs.rank, bias), pack((1,) * rs.rank))
-    return GroupSlice(rs, cutoff, affine, elements, right, dominant)
+    first: dict[int, int] = {}  # walk id -> id in order of first use
+    part = [first.setdefault(f, len(first)) for f in fids]
+    return GroupSlice(rs, cutoff, affine, [walk.mats[f] for f in first], part, mus,
+                      length, right, dominant)
 
 
 def _dominant(pts: list[int], top: int, ones: int) -> list[bool]:
@@ -482,20 +471,33 @@ def slice_inversion(sl: GroupSlice) -> list[int]:
 
 def facet_generators(rs: RootSystemData, lam_minus, l: int) -> list[int]:
     """Indices of the fundamental-alcove generators fixing lam_minus (dot, level l)."""
-    v = tuple(c + 1 for c in lam_minus)
+    v = [c + 1 for c in lam_minus]
     out = [i for i in range(rs.rank) if v[i] == 0]
-    a0 = rs._max_short_index
-    if sum(rs.avee_wt[a0][k] * v[k] for k in range(rs.rank)) == -l:
+    if sum(map(mul, rs.avee_wt[rs._max_short_index], v)) == -l:
         out.append(rs.rank)
     return out
 
 
 def is_interior_fundamental(rs: RootSystemData, lam, l: int) -> bool:
-    v = tuple(c + 1 for c in lam)
-    if any(c >= 0 for c in v):
-        return False
-    a0 = rs._max_short_index
-    return sum(rs.avee_wt[a0][k] * v[k] for k in range(rs.rank)) > -l
+    v = [c + 1 for c in lam]
+    return all(c < 0 for c in v) and sum(map(mul, rs.avee_wt[rs._max_short_index], v)) > -l
+
+
+WORD_CAP = 1_000_000  # letters of one factorized weight's word
+
+
+def _word_length(rs: RootSystemData, v, l: int) -> int:
+    """The length of ``factorize_weight``'s word for v = lam + rho, known
+    before the walk: for each positive root alpha and a = (v, alpha^vee), the
+    number of level-l walls (u, alpha^vee) = nl on the closed segment from a
+    to the nearest point of [-l, 0]. Each such wall not through a strictly
+    separates v from the fundamental alcove, one letter of g^J; a wall
+    through a is a reflection of W_J, and w_J has one letter per reflection."""
+    n = 0
+    for coroot in rs.avee_wt:
+        a = sum(map(mul, coroot, v))
+        n += a // l + 1 if a > 0 else -a // l if a < -l else int(a % l == 0)
+    return n
 
 
 def factorize_weight(rs: RootSystemData, lam, l: int):
@@ -516,14 +518,23 @@ def factorize_weight(rs: RootSystemData, lam, l: int):
     convention makes g the dominant-coset representative whenever lam is
     dominant, so factorization is compatible with indexing regular dominant
     weights by dominant group elements.
+
+    The walk takes exactly ``_word_length`` letters; a count above
+    ``WORD_CAP`` is refused with ResourceCapError before any step, and a walk
+    that disagrees with the count raises InvariantViolation.
     """
     if l < 1:
         raise InvalidSystemError("level l must be a positive integer")
     a0 = rs._max_short_index
     coroot0, root0 = rs.avee_wt[a0], rs.pos_roots_wt[a0]
     v = [c + 1 for c in lam]
+    n = _word_length(rs, v, l)
+    if n > WORD_CAP:
+        raise ResourceCapError(
+            f"weight {tuple(lam)} at l={l} needs a word of {n} letters, "
+            f"above the cap of {WORD_CAP}")
     word = []
-    for _ in range(99999):
+    for _ in range(n + 1):
         i = next((i for i, c in enumerate(v) if c > 0), None)
         if i is not None:
             # s_i: v - v_i alpha_i, with alpha_i = row i of the Cartan matrix
@@ -538,22 +549,21 @@ def factorize_weight(rs: RootSystemData, lam, l: int):
             i = rs.rank
         word.append(i)
     else:
-        raise InvariantViolation("alcove reduction failed to terminate")
+        raise InvariantViolation(f"alcove reduction passed the {n} walls it counted")
     lam_minus = tuple(c - 1 for c in v)
 
     fixing = facet_generators(rs, lam_minus, l)
     if fixing:
         walk = _SignWalk(rs, True)
         vals = walk.start
-        while True:
-            t = next((t for t in fixing if vals[t] > 0), None)
-            if t is None:
-                break
+        while (t := next((t for t in fixing if vals[t] > 0), None)) is not None:
             v = vals[t]
             vals = [a - v * b for a, b in zip(vals, walk.pairings[t])]
             if 0 in vals:
                 raise InvariantViolation("alcove interior point landed on a hyperplane")
             word.append(t)
+    if len(word) != n:
+        raise InvariantViolation(f"alcove walk took {len(word)} letters, not the {n} it counted")
     return word, lam_minus
 
 
@@ -574,14 +584,11 @@ def _slice_payload(sl: GroupSlice) -> bytes:
     every element's (finite part id, translation, length), then the
     right-multiplication table."""
     rs = sl.rs
-    windex: dict[IntMatrix, int] = {}
-    for g in sl.elements:
-        windex.setdefault(g.wmat, len(windex))
-    ints = [c for m in windex for row in m for c in row]
-    for g in sl.elements:
-        ints += (windex[g.wmat], *g.mu, g.length)
+    ints = [c for m in sl.parts for row in m for c in row]
+    for f, mu, ln in zip(sl.part, sl.mu, sl.length):
+        ints += (f, *mu, ln)
     head = struct.pack(_SLICE_HEAD, rs.type_label.encode(), rs.rank,
-                       1 if sl.affine else 0, sl.cutoff, len(windex), len(sl))
+                       1 if sl.affine else 0, sl.cutoff, len(sl.parts), len(sl))
     body = struct.pack(f">{len(ints)}i", *ints)
     table = struct.pack(_right_format(len(sl), rs.rank + sl.affine),
                         *(j for row in sl.right for j in row))
@@ -611,20 +618,10 @@ def load_slice(path, rs: RootSystemData, cutoff: int, affine: bool = True,
 
 def slice_to_json(sl: GroupSlice) -> dict:
     """Debug-friendly JSON export of a slice."""
+    rows = enumerate(zip(sl.part, sl.mu, sl.length, sl.dominant))
     return {
-        "type": sl.rs.type_label,
-        "rank": sl.rs.rank,
-        "affine": sl.affine,
-        "cutoff": sl.cutoff,
-        "element_count": len(sl.elements),
-        "elements": [
-            {
-                "index": i,
-                "wmat": [list(r) for r in g.wmat],
-                "mu": list(g.mu),
-                "length": g.length,
-                "dominant": sl.dominant[i],
-            }
-            for i, g in enumerate(sl.elements)
-        ],
+        "type": sl.rs.type_label, "rank": sl.rs.rank, "affine": sl.affine, "cutoff": sl.cutoff,
+        "element_count": len(sl),
+        "elements": [{"index": i, "wmat": [list(r) for r in sl.parts[f]], "mu": list(mu),
+                      "length": ln, "dominant": dom} for i, (f, mu, ln, dom) in rows],
     }

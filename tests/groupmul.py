@@ -4,7 +4,9 @@ klext multiplies no group elements after the enumeration: weights factorize
 to reduced words and the slice's right table resolves them. This module
 recomputes the same elements the long way, by integer matrix products with
 each length counted by separating hyperplanes, so that the tests can check
-the enumeration, the right table and the factorization against it.
+the enumeration, the right table and the factorization against it. Its
+elements are this module's own ``AffineElement`` records: klext keeps a
+slice as columns, and ``slice_elements`` reads them into records.
 
 Composition is (g*h)(u) = g(h(u)), giving the semidirect-product law
 (w1, m1)(w2, m2) = (w1 w2, m1 + w1(m2)); the finite part acts on the
@@ -12,7 +14,45 @@ simple-root coordinates of the translation through ``root_action``.
 """
 
 from klext.errors import InvariantViolation
-from klext.weylaffine import AffineElement, _matvec, facet_generators, identity
+from klext.weylaffine import GroupSlice, _matvec, facet_generators
+
+
+class AffineElement:
+    """Normal form (finite part, root-lattice translation) with its length."""
+
+    __slots__ = ("wmat", "mu", "length")
+
+    def __init__(self, wmat, mu, length):
+        self.wmat = wmat
+        self.mu = mu
+        self.length = length
+
+    def key(self):
+        """Canonical sort/identity key: the normal form itself."""
+        return (self.wmat, self.mu)
+
+    def __repr__(self):
+        return f"AffineElement(mu={self.mu}, len={self.length})"
+
+
+def identity(rs):
+    r = rs.rank
+    return AffineElement(tuple(tuple(int(i == j) for j in range(r)) for i in range(r)),
+                         (0,) * r, 0)
+
+
+def slice_elements(sl):
+    """The elements of a slice, read off its columns."""
+    return [AffineElement(sl.parts[f], mu, ln) for f, mu, ln in zip(sl.part, sl.mu, sl.length)]
+
+
+def slice_of(rs, cutoff, affine, elements, right, dominant):
+    """The ``GroupSlice`` whose columns hold ``elements``, finite parts
+    numbered in order of first use as ``enumerate_slice`` numbers them."""
+    first = {}
+    part = [first.setdefault(g.wmat, len(first)) for g in elements]
+    return GroupSlice(rs, cutoff, affine, list(first), part, [g.mu for g in elements],
+                      [g.length for g in elements], right, dominant)
 
 
 def _matmul(a, b):

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from groupmul import _matmul, generators
+from groupmul import _matmul, generators, identity
 from klext import characters
 from klext.characters import (
     chi_kl,
@@ -31,7 +31,7 @@ from klext.rootsys import (
     is_dominant,
     kostant_partition,
 )
-from klext.weylaffine import _matvec, enumerate_slice, identity
+from klext.weylaffine import _matvec, enumerate_slice
 
 
 def full_expansion(char):
@@ -80,7 +80,7 @@ def test_highest_weight_multiplicity_one_and_positivity():
 def weyl_group_elements(rs):
     """All of W as weight-coordinate matrices with lengths, off the finite slice."""
     sl = enumerate_slice(rs, rs.num_positive, affine=False)
-    return [(g.wmat, g.length) for g in sl.elements]
+    return [(sl.parts[f], ln) for f, ln in zip(sl.part, sl.length)]
 
 
 def kostant_multiplicity(rs, lam, mu):

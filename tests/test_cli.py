@@ -597,6 +597,26 @@ def test_weight_box_cap_exits_3():
         )
 
 
+def test_far_weight_names_the_cutoff_or_hits_the_word_cap():
+    # the length of a weight's word is counted before the walk: far outside
+    # the slice the command names the cutoff it needs, and a word above
+    # weylaffine.WORD_CAP is refused before any step
+    for args in (("chikl", "A", "2", "--cutoff", "8", "--weight", "1000000,1000000"),
+                 ("ext1", "A", "2", "--cutoff", "8", "--lam", "1000000,1000000",
+                  "--nu", "0,0")):
+        res = run_cli(*args, "--l", "5", timeout=60)
+        assert (res.returncode, res.stdout) == (1, ""), args
+        assert res.stderr == ("error: element of length 800003 outside slice; "
+                              "enlarge cutoff to at least 800003\n")
+    for args in (("chikl", "A", "2", "--cutoff", "8", "--weight", "3000000,1000000"),
+                 ("ext1", "A", "2", "--cutoff", "8", "--lam", "0,0",
+                  "--nu", "3000000,1000000")):
+        res = run_cli(*args, "--l", "5", timeout=60)
+        assert (res.returncode, res.stdout) == (3, ""), args
+        assert res.stderr == ("resource cap: weight (3000000, 1000000) at l=5 needs a word "
+                              "of 1600003 letters, above the cap of 1000000\n")
+
+
 def test_repeated_table_index_exits_1(tmp_path):
     from klext import binio
 
@@ -813,6 +833,24 @@ BENCH_KINDS = [
     ["--format", "json", "kl", "A", "2", "--cutoff", "8", "--x", "3", "--y", "40"],
     ["--format", "json", "kl", "A", "2", "--cutoff", "6", "--all"],
 ]
+
+
+def test_chikl_dimension_is_the_expanded_character(monkeypatch, capsys):
+    # chikl prints its dimension from Weyl's formula; the Freudenthal
+    # expansion of the same KL character gives the same number
+    from klext import characters, cli
+
+    monkeypatch.delenv("KLEXT_CACHE_DIR", raising=False)
+    made = []
+    chi_kl = characters.chi_kl
+    monkeypatch.setattr(characters, "chi_kl", lambda *a: made.append(chi_kl(*a)) or made[-1])
+    lines = [argv[argv.index("chikl"):] for argv in (*EVERY_COMMAND, *BENCH_KINDS)
+             if "chikl" in argv]
+    assert len(lines) == 2
+    for argv in lines:
+        assert cli.main(["--format", "json", *argv]) == 0, argv
+        printed = json.loads(capsys.readouterr().out)["dimension"]
+        assert printed == made[-1].expand().dimension(), argv
 
 
 def test_bench_commands_load_no_json(tmp_path):

@@ -387,8 +387,8 @@ def test_swapped_right_entries_raise_in_fill():
             if right[y1][t1] == right[y2][t2]:
                 continue
             right[y1][t1], right[y2][t2] = right[y2][t2], right[y1][t1]
-            table = KLTable(GroupSlice(sl.rs, sl.cutoff, sl.affine, sl.elements, right,
-                                       sl.dominant))
+            table = KLTable(GroupSlice(sl.rs, sl.cutoff, sl.affine, sl.parts, sl.part, sl.mu,
+                                       sl.length, right, sl.dominant))
             with pytest.raises(InvariantViolation):
                 table.fill()
             assert all(row is None for row in table.rows)

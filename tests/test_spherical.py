@@ -17,7 +17,9 @@ import random
 
 import pytest
 
+from groupmul import slice_elements
 from klext import cli, klpoly
+from klext.characters import weyl_character
 from klext.errors import InvalidSystemError, InvariantViolation
 from klext.extbounds import bound_constants, extn_simple_simple, make_block_context, sum_ext_n
 from klext.klpoly import KLTable, kl_polynomial, mu_row_sum, save_table, spherical_table
@@ -132,8 +134,8 @@ def test_dominant_element_without_dominant_descent_raises():
     # w0 finds no dominant element one step below it
     sl = enumerate_slice(build_root_system("A", 2), 8)
     w0 = sl.dominant_indices()[0]
-    bad = GroupSlice(sl.rs, sl.cutoff, sl.affine, sl.elements, sl.right,
-                     [True] + sl.dominant[1:])
+    bad = GroupSlice(sl.rs, sl.cutoff, sl.affine, sl.parts, sl.part, sl.mu, sl.length,
+                     sl.right, [True] + sl.dominant[1:])
     with pytest.raises(InvariantViolation, match=f"dominant element {w0} has no dominant"):
         spherical_table(bad).rows_for(w0)
 
@@ -188,6 +190,29 @@ def kostka_foulkes(rs, weyl_group):
     return k
 
 
+def double_coset_maxima(sl, weyl_group):
+    """x -> lam_x for the elements x of ``sl`` maximal in their W_f double
+    cosets (every finite generator a right descent of x and of x^-1), lam_x
+    the dominant conjugate of x's translation; each such x is dominant and
+    the weights are distinct."""
+    rs = sl.rs
+    inv = slice_inversion(sl)
+    finite = range(rs.rank)
+    maxima = [x for x in range(len(sl))
+              if all(t in sl.right_descents(x) and t in sl.right_descents(inv[x])
+                     for t in finite)]
+    assert all(sl.dominant[x] for x in maxima)
+
+    def dominant_conjugate(wt):
+        return next(img for w in weyl_group
+                    if min(img := tuple(sum(a * c for a, c in zip(row, wt))
+                                        for row in w.wmat)) >= 0)
+
+    lam = {x: dominant_conjugate(rs.rt_to_wt(sl.mu[x])) for x in maxima}
+    assert len(set(lam.values())) == len(maxima)
+    return lam
+
+
 @pytest.mark.parametrize("lab, rank, cutoff, full", [
     ("A", 2, 24, True), ("B", 2, 24, True), ("G", 2, 36, True), ("A", 2, 48, False),
 ])
@@ -200,21 +225,10 @@ def test_double_coset_maxima_give_kostka_foulkes_polynomials(lab, rank, cutoff, 
     next to the full table's rows."""
     rs = build_root_system(lab, rank)
     sl = enumerate_slice(rs, cutoff)
-    weyl_group = enumerate_slice(rs, rs.num_positive, affine=False).elements
-    inv = slice_inversion(sl)
-    finite = range(rank)
-    maxima = [x for x in range(len(sl))
-              if all(t in sl.right_descents(x) and t in sl.right_descents(inv[x])
-                     for t in finite)]
-    assert len(maxima) >= 8 and all(sl.dominant[x] for x in maxima)
-
-    def dominant_conjugate(wt):
-        return next(img for w in weyl_group
-                    if min(img := tuple(sum(a * c for a, c in zip(row, wt))
-                                        for row in w.wmat)) >= 0)
-
-    lam = {x: dominant_conjugate(rs.rt_to_wt(sl.elements[x].mu)) for x in maxima}
-    assert len(set(lam.values())) == len(maxima)
+    weyl_group = slice_elements(enumerate_slice(rs, rs.num_positive, affine=False))
+    lam = double_coset_maxima(sl, weyl_group)
+    maxima = list(lam)
+    assert len(maxima) >= 8
     k = kostka_foulkes(rs, weyl_group)
     expected = {}
     for x in maxima:
@@ -235,6 +249,28 @@ def test_double_coset_maxima_give_kostka_foulkes_polynomials(lab, rank, cutoff, 
     for table in tables:
         got = {(x, y): kl_polynomial(table, x, y) for x in maxima for y in maxima}
         assert got == expected
+
+
+@pytest.mark.parametrize("lab, rank, cutoff", [
+    ("A", 2, 24), ("B", 2, 24), ("G", 2, 36), ("A", 3, 16),
+])
+def test_double_coset_maxima_at_q_1_give_weight_multiplicities(lab, rank, cutoff):
+    """At q = 1 the Lusztig-Kato formula reads P(x, y)(1) = K_{lam_y, lam_x}(1)
+    = dim V(lam_y)_{lam_x}: the KL table against Freudenthal's multiplicities
+    (``weyl_character``), where the Kostka-Foulkes test above reaches the
+    same values through Kostant's formula."""
+    rs = build_root_system(lab, rank)
+    sl = enumerate_slice(rs, cutoff)
+    lam = double_coset_maxima(sl, slice_elements(enumerate_slice(rs, rs.num_positive,
+                                                                 affine=False)))
+    table = spherical_table(sl)
+    nonzero = 0
+    for x, lam_x in lam.items():
+        for y, lam_y in lam.items():
+            value = sum(kl_polynomial(table, x, y))
+            assert value == weyl_character(rs, lam_y).multiplicity(lam_x), (x, y)
+            nonzero += value != 0
+    assert nonzero > len(lam)  # pairs x < y too
 
 
 # -- the readers of dominant pairs -------------------------------------------------

@@ -9,15 +9,19 @@ import pytest
 
 from conftest import bruhat_leq, slice_symmetries
 from groupmul import (
+    AffineElement,
     coset,
     element_length,
     factorize_by_multiply,
     generators,
+    identity,
     longest_finite_element,
     make_element,
     multiply,
     reflection,
     root_action,
+    slice_elements,
+    slice_of,
 )
 from klext import binio, weylaffine
 from klext.errors import (
@@ -31,14 +35,12 @@ from klext.extbounds import make_block_context, singular_ext1_report
 from klext.klpoly import KLTable, mu
 from klext.rootsys import _adjugate, _int_det, build_root_system, classify_weight
 from klext.weylaffine import (
-    AffineElement,
     GroupSlice,
     _matvec,
     _relabelling,
     dot_action,
     factorize_weight,
     facet_generators,
-    identity,
     is_interior_fundamental,
     save_slice,
     slice_inversion,
@@ -60,7 +62,7 @@ def is_dominant_element(rs, g):
 
 
 def _dominance_checked(sl):
-    assert sl.dominant == [is_dominant_element(sl.rs, g) for g in sl.elements]
+    assert sl.dominant == [is_dominant_element(sl.rs, g) for g in slice_elements(sl)]
     return sl
 
 
@@ -115,9 +117,9 @@ def test_multiply_matches_symbolic_composition():
     rng = random.Random(7)
     for lab, rank in [("A", 1), ("A", 2), ("B", 2)]:
         rs = build_root_system(lab, rank)
-        sl = enumerate_slice(rs, 6)
+        elements = slice_elements(enumerate_slice(rs, 6))
         for _ in range(100):
-            g, h = rng.choice(sl.elements), rng.choice(sl.elements)
+            g, h = rng.choice(elements), rng.choice(elements)
             prod = multiply(rs, g, h)
             assert AffineMap.from_element(rs, prod) == AffineMap.from_element(
                 rs, g
@@ -148,15 +150,15 @@ def inverse(rs, g):
 
 def test_inverse_and_associativity_random():
     a2 = build_root_system("A", 2)
-    sl = enumerate_slice(a2, 12)
+    elements = slice_elements(enumerate_slice(a2, 12))
     rng = random.Random(1)
     e = identity(a2)
     for _ in range(10000):
-        x, y, z = (rng.choice(sl.elements) for _ in range(3))
+        x, y, z = (rng.choice(elements) for _ in range(3))
         assert (multiply(a2, multiply(a2, x, y), z).key()
                 == multiply(a2, x, multiply(a2, y, z)).key())
     for _ in range(200):
-        x = rng.choice(sl.elements)
+        x = rng.choice(elements)
         assert multiply(a2, x, inverse(a2, x)).key() == e.key()
 
 
@@ -171,8 +173,7 @@ def test_root_action_intertwines_weight_action():
             return [[sum(x[i][k] * y[k][j] for k in range(rank)) for j in range(rank)]
                     for i in range(rank)]
 
-        finite_parts = {g.wmat for g in enumerate_slice(rs, cutoff).elements}
-        for wmat in finite_parts:
+        for wmat in enumerate_slice(rs, cutoff).parts:
             assert mul(wmat, b) == mul(b, root_action(rs, wmat)), (lab, wmat)
 
 
@@ -185,8 +186,8 @@ def test_slice_save_load_roundtrip(tmp_path):
         loaded = load_slice(path, rs, cutoff)
         fresh = enumerate_slice(rs, cutoff)
         assert len(loaded) == len(fresh)
-        for g, h in zip(loaded.elements, fresh.elements):
-            assert (g.wmat, g.mu, g.length) == (h.wmat, h.mu, h.length)
+        assert (loaded.parts, loaded.part, loaded.mu, loaded.length) == (
+            fresh.parts, fresh.part, fresh.mu, fresh.length)
         assert loaded.right == fresh.right and loaded.dominant == fresh.dominant
 
 
@@ -199,9 +200,10 @@ def test_right_table_matches_multiply():
         rs = build_root_system(lab, rank)
         sl = enumerate_slice(rs, rs.num_positive if cutoff is None else cutoff, affine)
         gens = generators(rs, affine)
-        index = {g.key(): i for i, g in enumerate(sl.elements)}
+        elements = slice_elements(sl)
+        index = {g.key(): i for i, g in enumerate(elements)}
         assert len(sl.right) == len(sl)
-        for i, g in enumerate(sl.elements):
+        for i, g in enumerate(elements):
             assert sl.right[i] == [index.get(multiply(rs, g, s).key(), -1) for s in gens]
 
 
@@ -282,8 +284,8 @@ def enumerate_by_multiply(rs, cutoff, affine=True):
                 index[g.key()] = len(elements)
                 elements.append(g)
         right.extend([index.get(p.key(), -1) for p in row] for row in prods)
-    return GroupSlice(rs, cutoff, affine, elements, right,
-                      [is_dominant_element(rs, g) for g in elements])
+    return slice_of(rs, cutoff, affine, elements, right,
+                    [is_dominant_element(rs, g) for g in elements])
 
 
 SIGN_WALK_CASES = [("A", 2, 12, True), ("A", 3, 8, True), ("B", 3, 6, True),
@@ -299,12 +301,12 @@ def test_sign_walk_matches_multiplication():
         cutoff = rs.num_positive if cutoff is None else cutoff
         sl = enumerate_slice(rs, cutoff, affine)
         oracle = enumerate_by_multiply(rs, cutoff, affine)
-        assert [(g.key(), g.length) for g in sl.elements] == [
-            (g.key(), g.length) for g in oracle.elements], (lab, rank, affine)
+        assert [(g.key(), g.length) for g in slice_elements(sl)] == [
+            (g.key(), g.length) for g in slice_elements(oracle)], (lab, rank, affine)
         assert sl.length == oracle.length
         assert sl.right == oracle.right and sl.dominant == oracle.dominant
         # the walk never calls element_length: it stays the length oracle
-        assert all(g.length == element_length(rs, g.wmat, g.mu) for g in sl.elements)
+        assert all(g.length == element_length(rs, g.wmat, g.mu) for g in slice_elements(sl))
         if not affine:
             assert len(sl) == rs.weyl_order
 
@@ -360,8 +362,9 @@ def test_wall_bound_holds_on_the_slices():
         inv = slice_inversion(sl)
         top = 0
         for i in range(len(sl)):
-            w = sl.elements[inv[i]]  # q(g) = h g^-1(p), g^-1 applied to -rho in h-scale
-            q = [h * m - x for m, x in zip(rs.rt_to_wt(w.mu), (sum(row) for row in w.wmat))]
+            j = inv[i]  # q(g) = h g^-1(p), g^-1 applied to -rho in h-scale
+            q = [h * m - x for m, x in zip(rs.rt_to_wt(sl.mu[j]),
+                                           (sum(row) for row in sl.parts[sl.part[j]]))]
             vals = [-x for x in q[:rank]]
             if affine:
                 vals.append(sum(map(int.__mul__, rs.avee_wt[rs._max_short_index], q)) + h)
@@ -374,7 +377,7 @@ def test_altered_elements_rejected(tmp_path):
     rs = build_root_system("A", 2)
     sl = enumerate_slice(rs, 6)
     rank, n = rs.rank, len(sl)
-    finite_parts = list(dict.fromkeys(g.wmat for g in sl.elements))
+    finite_parts = sl.parts
     record = rank + 2  # finite part id, translation, length
 
     def at(i, field):
@@ -445,7 +448,7 @@ def test_altered_elements_rejected(tmp_path):
         with pytest.raises(CacheFormatError):
             load_slice(_reframed(tmp_path, sl, edit), rs, 6)
     loaded = load_slice(_reframed(tmp_path, sl, lambda payload: None), rs, 6)
-    assert [g.key() for g in loaded.elements] == [g.key() for g in sl.elements]
+    assert (loaded.parts, loaded.part, loaded.mu) == (sl.parts, sl.part, sl.mu)
 
 
 def test_forged_slices_rejected(tmp_path):
@@ -456,7 +459,8 @@ def test_forged_slices_rejected(tmp_path):
     s0 = generators(rs, affine=False)[0]
     # every element moved to s0 g, lengths and table kept: consistent
     # products, but index 0 is no longer the identity
-    moved = [AffineElement(*multiply(rs, s0, g).key(), g.length) for g in sl.elements]
+    elements = slice_elements(sl)
+    moved = [AffineElement(*multiply(rs, s0, g).key(), g.length) for g in elements]
     # index 1 and the last index swapped: a top-shell element comes before
     # every element below it
     perm = [0, n - 1, *range(2, n - 1), 1]
@@ -473,10 +477,11 @@ def test_forged_slices_rejected(tmp_path):
     b2 = build_root_system("B", 2)
     full = enumerate_slice(b2, b2.num_positive, affine=False)
     for forged in (
-        GroupSlice(rs, 6, True, moved, sl.right, sl.dominant),
-        *(GroupSlice(rs, 6, True, [sl.elements[old] for old in p], relabelled(p),
-                     [sl.dominant[old] for old in p]) for p in (perm, swap)),
-        GroupSlice(b2, b2.num_positive - 1, False, full.elements, full.right, full.dominant),
+        slice_of(rs, 6, True, moved, sl.right, sl.dominant),
+        *(slice_of(rs, 6, True, [elements[old] for old in p], relabelled(p),
+                   [sl.dominant[old] for old in p]) for p in (perm, swap)),
+        GroupSlice(b2, b2.num_positive - 1, False, full.parts, full.part, full.mu, full.length,
+                   full.right, full.dominant),
     ):
         path = tmp_path / "forged.slc"
         save_slice(forged, path)
@@ -490,27 +495,27 @@ def test_forged_slices_rejected(tmp_path):
 def test_dot_action_examples():
     a2 = build_root_system("A", 2)
     e = identity(a2)
-    assert dot_action(a2, e, (3, 5), 1) == (3, 5)
+    assert dot_action(a2, e.key(), (3, 5), 1) == (3, 5)
     gens = generators(a2, affine=False)
     # s_alpha . 0 = -alpha for a simple root
-    assert dot_action(a2, gens[0], (0, 0), 1) == (-2, 1)  # -alpha_1 in weight coords
+    assert dot_action(a2, gens[0].key(), (0, 0), 1) == (-2, 1)  # -alpha_1 in weight coords
 
 
 def test_dot_action_homomorphism_and_scaling():
     rng = random.Random(3)
     for lab, rank in [("A", 1), ("B", 2)]:
         rs = build_root_system(lab, rank)
-        sl = enumerate_slice(rs, 6)
+        elements = slice_elements(enumerate_slice(rs, 6))
         for _ in range(200):
-            g, h = rng.choice(sl.elements), rng.choice(sl.elements)
+            g, h = rng.choice(elements), rng.choice(elements)
             x = tuple(rng.randrange(-5, 6) for _ in range(rank))
             l = rng.choice([1, 2, 3, 5])
-            assert dot_action(rs, multiply(rs, g, h), x, l) == dot_action(
-                rs, g, dot_action(rs, h, x, l), l
+            assert dot_action(rs, multiply(rs, g, h).key(), x, l) == dot_action(
+                rs, g.key(), dot_action(rs, h.key(), x, l), l
             )
             # scaling identity: g .l (l x + (l-1) rho) = l (g . x) + (l-1) rho
-            lhs = dot_action(rs, g, tuple(l * c + (l - 1) for c in x), l)
-            rhs = tuple(l * c + (l - 1) for c in dot_action(rs, g, x, 1))
+            lhs = dot_action(rs, g.key(), tuple(l * c + (l - 1) for c in x), l)
+            rhs = tuple(l * c + (l - 1) for c in dot_action(rs, g.key(), x, 1))
             assert lhs == rhs
 
 
@@ -530,7 +535,7 @@ def reduced_word(sl, i):
 
 def subword_leq(sl, i, j):
     word = reduced_word(sl, j)
-    target = sl.elements[i]
+    target = (sl.parts[sl.part[i]], sl.mu[i])
     rs = sl.rs
     gens = generators(rs, sl.affine)
     n = len(word)
@@ -539,7 +544,7 @@ def subword_leq(sl, i, j):
         for b in range(n):
             if (mask >> b) & 1:
                 g = multiply(rs, g, gens[word[b]])
-        if g.key() == target.key():
+        if g.key() == target:
             return True
     return False
 
@@ -611,7 +616,7 @@ def test_finite_part_invariants():
             return sum(scaled[j] * rs.symmetrizers[j] * v[j] for j in range(rank))
 
         sl = enumerate_slice(rs, 5)
-        for g in rng.sample(sl.elements, 12):
+        for g in rng.sample(slice_elements(sl), 12):
             for _ in range(5):
                 u = tuple(rng.randrange(-4, 5) for _ in range(rank))
                 v = tuple(rng.randrange(-4, 5) for _ in range(rank))
@@ -621,7 +626,7 @@ def test_finite_part_invariants():
         # finite elements: length = number of positive roots sent negative
         finite = enumerate_slice(rs, rs.num_positive, affine=False)
         pos = set(rs.pos_roots_wt)
-        for g in finite.elements:
+        for g in slice_elements(finite):
             inversions = 0
             for rt_wt in rs.pos_roots_wt:
                 img = tuple(
@@ -638,14 +643,14 @@ def test_dominant_elements_are_maximal_coset_representatives():
     for lab, rank in [("A", 1), ("A", 2)]:
         rs = build_root_system(lab, rank)
         w_order = rs.weyl_order
-        finite = enumerate_slice(rs, rs.num_positive, affine=False).elements
-        sl = enumerate_slice(rs, 9)
+        finite = slice_elements(enumerate_slice(rs, rs.num_positive, affine=False))
+        elements = slice_elements(enumerate_slice(rs, 9))
         cosets = {}
-        for g in sl.elements:
+        for g in elements:
             members = [multiply(rs, w, g) for w in finite]
             key = min(m.key() for m in members)
             cosets.setdefault(key, set()).add(g.key())
-        index = {g.key(): g for g in sl.elements}
+        index = {g.key(): g for g in elements}
         for key, present in cosets.items():
             if len(present) < w_order:
                 continue  # coset truncated by the cutoff
@@ -705,7 +710,7 @@ def test_stabilizer_orders(a1_table20, a2_table12):
         rep = singular_ext1_report(ctx, lam, nu)
         g, lam_minus = factorize_by_multiply(rs, lam, l)
         assert rep.stabilizer_order == brute_stabilizer_order(rs, lam_minus, l) == order
-        index = {h.key(): i for i, h in enumerate(sl.elements)}
+        index = {h.key(): i for i, h in enumerate(slice_elements(sl))}
         y = index[factorize_by_multiply(rs, nu, l)[0].key()]
         members = [index[v.key()] for v in coset(rs, g, facet_generators(rs, lam_minus, l))]
         assert len(members) == order
@@ -739,12 +744,13 @@ def test_factorize_roundtrip_and_conventions():
         rs = build_root_system(lab, rank)
         words = {lam: factorize_weight(rs, lam, l) for lam in product(range(box), repeat=rank)}
         sl = enumerate_slice(rs, max(len(word) for word, _ in words.values()))
+        elements = slice_elements(sl)
         for lam, (word, lam_minus) in words.items():
             i = sl.follow(word)
-            g = sl.elements[i]
+            g = elements[i]
             assert sl.length[i] == len(word)  # the word is reduced
             assert in_closure_fundamental(rs, lam_minus, l)
-            assert dot_action(rs, g, lam_minus, l) == tuple(lam)
+            assert dot_action(rs, g.key(), lam_minus, l) == tuple(lam)
             regular = classify_weight(rs, lam, l)["regular_l"]
             assert regular == is_interior_fundamental(rs, lam_minus, l)
             # maximal length in its stabilizer coset: every fixing generator
@@ -754,6 +760,37 @@ def test_factorize_roundtrip_and_conventions():
                 assert sl.dominant[i]
             oracle, oracle_minus = factorize_by_multiply(rs, lam, l)
             assert (g.key(), lam_minus) == (oracle.key(), oracle_minus), (lab, lam, l)
+
+
+def test_word_length_is_counted_before_the_walk(monkeypatch):
+    # the walls count the letters of every word, singular weights and
+    # weights outside the dominant cone included
+    rng = random.Random(17)
+    singular = 0
+    for lab, rank in [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
+                      ("D", 4), ("F", 4)]:
+        rs = build_root_system(lab, rank)
+        for _ in range(60):
+            lam = tuple(rng.randrange(-40, 60) for _ in range(rank))
+            l = rng.choice([1, 2, 3, 5, 7, 12])
+            word, lam_minus = factorize_weight(rs, lam, l)
+            assert weylaffine._word_length(rs, [c + 1 for c in lam], l) == len(word), (lam, l)
+            singular += bool(facet_generators(rs, lam_minus, l))
+    assert singular > 100
+    a2 = build_root_system("A", 2)
+    assert len(factorize_weight(a2, (100, 100), 5)[0]) == 83
+    # a word above the letter cap is refused before any step
+    monkeypatch.setattr(weylaffine, "WORD_CAP", 82)
+    with pytest.raises(ResourceCapError, match="needs a word of 83 letters, above the cap of 82"):
+        factorize_weight(a2, (100, 100), 5)
+    monkeypatch.undo()
+    # a walk that disagrees with the count is a bug, caught on either side
+    count = weylaffine._word_length
+    for off, message in ((-1, "passed the 82 walls it counted"),
+                         (1, "took 83 letters, not the 84 it counted")):
+        monkeypatch.setattr(weylaffine, "_word_length", lambda *a, off=off: count(*a) + off)
+        with pytest.raises(InvariantViolation, match=message):
+            factorize_weight(a2, (100, 100), 5)
 
 
 # -- enumeration ---------------------------------------------------------------------------
@@ -779,8 +816,8 @@ def test_enumeration_determinism_and_cap():
     a2 = build_root_system("A", 2)
     s1 = enumerate_slice(a2, 6)
     s2 = enumerate_slice(a2, 6)
-    assert [g.key() for g in s1.elements] == [g.key() for g in s2.elements]
-    assert s1.elements[0].length == 0
+    assert (s1.parts, s1.part, s1.mu) == (s2.parts, s2.part, s2.mu)
+    assert s1.length[0] == 0
     assert all(
         s1.length[i] <= s1.length[i + 1] for i in range(len(s1) - 1)
     )
@@ -957,8 +994,9 @@ def test_slice_inversion_is_the_group_inverse():
                                       ("G", 2, 8, True), ("B", 3, 9, False)):
         rs = build_root_system(lab, rank)
         sl = _enumerate_slice(rs, cutoff, affine)
-        index = {g.key(): i for i, g in enumerate(sl.elements)}
-        assert slice_inversion(sl) == [index[inverse(rs, g).key()] for g in sl.elements]
+        elements = slice_elements(sl)
+        index = {g.key(): i for i, g in enumerate(elements)}
+        assert slice_inversion(sl) == [index[inverse(rs, g).key()] for g in elements]
 
 
 def test_inconsistent_right_table_rejected():
@@ -966,7 +1004,8 @@ def test_inconsistent_right_table_rejected():
     y = sl.shell(3)[0]
     bad = [list(row) for row in sl.right]
     bad[y][0], bad[y][1] = bad[y][1], bad[y][0]
-    broken = GroupSlice(sl.rs, sl.cutoff, sl.affine, sl.elements, bad, sl.dominant)
+    broken = GroupSlice(sl.rs, sl.cutoff, sl.affine, sl.parts, sl.part, sl.mu, sl.length, bad,
+                        sl.dominant)
     with pytest.raises(InvariantViolation, match="involution"):
         slice_inversion(broken)
     with pytest.raises(InvariantViolation, match="does not relabel"):
