@@ -58,7 +58,26 @@ class Character:
         self.dom = dom
 
     def dimension(self) -> int:
-        return sum(m * len(weyl_orbit(self.rs, wt)) for wt, m in self.dom.items())
+        """sum of m_mu |W mu| over the stored weights. A weight off every
+        wall has the whole group as its orbit; any other orbit size is read
+        from the sizes per nonzero pattern (``_orbit_size``), a non-dominant
+        key first moved to its dominant representative."""
+        rs = self.rs
+        sizes = _orbit_sizes.setdefault(rs, {})
+        regular = rs.weyl_order
+        total = 0
+        for wt, m in self.dom.items():
+            low = min(wt)
+            if low > 0:
+                total += m * regular
+                continue
+            if low < 0:
+                wt = dominant_representative(rs, wt)
+            size = sizes.get(tuple(map(bool, wt)))
+            if size is None:
+                size = _orbit_size(rs, wt)
+            total += m * size
+        return total
 
     def multiplicity(self, wt) -> int:
         return self.dom.get(dominant_representative(self.rs, tuple(wt)), 0)
@@ -96,6 +115,15 @@ def _reflect_to_dominant(rs: RootSystemData, v: Weight) -> tuple[Weight, int]:
 
 
 def weyl_orbit(rs: RootSystemData, wt: Weight) -> frozenset:
+    """Every weight of the W-orbit of wt, cached per root system. It serves
+    ``tensor_decompose``, which needs each weight of a character, and is the
+    tests' oracle for ``Character.dimension``, which needs only orbit sizes.
+
+    The walk starts at the dominant representative and applies s_i only at a
+    positive coordinate i, which lowers the weight by a multiple of alpha_i.
+    That reaches every weight: a non-dominant v has some v_i < 0, and v is
+    s_i of the higher weight s_i(v), whose coordinate i is -v_i > 0.
+    """
     cache = _orbit_cache.setdefault(rs, {})
     wt = dominant_representative(rs, tuple(wt))
     got = cache.get(wt)
@@ -106,7 +134,7 @@ def weyl_orbit(rs: RootSystemData, wt: Weight) -> frozenset:
     while stack:
         v = stack.pop()
         for c, alpha in zip(v, rs.cartan):
-            if c != 0:
+            if c > 0:
                 img = tuple([a - c * b for a, b in zip(v, alpha)])
                 if img not in seen:
                     seen.add(img)
@@ -117,6 +145,34 @@ def weyl_orbit(rs: RootSystemData, wt: Weight) -> frozenset:
 
 
 _orbit_cache: dict[RootSystemData, dict] = {}
+
+
+# per root system: the nonzero pattern of a dominant weight -> its orbit size
+_orbit_sizes: dict[RootSystemData, dict[tuple[bool, ...], int]] = {}
+
+
+def _orbit_size(rs: RootSystemData, wt: Weight) -> int:
+    """|W wt| for a dominant wt, stored under its nonzero pattern.
+
+    The stabilizer of wt is the parabolic subgroup W_J on the zero
+    coordinates J, and |W_J| = prod over the positive roots of Phi_J of
+    (ht a + 1)/ht a (Macdonald, The Poincare series of a Coxeter group,
+    Math. Ann. 199 (1972)). So |W wt| = |W|/|W_J| is that product over the
+    positive roots whose support meets a nonzero coordinate of wt, the
+    roots with (wt, a^vee) != 0.
+    """
+    nonzero = tuple(map(bool, check_vector(rs, wt)))
+    num = den = 1
+    for rt in rs.positive_roots:
+        if any([c and z for c, z in zip(rt, nonzero)]):
+            ht = sum(rt)
+            num *= ht + 1
+            den *= ht
+    size, rem = divmod(num, den)
+    if rem:
+        raise InvariantViolation(f"orbit size of {wt} is not an integer: {num}/{den}")
+    _orbit_sizes.setdefault(rs, {})[nonzero] = size
+    return size
 
 
 # -- dominant weights below a bound ---------------------------------------------
@@ -324,8 +380,8 @@ def chi_kl(rs: RootSystemData, lam: Weight, l: int, table: KLTable) -> KLCharact
             f"{lam} is l-singular at l={l}; singular data is reached via "
             "translation (see extbounds.singular_ext1_report)"
         )
-    word, lam_minus = factorize_weight(rs, lam, l)
     sl = table.slice
+    word, lam_minus = factorize_weight(rs, lam, l, sl.cutoff)
     w = sl.follow(word)
     lw = sl.length[w]
     terms = []

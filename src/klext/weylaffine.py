@@ -62,6 +62,12 @@ def dot_action(rs: RootSystemData, g, x, l: int = 1) -> tuple[int, ...]:
 # -- bounded-length enumeration ---------------------------------------------
 
 
+def _outside_slice(n: int) -> SliceCoverageError:
+    return SliceCoverageError(
+        f"element of length {n} outside slice; enlarge cutoff to at least {n}"
+    )
+
+
 class GroupSlice:
     """All elements of length <= cutoff, indexed deterministically, as columns.
 
@@ -120,10 +126,7 @@ class GroupSlice:
             row = self.right[i]
             i = row[t] if t < len(row) else -1
             if i == -1:
-                raise SliceCoverageError(
-                    f"element of length {len(word)} outside slice; "
-                    f"enlarge cutoff to at least {len(word)}"
-                )
+                raise _outside_slice(len(word))
         return i
 
     def shell(self, n: int) -> list[int]:
@@ -500,7 +503,7 @@ def _word_length(rs: RootSystemData, v, l: int) -> int:
     return n
 
 
-def factorize_weight(rs: RootSystemData, lam, l: int):
+def factorize_weight(rs: RootSystemData, lam, l: int, cutoff: int | None = None):
     """(word, lam_minus): a reduced word, in the generator ids of
     ``GroupSlice``, of the unique g with g ._l lam_minus = lam, lam_minus in
     the closed fundamental alcove and g of maximal length in
@@ -521,7 +524,9 @@ def factorize_weight(rs: RootSystemData, lam, l: int):
 
     The walk takes exactly ``_word_length`` letters; a count above
     ``WORD_CAP`` is refused with ResourceCapError before any step, and a walk
-    that disagrees with the count raises InvariantViolation.
+    that disagrees with the count raises InvariantViolation. Given a slice's
+    cutoff, a longer word is refused next, with the SliceCoverageError that
+    ``GroupSlice.follow`` would raise at its end.
     """
     if l < 1:
         raise InvalidSystemError("level l must be a positive integer")
@@ -533,6 +538,8 @@ def factorize_weight(rs: RootSystemData, lam, l: int):
         raise ResourceCapError(
             f"weight {tuple(lam)} at l={l} needs a word of {n} letters, "
             f"above the cap of {WORD_CAP}")
+    if cutoff is not None and n > cutoff:
+        raise _outside_slice(n)
     word = []
     for _ in range(n + 1):
         i = next((i for i, c in enumerate(v) if c > 0), None)

@@ -73,6 +73,61 @@ def test_highest_weight_multiplicity_one_and_positivity():
             assert c.dimension() == weyl_dimension(rs, lam)
 
 
+# -- orbit sizes ------------------------------------------------------------------
+
+
+def orbit_dimension(char):
+    """dim by the definition: the size of each stored weight's W-orbit,
+    enumerated by ``weyl_orbit``, times its multiplicity."""
+    return sum(m * len(weyl_orbit(char.rs, wt)) for wt, m in char.dom.items())
+
+
+@pytest.mark.parametrize("lab,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3),
+    ("C", 4), ("D", 4), ("D", 5), ("F", 4), ("G", 2), ("E", 6),
+])
+def test_orbit_size_product_equals_the_enumerated_orbit(lab, rank):
+    # Macdonald's product on each zero pattern against the orbit itself;
+    # each orbit leaves weyl_orbit's cache once counted (E6's regular orbit
+    # has 51840 weights)
+    rs = build_root_system(lab, rank)
+    orbits = characters._orbit_cache.setdefault(rs, {})
+    for pattern in product((0, 1), repeat=rank):
+        size = len(weyl_orbit(rs, pattern))
+        orbits.pop(pattern)
+        assert characters._orbit_size(rs, pattern) == size, pattern
+        assert characters._orbit_sizes[rs][tuple(map(bool, pattern))] == size
+
+
+def test_orbit_size_product_over_every_root_is_the_weyl_group_order():
+    for lab, ranks in [("A", range(1, 9)), ("B", range(2, 9)), ("C", range(3, 9)),
+                       ("D", range(4, 9)), ("E", range(6, 9)), ("F", [4]), ("G", [2])]:
+        for rank in ranks:
+            rs = build_root_system(lab, rank)
+            assert characters._orbit_size(rs, (1,) * rank) == rs.weyl_order, (lab, rank)
+    assert characters._orbit_size(build_root_system("E", 8), (1,) * 8) == 696729600
+
+
+def test_dimension_equals_the_orbit_definition_on_virtual_and_non_dominant_keys(
+        a1_table20, a2_table12):
+    a2 = build_root_system("A", 2)
+    # hand-built characters keyed off the dominant chamber, one of them with
+    # a negative multiplicity: (-1, 1) and (1, -1) lie in the orbits of
+    # (0, 1) and (1, 0), and (2, -3) in that of (1, 1)
+    for dom, dim in [({(-1, 1): 1}, 3), ({(1, -1): 2, (0, 0): -1, (2, -3): 1}, 11)]:
+        char = characters.Character(a2, dom)
+        assert char.dimension() == orbit_dimension(char) == dim
+    # virtual characters: chi_KL expanded, a signed sum of Weyl characters
+    for rank, lams, table in [(1, [(3,), (9,), (13,)], a1_table20),
+                              (2, [(1, 1), (4, 1), (4, 4), (7, 4)], a2_table12)]:
+        rs = build_root_system("A", rank)
+        for lam in lams:
+            ck = chi_kl(rs, lam, 3, table)
+            assert len(ck.terms) > 1 and min(c for _, c in ck.terms) < 0, lam
+            virtual = ck.expand()
+            assert virtual.dimension() == orbit_dimension(virtual), lam
+
+
 # -- alternating-sum oracle -------------------------------------------------------
 
 

@@ -693,6 +693,7 @@ EVERY_COMMAND = [
     ["mu-sum", "A", "1", "--cutoff", "12", "--l", "3", "--x", "4"],
     ["klsum", "A", "2", "--cutoff", "6", "--y", "40", "--m", "1"],
     ["char", "B", "2", "--weight", "1,1"],
+    ["char", "F", "4", "--weight", "1,1,1,1"],
     ["chikl", "A", "1", "--cutoff", "12", "--l", "3", "--weight", "3"],
     ["decomp", "A", "1", "--cutoff", "12", "--l", "3", "--seed", "0", "--bound", "6"],
     ["tensor", "A", "2", "--left", "1,0", "--right", "0,1"],
@@ -851,6 +852,26 @@ def test_chikl_dimension_is_the_expanded_character(monkeypatch, capsys):
         assert cli.main(["--format", "json", *argv]) == 0, argv
         printed = json.loads(capsys.readouterr().out)["dimension"]
         assert printed == made[-1].expand().dimension(), argv
+
+
+def test_char_dimension_is_weyl_dimension(capsys):
+    # char sums orbit sizes over the dominant weights; Weyl's product
+    # formula, a second path, gives the same number on the heavier lines
+    from klext import cli
+    from klext.characters import weyl_dimension
+    from klext.rootsys import build_root_system
+
+    lines = [argv for argv in EVERY_COMMAND if argv[0] == "char"]
+    lines += [["char", "G", "2", "--weight", "10,10"], ["char", "B", "3", "--weight", "3,3,3"]]
+    dims = []
+    for argv in lines:
+        assert cli.main(["--format", "json", *argv]) == 0, argv
+        out = json.loads(capsys.readouterr().out)
+        rs = build_root_system(argv[1], int(argv[2]))
+        assert out["dimension"] == weyl_dimension(rs, tuple(out["weight"])), argv
+        dims.append(out["dimension"])
+    # (l-1) rho is the Steinberg weight at l, of dimension l^(positive roots)
+    assert dims == [2 ** 4, 2 ** 24, 11 ** 6, 4 ** 9]
 
 
 def test_bench_commands_load_no_json(tmp_path):

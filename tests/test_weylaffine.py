@@ -793,6 +793,35 @@ def test_word_length_is_counted_before_the_walk(monkeypatch):
             factorize_weight(a2, (100, 100), 5)
 
 
+def test_a_word_longer_than_the_cutoff_is_refused_before_the_walk(monkeypatch):
+    # given a slice's cutoff, a longer word is refused with the error that
+    # GroupSlice.follow raises at its end, after the letter cap and before
+    # any step of the walk
+    a2 = build_root_system("A", 2)
+    sl = _enumerate_slice(a2, 6)
+    for lam in itertools.product(range(12), repeat=2):
+        word, lam_minus = factorize_weight(a2, lam, 3)
+        if len(word) <= sl.cutoff:
+            assert factorize_weight(a2, lam, 3, sl.cutoff) == (word, lam_minus)
+            continue
+        with pytest.raises(SliceCoverageError) as walked:
+            sl.follow(word)
+        with pytest.raises(SliceCoverageError) as counted:
+            factorize_weight(a2, lam, 3, sl.cutoff)
+        assert str(counted.value) == str(walked.value) == (
+            f"element of length {len(word)} outside slice; "
+            f"enlarge cutoff to at least {len(word)}")
+    monkeypatch.setattr(weylaffine, "WORD_CAP", 82)
+    with pytest.raises(ResourceCapError, match="needs a word of 83 letters"):
+        factorize_weight(a2, (100, 100), 5, 10)
+    monkeypatch.undo()
+    # a walk would find a count one too high; the refusal comes first
+    count = weylaffine._word_length
+    monkeypatch.setattr(weylaffine, "_word_length", lambda *a: count(*a) + 1)
+    with pytest.raises(SliceCoverageError, match="element of length 84 outside slice"):
+        factorize_weight(a2, (100, 100), 5, 83)
+
+
 # -- enumeration ---------------------------------------------------------------------------
 
 
